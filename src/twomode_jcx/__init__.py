@@ -34,6 +34,7 @@ from .fock import (
     get_sector,
     ladder_op,
     project_operator,
+    sector_basis,
     sector_decompose,
 )
 from .liealg import (
@@ -69,6 +70,7 @@ from .models import (
     build_spinor,
     eigen_residual,
     lower_from_upper,
+    sector_tridiagonal,
 )
 from .spectra import (
     CoupledOscillators,

@@ -69,22 +69,6 @@ class TiltingParams:
             return math.log(1.0 - z2)
         return math.log(1.0 + z2)
 
-    @property
-    def alpha(self) -> float:
-        return math.sinh(2 * abs(self.xi))
-
-    @property
-    def beta(self) -> float:
-        return 0.5 * (math.cosh(2 * abs(self.xi)) - 1.0)
-
-    @property
-    def delta(self) -> float:
-        return math.sin(2 * abs(self.xi))
-
-    @property
-    def epsilon(self) -> float:
-        return 0.5 * (math.cos(2 * abs(self.xi)) - 1.0)
-
     @classmethod
     def from_xi(cls, algebra: AlgebraKind, xi: complex) -> "TiltingParams":
         theta = 2.0 * abs(xi)

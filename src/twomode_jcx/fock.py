@@ -146,9 +146,6 @@ class FockBasis:
     def index_of(self, n_a: int, n_b: int) -> int:
         return self._index[(n_a, n_b)]
 
-    def state_at(self, i: int):
-        return self.states[i]
-
     def vector(self, n_a: int, n_b: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
         v[self.index_of(n_a, n_b)] = 1.0
@@ -183,13 +180,26 @@ class SectorBasis:
     def dim(self) -> int:
         return len(self.states)
 
+    @property
+    def occupations(self) -> tuple:
+        """(n_a, n_b) integer arrays of the sector states, in order."""
+        return np.divmod(self.indices, self.parent_cutoff + 1)
+
+    @property
+    def pair_amplitudes(self) -> np.ndarray:
+        """|<i + 1| a† b† |i>| (N_d) or |<i + 1| a† b |i>| (N_s), per pair.
+
+        sqrt(n_a n_b) at each mode's larger occupation: state i + 1 has the
+        larger n_a, and for N_s state i has the larger n_b.
+        """
+        na, nb = self.occupations
+        nb_pair = nb[1:] if self.charge_kind is ChargeKind.DIFFERENCE_ND else nb[:-1]
+        return np.sqrt(na[1:] * nb_pair.astype(float))
+
     def embed(self, vec: np.ndarray, parent_dim: int) -> np.ndarray:
         out = np.zeros(parent_dim, dtype=complex)
         out[self.indices] = vec
         return out
-
-    def restrict(self, vec: np.ndarray) -> np.ndarray:
-        return np.asarray(vec)[self.indices]
 
 
 def build_basis(cutoff: int) -> FockBasis:
@@ -284,33 +294,45 @@ def commutator(x: OperatorMatrix, y: OperatorMatrix) -> OperatorMatrix:
     return x @ y - y @ x
 
 
+def sector_basis(cutoff: int, charge_kind: ChargeKind, charge_value: int) -> SectorBasis:
+    """Sector of one charge in the cutoff-``cutoff`` basis, in closed form.
+
+    The sector holds the states with n_a running upward over the range the
+    charge and the cutoff allow (n_b = n_a + charge or charge - n_a), which
+    is the parent's lexicographic order; the parent index of |n_a, n_b> is
+    n_a (cutoff + 1) + n_b. Raises ValueError when no state carries the
+    charge. Needs no FockBasis: cost is O(sector dim).
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    q = charge_value
+    if charge_kind is ChargeKind.DIFFERENCE_ND:
+        lo, hi = max(0, -q), min(cutoff, cutoff - q)
+    else:
+        lo, hi = max(0, q - cutoff), min(cutoff, q)
+    if lo > hi:
+        raise ValueError(f"no sector with charge {q} at cutoff {cutoff}")
+    na = np.arange(lo, hi + 1)
+    nb = na + q if charge_kind is ChargeKind.DIFFERENCE_ND else q - na
+    return SectorBasis(
+        charge_kind=charge_kind,
+        charge_value=q,
+        states=tuple(zip(na.tolist(), nb.tolist())),
+        parent_cutoff=cutoff,
+        indices=na * (cutoff + 1) + nb,
+    )
+
+
 def sector_decompose(basis: FockBasis, charge_kind: ChargeKind) -> list:
     """Partition the basis into conserved-charge sectors, charges ascending."""
-    groups: dict[int, list[int]] = {}
-    for i, (na, nb) in enumerate(basis.states):
-        q = nb - na if charge_kind is ChargeKind.DIFFERENCE_ND else na + nb
-        groups.setdefault(q, []).append(i)
-    sectors = []
-    for q in sorted(groups):
-        idx = np.array(groups[q], dtype=int)
-        sectors.append(
-            SectorBasis(
-                charge_kind=charge_kind,
-                charge_value=q,
-                states=tuple(basis.states[i] for i in idx),
-                parent_cutoff=basis.cutoff,
-                indices=idx,
-            )
-        )
-    return sectors
+    c = basis.cutoff
+    charges = range(-c, c + 1) if charge_kind is ChargeKind.DIFFERENCE_ND else range(2 * c + 1)
+    return [sector_basis(c, charge_kind, q) for q in charges]
 
 
 def get_sector(basis: FockBasis, charge_kind: ChargeKind, charge_value: int) -> SectorBasis:
     """Single sector of the decomposition, by charge value."""
-    for sec in sector_decompose(basis, charge_kind):
-        if sec.charge_value == charge_value:
-            return sec
-    raise ValueError(f"no sector with charge {charge_value} at cutoff {basis.cutoff}")
+    return sector_basis(basis.cutoff, charge_kind, charge_value)
 
 
 def project_operator(op: OperatorMatrix, sector: SectorBasis) -> OperatorMatrix:

@@ -15,13 +15,17 @@ of hbar² X† X, both with eigenvalue E² - m²c⁴. X X† conserves the numbe
 difference N_d for JC_AJC and the total number N_s for JC_JC, which makes
 each charge sector an independent tridiagonal eigenproblem.
 
-Both second-order operators are built as products of the hard-truncated
-ladder matrices, so the block identity KG_upper = hbar² X X† holds exactly
-at finite cutoff (boundary rows included).
+On a charge sector both second-order operators are built directly as
+tridiagonal arrays from the closed ladder matrix elements, with hard
+truncation reproduced term by term (a a† = (n_a + 1)[n_a < cutoff], and so
+on), so they equal the projection of the products of the hard-truncated
+ladder matrices at finite cutoff, boundary rows included. The full-space
+products remain as the small-cutoff reference they are tested against.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,7 +47,6 @@ from .fock import (
     SectorBasis,
     get_sector,
     ladder_op,
-    project_operator,
 )
 
 EDGE_REL_TOL = 1e-12
@@ -78,6 +81,9 @@ class ModelParams:
     hbar: float = 1.0
 
     def __post_init__(self):
+        for name in ("g", "f", "mc2", "hbar"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.mc2 <= 0:
             raise ValueError("mc2 must be positive")
         if self.hbar <= 0:
@@ -144,6 +150,43 @@ def build_full_hamiltonian(kind: ModelKind, p: ModelParams, basis: FockBasis) ->
     return OperatorMatrix(h, 2 * dim)
 
 
+def _lowered_after_raise(n: np.ndarray, cutoff: int) -> np.ndarray:
+    """<n| a a† |n> under hard truncation: n + 1 below the cutoff, 0 at it."""
+    return np.where(n < cutoff, n + 1.0, 0.0)
+
+
+def sector_tridiagonal(
+    kind: ModelKind, component: Component, p: ModelParams, sector: SectorBasis
+) -> tuple:
+    """(diag, offdiag) of the sector KG operator, in O(sector dim).
+
+    ``diag`` is real; ``offdiag[i]`` is the complex element between sector
+    states i + 1 (row) and i (column), which are joined by a† b† (JC_AJC)
+    or a† b (JC_JC). Expanding X X† and X† X, the number terms are
+    a† a = n and a a† = (n + 1)[n < cutoff]; the pair term is, in all four
+    cases, hbar² g f* times ``sector.pair_amplitudes``, and never meets the
+    cutoff, since both states of a pair lie inside the sector.
+    SectorMismatchError when the sector charge is not the model's conserved
+    quantity.
+    """
+    if sector.charge_kind is not conserved_charge(kind):
+        raise SectorMismatchError(
+            f"{kind.value} conserves {conserved_charge(kind).value}, "
+            f"got a {sector.charge_kind.value} sector"
+        )
+    cutoff = sector.parent_cutoff
+    na, nb = sector.occupations
+    upper = component is Component.UPPER
+    a_term = na if upper else _lowered_after_raise(na, cutoff)
+    # b b† appears in X X† for JC_AJC (X holds b) and in X† X for JC_JC.
+    b_raised_first = upper == (kind is ModelKind.JC_AJC)
+    b_term = _lowered_after_raise(nb, cutoff) if b_raised_first else nb
+    h2 = p.hbar**2
+    diag = h2 * (abs(p.g) ** 2 * a_term + abs(p.f) ** 2 * b_term)
+    offdiag = h2 * p.g * np.conj(p.f) * sector.pair_amplitudes
+    return diag.astype(float), offdiag.astype(complex)
+
+
 def build_kg_operator(
     kind: ModelKind,
     component: Component,
@@ -153,21 +196,14 @@ def build_kg_operator(
     """Second-order operator whose eigenvalues are E² - m²c⁴.
 
     Upper component: hbar² X X†; lower component: hbar² X† X. Passing a
-    SectorBasis restricts to that charge sector (SectorMismatchError when
-    the sector charge does not match the model's conserved quantity).
+    SectorBasis gives the dense sector block assembled from
+    ``sector_tridiagonal``; passing a FockBasis forms the full-space ladder
+    products, the small-cutoff reference.
     """
     if isinstance(basis_or_sector, SectorBasis):
-        sector = basis_or_sector
-        if sector.charge_kind is not conserved_charge(kind):
-            raise SectorMismatchError(
-                f"{kind.value} conserves {conserved_charge(kind).value}, "
-                f"got a {sector.charge_kind.value} sector"
-            )
-        from .fock import build_basis
-
-        basis = build_basis(sector.parent_cutoff)
-        full = build_kg_operator(kind, component, p, basis)
-        return project_operator(full, sector)
+        diag, off = sector_tridiagonal(kind, component, p, basis_or_sector)
+        block = np.diag(diag).astype(complex) + np.diag(off, -1) + np.diag(off.conj(), 1)
+        return OperatorMatrix(block, len(diag))
 
     basis = basis_or_sector
     x = coupling_block(kind, p, basis)

@@ -32,9 +32,17 @@ import scipy.linalg as la
 
 from .displace import TiltingParams, displacement_direct
 from .errors import DegenerateCouplingError, DomainError, NotConvergedError
-from .fock import ChargeKind, SectorBasis, build_basis, get_sector, project_operator
+from .fock import ChargeKind, SectorBasis, build_basis, sector_basis
 from .liealg import AlgebraKind, su11_generators, su2_generators
-from .models import Branch, Component, ModelKind, ModelParams, build_kg_operator, conserved_charge
+from .models import (
+    Branch,
+    Component,
+    ModelKind,
+    ModelParams,
+    build_kg_operator,
+    conserved_charge,
+    sector_tridiagonal,
+)
 
 
 class InnerSign(Enum):
@@ -54,12 +62,6 @@ class EnergyLevel:
     @property
     def energy_sq(self) -> float:
         return self.energy**2
-
-
-def su11_radical(f: complex, g: complex) -> float:
-    """sqrt((|g|² + |f|²)² - 4 |g|² |f|²), evaluated literally."""
-    fa2, ga2 = abs(f) ** 2, abs(g) ** 2
-    return math.sqrt((ga2 + fa2) ** 2 - 4.0 * ga2 * fa2)
 
 
 def su2_radical(f: complex, g: complex) -> float:
@@ -284,7 +286,7 @@ BOUNDARY_MASS_TOL = 1e-8
 BOUNDARY_MARGIN = 3
 
 
-def _interior_eigenvalues(kg: np.ndarray, count: int) -> np.ndarray:
+def _interior_eigenvalues(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
     """Lowest eigenvalues whose eigenvectors carry no boundary mass.
 
     Hard truncation can manufacture exact eigenpairs pinned to the top of a
@@ -293,11 +295,21 @@ def _interior_eigenvalues(kg: np.ndarray, count: int) -> np.ndarray:
     under cutoff doubling and must be rejected by eigenvector support: a
     converged state at the tilting strengths used here leaves mass ~1e-30
     in the top rows, an artifact leaves O(1).
+
+    Eigenpairs are computed for the lowest window of the spectrum, doubled
+    until it holds ``count`` interior ones or spans the sector; a kept
+    eigenvalue outside the window lies above all of those inside it, so the
+    result is that of the full eigendecomposition.
     """
-    w, v = la.eigh(kg)
-    margin = min(BOUNDARY_MARGIN, max(1, kg.shape[0] - 1))
-    boundary_mass = np.sum(np.abs(v[-margin:, :]) ** 2, axis=0)
-    keep = boundary_mass <= BOUNDARY_MASS_TOL
+    dim = diag.size
+    margin = min(BOUNDARY_MARGIN, max(1, dim - 1))
+    window = count
+    while True:
+        window = min(dim, 2 * window)
+        w, v = la.eigh_tridiagonal(diag, np.abs(off), select="i", select_range=(0, window - 1))
+        keep = np.sum(v[-margin:, :] ** 2, axis=0) <= BOUNDARY_MASS_TOL
+        if np.count_nonzero(keep) >= count or window == dim:
+            break
     vals = w[keep]
     if len(vals) < count:
         raise NotConvergedError(
@@ -316,28 +328,34 @@ def numeric_spectrum(
 ) -> np.ndarray:
     """Lowest ``count`` E² values of the sector KG operator, ascending.
 
-    Brute-force oracle: dense diagonalization of the projected operator.
-    su(2) sectors with charge <= cutoff are exact and keep all eigenvalues;
-    su(1,1) sectors restrict to interior-supported eigenpairs and are
-    certified by doubling the cutoff, demanding relative agreement below
-    ``convergence_tol`` (NotConvergedError otherwise).
+    Brute-force oracle: the sector operator is built as a tridiagonal from
+    the closed ladder matrix elements (``models.sector_tridiagonal``) and
+    solved with a tridiagonal eigensolver on (diag, |offdiag|); that phase
+    gauge is a diagonal unitary similarity, so it leaves the eigenvalues
+    and |eigenvector| entries unchanged. su(2) sectors with charge <=
+    cutoff are exact and keep all eigenvalues; every other sector keeps
+    interior-supported eigenpairs only and is certified by rebuilding it
+    at twice the cutoff, demanding relative agreement below
+    ``convergence_tol`` (NotConvergedError otherwise, or when fewer than
+    ``count`` interior eigenvalues exist).
     """
-    if count > sector.dim:
+    if not 1 <= count <= sector.dim:
         raise ValueError(f"requested {count} levels from a dim-{sector.dim} sector")
-    kg = build_kg_operator(kind, component, p, sector).dense()
+    diag, off = sector_tridiagonal(kind, component, p, sector)
 
     exact_sector = (
         sector.charge_kind is ChargeKind.SUM_NS
         and sector.charge_value <= sector.parent_cutoff
     )
     if exact_sector:
-        return la.eigvalsh(kg)[:count] + p.mc2**2
+        vals = la.eigh_tridiagonal(
+            diag, np.abs(off), eigvals_only=True, select="i", select_range=(0, count - 1)
+        )
+        return vals + p.mc2**2
 
-    lowest = _interior_eigenvalues(kg, count)
-    doubled_basis = build_basis(2 * sector.parent_cutoff)
-    doubled = get_sector(doubled_basis, sector.charge_kind, sector.charge_value)
-    kg2 = build_kg_operator(kind, component, p, doubled).dense()
-    vals2 = _interior_eigenvalues(kg2, count)
+    lowest = _interior_eigenvalues(diag, off, count)
+    doubled = sector_basis(2 * sector.parent_cutoff, sector.charge_kind, sector.charge_value)
+    vals2 = _interior_eigenvalues(*sector_tridiagonal(kind, component, p, doubled), count)
     scale = np.maximum(np.abs(vals2), p.mc2**2)
     change = np.max(np.abs(lowest - vals2) / scale)
     if change > convergence_tol:
@@ -505,25 +523,20 @@ class LimitReport:
         return abs(self.eps_model - self.eps_analytic) / denom
 
 
-def _nonrel_operator(case, basis):
-    """Weak-coupling limit Hamiltonian (hbar = 1) on the full basis."""
-    from .fock import LadderKind, Mode, ladder_op, number_op
+def _nonrel_tridiagonal(case, sector: SectorBasis) -> tuple:
+    """(diag, offdiag) of the weak-coupling limit Hamiltonian (hbar = 1).
 
-    na = number_op(Mode.A, basis)
-    nb = number_op(Mode.B, basis)
-    a = ladder_op(Mode.A, LadderKind.LOWER, basis)
-    b = ladder_op(Mode.B, LadderKind.LOWER, basis)
-    a_dag = ladder_op(Mode.A, LadderKind.RAISE, basis)
-    b_dag = ladder_op(Mode.B, LadderKind.RAISE, basis)
-    w1, w2 = case.omega1, case.omega2
-    chi = math.sqrt(w1 * w2)
+    w1 n_a + w2 n_b plus the pair coupling i chi e^{-2i phase} a† b† + h.c.
+    (amplifier, N_d sectors) or chi e^{-2i phase} a† b + h.c. (coupled
+    oscillators, N_s sectors), chi = sqrt(w1 w2); ``offdiag`` is laid out
+    as in ``models.sector_tridiagonal``.
+    """
+    na, nb = sector.occupations
+    chi = math.sqrt(case.omega1 * case.omega2) * cmath.exp(-2j * case.phase)
     if isinstance(case, NondegenerateParametricAmplifier):
-        ph = cmath.exp(-2j * case.phase)
-        coupling = (1j * chi * ph) * (a_dag @ b_dag) - (1j * chi * np.conj(ph)) * (a @ b)
-    else:
-        ph = cmath.exp(2j * case.phase)
-        coupling = (chi * ph) * (b_dag @ a) + (chi * np.conj(ph)) * (a_dag @ b)
-    return w1 * na + w2 * nb + coupling
+        chi *= 1j
+    diag = (case.omega1 * na + case.omega2 * nb).astype(float)
+    return diag, chi * sector.pair_amplitudes
 
 
 def nonrelativistic_limit_check(
@@ -560,11 +573,14 @@ def nonrelativistic_limit_check(
         offset = 0.0
     eps_model = math.sqrt(e_sq) - mc2
 
-    basis = build_basis(cutoff)
-    sector = get_sector(basis, conserved_charge(kind), charge)
-    op = project_operator(_nonrel_operator(case, basis), sector).dense()
-    vals = la.eigvalsh(op)
-    eps_analytic = float(vals[index]) + offset
+    sector = sector_basis(cutoff, conserved_charge(kind), charge)
+    if not 0 <= index < sector.dim:
+        raise ValueError(f"index {index} outside the dim-{sector.dim} sector")
+    diag, off = _nonrel_tridiagonal(case, sector)
+    level = la.eigh_tridiagonal(
+        diag, np.abs(off), eigvals_only=True, select="i", select_range=(index, index)
+    )
+    eps_analytic = float(level[0]) + offset
     return LimitReport(
         case=type(case).__name__,
         scale=scale,

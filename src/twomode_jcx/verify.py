@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import displace, liealg, spectra, wavefunc
-from .fock import ChargeKind, build_basis, get_sector
+from .fock import ChargeKind, build_basis, get_sector, sector_basis
 from .liealg import AlgebraKind
 from .models import Branch, Component, ModelKind, ModelParams, build_full_hamiltonian, build_spinor, eigen_residual
 from .parallel import parallel_map
@@ -187,8 +187,6 @@ def _tilting_checks(p: ModelParams, seed: int, n_random: int = 5):
             made += 1
             yield f, g, f"random-{made}"
 
-    basis11 = build_basis(140)
-    basis2 = build_basis(24)
     for f, g, tag in pairs():
         pp = ModelParams(g=g, f=f, mc2=p.mc2, hbar=p.hbar)
         if abs(abs(f) - abs(g)) < 1e-12:
@@ -200,7 +198,7 @@ def _tilting_checks(p: ModelParams, seed: int, n_random: int = 5):
                 )
             )
         else:
-            sec = get_sector(basis11, ChargeKind.DIFFERENCE_ND, 0)
+            sec = sector_basis(140, ChargeKind.DIFFERENCE_ND, 0)
             rep = spectra.verify_tilting(ModelKind.JC_AJC, pp, sec, keep=10)
             recs.append(
                 ReportRecord.check(
@@ -210,7 +208,7 @@ def _tilting_checks(p: ModelParams, seed: int, n_random: int = 5):
                     1e-7,
                 )
             )
-        sec2 = get_sector(basis2, ChargeKind.SUM_NS, 5)
+        sec2 = sector_basis(24, ChargeKind.SUM_NS, 5)
         rep2 = spectra.verify_tilting(ModelKind.JC_JC, pp, sec2)
         recs.append(
             ReportRecord.check(
@@ -225,10 +223,10 @@ def _tilting_checks(p: ModelParams, seed: int, n_random: int = 5):
 
 def _spectrum_checks(p: ModelParams, cutoff: int):
     recs = []
-    basis2 = build_basis(max(12, cutoff // 10))
+    cutoff2 = max(12, cutoff // 10)
 
     def su2_sector_dev(n_s):
-        sec = get_sector(basis2, ChargeKind.SUM_NS, n_s)
+        sec = sector_basis(cutoff2, ChargeKind.SUM_NS, n_s)
         numeric = spectra.numeric_spectrum(ModelKind.JC_JC, Component.UPPER, p, sec, n_s + 1)
         analytic = []
         for m_n in range(n_s, -1, -1):
@@ -240,7 +238,7 @@ def _spectrum_checks(p: ModelParams, cutoff: int):
         analytic = np.sort(analytic)
         return float(np.max(np.abs(numeric - analytic) / np.abs(analytic)))
 
-    devs = parallel_map(su2_sector_dev, range(0, basis2.cutoff // 2))
+    devs = parallel_map(su2_sector_dev, range(0, cutoff2 // 2))
     recs.append(
         ReportRecord.check(
             "su2 numeric == analytic spectrum (all sectors)",
@@ -260,10 +258,8 @@ def _spectrum_checks(p: ModelParams, cutoff: int):
         )
         return recs
 
-    basis11 = build_basis(cutoff)
-
     def su11_sector_dev(d):
-        sec = get_sector(basis11, ChargeKind.DIFFERENCE_ND, d)
+        sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, d)
         numeric = spectra.numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 8)
         analytic = np.array([spectra.su11_sector_energy_sq(p, d, n) for n in range(8)])
         return float(np.max(np.abs(numeric - analytic) / np.abs(analytic)))

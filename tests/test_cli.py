@@ -98,6 +98,51 @@ class TestDiagonalizeCommand:
         assert result.exit_code != 0
 
 
+def _one_line_usage_error(result, fragment):
+    """Exit 2 through click's usage error: one 'Error:' line, no traceback."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
+    assert len(errors) == 1 and fragment in errors[0], result.output
+    assert "Traceback" not in result.output
+
+
+class TestDomainErrorExitCodes:
+    @pytest.mark.parametrize("model, sector", [
+        ("jc-ajc", "17"), ("jc-ajc", "-17"), ("jc-jc", "-1"), ("jc-jc", "33"),
+    ])
+    def test_sector_outside_charge_range(self, runner, model, sector):
+        result = runner.invoke(
+            main, ["diagonalize", "--model", model, "--cutoff", "16", "--sector", sector]
+        )
+        _one_line_usage_error(result, f"no sector with charge {sector} at cutoff 16")
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one(self, runner, count):
+        result = runner.invoke(main, ["diagonalize", "--cutoff", "16", "--count", count])
+        _one_line_usage_error(result, "--count must be at least 1")
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--index", "-1"], "index -1 outside the dim-161 sector"),
+        (["--charge", "200"], "no sector with charge 200 at cutoff 160"),
+    ])
+    def test_limits_level_outside_sector(self, runner, flags, fragment):
+        result = runner.invoke(main, ["limits", "--case", "ndpa", *flags])
+        _one_line_usage_error(result, fragment)
+
+    @pytest.mark.parametrize("command", ["spectrum", "diagonalize", "verify"])
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--mc2", "-1"], "mc2 must be positive"),
+        (["--mc2", "inf"], "mc2 must be finite"),
+        (["--hbar", "nan"], "hbar must be finite"),
+        (["--f-re", "nan"], "f must be finite"),
+        (["--g-im", "inf"], "g must be finite"),
+    ])
+    def test_invalid_model_parameters(self, runner, command, flags, fragment):
+        result = runner.invoke(main, [command, *flags])
+        _one_line_usage_error(result, fragment)
+
+
 class TestVerifyCommand:
     def test_fast_profile_passes(self, runner):
         result = runner.invoke(

@@ -22,6 +22,20 @@ from twomode_jcx.models import (
 )
 
 
+class TestModelParams:
+    @pytest.mark.parametrize("kwargs, fragment", [
+        ({"g": complex(float("nan"), 0.0)}, "g must be finite"),
+        ({"f": complex(0.0, float("inf"))}, "f must be finite"),
+        ({"mc2": float("nan")}, "mc2 must be finite"),
+        ({"hbar": float("inf")}, "hbar must be finite"),
+        ({"mc2": -1.0}, "mc2 must be positive"),
+        ({"hbar": 0.0}, "hbar must be positive"),
+    ])
+    def test_rejects_invalid_values(self, kwargs, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            ModelParams(**{"g": 1.0, "f": 2.0, **kwargs})
+
+
 class TestFullHamiltonian:
     def test_decoupled_limit(self):
         basis = build_basis(3)
