@@ -44,6 +44,7 @@ from .liealg import (
     Su11Generators,
     group_labels_from_physical,
     physical_from_group_labels,
+    sector_generators,
     su2_generators,
     su11_generators,
     verify_algebra,

@@ -1,7 +1,10 @@
 """Group displacement operators, their normal forms, and number coherent states.
 
 The displacement operator is D(xi) = exp(xi G+ - xi* G-) for either algebra,
-with xi = -(theta/2) e^{-i phi}. Its Gaussian (normal) form is
+with xi = -(theta/2) e^{-i phi}. It acts within one irrep at a time, so it
+is built per charge sector, from the sector's closed-form generators
+(``liealg.sector_generators``: su(1,1) on N_d sectors, su(2) on N_s
+sectors), and returned as a dense unitary. Its Gaussian (normal) form is
 
     D = exp(zeta G+) exp(eta G0) exp(-zeta* G-)
 
@@ -31,9 +34,9 @@ import numpy as np
 import scipy.linalg as la
 from scipy.special import gammaln
 
-from .errors import ConvergenceError, NonIntegerError, TailError
-from .fock import OperatorMatrix, SectorBasis, project_operator
-from .liealg import AlgebraKind, GroupLabels, generator_triple
+from .errors import ConvergenceError, NonIntegerError, SectorMismatchError, TailError
+from .fock import SectorBasis
+from .liealg import AlgebraKind, GroupLabels, sector_algebra, sector_generators
 
 UNITARITY_TOL = 1e-10
 
@@ -86,26 +89,25 @@ def zeta_to_xi(algebra: AlgebraKind, zeta: complex) -> complex:
     return r * zeta / mag
 
 
-def _sector_triple(gens, sector: SectorBasis):
-    g0, gp, gm = generator_triple(gens)
-    return (
-        project_operator(g0, sector).dense(),
-        project_operator(gp, sector).dense(),
-        project_operator(gm, sector).dense(),
-    )
+def _sector_triple(sector: SectorBasis):
+    """Dense (G0, G+, G-) of the sector's algebra, from ``sector_generators``."""
+    g0, sub = sector_generators(sector)
+    gp = np.diag(sub, -1)
+    return np.diag(g0), gp, gp.T
 
 
-def displacement_direct(gens, xi: complex, sector: SectorBasis) -> OperatorMatrix:
-    """exp(xi G+ - xi* G-) on a charge sector.
+def displacement_direct(xi: complex, sector: SectorBasis) -> np.ndarray:
+    """exp(xi G+ - xi* G-) on a charge sector, as a dense unitary.
 
-    The generator is anti-Hermitian, so the exponential is taken through the
-    eigendecomposition of the Hermitian matrix i(xi G+ - xi* G-); unitarity
-    is then structural rather than accidental.
+    The algebra is the sector's: su(1,1) on N_d sectors, su(2) on N_s
+    sectors. The generator is anti-Hermitian, so the exponential is taken
+    through the eigendecomposition of the Hermitian matrix
+    i(xi G+ - xi* G-); unitarity is then structural rather than accidental.
     """
-    g0, gp, gm = _sector_triple(gens, sector)
+    g0, gp, gm = _sector_triple(sector)
     dim = gp.shape[0]
     if xi == 0:
-        return OperatorMatrix(np.eye(dim, dtype=complex), dim)
+        return np.eye(dim, dtype=complex)
     herm = 1j * (xi * gp - np.conj(xi) * gm)
     herm = 0.5 * (herm + herm.conj().T)  # scrub roundoff asymmetry
     w, v = la.eigh(herm)
@@ -115,18 +117,24 @@ def displacement_direct(gens, xi: complex, sector: SectorBasis) -> OperatorMatri
         raise ConvergenceError(
             f"displacement exponential lost unitarity: deviation {unit_dev:.3e}"
         )
-    return OperatorMatrix(d, dim)
+    return d
 
 
-def displacement_normal(gens, params: TiltingParams, sector: SectorBasis) -> OperatorMatrix:
-    """Normal-form product exp(zeta G+) exp(eta G0) exp(-zeta* G-) on a sector."""
-    g0, gp, gm = _sector_triple(gens, sector)
-    dim = gp.shape[0]
+def displacement_normal(params: TiltingParams, sector: SectorBasis) -> np.ndarray:
+    """Normal-form product exp(zeta G+) exp(eta G0) exp(-zeta* G-) on a sector.
+
+    SectorMismatchError when ``params.algebra`` is not the sector's algebra.
+    """
+    if params.algebra is not sector_algebra(sector):
+        raise SectorMismatchError(
+            f"{params.algebra.value} parameters on a {sector.charge_kind.value} sector"
+        )
+    g0, gp, gm = _sector_triple(sector)
     zeta, eta = params.zeta, params.eta
     left = la.expm(zeta * gp)
     mid = np.diag(np.exp(eta * np.diag(g0)))
     right = la.expm(-np.conj(zeta) * gm)
-    return OperatorMatrix(left @ mid @ right, dim)
+    return left @ mid @ right
 
 
 @dataclass(frozen=True)
@@ -176,15 +184,16 @@ class SimilarityReport:
         return max(self.residuals.values())
 
 
-def verify_similarity(gens, xi: complex, sector: SectorBasis, keep: int | None = None) -> SimilarityReport:
+def verify_similarity(xi: complex, sector: SectorBasis, keep: int | None = None) -> SimilarityReport:
     """Compare numerical D† G_i D against the closed-form combinations.
 
     ``keep`` restricts the comparison to the lowest-lying block of the
     sector; use it for su(1,1), where truncation pollutes the top states.
     """
-    g0, gp, gm = _sector_triple(gens, sector)
-    d = displacement_direct(gens, xi, sector).dense()
-    coeffs = similarity_coefficients(gens.algebra, xi)
+    algebra = sector_algebra(sector)
+    g0, gp, gm = _sector_triple(sector)
+    d = displacement_direct(xi, sector)
+    coeffs = similarity_coefficients(algebra, xi)
     sl = slice(None) if keep is None else slice(0, keep)
     residuals = {}
     for name, g, (c0, cp, cm) in (
@@ -195,7 +204,7 @@ def verify_similarity(gens, xi: complex, sector: SectorBasis, keep: int | None =
         lhs = d.conj().T @ g @ d
         rhs = c0 * g0 + cp * gp + cm * gm
         residuals[name] = float(np.max(np.abs((lhs - rhs)[sl, sl])))
-    return SimilarityReport(algebra=gens.algebra, xi=xi, residuals=residuals)
+    return SimilarityReport(algebra=algebra, xi=xi, residuals=residuals)
 
 
 @dataclass(frozen=True)
@@ -233,8 +242,10 @@ def su11_ncs_coefficients(
     evaluated with log-Gamma prefactors. The infinite tail over r is cut
     once a geometric bound on the remaining amplitude mass (sum of |c_r|)
     drops below ``tail_tol``; TailError if the cap ``max_index`` is too
-    small for that.
+    small for that. ValueError unless k > 0 and |zeta| < 1.
     """
+    if not k > 0:
+        raise ValueError(f"Bargmann index k must be positive, got {k}")
     if abs(zeta) >= 1.0:
         raise ValueError("su(1,1) coherent states require |zeta| < 1")
     if n < 0:
@@ -350,7 +361,6 @@ def _su2_labels(j: float, mu: float) -> GroupLabels | None:
         return None
 
 
-def ncs_from_displacement(gens, xi: complex, sector: SectorBasis, excitation: int) -> np.ndarray:
+def ncs_from_displacement(xi: complex, sector: SectorBasis, excitation: int) -> np.ndarray:
     """Matrix-action oracle: column of D(xi) over the sector ladder."""
-    d = displacement_direct(gens, xi, sector).dense()
-    return d[:, excitation]
+    return displacement_direct(xi, sector)[:, excitation]

@@ -2,8 +2,8 @@
 
 Basis indexing, ladder operators with hard truncation, and decomposition of
 the space into sectors of a conserved charge (number difference or total
-number). Everything here is exact apart from the square roots in the ladder
-matrix elements.
+number). Full-space operators are CSR matrices. Everything here is exact
+apart from the square roots in the ladder matrix elements.
 """
 
 from __future__ import annotations
@@ -15,13 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, LeakageError
-
-# Dense storage below this basis dimension, CSR at or above it.
-SPARSE_THRESHOLD = 10_000
-
-# Operators composed from sparse factors are densified below this dimension,
-# where dense eigensolvers and block assembly are the convenient form.
-DENSE_RESULT_DIM = 2048
 
 HERMITICITY_TOL = 1e-12
 LEAKAGE_TOL = 1e-12
@@ -45,70 +38,52 @@ class ChargeKind(Enum):
 
 
 def _absmax(mat) -> float:
-    if sp.issparse(mat):
-        return float(abs(mat).max()) if mat.nnz else 0.0
-    if mat.size == 0:
-        return 0.0
-    return float(np.max(np.abs(mat)))
-
-
-def _dagger(mat):
-    if sp.issparse(mat):
-        return mat.conjugate().transpose().tocsr()
-    return mat.conj().T
+    return float(abs(mat).max()) if mat.nnz else 0.0
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Square complex matrix acting on a fixed basis.
+    """Square complex CSR matrix acting on a fixed basis.
 
-    Storage may be dense (ndarray) or CSR sparse; the semantic contract is
-    identical. Instances are immutable and safe to share across threads.
+    Every full-space operator of the package has a bounded number of entries
+    per column, so ``data`` is always CSR: whatever is passed in is stored
+    as ``scipy.sparse.csr_matrix``. Instances are immutable and safe to
+    share across threads.
     """
 
-    data: object  # np.ndarray | scipy.sparse.csr_matrix
+    data: sp.csr_matrix
     basis_dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "data", sp.csr_matrix(self.data))
         shape = self.data.shape
         if shape != (self.basis_dim, self.basis_dim):
             raise DimensionMismatchError(
                 f"matrix shape {shape} does not match basis dimension {self.basis_dim}"
             )
 
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.data)
-
     def dense(self) -> np.ndarray:
-        if self.is_sparse:
-            return np.asarray(self.data.todense())
-        return self.data
+        return self.data.toarray()
 
     def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(_dagger(self.data), self.basis_dim)
+        return OperatorMatrix(self.data.conjugate().transpose(), self.basis_dim)
 
     def absmax(self) -> float:
         return _absmax(self.data)
 
     def diagonal(self) -> np.ndarray:
-        if self.is_sparse:
-            return self.data.diagonal()
-        return np.diag(self.data)
+        return self.data.diagonal()
 
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         scale = max(1.0, self.absmax())
-        return _absmax(self.data - _dagger(self.data)) <= tol * scale
+        return (self - self.dagger()).absmax() <= tol * scale
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.basis_dim != other.basis_dim:
             raise DimensionMismatchError(
                 f"cannot multiply operators of dimension {self.basis_dim} and {other.basis_dim}"
             )
-        out = self.data @ other.data
-        if sp.issparse(out):
-            out = out.tocsr()
-        return OperatorMatrix(out, self.basis_dim)
+        return OperatorMatrix(self.data @ other.data, self.basis_dim)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.basis_dim != other.basis_dim:
@@ -212,15 +187,7 @@ def build_basis(cutoff: int) -> FockBasis:
     return FockBasis(cutoff=cutoff, states=states, _index=index)
 
 
-def _want_sparse(basis_dim: int, storage: str | None) -> bool:
-    if storage == "sparse":
-        return True
-    if storage == "dense":
-        return False
-    return basis_dim >= SPARSE_THRESHOLD
-
-
-def _ladder_matrix(basis: FockBasis, mode: Mode, kind: LadderKind, storage: str | None):
+def _ladder_matrix(basis: FockBasis, mode: Mode, kind: LadderKind):
     n = basis.cutoff + 1
     dim = basis.dim
     occ = np.arange(dim)
@@ -238,51 +205,38 @@ def _ladder_matrix(basis: FockBasis, mode: Mode, kind: LadderKind, storage: str 
         dst = src + step
         val = np.sqrt(m_occ[m_occ <= basis.cutoff - 1] + 1.0)
 
-    if _want_sparse(dim, storage):
-        return sp.csr_matrix((val.astype(complex), (dst, src)), shape=(dim, dim))
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[dst, src] = val
-    return mat
+    return sp.csr_matrix((val.astype(complex), (dst, src)), shape=(dim, dim))
 
 
-def ladder_op(
-    mode: Mode, kind: LadderKind, basis: FockBasis, storage: str | None = None
-) -> OperatorMatrix:
+def ladder_op(mode: Mode, kind: LadderKind, basis: FockBasis) -> OperatorMatrix:
     """Annihilation or creation operator for one mode.
 
     Matrix elements <n-1|a|n> = sqrt(n) and <n+1|a†|n> = sqrt(n+1); raising
-    out of the cutoff gives zero. ``storage`` overrides the dimension-based
-    dense/sparse default; operator composition should prefer sparse, where
-    products of ladder matrices stay one-entry-per-column.
+    out of the cutoff gives zero. One entry per column, so products of
+    ladder operators stay sparse.
     """
-    return OperatorMatrix(_ladder_matrix(basis, mode, kind, storage), basis.dim)
+    return OperatorMatrix(_ladder_matrix(basis, mode, kind), basis.dim)
 
 
-def number_op(mode: Mode, basis: FockBasis, storage: str | None = None) -> OperatorMatrix:
+def number_op(mode: Mode, basis: FockBasis) -> OperatorMatrix:
     """Diagonal occupation-number operator for one mode."""
     n = basis.cutoff + 1
     occ = np.arange(basis.dim)
     diag = (occ // n if mode is Mode.A else occ % n).astype(complex)
-    if _want_sparse(basis.dim, storage):
-        return OperatorMatrix(sp.diags(diag, format="csr"), basis.dim)
-    return OperatorMatrix(np.diag(diag), basis.dim)
+    return OperatorMatrix(sp.diags(diag), basis.dim)
 
 
-def charge_op(charge_kind: ChargeKind, basis: FockBasis, storage: str | None = None) -> OperatorMatrix:
+def charge_op(charge_kind: ChargeKind, basis: FockBasis) -> OperatorMatrix:
     """Diagonal conserved charge: n_b - n_a or n_a + n_b."""
     n = basis.cutoff + 1
     occ = np.arange(basis.dim)
     na, nb = occ // n, occ % n
     diag = (nb - na if charge_kind is ChargeKind.DIFFERENCE_ND else na + nb).astype(complex)
-    if _want_sparse(basis.dim, storage):
-        return OperatorMatrix(sp.diags(diag, format="csr"), basis.dim)
-    return OperatorMatrix(np.diag(diag), basis.dim)
+    return OperatorMatrix(sp.diags(diag), basis.dim)
 
 
-def identity_op(basis: FockBasis, storage: str | None = None) -> OperatorMatrix:
-    if _want_sparse(basis.dim, storage):
-        return OperatorMatrix(sp.identity(basis.dim, dtype=complex, format="csr"), basis.dim)
-    return OperatorMatrix(np.eye(basis.dim, dtype=complex), basis.dim)
+def identity_op(basis: FockBasis) -> OperatorMatrix:
+    return OperatorMatrix(sp.identity(basis.dim, dtype=complex), basis.dim)
 
 
 def commutator(x: OperatorMatrix, y: OperatorMatrix) -> OperatorMatrix:
@@ -336,39 +290,31 @@ def get_sector(basis: FockBasis, charge_kind: ChargeKind, charge_value: int) -> 
 
 
 def project_operator(op: OperatorMatrix, sector: SectorBasis) -> OperatorMatrix:
-    """Restrict an operator to a charge sector.
+    """Restrict an operator to a charge sector, as a CSR block.
 
     The operator must commute with the sector charge: any matrix element
     connecting the sector to its complement beyond tolerance raises
     LeakageError.
     """
     idx = sector.indices
-    data = op.data
-    if sp.issparse(data):
-        cols = data.tocsc()[:, idx].tocsr()
-        block = cols[idx, :]
-        mask = np.ones(op.basis_dim, dtype=bool)
-        mask[idx] = False
-        leak = _absmax(cols[mask, :])
-        block = np.asarray(block.todense())
-    else:
-        cols = data[:, idx]
-        block = cols[idx, :]
-        mask = np.ones(op.basis_dim, dtype=bool)
-        mask[idx] = False
-        leak = _absmax(cols[mask, :])
+    cols = op.data.tocsc()[:, idx].tocsr()
+    mask = np.ones(op.basis_dim, dtype=bool)
+    mask[idx] = False
+    leak = _absmax(cols[mask, :])
     tol = LEAKAGE_TOL * max(1.0, op.absmax())
     if leak > tol:
         raise LeakageError(
             f"operator leaks {leak:.3e} out of sector "
             f"{sector.charge_kind.value}={sector.charge_value} (tol {tol:.3e})"
         )
-    return OperatorMatrix(np.array(block, dtype=complex), sector.dim)
+    return OperatorMatrix(cols[idx, :].astype(complex), sector.dim)
 
 
 def reassemble(sector_ops: list, sectors: list, parent_dim: int) -> OperatorMatrix:
     """Inverse of project_operator over a full decomposition."""
-    out = np.zeros((parent_dim, parent_dim), dtype=complex)
-    for op, sec in zip(sector_ops, sectors):
-        out[np.ix_(sec.indices, sec.indices)] = op.dense()
+    parent = np.concatenate([sec.indices for sec in sectors])
+    block = sp.block_diag([op.data for op in sector_ops], format="coo")
+    out = sp.csr_matrix(
+        (block.data, (parent[block.row], parent[block.col])), shape=(parent_dim, parent_dim)
+    )
     return OperatorMatrix(out, parent_dim)

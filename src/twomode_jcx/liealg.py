@@ -9,6 +9,9 @@ su(2):  J0 = (a†a - b†b)/2,  J+ = a†b,  J- = b†a, with [J0, J±] = ±J±
 [J+, J-] = 2J0. The total number N_s = a†a + b†b commutes with everything
 and each N_s sector carries the spin-j representation with j = N_s/2;
 the Casimir is J² = (N_s/2)(N_s/2 + 1).
+
+The full-space generators (CSR) serve the closure checks; the displacement
+machinery works per sector from ``sector_generators``, in closed form.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .fock import (
     LadderKind,
     Mode,
     OperatorMatrix,
+    SectorBasis,
     commutator,
 )
 
@@ -59,47 +63,46 @@ class Su2Generators:
         return AlgebraKind.SU2
 
 
-def _densify_small(op: OperatorMatrix) -> OperatorMatrix:
-    if op.is_sparse and op.basis_dim <= fock.DENSE_RESULT_DIM:
-        return OperatorMatrix(op.dense(), op.basis_dim)
-    return op
-
-
 def su11_generators(basis: FockBasis) -> Su11Generators:
-    # Compose through sparse ladders: the bilinears keep one entry per column.
-    a = fock.ladder_op(Mode.A, LadderKind.LOWER, basis, storage="sparse")
-    b = fock.ladder_op(Mode.B, LadderKind.LOWER, basis, storage="sparse")
-    a_dag = fock.ladder_op(Mode.A, LadderKind.RAISE, basis, storage="sparse")
-    b_dag = fock.ladder_op(Mode.B, LadderKind.RAISE, basis, storage="sparse")
-    na = fock.number_op(Mode.A, basis, storage="sparse")
-    nb = fock.number_op(Mode.B, basis, storage="sparse")
-    k0 = 0.5 * (na + nb + fock.identity_op(basis, storage="sparse"))
-    k_plus = a_dag @ b_dag
-    k_minus = b @ a
-    return Su11Generators(
-        k0=_densify_small(k0),
-        k_plus=_densify_small(k_plus),
-        k_minus=_densify_small(k_minus),
-        basis=basis,
-    )
+    a = fock.ladder_op(Mode.A, LadderKind.LOWER, basis)
+    b = fock.ladder_op(Mode.B, LadderKind.LOWER, basis)
+    a_dag = fock.ladder_op(Mode.A, LadderKind.RAISE, basis)
+    b_dag = fock.ladder_op(Mode.B, LadderKind.RAISE, basis)
+    na = fock.number_op(Mode.A, basis)
+    nb = fock.number_op(Mode.B, basis)
+    k0 = 0.5 * (na + nb + fock.identity_op(basis))
+    return Su11Generators(k0=k0, k_plus=a_dag @ b_dag, k_minus=b @ a, basis=basis)
 
 
 def su2_generators(basis: FockBasis) -> Su2Generators:
-    a = fock.ladder_op(Mode.A, LadderKind.LOWER, basis, storage="sparse")
-    b = fock.ladder_op(Mode.B, LadderKind.LOWER, basis, storage="sparse")
-    a_dag = fock.ladder_op(Mode.A, LadderKind.RAISE, basis, storage="sparse")
-    b_dag = fock.ladder_op(Mode.B, LadderKind.RAISE, basis, storage="sparse")
-    na = fock.number_op(Mode.A, basis, storage="sparse")
-    nb = fock.number_op(Mode.B, basis, storage="sparse")
+    a = fock.ladder_op(Mode.A, LadderKind.LOWER, basis)
+    b = fock.ladder_op(Mode.B, LadderKind.LOWER, basis)
+    a_dag = fock.ladder_op(Mode.A, LadderKind.RAISE, basis)
+    b_dag = fock.ladder_op(Mode.B, LadderKind.RAISE, basis)
+    na = fock.number_op(Mode.A, basis)
+    nb = fock.number_op(Mode.B, basis)
     j0 = 0.5 * (na - nb)
-    j_plus = a_dag @ b
-    j_minus = b_dag @ a
-    return Su2Generators(
-        j0=_densify_small(j0),
-        j_plus=_densify_small(j_plus),
-        j_minus=_densify_small(j_minus),
-        basis=basis,
-    )
+    return Su2Generators(j0=j0, j_plus=a_dag @ b, j_minus=b_dag @ a, basis=basis)
+
+
+def sector_algebra(sector: SectorBasis) -> AlgebraKind:
+    """su(1,1) acts within N_d sectors, su(2) within N_s sectors."""
+    if sector.charge_kind is ChargeKind.DIFFERENCE_ND:
+        return AlgebraKind.SU11
+    return AlgebraKind.SU2
+
+
+def sector_generators(sector: SectorBasis) -> tuple:
+    """(G0 diagonal, G+ subdiagonal) of the sector's algebra, in closed form.
+
+    G0 is (n_a + n_b + 1)/2 on N_d sectors and (n_a - n_b)/2 on N_s
+    sectors; G+ (a† b† or a† b) joins state i to i + 1 with amplitude
+    ``sector.pair_amplitudes``, and G- is the transpose of G+. Equal to the
+    projections of the full-space generators, boundary rows included.
+    """
+    na, nb = sector.occupations
+    su11 = sector_algebra(sector) is AlgebraKind.SU11
+    return 0.5 * (na + nb + 1 if su11 else na - nb), sector.pair_amplitudes
 
 
 def generator_triple(gens):
@@ -144,11 +147,7 @@ class AlgebraReport:
 
 
 def _column_residual(mat: OperatorMatrix, columns: np.ndarray) -> float:
-    data = mat.data
-    if fock.sp.issparse(data):
-        data = data.tocsc()[:, columns]
-        return fock._absmax(data)
-    return fock._absmax(data[:, columns])
+    return fock._absmax(mat.data.tocsc()[:, columns])
 
 
 def verify_algebra(gens, interior_margin: int = 1) -> AlgebraReport:

@@ -116,38 +116,23 @@ class SpinorState:
         return np.concatenate([self.upper, self.lower])
 
 
-# Densify composed operators below this dimension; keeps eigvalsh and
-# np.block convenient at desk scale while large bases stay sparse.
-DENSE_RESULT_DIM = 2048
-
-
 def coupling_block(kind: ModelKind, p: ModelParams, basis: FockBasis) -> OperatorMatrix:
-    """Upper-right block X of the full Hamiltonian (without the hbar).
-
-    Built sparse regardless of basis size: X and the second-order products
-    X X†, X† X have a bounded number of entries per column.
-    """
-    a_dag = ladder_op(Mode.A, LadderKind.RAISE, basis, storage="sparse")
+    """Upper-right block X of the full Hamiltonian (without the hbar)."""
+    a_dag = ladder_op(Mode.A, LadderKind.RAISE, basis)
     if kind is ModelKind.JC_AJC:
-        b_or_bdag = ladder_op(Mode.B, LadderKind.LOWER, basis, storage="sparse")
+        b_or_bdag = ladder_op(Mode.B, LadderKind.LOWER, basis)
     else:
-        b_or_bdag = ladder_op(Mode.B, LadderKind.RAISE, basis, storage="sparse")
+        b_or_bdag = ladder_op(Mode.B, LadderKind.RAISE, basis)
     return p.g * a_dag + p.f * b_or_bdag
 
 
 def build_full_hamiltonian(kind: ModelKind, p: ModelParams, basis: FockBasis) -> OperatorMatrix:
     """Full 2 dim(basis) Hamiltonian in (upper, lower) block order."""
     x = coupling_block(kind, p, basis).data
-    dim = basis.dim
     hx = p.hbar * x
-    eye = sp.identity(dim, dtype=complex, format="csr")
-    h = sp.bmat(
-        [[p.mc2 * eye, hx], [hx.conjugate().transpose(), -p.mc2 * eye]],
-        format="csr",
-    )
-    if 2 * dim <= DENSE_RESULT_DIM:
-        return OperatorMatrix(np.asarray(h.todense()), 2 * dim)
-    return OperatorMatrix(h, 2 * dim)
+    eye = sp.identity(basis.dim, dtype=complex)
+    h = sp.bmat([[p.mc2 * eye, hx], [hx.conjugate().transpose(), -p.mc2 * eye]])
+    return OperatorMatrix(h, 2 * basis.dim)
 
 
 def _lowered_after_raise(n: np.ndarray, cutoff: int) -> np.ndarray:
@@ -196,23 +181,20 @@ def build_kg_operator(
     """Second-order operator whose eigenvalues are E² - m²c⁴.
 
     Upper component: hbar² X X†; lower component: hbar² X† X. Passing a
-    SectorBasis gives the dense sector block assembled from
+    SectorBasis gives the sector block assembled from
     ``sector_tridiagonal``; passing a FockBasis forms the full-space ladder
     products, the small-cutoff reference.
     """
     if isinstance(basis_or_sector, SectorBasis):
         diag, off = sector_tridiagonal(kind, component, p, basis_or_sector)
-        block = np.diag(diag).astype(complex) + np.diag(off, -1) + np.diag(off.conj(), 1)
-        return OperatorMatrix(block, len(diag))
+        dim = len(diag)
+        block = sp.diags([off, diag, off.conj()], [-1, 0, 1], shape=(dim, dim), dtype=complex)
+        return OperatorMatrix(block, dim)
 
-    basis = basis_or_sector
-    x = coupling_block(kind, p, basis)
+    x = coupling_block(kind, p, basis_or_sector)
     xd = x.dagger()
     kg = x @ xd if component is Component.UPPER else xd @ x
-    kg = (p.hbar**2) * kg
-    if kg.basis_dim <= DENSE_RESULT_DIM and kg.is_sparse:
-        return OperatorMatrix(np.asarray(kg.data.todense()), kg.basis_dim)
-    return kg
+    return (p.hbar**2) * kg
 
 
 def lower_from_upper(
@@ -268,7 +250,6 @@ def build_spinor(
     eigenvector with these labels and raises EdgeStateError.
     """
     from . import spectra
-    from .liealg import su11_generators, su2_generators
     from .displace import displacement_direct
 
     if n_l < 0 or m_n < 0:
@@ -287,8 +268,7 @@ def build_spinor(
         raise DomainError(
             f"state (n_l={n_l}, m_n={m_n}) exceeds the cutoff-{basis.cutoff} sector"
         )
-    gens = su11_generators(basis) if kind is ModelKind.JC_AJC else su2_generators(basis)
-    d = displacement_direct(gens, tilt.xi, sector).dense()
+    d = displacement_direct(tilt.xi, sector)
     upper = sector.embed(d[:, pos], basis.dim)
 
     if kind is ModelKind.JC_AJC:

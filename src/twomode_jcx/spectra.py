@@ -32,8 +32,8 @@ import scipy.linalg as la
 
 from .displace import TiltingParams, displacement_direct
 from .errors import DegenerateCouplingError, DomainError, NotConvergedError
-from .fock import ChargeKind, SectorBasis, build_basis, sector_basis
-from .liealg import AlgebraKind, su11_generators, su2_generators
+from .fock import ChargeKind, SectorBasis, sector_basis
+from .liealg import AlgebraKind
 from .models import (
     Branch,
     Component,
@@ -264,10 +264,8 @@ def verify_tilting(
     """
     if params is None:
         params = tilting_parameters(kind, p)
-    basis = build_basis(sector.parent_cutoff)
     kg = build_kg_operator(kind, component, p, sector).dense()
-    gens = su11_generators(basis) if kind is ModelKind.JC_AJC else su2_generators(basis)
-    d = displacement_direct(gens, params.xi, sector).dense()
+    d = displacement_direct(params.xi, sector)
     tilted = d.conj().T @ kg @ d
     sl = slice(None) if keep is None else slice(0, keep)
     block = tilted[sl, sl]

@@ -166,6 +166,20 @@ class TestVerifyCommand:
         assert skipped
         assert any("|f| = |g|" in r["detail"] for r in skipped)
 
+    def test_g_dominant_passes_with_the_minus_edge_state_skipped(self, runner):
+        result = runner.invoke(
+            main,
+            ["verify", "--f-re", "1", "--g-re", "2", "--cutoff", "60",
+             "--format", "json"],
+        )
+        assert result.exit_code == 0, result.output
+        rows = json.loads(result.output)["rows"]
+        assert {r["status"] for r in rows} <= {"PASS", "SKIP"}
+        skipped = [r for r in rows if r["status"] == "SKIP"]
+        assert [r["anchor"] for r in skipped] == ["spinor-edge-su11"]
+        assert "no lower-branch eigenvector" in skipped[0]["detail"]
+        assert any(r["anchor"] == "spinor-residual-su11" and r["status"] == "PASS" for r in rows)
+
     def test_seeded_reports_byte_identical(self, runner, tmp_path):
         args = ["verify", "--cutoff", "60", "--seed", "7", "--format", "json"]
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -236,6 +250,11 @@ class TestCoherentStateCommand:
             main, ["coherent-state", "--algebra", "su2", "--j", "1.0", "--mu", "0.3"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("k", ["0", "-0.5"])
+    def test_nonpositive_k_exit_code(self, runner, k):
+        result = runner.invoke(main, ["coherent-state", "--algebra", "su11", "--k", k])
+        _one_line_usage_error(result, "Bargmann index k must be positive")
 
 
 class TestLimitsCommand:

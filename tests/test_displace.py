@@ -15,17 +15,12 @@ from twomode_jcx.displace import (
 )
 from twomode_jcx.errors import TailError
 from twomode_jcx.fock import ChargeKind, build_basis, get_sector
-from twomode_jcx.liealg import AlgebraKind, su2_generators, su11_generators
+from twomode_jcx.liealg import AlgebraKind
 
 
 @pytest.fixture(scope="module")
-def su2_gens():
-    return su2_generators(build_basis(16))
-
-
-@pytest.fixture(scope="module")
-def su11_gens_100(basis100):
-    return su11_generators(basis100)
+def basis16():
+    return build_basis(16)
 
 
 class TestTiltingParams:
@@ -50,58 +45,57 @@ class TestTiltingParams:
 
 
 class TestDisplacementDirect:
-    def test_xi_zero_identity(self, su2_gens):
-        sec = get_sector(su2_gens.basis, ChargeKind.SUM_NS, 3)
-        d = displacement_direct(su2_gens, 0.0, sec).dense()
+    def test_xi_zero_identity(self, basis16):
+        sec = get_sector(basis16, ChargeKind.SUM_NS, 3)
+        d = displacement_direct(0.0, sec)
         np.testing.assert_array_equal(d, np.eye(4))
 
-    def test_su2_two_dim_real_rotation(self, su2_gens):
+    def test_su2_two_dim_real_rotation(self, basis16):
         # phi = pi makes xi = +theta/2 real; the N_s = 1 sector is the
         # fundamental representation and D is a plane rotation
         theta = 0.9
         tp = TiltingParams(AlgebraKind.SU2, theta=theta, phi=np.pi)
-        sec = get_sector(su2_gens.basis, ChargeKind.SUM_NS, 1)
-        d = displacement_direct(su2_gens, tp.xi, sec).dense()
+        sec = get_sector(basis16, ChargeKind.SUM_NS, 1)
+        d = displacement_direct(tp.xi, sec)
         assert np.max(np.abs(d.imag)) <= 1e-14
         assert np.max(np.abs(d @ d.conj().T - np.eye(2))) <= 1e-14
         assert d[0, 0].real == pytest.approx(np.cos(theta / 2), abs=1e-12)
 
-    def test_su11_unitary_on_low_states(self, su11_gens_100):
-        sec = get_sector(su11_gens_100.basis, ChargeKind.DIFFERENCE_ND, 0)
-        d = displacement_direct(su11_gens_100, 0.3, sec).dense()
+    def test_su11_unitary_on_low_states(self, basis100):
+        sec = get_sector(basis100, ChargeKind.DIFFERENCE_ND, 0)
+        d = displacement_direct(0.3, sec)
         dev = d.conj().T @ d - np.eye(sec.dim)
         assert np.max(np.abs(dev[:10, :10])) <= 1e-10
 
-    def test_group_property(self, su2_gens):
-        sec = get_sector(su2_gens.basis, ChargeKind.SUM_NS, 5)
+    def test_group_property(self, basis16):
+        sec = get_sector(basis16, ChargeKind.SUM_NS, 5)
         xi = 0.4 * np.exp(0.9j)
-        d1 = displacement_direct(su2_gens, xi, sec).dense()
-        d2 = displacement_direct(su2_gens, -xi, sec).dense()
+        d1 = displacement_direct(xi, sec)
+        d2 = displacement_direct(-xi, sec)
         assert np.max(np.abs(d1 @ d2 - np.eye(sec.dim))) <= 1e-12
 
 
 class TestDisplacementNormal:
-    def test_trivial_params_identity(self, su2_gens):
+    def test_trivial_params_identity(self, basis16):
         tp = TiltingParams(AlgebraKind.SU2, theta=0.0, phi=0.0)
-        sec = get_sector(su2_gens.basis, ChargeKind.SUM_NS, 4)
-        d = displacement_normal(su2_gens, tp, sec).dense()
+        sec = get_sector(basis16, ChargeKind.SUM_NS, 4)
+        d = displacement_normal(tp, sec)
         np.testing.assert_allclose(d, np.eye(5), atol=1e-15)
 
     @pytest.mark.parametrize("n_s", [1, 4, 9])
-    def test_su2_normal_equals_direct(self, su2_gens, n_s):
+    def test_su2_normal_equals_direct(self, basis16, n_s):
         tp = TiltingParams.from_xi(AlgebraKind.SU2, 0.35 * np.exp(-0.4j))
-        sec = get_sector(su2_gens.basis, ChargeKind.SUM_NS, n_s)
-        dn = displacement_normal(su2_gens, tp, sec)
-        dd = displacement_direct(su2_gens, tp.xi, sec)
-        assert (dn - dd).absmax() <= 1e-12
+        sec = get_sector(basis16, ChargeKind.SUM_NS, n_s)
+        dn = displacement_normal(tp, sec)
+        dd = displacement_direct(tp.xi, sec)
+        assert np.max(np.abs(dn - dd)) <= 1e-12
 
     def test_su11_normal_equals_direct_low_block(self):
         basis = build_basis(150)
-        gens = su11_generators(basis)
         tp = TiltingParams.from_xi(AlgebraKind.SU11, 0.4)
         sec = get_sector(basis, ChargeKind.DIFFERENCE_ND, 0)
-        dn = displacement_normal(gens, tp, sec).dense()
-        dd = displacement_direct(gens, tp.xi, sec).dense()
+        dn = displacement_normal(tp, sec)
+        dd = displacement_direct(tp.xi, sec)
         assert np.max(np.abs((dn - dd)[:15, :15])) <= 1e-8
 
 
@@ -121,21 +115,20 @@ class TestSimilarityCoefficients:
         c = similarity_coefficients(AlgebraKind.SU2, 0.5)
         assert c.zero[0] == pytest.approx(np.cos(1.0))
 
-    def test_su2_residuals_exact_sector(self, su2_gens):
-        sec = get_sector(su2_gens.basis, ChargeKind.SUM_NS, 6)
-        rep = verify_similarity(su2_gens, 0.3 * np.exp(0.7j), sec)
+    def test_su2_residuals_exact_sector(self, basis16):
+        sec = get_sector(basis16, ChargeKind.SUM_NS, 6)
+        rep = verify_similarity(0.3 * np.exp(0.7j), sec)
         assert rep.max_residual <= 1e-10
 
     def test_su11_residuals_low_block(self):
         basis = build_basis(120)
-        gens = su11_generators(basis)
         sec = get_sector(basis, ChargeKind.DIFFERENCE_ND, 1)
-        rep = verify_similarity(gens, 0.2 * np.exp(0.3j), sec, keep=12)
+        rep = verify_similarity(0.2 * np.exp(0.3j), sec, keep=12)
         assert rep.max_residual <= 1e-8
 
-    def test_xi_zero_zero_residual(self, su2_gens):
-        sec = get_sector(su2_gens.basis, ChargeKind.SUM_NS, 4)
-        rep = verify_similarity(su2_gens, 0.0, sec)
+    def test_xi_zero_zero_residual(self, basis16):
+        sec = get_sector(basis16, ChargeKind.SUM_NS, 4)
+        rep = verify_similarity(0.0, sec)
         assert rep.max_residual <= 1e-14
 
 
@@ -163,13 +156,11 @@ class TestSu11Ncs:
             c = su11_ncs_coefficients(1.0, 2, zeta)
             assert abs(c.norm_sq - 1.0) <= 1e-10
 
-    def test_matches_displacement_column(self, su11_gens_100):
+    def test_matches_displacement_column(self, basis100):
         zeta = 0.4j
         c = su11_ncs_coefficients(0.5, 2, zeta)
-        sec = get_sector(su11_gens_100.basis, ChargeKind.DIFFERENCE_ND, 0)
-        col = ncs_from_displacement(
-            su11_gens_100, zeta_to_xi(AlgebraKind.SU11, zeta), sec, 2
-        )
+        sec = get_sector(basis100, ChargeKind.DIFFERENCE_ND, 0)
+        col = ncs_from_displacement(zeta_to_xi(AlgebraKind.SU11, zeta), sec, 2)
         m = min(len(c.coeffs), len(col))
         assert np.max(np.abs(c.coeffs[:m] - col[:m])) <= 1e-8
 
@@ -180,6 +171,11 @@ class TestSu11Ncs:
     def test_invalid_zeta(self):
         with pytest.raises(ValueError):
             su11_ncs_coefficients(0.5, 0, 1.2)
+
+    @pytest.mark.parametrize("k", [0.0, -0.5])
+    def test_nonpositive_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be positive"):
+            su11_ncs_coefficients(k, 0, 0.3)
 
 
 class TestSu2Ncs:
@@ -203,13 +199,11 @@ class TestSu2Ncs:
         expected = (1 + abs(zeta) ** 2) ** (-j) * np.exp(log_mag) * zeta**p
         np.testing.assert_allclose(c.coeffs, expected, atol=1e-13)
 
-    def test_matches_displacement_column_exactly(self, su2_gens):
+    def test_matches_displacement_column_exactly(self, basis16):
         zeta = 0.3 - 0.2j
         c = su2_ncs_coefficients(2.0, 0.0, zeta)
-        sec = get_sector(su2_gens.basis, ChargeKind.SUM_NS, 4)
-        col = ncs_from_displacement(
-            su2_gens, zeta_to_xi(AlgebraKind.SU2, zeta), sec, 2
-        )
+        sec = get_sector(basis16, ChargeKind.SUM_NS, 4)
+        col = ncs_from_displacement(zeta_to_xi(AlgebraKind.SU2, zeta), sec, 2)
         assert np.max(np.abs(c.coeffs - col)) <= 1e-10
 
     def test_normalization(self):
@@ -225,7 +219,7 @@ class TestSu2Ncs:
 
 
 class TestRandomizedUnitarity:
-    def test_su2_columns_normalized(self, su2_gens, rng):
+    def test_su2_columns_normalized(self, rng):
         for _ in range(10):
             j2 = rng.integers(1, 9)
             zeta = rng.uniform(0.1, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi))

@@ -77,11 +77,6 @@ class TestLadderOps:
         a_dag = ladder_op(Mode.A, LadderKind.RAISE, basis12)
         assert (a.dagger() - a_dag).absmax() == 0.0
 
-    def test_sparse_storage_above_threshold(self):
-        basis = build_basis(100)  # dim 10201
-        assert ladder_op(Mode.A, LadderKind.LOWER, basis).is_sparse
-        assert not ladder_op(Mode.A, LadderKind.LOWER, build_basis(10)).is_sparse
-
 
 class TestCommutator:
     def test_a_adag_identity_on_interior(self, basis12):

@@ -243,14 +243,12 @@ class TestSpinors:
         # spinor holds at the level of energies; see test_spectra for the
         # multiset identities.)
         from twomode_jcx.displace import displacement_direct
-        from twomode_jcx.liealg import su11_generators
 
         n_l, m_n = 1, 3
         s = build_spinor(ModelKind.JC_AJC, params_f2_g1, n_l, m_n, Branch.PLUS, basis60)
         tilt = spectra.tilting_parameters(ModelKind.JC_AJC, params_f2_g1)
         sec = get_sector(basis60, ChargeKind.DIFFERENCE_ND, -(m_n - 1))
-        gens = su11_generators(basis60)
-        d = displacement_direct(gens, tilt.xi, sec).dense()
+        d = displacement_direct(tilt.xi, sec)
         partner = sec.embed(d[:, n_l + 1], basis60.dim)
         lower = s.lower / np.linalg.norm(s.lower)
         overlap = abs(np.vdot(partner, lower))
@@ -260,15 +258,13 @@ class TestSpinors:
         # same statement for the double-raising model: partner excitation
         # n_l in the N_s - 1 sector (labels (n_l, m_n - 1))
         from twomode_jcx.displace import displacement_direct
-        from twomode_jcx.liealg import su2_generators
 
         p = ModelParams(g=1.0, f=2.0)
         n_l, m_n = 2, 3
         s = build_spinor(ModelKind.JC_JC, p, n_l, m_n, Branch.PLUS, basis60)
         tilt = spectra.tilting_parameters(ModelKind.JC_JC, p)
         sec = get_sector(basis60, ChargeKind.SUM_NS, 2 * n_l + m_n - 1)
-        gens = su2_generators(basis60)
-        d = displacement_direct(gens, tilt.xi, sec).dense()
+        d = displacement_direct(tilt.xi, sec)
         partner = sec.embed(d[:, n_l + m_n - 1], basis60.dim)
         lower = s.lower / np.linalg.norm(s.lower)
         assert abs(np.vdot(partner, lower)) == pytest.approx(1.0, abs=1e-9)

@@ -10,8 +10,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
 
-from twomode_jcx.errors import NotConvergedError
+from twomode_jcx import fock
+from twomode_jcx.displace import TiltingParams, displacement_direct, displacement_normal
+from twomode_jcx.errors import NotConvergedError, SectorMismatchError
 from twomode_jcx.fock import (
     ChargeKind,
     LadderKind,
@@ -24,12 +28,22 @@ from twomode_jcx.fock import (
     sector_basis,
     sector_decompose,
 )
+from twomode_jcx.liealg import (
+    AlgebraKind,
+    casimir,
+    generator_triple,
+    sector_generators,
+    su2_generators,
+    su11_generators,
+)
 from twomode_jcx.models import (
     Component,
     ModelKind,
     ModelParams,
+    build_full_hamiltonian,
     build_kg_operator,
     conserved_charge,
+    coupling_block,
     sector_tridiagonal,
 )
 from twomode_jcx.spectra import (
@@ -211,3 +225,83 @@ def test_limit_operator_equals_projected_ladder_products(case, charge, charge_ki
         expected = ref[index] + rep.offset
         # Relative to the spectrum's scale: the lowest coupled-oscillator level is 0.
         assert abs(rep.eps_analytic - expected) <= SPECTRUM_TOL * np.max(np.abs(ref))
+
+
+GENERATOR_TOL = 1e-13  # absolute; entries are at most cutoff + 1/2
+DISPLACEMENT_TOL = 1e-12
+
+
+def _full_generators(basis, charge_kind):
+    if charge_kind is ChargeKind.DIFFERENCE_ND:
+        return su11_generators(basis)
+    return su2_generators(basis)
+
+
+class TestSectorGenerators:
+    @pytest.mark.parametrize("cutoff", range(25))
+    @pytest.mark.parametrize("charge_kind", list(ChargeKind))
+    def test_equal_projected_full_space_generators(self, cutoff, charge_kind):
+        basis = build_basis(cutoff)
+        g0, gp, gm = generator_triple(_full_generators(basis, charge_kind))
+        for sec in sector_decompose(basis, charge_kind):
+            diag, sub = sector_generators(sec)
+            plus = np.diag(sub, -1)
+            for got, ref in ((np.diag(diag), g0), (plus, gp), (plus.T, gm)):
+                assert np.max(np.abs(got - project_operator(ref, sec).dense())) <= GENERATOR_TOL
+
+    @pytest.mark.parametrize("charge_kind, charge, xi", [
+        (ChargeKind.DIFFERENCE_ND, 0, 0.3 * cmath.exp(0.4j)),
+        (ChargeKind.DIFFERENCE_ND, -3, 0.5 * cmath.exp(-2.1j)),
+        (ChargeKind.DIFFERENCE_ND, 7, 0.2j),
+        (ChargeKind.SUM_NS, 1, 0.45 * cmath.exp(1.3j)),
+        (ChargeKind.SUM_NS, 12, -0.6),
+        (ChargeKind.SUM_NS, 31, 0.35 * cmath.exp(2.9j)),
+    ])
+    def test_displacement_equals_expm_of_projected_generator(self, charge_kind, charge, xi):
+        basis = build_basis(24)
+        _, gp, gm = generator_triple(_full_generators(basis, charge_kind))
+        sec = get_sector(basis, charge_kind, charge)
+        gen = xi * project_operator(gp, sec).dense() - np.conj(xi) * project_operator(gm, sec).dense()
+        assert np.max(np.abs(displacement_direct(xi, sec) - la.expm(gen))) <= DISPLACEMENT_TOL
+
+    @pytest.mark.parametrize("algebra, charge_kind", [
+        (AlgebraKind.SU2, ChargeKind.DIFFERENCE_ND),
+        (AlgebraKind.SU11, ChargeKind.SUM_NS),
+    ])
+    def test_normal_form_rejects_the_other_algebra(self, algebra, charge_kind):
+        sec = sector_basis(10, charge_kind, 2)
+        with pytest.raises(SectorMismatchError):
+            displacement_normal(TiltingParams.from_xi(algebra, 0.2), sec)
+
+
+def test_full_space_operators_hold_csr():
+    basis = build_basis(6)
+    p = F_DOMINANT
+    gens = [su11_generators(basis), su2_generators(basis)]
+    a = ladder_op(Mode.A, LadderKind.LOWER, basis)
+    sec = get_sector(basis, ChargeKind.SUM_NS, 4)
+    ops = [
+        ladder_op(mode, kind, basis) for mode in Mode for kind in LadderKind
+    ] + [
+        number_op(Mode.A, basis),
+        fock.charge_op(ChargeKind.DIFFERENCE_ND, basis),
+        fock.identity_op(basis),
+        fock.commutator(a, a.dagger()),
+        a + a,
+        a - a,
+        2.0 * a,
+        project_operator(fock.identity_op(basis), sec),
+        fock.reassemble(
+            [project_operator(fock.identity_op(basis), s) for s in sector_decompose(basis, ChargeKind.SUM_NS)],
+            sector_decompose(basis, ChargeKind.SUM_NS),
+            basis.dim,
+        ),
+        build_kg_operator(ModelKind.JC_AJC, Component.UPPER, p, sector_basis(6, ChargeKind.DIFFERENCE_ND, 0)),
+    ]
+    ops += [g for gs in gens for g in generator_triple(gs)] + [casimir(gs) for gs in gens]
+    for kind in ModelKind:
+        ops.append(coupling_block(kind, p, basis))
+        ops.append(build_full_hamiltonian(kind, p, basis))
+        ops += [build_kg_operator(kind, c, p, basis) for c in Component]
+    for op in ops:
+        assert isinstance(op.data, sp.csr_matrix), type(op.data)
