@@ -27,7 +27,6 @@ from .fock import (
     FockBasis,
     LadderKind,
     Mode,
-    OperatorMatrix,
     SectorBasis,
     build_basis,
     commutator,

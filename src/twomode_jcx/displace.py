@@ -39,6 +39,7 @@ from .fock import SectorBasis
 from .liealg import AlgebraKind, GroupLabels, sector_algebra, sector_generators
 
 UNITARITY_TOL = 1e-10
+NCS_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,16 +103,20 @@ def displacement_direct(xi: complex, sector: SectorBasis) -> np.ndarray:
     The algebra is the sector's: su(1,1) on N_d sectors, su(2) on N_s
     sectors. The generator is anti-Hermitian, so the exponential is taken
     through the eigendecomposition of the Hermitian matrix
-    i(xi G+ - xi* G-); unitarity is then structural rather than accidental.
+    H = i(xi G+ - xi* G-); unitarity is then structural rather than
+    accidental. H is tridiagonal with a zero diagonal and subdiagonal
+    i xi ``pair_amplitudes``, one phase u = i xi / |xi| throughout, so the
+    diagonal gauge Phi = diag(u^k) makes it the real tridiagonal
+    T = Phi† H Phi with subdiagonal |xi| ``pair_amplitudes``. With
+    T = V diag(w) Vᵀ, D = (Phi V) e^{-iw} (Phi V)†.
     """
-    g0, gp, gm = _sector_triple(sector)
-    dim = gp.shape[0]
+    dim = sector.dim
     if xi == 0:
         return np.eye(dim, dtype=complex)
-    herm = 1j * (xi * gp - np.conj(xi) * gm)
-    herm = 0.5 * (herm + herm.conj().T)  # scrub roundoff asymmetry
-    w, v = la.eigh(herm)
-    d = (v * np.exp(-1j * w)) @ v.conj().T
+    _, sub = sector_generators(sector)
+    w, v = la.eigh_tridiagonal(np.zeros(dim), abs(xi) * sub)
+    pv = np.exp(1j * cmath.phase(1j * xi) * np.arange(dim))[:, None] * v
+    d = (pv * np.exp(-1j * w)) @ pv.conj().T
     unit_dev = np.max(np.abs(d @ d.conj().T - np.eye(dim)))
     if unit_dev > UNITARITY_TOL:
         raise ConvergenceError(
@@ -242,7 +247,8 @@ def su11_ncs_coefficients(
     evaluated with log-Gamma prefactors. The infinite tail over r is cut
     once a geometric bound on the remaining amplitude mass (sum of |c_r|)
     drops below ``tail_tol``; TailError if the cap ``max_index`` is too
-    small for that. ValueError unless k > 0 and |zeta| < 1.
+    small for that. ValueError unless k > 0 and |zeta| < 1;
+    ConvergenceError when the float64 sum has lost the norm.
     """
     if not k > 0:
         raise ValueError(f"Bargmann index k must be positive, got {k}")
@@ -300,7 +306,22 @@ def su11_ncs_coefficients(
             )
         r += 1
     coeffs = np.array(values, dtype=complex)
-    return CoherentStateCoeffs(labels=_su11_labels(k, n), zeta=zeta, coeffs=coeffs)
+    return _norm_checked(CoherentStateCoeffs(labels=_su11_labels(k, n), zeta=zeta, coeffs=coeffs))
+
+
+def _norm_checked(state: CoherentStateCoeffs) -> CoherentStateCoeffs:
+    """``state`` itself; ConvergenceError when |1 - norm²| > NCS_NORM_TOL.
+
+    The alternating double sums cancel catastrophically in float64 at large
+    labels or |zeta|; a truncated tail alone leaves a defect below tail_tol².
+    """
+    defect = abs(1.0 - state.norm_sq)
+    if not defect <= NCS_NORM_TOL:
+        raise ConvergenceError(
+            f"coherent-state coefficients lost their norm: |1 - norm^2| = {defect:.3e} "
+            f"> {NCS_NORM_TOL:.0e} (float64 cancellation)"
+        )
+    return state
 
 
 def _su11_labels(k: float, n: int) -> GroupLabels | None:
@@ -322,7 +343,8 @@ def su2_ncs_coefficients(j: float, mu: float, zeta: complex) -> CoherentStateCoe
         sqrt( G(j+mu+1) G(j+mu-n+s+1) / (G(j-mu+1) G(j-mu+n-s+1)) )
 
     over 0 <= n <= j + mu and 0 <= s <= j - mu + n, with
-    eta = ln(1 + |zeta|^2).
+    eta = ln(1 + |zeta|^2). ConvergenceError when the float64 sum has lost
+    the norm.
     """
     jp, jm = j + mu, j - mu
     if abs(jp - round(jp)) > 1e-9 or abs(jm - round(jm)) > 1e-9:
@@ -349,7 +371,7 @@ def su2_ncs_coefficients(j: float, mu: float, zeta: complex) -> CoherentStateCoe
             )
             term = (zeta**s) * ((-np.conj(zeta)) ** nn) * math.exp(log_mag)
             coeffs[jp - nn + s] += term
-    return CoherentStateCoeffs(labels=_su2_labels(j, mu), zeta=zeta, coeffs=coeffs)
+    return _norm_checked(CoherentStateCoeffs(labels=_su2_labels(j, mu), zeta=zeta, coeffs=coeffs))
 
 
 def _su2_labels(j: float, mu: float) -> GroupLabels | None:

@@ -2,8 +2,10 @@
 
 Basis indexing, ladder operators with hard truncation, and decomposition of
 the space into sectors of a conserved charge (number difference or total
-number). Full-space operators are CSR matrices. Everything here is exact
-apart from the square roots in the ladder matrix elements.
+number). Bases store only what the index formula n_a (cutoff + 1) + n_b
+cannot give; full-space operators are plain ``scipy.sparse.csr_matrix``.
+Everything here is exact apart from the square roots in the ladder matrix
+elements.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, LeakageError
 
-HERMITICITY_TOL = 1e-12
 LEAKAGE_TOL = 1e-12
 
 
@@ -42,84 +43,35 @@ def _absmax(mat) -> float:
 
 
 @dataclass(frozen=True)
-class OperatorMatrix:
-    """Square complex CSR matrix acting on a fixed basis.
-
-    Every full-space operator of the package has a bounded number of entries
-    per column, so ``data`` is always CSR: whatever is passed in is stored
-    as ``scipy.sparse.csr_matrix``. Instances are immutable and safe to
-    share across threads.
-    """
-
-    data: sp.csr_matrix
-    basis_dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", sp.csr_matrix(self.data))
-        shape = self.data.shape
-        if shape != (self.basis_dim, self.basis_dim):
-            raise DimensionMismatchError(
-                f"matrix shape {shape} does not match basis dimension {self.basis_dim}"
-            )
-
-    def dense(self) -> np.ndarray:
-        return self.data.toarray()
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.data.conjugate().transpose(), self.basis_dim)
-
-    def absmax(self) -> float:
-        return _absmax(self.data)
-
-    def diagonal(self) -> np.ndarray:
-        return self.data.diagonal()
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        scale = max(1.0, self.absmax())
-        return (self - self.dagger()).absmax() <= tol * scale
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.basis_dim != other.basis_dim:
-            raise DimensionMismatchError(
-                f"cannot multiply operators of dimension {self.basis_dim} and {other.basis_dim}"
-            )
-        return OperatorMatrix(self.data @ other.data, self.basis_dim)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.basis_dim != other.basis_dim:
-            raise DimensionMismatchError("operator dimensions differ")
-        return OperatorMatrix(self.data + other.data, self.basis_dim)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.basis_dim != other.basis_dim:
-            raise DimensionMismatchError("operator dimensions differ")
-        return OperatorMatrix(self.data - other.data, self.basis_dim)
-
-    def __rmul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(scalar * self.data, self.basis_dim)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.data @ vec
-
-
-@dataclass(frozen=True)
 class FockBasis:
     """Two-mode number basis |n_a, n_b> with 0 <= n_a, n_b <= cutoff.
 
-    States are ordered lexicographically in (n_a, n_b), which fixes every
-    matrix in the package bit-for-bit across runs.
+    States are ordered lexicographically in (n_a, n_b): the index of
+    |n_a, n_b> is n_a (cutoff + 1) + n_b, which fixes every matrix in the
+    package bit-for-bit across runs. Everything but the cutoff is computed
+    from that formula.
     """
 
     cutoff: int
-    states: tuple = field(repr=False)
-    _index: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return (self.cutoff + 1) ** 2
+
+    @property
+    def occupations(self) -> tuple:
+        """(n_a, n_b) integer arrays of the basis states, in order."""
+        return np.divmod(np.arange(self.dim), self.cutoff + 1)
+
+    @property
+    def states(self) -> tuple:
+        return tuple(zip(*(occ.tolist() for occ in self.occupations)))
 
     def index_of(self, n_a: int, n_b: int) -> int:
-        return self._index[(n_a, n_b)]
+        """Position of |n_a, n_b>; KeyError for a state outside the basis."""
+        if not (0 <= n_a <= self.cutoff and 0 <= n_b <= self.cutoff):
+            raise KeyError((n_a, n_b))
+        return n_a * (self.cutoff + 1) + n_b
 
     def vector(self, n_a: int, n_b: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -129,10 +81,8 @@ class FockBasis:
     def interior_indices(self, margin: int) -> np.ndarray:
         """Indices of states with n_a, n_b <= cutoff - margin."""
         top = self.cutoff - margin
-        return np.array(
-            [i for i, (na, nb) in enumerate(self.states) if na <= top and nb <= top],
-            dtype=int,
-        )
+        na, nb = self.occupations
+        return np.flatnonzero((na <= top) & (nb <= top))
 
 
 @dataclass(frozen=True)
@@ -142,23 +92,27 @@ class SectorBasis:
     For ``DIFFERENCE_ND`` every state satisfies n_b - n_a = charge_value;
     for ``SUM_NS`` every state satisfies n_a + n_b = charge_value. States
     keep the parent's lexicographic order, so the effective excitation
-    number increases with position.
+    number increases with position; they are read off the parent
+    ``indices``.
     """
 
     charge_kind: ChargeKind
     charge_value: int
-    states: tuple
     parent_cutoff: int
     indices: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.indices)
 
     @property
     def occupations(self) -> tuple:
         """(n_a, n_b) integer arrays of the sector states, in order."""
         return np.divmod(self.indices, self.parent_cutoff + 1)
+
+    @property
+    def states(self) -> tuple:
+        return tuple(zip(*(occ.tolist() for occ in self.occupations)))
 
     @property
     def pair_amplitudes(self) -> np.ndarray:
@@ -181,71 +135,55 @@ def build_basis(cutoff: int) -> FockBasis:
     """Build the truncated two-mode basis; dimension (cutoff + 1)^2."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    n = cutoff + 1
-    states = tuple((na, nb) for na in range(n) for nb in range(n))
-    index = {st: i for i, st in enumerate(states)}
-    return FockBasis(cutoff=cutoff, states=states, _index=index)
+    return FockBasis(cutoff=cutoff)
 
 
-def _ladder_matrix(basis: FockBasis, mode: Mode, kind: LadderKind):
-    n = basis.cutoff + 1
-    dim = basis.dim
-    occ = np.arange(dim)
-    na, nb = occ // n, occ % n
-    m_occ = na if mode is Mode.A else nb
-    step = n if mode is Mode.A else 1
-
-    if kind is LadderKind.LOWER:
-        src = occ[m_occ >= 1]
-        dst = src - step
-        val = np.sqrt(m_occ[m_occ >= 1].astype(float))
-    else:
-        # Raising past the cutoff maps to zero (hard truncation).
-        src = occ[m_occ <= basis.cutoff - 1]
-        dst = src + step
-        val = np.sqrt(m_occ[m_occ <= basis.cutoff - 1] + 1.0)
-
-    return sp.csr_matrix((val.astype(complex), (dst, src)), shape=(dim, dim))
-
-
-def ladder_op(mode: Mode, kind: LadderKind, basis: FockBasis) -> OperatorMatrix:
+def ladder_op(mode: Mode, kind: LadderKind, basis: FockBasis) -> sp.csr_matrix:
     """Annihilation or creation operator for one mode.
 
     Matrix elements <n-1|a|n> = sqrt(n) and <n+1|a†|n> = sqrt(n+1); raising
     out of the cutoff gives zero. One entry per column, so products of
     ladder operators stay sparse.
     """
-    return OperatorMatrix(_ladder_matrix(basis, mode, kind), basis.dim)
+    na, nb = basis.occupations
+    m_occ = na if mode is Mode.A else nb
+    step = basis.cutoff + 1 if mode is Mode.A else 1
+    if kind is LadderKind.LOWER:
+        src = np.flatnonzero(m_occ >= 1)
+        dst = src - step
+        val = np.sqrt(m_occ[src].astype(float))
+    else:
+        # Raising past the cutoff maps to zero (hard truncation).
+        src = np.flatnonzero(m_occ < basis.cutoff)
+        dst = src + step
+        val = np.sqrt(m_occ[src] + 1.0)
+    return sp.csr_matrix((val.astype(complex), (dst, src)), shape=(basis.dim, basis.dim))
 
 
-def number_op(mode: Mode, basis: FockBasis) -> OperatorMatrix:
+def number_op(mode: Mode, basis: FockBasis) -> sp.csr_matrix:
     """Diagonal occupation-number operator for one mode."""
-    n = basis.cutoff + 1
-    occ = np.arange(basis.dim)
-    diag = (occ // n if mode is Mode.A else occ % n).astype(complex)
-    return OperatorMatrix(sp.diags(diag), basis.dim)
+    na, nb = basis.occupations
+    return sp.diags((na if mode is Mode.A else nb).astype(complex), format="csr")
 
 
-def charge_op(charge_kind: ChargeKind, basis: FockBasis) -> OperatorMatrix:
+def charge_op(charge_kind: ChargeKind, basis: FockBasis) -> sp.csr_matrix:
     """Diagonal conserved charge: n_b - n_a or n_a + n_b."""
-    n = basis.cutoff + 1
-    occ = np.arange(basis.dim)
-    na, nb = occ // n, occ % n
-    diag = (nb - na if charge_kind is ChargeKind.DIFFERENCE_ND else na + nb).astype(complex)
-    return OperatorMatrix(sp.diags(diag), basis.dim)
+    na, nb = basis.occupations
+    diag = nb - na if charge_kind is ChargeKind.DIFFERENCE_ND else na + nb
+    return sp.diags(diag.astype(complex), format="csr")
 
 
-def identity_op(basis: FockBasis) -> OperatorMatrix:
-    return OperatorMatrix(sp.identity(basis.dim, dtype=complex), basis.dim)
+def identity_op(basis: FockBasis) -> sp.csr_matrix:
+    return sp.identity(basis.dim, dtype=complex, format="csr")
 
 
-def commutator(x: OperatorMatrix, y: OperatorMatrix) -> OperatorMatrix:
+def commutator(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
     """XY - YX."""
-    if x.basis_dim != y.basis_dim:
+    if x.shape != y.shape:
         raise DimensionMismatchError(
-            f"commutator of operators with dimensions {x.basis_dim} and {y.basis_dim}"
+            f"commutator of operators with shapes {x.shape} and {y.shape}"
         )
-    return x @ y - y @ x
+    return (x @ y - y @ x).tocsr()
 
 
 def sector_basis(cutoff: int, charge_kind: ChargeKind, charge_value: int) -> SectorBasis:
@@ -271,7 +209,6 @@ def sector_basis(cutoff: int, charge_kind: ChargeKind, charge_value: int) -> Sec
     return SectorBasis(
         charge_kind=charge_kind,
         charge_value=q,
-        states=tuple(zip(na.tolist(), nb.tolist())),
         parent_cutoff=cutoff,
         indices=na * (cutoff + 1) + nb,
     )
@@ -289,7 +226,7 @@ def get_sector(basis: FockBasis, charge_kind: ChargeKind, charge_value: int) -> 
     return sector_basis(basis.cutoff, charge_kind, charge_value)
 
 
-def project_operator(op: OperatorMatrix, sector: SectorBasis) -> OperatorMatrix:
+def project_operator(op: sp.csr_matrix, sector: SectorBasis) -> sp.csr_matrix:
     """Restrict an operator to a charge sector, as a CSR block.
 
     The operator must commute with the sector charge: any matrix element
@@ -297,24 +234,23 @@ def project_operator(op: OperatorMatrix, sector: SectorBasis) -> OperatorMatrix:
     LeakageError.
     """
     idx = sector.indices
-    cols = op.data.tocsc()[:, idx].tocsr()
-    mask = np.ones(op.basis_dim, dtype=bool)
+    cols = op.tocsc()[:, idx].tocsr()
+    mask = np.ones(op.shape[0], dtype=bool)
     mask[idx] = False
     leak = _absmax(cols[mask, :])
-    tol = LEAKAGE_TOL * max(1.0, op.absmax())
+    tol = LEAKAGE_TOL * max(1.0, _absmax(op))
     if leak > tol:
         raise LeakageError(
             f"operator leaks {leak:.3e} out of sector "
             f"{sector.charge_kind.value}={sector.charge_value} (tol {tol:.3e})"
         )
-    return OperatorMatrix(cols[idx, :].astype(complex), sector.dim)
+    return cols[idx, :].astype(complex)
 
 
-def reassemble(sector_ops: list, sectors: list, parent_dim: int) -> OperatorMatrix:
+def reassemble(sector_ops: list, sectors: list, parent_dim: int) -> sp.csr_matrix:
     """Inverse of project_operator over a full decomposition."""
     parent = np.concatenate([sec.indices for sec in sectors])
-    block = sp.block_diag([op.data for op in sector_ops], format="coo")
-    out = sp.csr_matrix(
+    block = sp.block_diag(sector_ops, format="coo")
+    return sp.csr_matrix(
         (block.data, (parent[block.row], parent[block.col])), shape=(parent_dim, parent_dim)
     )
-    return OperatorMatrix(out, parent_dim)

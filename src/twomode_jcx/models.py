@@ -43,7 +43,6 @@ from .fock import (
     FockBasis,
     LadderKind,
     Mode,
-    OperatorMatrix,
     SectorBasis,
     get_sector,
     ladder_op,
@@ -116,7 +115,7 @@ class SpinorState:
         return np.concatenate([self.upper, self.lower])
 
 
-def coupling_block(kind: ModelKind, p: ModelParams, basis: FockBasis) -> OperatorMatrix:
+def coupling_block(kind: ModelKind, p: ModelParams, basis: FockBasis) -> sp.csr_matrix:
     """Upper-right block X of the full Hamiltonian (without the hbar)."""
     a_dag = ladder_op(Mode.A, LadderKind.RAISE, basis)
     if kind is ModelKind.JC_AJC:
@@ -126,13 +125,11 @@ def coupling_block(kind: ModelKind, p: ModelParams, basis: FockBasis) -> Operato
     return p.g * a_dag + p.f * b_or_bdag
 
 
-def build_full_hamiltonian(kind: ModelKind, p: ModelParams, basis: FockBasis) -> OperatorMatrix:
+def build_full_hamiltonian(kind: ModelKind, p: ModelParams, basis: FockBasis) -> sp.csr_matrix:
     """Full 2 dim(basis) Hamiltonian in (upper, lower) block order."""
-    x = coupling_block(kind, p, basis).data
-    hx = p.hbar * x
+    hx = p.hbar * coupling_block(kind, p, basis)
     eye = sp.identity(basis.dim, dtype=complex)
-    h = sp.bmat([[p.mc2 * eye, hx], [hx.conjugate().transpose(), -p.mc2 * eye]])
-    return OperatorMatrix(h, 2 * basis.dim)
+    return sp.bmat([[p.mc2 * eye, hx], [hx.conj().T, -p.mc2 * eye]], format="csr")
 
 
 def _lowered_after_raise(n: np.ndarray, cutoff: int) -> np.ndarray:
@@ -177,7 +174,7 @@ def build_kg_operator(
     component: Component,
     p: ModelParams,
     basis_or_sector,
-) -> OperatorMatrix:
+) -> sp.csr_matrix:
     """Second-order operator whose eigenvalues are E² - m²c⁴.
 
     Upper component: hbar² X X†; lower component: hbar² X† X. Passing a
@@ -187,12 +184,10 @@ def build_kg_operator(
     """
     if isinstance(basis_or_sector, SectorBasis):
         diag, off = sector_tridiagonal(kind, component, p, basis_or_sector)
-        dim = len(diag)
-        block = sp.diags([off, diag, off.conj()], [-1, 0, 1], shape=(dim, dim), dtype=complex)
-        return OperatorMatrix(block, dim)
+        return sp.diags([off, diag, off.conj()], [-1, 0, 1], dtype=complex, format="csr")
 
     x = coupling_block(kind, p, basis_or_sector)
-    xd = x.dagger()
+    xd = x.conj().T.tocsr()
     kg = x @ xd if component is Component.UPPER else xd @ x
     return (p.hbar**2) * kg
 
@@ -207,8 +202,8 @@ def lower_from_upper(
     """psi2 = hbar X† psi1 / (E + mc²), unnormalized."""
     if abs(energy + p.mc2) <= EDGE_REL_TOL * p.mc2:
         raise SingularBranchError("lower component not reconstructible at E = -mc^2")
-    xd = coupling_block(kind, p, basis).dagger()
-    return p.hbar * (xd.apply(np.asarray(upper, dtype=complex))) / (energy + p.mc2)
+    xd = coupling_block(kind, p, basis).conj().T
+    return p.hbar * (xd @ np.asarray(upper, dtype=complex)) / (energy + p.mc2)
 
 
 def _tilted_state_position(kind: ModelKind, n_l: int, m_n: int, inner_sign: int):
@@ -309,7 +304,7 @@ def build_spinor(
     )
 
 
-def eigen_residual(h_full: OperatorMatrix, state: SpinorState) -> float:
+def eigen_residual(h_full: sp.csr_matrix, state: SpinorState) -> float:
     """|| H psi - E psi || for a spinor over the same basis."""
     vec = state.as_vector()
-    return float(np.linalg.norm(h_full.apply(vec) - state.energy * vec))
+    return float(np.linalg.norm(h_full @ vec - state.energy * vec))

@@ -240,7 +240,8 @@ def _predicted_tilted_diagonal(
             diag = diag - h2 * (fa2 - ga2)
         return diag
     n_tot = sector.charge_value
-    mu = np.array([(na - nb) / 2.0 for na, nb in sector.states])
+    na, nb = sector.occupations
+    mu = (na - nb) / 2.0
     s = fa2 + ga2
     diag = h2 * (0.5 * s * n_tot + s * mu)
     if component is Component.LOWER:
@@ -264,7 +265,7 @@ def verify_tilting(
     """
     if params is None:
         params = tilting_parameters(kind, p)
-    kg = build_kg_operator(kind, component, p, sector).dense()
+    kg = build_kg_operator(kind, component, p, sector).toarray()
     d = displacement_direct(params.xi, sector)
     tilted = d.conj().T @ kg @ d
     sl = slice(None) if keep is None else slice(0, keep)

@@ -300,7 +300,7 @@ def _coherent_state_checks(seed: int):
             "su11 number coherent state normalization",
             "ncs-normalization-su11",
             worst_norm,
-            1e-10,
+            displace.NCS_NORM_TOL,
         )
     )
 
@@ -327,7 +327,7 @@ def _coherent_state_checks(seed: int):
             "su2 number coherent state normalization",
             "ncs-normalization-su2",
             worst_norm,
-            1e-10,
+            displace.NCS_NORM_TOL,
         )
     )
     return recs

@@ -142,6 +142,21 @@ class TestDomainErrorExitCodes:
         result = runner.invoke(main, [command, *flags])
         _one_line_usage_error(result, fragment)
 
+    @pytest.mark.parametrize("argv", [
+        ["coherent-state", "--algebra", "su11", "--k", "2", "--n", "40", "--zeta-re", "0.9"],
+        ["coherent-state", "--algebra", "su2", "--j", "100", "--mu", "0"],
+        ["coherent-state", "--algebra", "su2", "--j", "20", "--mu", "0", "--zeta-re", "0.5"],
+    ])
+    def test_coherent_state_norm_loss(self, runner, argv):
+        _one_line_usage_error(runner.invoke(main, argv), "lost their norm")
+
+    @pytest.mark.parametrize("argv", [
+        ["wavefunction", "--n-l", "400", "--m-n", "300"],
+        ["coherent-state", "--algebra", "su11", "--k", "0.5", "--n", "2000", "--zeta-re", "0.3"],
+    ])
+    def test_overflow(self, runner, argv):
+        _one_line_usage_error(runner.invoke(main, argv), "numeric overflow")
+
 
 class TestVerifyCommand:
     def test_fast_profile_passes(self, runner):
@@ -179,6 +194,14 @@ class TestVerifyCommand:
         assert [r["anchor"] for r in skipped] == ["spinor-edge-su11"]
         assert "no lower-branch eigenvector" in skipped[0]["detail"]
         assert any(r["anchor"] == "spinor-residual-su11" and r["status"] == "PASS" for r in rows)
+
+    def test_loose_tol_keeps_the_record_tolerances(self, runner):
+        args = ["verify", "--cutoff", "60", "--format", "json"]
+        base = runner.invoke(main, args)
+        loose = runner.invoke(main, args + ["--tol", "1e3"])
+        assert base.exit_code == 0 and loose.exit_code == 0, loose.output
+        tols = [[r["tolerance"] for r in json.loads(res.output)["rows"]] for res in (base, loose)]
+        assert tols[0] == tols[1]
 
     def test_seeded_reports_byte_identical(self, runner, tmp_path):
         args = ["verify", "--cutoff", "60", "--seed", "7", "--format", "json"]

@@ -18,7 +18,7 @@ from twomode_jcx.liealg import (
 class TestSu11Generators:
     def test_k0_vacuum_eigenvalue(self, basis12):
         gens = su11_generators(basis12)
-        out = gens.k0.apply(basis12.vector(0, 0))
+        out = gens.k0 @ basis12.vector(0, 0)
         np.testing.assert_allclose(out, 0.5 * basis12.vector(0, 0), atol=0)
 
     def test_k0_diagonal_entries(self, basis12):
@@ -30,7 +30,7 @@ class TestSu11Generators:
     def test_kplus_on_vacuum(self, basis12):
         # K+|k=1/2, n=0> carries sqrt((n+1)(2k+n)) = 1
         gens = su11_generators(basis12)
-        out = gens.k_plus.apply(basis12.vector(0, 0))
+        out = gens.k_plus @ basis12.vector(0, 0)
         np.testing.assert_allclose(out, basis12.vector(1, 1), atol=0)
 
     def test_ladder_action_in_sector(self, basis12):
@@ -40,7 +40,7 @@ class TestSu11Generators:
         m = 3
         k = (m + 1) / 2.0
         for n in range(4):
-            out = gens.k_plus.apply(basis12.vector(n + m, n))
+            out = gens.k_plus @ basis12.vector(n + m, n)
             coef = np.sqrt((n + 1) * (2 * k + n))
             np.testing.assert_allclose(
                 out, coef * basis12.vector(n + m + 1, n + 1), rtol=1e-15, atol=0
@@ -50,7 +50,7 @@ class TestSu11Generators:
         # K^2 = N_d^2/4 - 1/4 -> -(1/4) identity on the N_d = 0 sector
         gens = su11_generators(basis12)
         sec = get_sector(basis12, ChargeKind.DIFFERENCE_ND, 0)
-        block = project_operator(casimir(gens), sec).dense()
+        block = project_operator(casimir(gens), sec).toarray()
         interior = slice(0, sec.dim - 1)  # top state feels the cutoff
         np.testing.assert_allclose(
             block[interior, interior], -0.25 * np.eye(sec.dim)[interior, interior], atol=1e-12
@@ -60,28 +60,28 @@ class TestSu11Generators:
 class TestSu2Generators:
     def test_j0_balanced_state(self, basis12):
         gens = su2_generators(basis12)
-        assert np.all(gens.j0.apply(basis12.vector(1, 1)) == 0)
+        assert np.all(gens.j0 @ basis12.vector(1, 1) == 0)
 
     def test_jplus_lowest_weight(self, basis12):
         # J+|j=1, mu=-1> = sqrt((j-mu)(j+mu+1)) |1, 0> = sqrt(2) |1, 0>
         gens = su2_generators(basis12)
-        out = gens.j_plus.apply(basis12.vector(0, 2))
+        out = gens.j_plus @ basis12.vector(0, 2)
         np.testing.assert_allclose(out, np.sqrt(2.0) * basis12.vector(1, 1), rtol=1e-15)
 
     def test_casimir_ns4_sector(self, basis12):
         # J^2 = (N_s/2)(N_s/2 + 1) = 6 on N_s = 4
         gens = su2_generators(basis12)
         sec = get_sector(basis12, ChargeKind.SUM_NS, 4)
-        block = project_operator(casimir(gens), sec).dense()
+        block = project_operator(casimir(gens), sec).toarray()
         np.testing.assert_allclose(block, 6.0 * np.eye(sec.dim), atol=1e-12)
 
     def test_sector_representation_exact(self, basis20):
         # inside one N_s sector the commutators close to machine precision
         gens = su2_generators(basis20)
         sec = get_sector(basis20, ChargeKind.SUM_NS, 7)
-        j0 = project_operator(gens.j0, sec).dense()
-        jp = project_operator(gens.j_plus, sec).dense()
-        jm = project_operator(gens.j_minus, sec).dense()
+        j0 = project_operator(gens.j0, sec).toarray()
+        jp = project_operator(gens.j_plus, sec).toarray()
+        jm = project_operator(gens.j_minus, sec).toarray()
         assert np.max(np.abs(j0 @ jp - jp @ j0 - jp)) <= 1e-13
         assert np.max(np.abs(jp @ jm - jm @ jp - 2 * j0)) <= 1e-13
 
@@ -111,25 +111,25 @@ class TestStateConvention:
     def test_k0_and_nd_eigenvalues(self, basis12, n_l, m_n):
         gens = su11_generators(basis12)
         vec = basis12.vector(n_l + m_n, n_l)
-        k0_val = np.vdot(vec, gens.k0.apply(vec)).real
+        k0_val = np.vdot(vec, gens.k0 @ vec).real
         assert k0_val == pytest.approx(n_l + m_n / 2.0 + 0.5, abs=1e-14)
         # N_d + 1 eigenvalue is -(m_n - 1); N_d itself gives -m_n
         from twomode_jcx.fock import charge_op
 
         nd = charge_op(ChargeKind.DIFFERENCE_ND, basis12)
-        nd_val = np.vdot(vec, nd.apply(vec)).real
+        nd_val = np.vdot(vec, nd @ vec).real
         assert nd_val + 1.0 == pytest.approx(-(m_n - 1), abs=0)
 
     @pytest.mark.parametrize("n_l,m_n", [(0, 0), (1, 2), (3, 1)])
     def test_j0_and_ns_eigenvalues(self, basis12, n_l, m_n):
         gens = su2_generators(basis12)
         vec = basis12.vector(n_l + m_n, n_l)
-        j0_val = np.vdot(vec, gens.j0.apply(vec)).real
+        j0_val = np.vdot(vec, gens.j0 @ vec).real
         assert j0_val == pytest.approx(m_n / 2.0, abs=0)
         from twomode_jcx.fock import charge_op
 
         ns = charge_op(ChargeKind.SUM_NS, basis12)
-        ns_val = np.vdot(vec, ns.apply(vec)).real
+        ns_val = np.vdot(vec, ns @ vec).real
         assert ns_val == pytest.approx(2 * n_l + m_n, abs=0)
 
 
