@@ -4,7 +4,8 @@ Output contract: JSON is one top-level object with a ``schema_version``
 field; CSV is UTF-8, comma-separated, LF line endings, mandatory header
 row, floats printed with 17 significant digits, metadata appended as
 ``# key=value`` comment lines. Exit codes: 0 success, 1 verification
-failure, 2 usage or domain errors.
+failure, 2 usage or domain errors. The command group is the one place where
+a library exception becomes exit 2; commands translate none themselves.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ def emit_rows(rows, fmt: str, out_path: str | None, meta: dict | None = None,
     row is part of the format contract either way).
     """
     rows = [{k: _scrub(v) for k, v in row.items()} for row in rows]
+    meta = {k: _scrub(v) for k, v in (meta or {}).items()}
     if fmt == "json":
         payload = {"schema_version": SCHEMA_VERSION, "rows": rows}
         if meta:
@@ -90,15 +92,10 @@ def _model_params(ctx_params) -> ModelParams:
 
 def _resolve_model(params):
     """(ModelParams, ModelKind) from either --case or --model with couplings."""
-    try:
-        if params.get("case"):
-            case = _CASES[params["case"]](
-                params["omega1"], params["omega2"], params["phase"]
-            )
-            return spectra.special_case_params(case, mc2=params["mc2"], hbar=params["hbar"])
-        return _model_params(params), ModelKind(params["model"])
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    if params.get("case"):
+        case = _CASES[params["case"]](params["omega1"], params["omega2"], params["phase"])
+        return spectra.special_case_params(case, mc2=params["mc2"], hbar=params["hbar"])
+    return _model_params(params), ModelKind(params["model"])
 
 
 def model_options(fn):
@@ -131,7 +128,24 @@ def output_options(fn):
     return fn
 
 
-@click.group()
+class _DomainErrorBoundary(click.Group):
+    """Turns every domain error raised below the group into exit 2.
+
+    Package errors, ``ValueError``, ``ArithmeticError`` and ``OSError`` (an
+    unwritable ``--out``) end as one ``Error:`` line; overflow keeps a
+    ``numeric overflow:`` prefix. ``verify``'s exit 1 is a ``SystemExit``
+    and passes through.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (TwoModeJcxError, ValueError, ArithmeticError, OSError) as exc:
+            overflow = isinstance(exc, (OverflowError, FloatingPointError))
+            raise click.UsageError(f"numeric overflow: {exc}" if overflow else str(exc)) from exc
+
+
+@click.group(cls=_DomainErrorBoundary)
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file with per-command defaults; CLI flags win.")
 @click.pass_context
@@ -139,7 +153,10 @@ def main(ctx, config):
     """Two-mode spin-boson models: spectra, verification, and state samples."""
     if config:
         with open(config, encoding="utf-8") as fh:
-            ctx.default_map = json.load(fh)
+            defaults = json.load(fh)
+        if not (isinstance(defaults, dict) and all(isinstance(v, dict) for v in defaults.values())):
+            raise click.UsageError("--config must hold a JSON object of per-command objects")
+        ctx.default_map = defaults
 
 
 @main.command()
@@ -149,31 +166,28 @@ def main(ctx, config):
 @click.option("--mmax", type=int, default=5, show_default=True)
 def spectrum(**params):
     """Closed-form energy table over the (n_l, m_n) grid, both branches."""
-    try:
-        p, kind = _resolve_model(params)
-        rows = []
-        for n_l in range(params["nmax"] + 1):
-            for m_n in range(params["mmax"] + 1):
-                for branch in (Branch.PLUS, Branch.MINUS):
-                    if kind is ModelKind.JC_AJC:
-                        levels = [spectra.analytic_energy_su11(p, n_l, m_n, branch)]
-                    else:
-                        levels = [
-                            spectra.analytic_energy_su2(p, n_l, m_n, branch, inner)
-                            for inner in ((1,) if m_n == 0 else (1, -1))
-                        ]
-                    for lvl in levels:
-                        rows.append(
-                            {
-                                "n_l": n_l,
-                                "m_n": m_n,
-                                "branch": lvl.branch.name.lower(),
-                                "inner_sign": lvl.inner_sign.name.lower(),
-                                "energy": lvl.energy,
-                            }
-                        )
-    except TwoModeJcxError as exc:
-        raise click.UsageError(str(exc)) from exc
+    p, kind = _resolve_model(params)
+    rows = []
+    for n_l in range(params["nmax"] + 1):
+        for m_n in range(params["mmax"] + 1):
+            for branch in (Branch.PLUS, Branch.MINUS):
+                if kind is ModelKind.JC_AJC:
+                    levels = [spectra.analytic_energy_su11(p, n_l, m_n, branch)]
+                else:
+                    levels = [
+                        spectra.analytic_energy_su2(p, n_l, m_n, branch, inner)
+                        for inner in ((1,) if m_n == 0 else (1, -1))
+                    ]
+                for lvl in levels:
+                    rows.append(
+                        {
+                            "n_l": n_l,
+                            "m_n": m_n,
+                            "branch": lvl.branch.name.lower(),
+                            "inner_sign": lvl.inner_sign.name.lower(),
+                            "energy": lvl.energy,
+                        }
+                    )
     emit_rows(rows, params["fmt"], params["out_path"], meta={"model": kind.value},
               fields=["n_l", "m_n", "branch", "inner_sign", "energy"])
 
@@ -192,29 +206,23 @@ def diagonalize(**params):
         raise click.UsageError("--cutoff must be at least 4")
     if params["count"] < 1:
         raise click.UsageError("--count must be at least 1")
-    try:
-        p, kind = _resolve_model(params)
-        charge = conserved_charge(kind)
-        charges = list(params["sectors"])
-        if not charges:
-            charges = list(range(-3, 4)) if charge is ChargeKind.DIFFERENCE_ND else list(range(0, 7))
-        try:
-            sectors = [sector_basis(params["cutoff"], charge, q) for q in charges]
-        except ValueError as exc:
-            raise click.UsageError(f"--sector: {exc}") from exc
-        component = Component(params["component"])
+    p, kind = _resolve_model(params)
+    charge = conserved_charge(kind)
+    charges = list(params["sectors"])
+    if not charges:
+        charges = list(range(-3, 4)) if charge is ChargeKind.DIFFERENCE_ND else list(range(0, 7))
+    sectors = [sector_basis(params["cutoff"], charge, q) for q in charges]
+    component = Component(params["component"])
 
-        def solve(sec):
-            count = min(params["count"], sec.dim)
-            vals = spectra.numeric_spectrum(kind, component, p, sec, count)
-            return [
-                {"sector": sec.charge_value, "level": i, "energy_sq": float(v)}
-                for i, v in enumerate(vals)
-            ]
+    def solve(sec):
+        count = min(params["count"], sec.dim)
+        vals = spectra.numeric_spectrum(kind, component, p, sec, count)
+        return [
+            {"sector": sec.charge_value, "level": i, "energy_sq": float(v)}
+            for i, v in enumerate(vals)
+        ]
 
-        rows = [row for chunk in parallel_map(solve, sectors) for row in chunk]
-    except TwoModeJcxError as exc:
-        raise click.UsageError(str(exc)) from exc
+    rows = [row for chunk in parallel_map(solve, sectors) for row in chunk]
     emit_rows(
         rows,
         params["fmt"],
@@ -235,11 +243,8 @@ def diagonalize(**params):
               help="Include wall-clock runtimes (breaks byte-identical output).")
 def verify(**params):
     """Run the full self-verification suite; exit 0 iff every record passes."""
-    try:
-        p, kind = _resolve_model(params)
-        report = run_verification_suite(p, cutoff=params["cutoff"], seed=params["seed"])
-    except TwoModeJcxError as exc:
-        raise click.UsageError(str(exc)) from exc
+    p, kind = _resolve_model(params)
+    report = run_verification_suite(p, cutoff=params["cutoff"], seed=params["seed"])
     rows = []
     for r in report.records:
         # Tighten-only: no flag can turn a FAIL into a PASS.
@@ -286,33 +291,26 @@ def wavefunction(**params):
     """Sample the oscillator or coherent-state wavefunction on a polar grid."""
     zeta = complex(params["zeta_re"], params["zeta_im"])
     n_l, m_n = params["n_l"], params["m_n"]
-    try:
-        if zeta == 0:
-            fn = lambda r, p: wavefunc.oscillator_wavefunction(n_l, m_n, r, p)
-        else:
-            if abs(zeta) >= 1.0:
-                raise click.UsageError("|zeta| must be below 1")
-            fn = lambda r, p: wavefunc.ncs_wavefunction_series(zeta, n_l, m_n, r, p)
-        rho = np.linspace(0.0, params["rho_max"], params["n_rho"])
-        phi = np.linspace(0.0, 2 * np.pi, params["n_phi"], endpoint=False)
-        rr, pp = np.meshgrid(rho, phi, indexing="ij")
-        vals = fn(rr, pp)
-        norm = wavefunc.quadrature_inner_product(fn, fn).value.real
-        rows = [
-            {
-                "rho": float(rr[i, j]),
-                "phi": float(pp[i, j]),
-                "re": float(vals[i, j].real),
-                "im": float(vals[i, j].imag),
-                "abs2": float(np.abs(vals[i, j]) ** 2),
-            }
-            for i in range(rr.shape[0])
-            for j in range(rr.shape[1])
-        ]
-    except TwoModeJcxError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except (OverflowError, FloatingPointError) as exc:
-        raise click.UsageError(f"numeric overflow: {exc}") from exc
+    if zeta == 0:
+        fn = lambda r, p: wavefunc.oscillator_wavefunction(n_l, m_n, r, p)
+    else:
+        fn = lambda r, p: wavefunc.ncs_wavefunction_series(zeta, n_l, m_n, r, p)
+    rho = np.linspace(0.0, params["rho_max"], params["n_rho"])
+    phi = np.linspace(0.0, 2 * np.pi, params["n_phi"], endpoint=False)
+    rr, pp = np.meshgrid(rho, phi, indexing="ij")
+    vals = fn(rr, pp)
+    norm = wavefunc.quadrature_inner_product(fn, fn).value.real
+    rows = [
+        {
+            "rho": float(rr[i, j]),
+            "phi": float(pp[i, j]),
+            "re": float(vals[i, j].real),
+            "im": float(vals[i, j].imag),
+            "abs2": float(np.abs(vals[i, j]) ** 2),
+        }
+        for i in range(rr.shape[0])
+        for j in range(rr.shape[1])
+    ]
     emit_rows(
         rows,
         params["fmt"],
@@ -335,17 +333,10 @@ def wavefunction(**params):
 def coherent_state(**params):
     """Number-coherent-state expansion coefficients."""
     zeta = complex(params["zeta_re"], params["zeta_im"])
-    try:
-        if params["algebra"] == "su11":
-            coeffs = su11_ncs_coefficients(
-                params["k"], params["n"], zeta, max_index=params["max_index"]
-            )
-        else:
-            coeffs = su2_ncs_coefficients(params["j"], params["mu"], zeta)
-    except (TwoModeJcxError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
-    except OverflowError as exc:
-        raise click.UsageError(f"numeric overflow: {exc}") from exc
+    if params["algebra"] == "su11":
+        coeffs = su11_ncs_coefficients(params["k"], params["n"], zeta, max_index=params["max_index"])
+    else:
+        coeffs = su2_ncs_coefficients(params["j"], params["mu"], zeta)
     rows = [
         {"index": i, "re": float(c.real), "im": float(c.imag), "abs2": float(abs(c) ** 2)}
         for i, c in enumerate(coeffs.coeffs)
@@ -378,26 +369,21 @@ def limits(**params):
         scales = [float(s) for s in params["scales"].split(",") if s]
     except ValueError as exc:
         raise click.UsageError(f"bad --scales list: {params['scales']}") from exc
-    try:
-        rows = []
-        for s in scales:
-            rep = spectra.nonrelativistic_limit_check(case, charge, params["index"], s)
-            rows.append(
-                {
-                    "scale": s,
-                    "eps_model": rep.eps_model,
-                    "eps_analytic": rep.eps_analytic,
-                    "offset": rep.offset,
-                    "rel_error": rep.rel_error,
-                }
-            )
-        meta = {"case": params["case"], "charge": charge, "index": params["index"]}
-        if len(scales) >= 2:
-            meta["decay_exponent"] = spectra.limit_decay_exponent(
-                case, charge, params["index"], scales
-            )
-    except (TwoModeJcxError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    rows = []
+    for s in scales:
+        rep = spectra.nonrelativistic_limit_check(case, charge, params["index"], s)
+        rows.append(
+            {
+                "scale": s,
+                "eps_model": rep.eps_model,
+                "eps_analytic": rep.eps_analytic,
+                "offset": rep.offset,
+                "rel_error": rep.rel_error,
+            }
+        )
+    meta = {"case": params["case"], "charge": charge, "index": params["index"]}
+    if len(scales) >= 2:
+        meta["decay_exponent"] = spectra.limit_decay_exponent(case, charge, params["index"], scales)
     emit_rows(rows, params["fmt"], params["out_path"], meta=meta)
 
 

@@ -34,9 +34,9 @@ import numpy as np
 import scipy.linalg as la
 from scipy.special import gammaln
 
-from .errors import ConvergenceError, NonIntegerError, SectorMismatchError, TailError
+from .errors import ConvergenceError, SectorMismatchError, TailError
 from .fock import SectorBasis
-from .liealg import AlgebraKind, GroupLabels, sector_algebra, sector_generators
+from .liealg import AlgebraKind, sector_algebra, sector_generators
 
 UNITARITY_TOL = 1e-10
 NCS_NORM_TOL = 1e-10
@@ -214,13 +214,12 @@ def verify_similarity(xi: complex, sector: SectorBasis, keep: int | None = None)
 
 @dataclass(frozen=True)
 class CoherentStateCoeffs:
-    """Expansion of D(xi)|labels> over the representation ladder.
+    """Expansion of D(xi)|k, n> or D(xi)|j, mu> over the representation ladder.
 
     ``coeffs[r]`` multiplies the state with excitation number r above the
     lowest weight. Norm deviates from 1 only by the truncated tail.
     """
 
-    labels: GroupLabels | None
     zeta: complex
     coeffs: np.ndarray = field(repr=False)
 
@@ -247,19 +246,19 @@ def su11_ncs_coefficients(
     evaluated with log-Gamma prefactors. The infinite tail over r is cut
     once a geometric bound on the remaining amplitude mass (sum of |c_r|)
     drops below ``tail_tol``; TailError if the cap ``max_index`` is too
-    small for that. ValueError unless k > 0 and |zeta| < 1;
+    small for that. ValueError unless 0 < k < inf and |zeta| < 1;
     ConvergenceError when the float64 sum has lost the norm.
     """
-    if not k > 0:
-        raise ValueError(f"Bargmann index k must be positive, got {k}")
-    if abs(zeta) >= 1.0:
+    if not 0 < k < math.inf:
+        raise ValueError(f"Bargmann index k must be positive and finite, got {k}")
+    if not abs(zeta) < 1.0:
         raise ValueError("su(1,1) coherent states require |zeta| < 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if zeta == 0:
         coeffs = np.zeros(n + 1, dtype=complex)
         coeffs[n] = 1.0
-        return CoherentStateCoeffs(labels=_su11_labels(k, n), zeta=zeta, coeffs=coeffs)
+        return CoherentStateCoeffs(zeta=zeta, coeffs=coeffs)
 
     eta = math.log(1.0 - abs(zeta) ** 2)
     az = abs(zeta)
@@ -306,7 +305,7 @@ def su11_ncs_coefficients(
             )
         r += 1
     coeffs = np.array(values, dtype=complex)
-    return _norm_checked(CoherentStateCoeffs(labels=_su11_labels(k, n), zeta=zeta, coeffs=coeffs))
+    return _norm_checked(CoherentStateCoeffs(zeta=zeta, coeffs=coeffs))
 
 
 def _norm_checked(state: CoherentStateCoeffs) -> CoherentStateCoeffs:
@@ -322,15 +321,6 @@ def _norm_checked(state: CoherentStateCoeffs) -> CoherentStateCoeffs:
             f"> {NCS_NORM_TOL:.0e} (float64 cancellation)"
         )
     return state
-
-
-def _su11_labels(k: float, n: int) -> GroupLabels | None:
-    try:
-        from .liealg import physical_from_group_labels
-
-        return physical_from_group_labels(AlgebraKind.SU11, k=k, n=n)
-    except NonIntegerError:
-        return None
 
 
 def su2_ncs_coefficients(j: float, mu: float, zeta: complex) -> CoherentStateCoeffs:
@@ -356,7 +346,7 @@ def su2_ncs_coefficients(j: float, mu: float, zeta: complex) -> CoherentStateCoe
     coeffs = np.zeros(dim, dtype=complex)
     if zeta == 0:
         coeffs[jp] = 1.0
-        return CoherentStateCoeffs(labels=_su2_labels(j, mu), zeta=zeta, coeffs=coeffs)
+        return CoherentStateCoeffs(zeta=zeta, coeffs=coeffs)
     eta = math.log(1.0 + abs(zeta) ** 2)
     for nn in range(jp + 1):
         for s in range(jm + nn + 1):
@@ -371,16 +361,7 @@ def su2_ncs_coefficients(j: float, mu: float, zeta: complex) -> CoherentStateCoe
             )
             term = (zeta**s) * ((-np.conj(zeta)) ** nn) * math.exp(log_mag)
             coeffs[jp - nn + s] += term
-    return _norm_checked(CoherentStateCoeffs(labels=_su2_labels(j, mu), zeta=zeta, coeffs=coeffs))
-
-
-def _su2_labels(j: float, mu: float) -> GroupLabels | None:
-    try:
-        from .liealg import physical_from_group_labels
-
-        return physical_from_group_labels(AlgebraKind.SU2, j=j, mu=mu)
-    except NonIntegerError:
-        return None
+    return _norm_checked(CoherentStateCoeffs(zeta=zeta, coeffs=coeffs))
 
 
 def ncs_from_displacement(xi: complex, sector: SectorBasis, excitation: int) -> np.ndarray:

@@ -193,14 +193,15 @@ def tilting_parameters(kind: ModelKind, p: ModelParams) -> TiltingParams:
     is proportional to -S alpha/2 + |f||g|(2 beta + 1) (su(1,1)) or
     -(|g|²-|f|²) delta/2 + |f||g|(2 eps + 1) (su(2)), whose zeros give the
     angles in the module docstring. This branch also leaves the su(2)
-    diagonal with a +S J0 coefficient.
+    diagonal with a +S J0 coefficient. The su(2) angle is atan2 at every
+    coupling, pi at g = 0; the su(1,1) model needs no tilt when f g = 0.
     """
     fa, ga = abs(p.f), abs(p.g)
     algebra = AlgebraKind.SU11 if kind is ModelKind.JC_AJC else AlgebraKind.SU2
-    if fa * ga == 0.0:
-        return TiltingParams(algebra=algebra, theta=0.0, phi=0.0)
     chi = cmath.phase(np.conj(p.f) * p.g)
     if kind is ModelKind.JC_AJC:
+        if fa * ga == 0.0:
+            return TiltingParams(algebra=algebra, theta=0.0, phi=0.0)
         ratio = 2.0 * fa * ga / (fa**2 + ga**2)
         if ratio >= 1.0 - 1e-15:
             raise DegenerateCouplingError(
@@ -419,6 +420,9 @@ class CoupledOscillators:
 
 def special_case_params(case, mc2: float = 1.0, hbar: float = 1.0):
     """(ModelParams, ModelKind) realizing a named special case."""
+    for name, value in (("mc2", mc2), ("hbar", hbar)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     if isinstance(case, Dirac1p1):
         f = math.sqrt(case.omega * mc2 / hbar)
         return ModelParams(g=0.0, f=f, mc2=mc2, hbar=hbar), ModelKind.JC_AJC
@@ -557,6 +561,8 @@ def nonrelativistic_limit_check(
     hbar = 1.0
     if not isinstance(case, (NondegenerateParametricAmplifier, CoupledOscillators)):
         raise TypeError("limit check applies to the amplifier and coupled-oscillator cases")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"limit scale must be positive and finite, got {scale}")
     wbar = 0.5 * (case.omega1 + case.omega2)
     mc2 = scale * hbar * (wbar if wbar > 0 else 1.0)
     p, kind = special_case_params(case, mc2=mc2, hbar=hbar)
@@ -592,9 +598,17 @@ def nonrelativistic_limit_check(
 
 
 def limit_decay_exponent(case, charge: int, index: int, scales) -> float:
-    """Log-log slope of the limit error across ``scales`` (expects ~ -1)."""
+    """Log-log slope of the limit error across ``scales`` (expects ~ -1).
+
+    ValueError unless ``scales`` holds at least two distinct values and
+    every error is positive (an exact limit has no slope).
+    """
+    if len(set(scales)) < 2:
+        raise ValueError(f"decay exponent needs at least two distinct scales, got {list(scales)}")
     errs = [
         nonrelativistic_limit_check(case, charge, index, s).rel_error for s in scales
     ]
+    if not all(e > 0 for e in errs):
+        raise ValueError(f"decay exponent undefined: limit errors {errs} are not all positive")
     slope = np.polyfit(np.log(np.asarray(scales)), np.log(np.asarray(errs)), 1)[0]
     return float(slope)

@@ -2,11 +2,12 @@ import csv
 import io
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from twomode_jcx.cli import main
+from twomode_jcx.cli import emit_rows, main
 
 
 @pytest.fixture
@@ -157,6 +158,47 @@ class TestDomainErrorExitCodes:
     def test_overflow(self, runner, argv):
         _one_line_usage_error(runner.invoke(main, argv), "numeric overflow")
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["limits", "--omega1", "-1"], "frequencies must be nonnegative"),
+        (["wavefunction", "--n-l", "-1"], "n_l and m_n must be nonnegative"),
+        (["wavefunction", "--n-l", "3", "--m-n", "-2"], "n_l and m_n must be nonnegative"),
+        (["wavefunction", "--n-rho", "-1"], "-1"),
+        (["wavefunction", "--zeta-re", "0.5", "--n-l", "-1"], "n must be nonnegative"),
+        (["verify", "--cutoff", "5"], "requested 8 levels from a dim-3 sector"),
+        (["verify", "--cutoff", "0"], "no sector with charge -3 at cutoff 0"),
+        (["verify", "--cutoff", "-3"], "cutoff must be nonnegative"),
+        (["verify", "--seed", "-1"], ""),
+        (["spectrum", "--case", "dirac2p1", "--hbar", "0"], "hbar must be positive"),
+        (["diagonalize", "--case", "ndpa", "--hbar", "0"], "hbar must be positive"),
+        (["limits", "--omega1", "0", "--omega2", "0"], "decay exponent undefined"),
+        (["limits", "--scales", "1e4,1e4"], "at least two distinct scales"),
+        (["limits", "--scales", "-1,1e4"], "limit scale must be positive and finite, got -1.0"),
+        (["limits", "--scales", "0"], "limit scale must be positive and finite, got 0.0"),
+        (["coherent-state", "--k", "inf"], "Bargmann index k must be positive and finite"),
+        (["wavefunction", "--zeta-re", "nan"], "|zeta| < 1"),
+    ])
+    def test_library_errors_end_at_the_group_boundary(self, runner, argv, fragment):
+        _one_line_usage_error(runner.invoke(main, argv), fragment)
+
+    def test_unwritable_out_path(self, runner, tmp_path):
+        out = tmp_path / "missing" / "levels.json"
+        result = runner.invoke(main, ["spectrum", "--nmax", "0", "--out", str(out)])
+        _one_line_usage_error(result, "No such file or directory")
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("{not json", "Expecting property name"),
+        ("[1, 2]", "--config must hold a JSON object of per-command objects"),
+        ('{"spectrum": 5}', "--config must hold a JSON object of per-command objects"),
+    ])
+    def test_bad_config(self, runner, tmp_path, text, fragment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        _one_line_usage_error(runner.invoke(main, ["--config", str(cfg), "spectrum"]), fragment)
+
+    def test_non_finite_metadata_refused(self):
+        with pytest.raises(click.UsageError, match="non-finite number in output"):
+            emit_rows([], "json", None, meta={"decay_exponent": float("nan")})
+
 
 class TestVerifyCommand:
     def test_fast_profile_passes(self, runner):
@@ -194,6 +236,15 @@ class TestVerifyCommand:
         assert [r["anchor"] for r in skipped] == ["spinor-edge-su11"]
         assert "no lower-branch eigenvector" in skipped[0]["detail"]
         assert any(r["anchor"] == "spinor-residual-su11" and r["status"] == "PASS" for r in rows)
+
+    def test_g_zero_passes(self, runner):
+        result = runner.invoke(
+            main, ["verify", "--f-re", "1", "--g-re", "0", "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        rows = json.loads(result.output)["rows"]
+        assert {r["status"] for r in rows} <= {"PASS", "SKIP"}
+        assert any(r["anchor"] == "tilting-su2" and r["status"] == "PASS" for r in rows)
 
     def test_loose_tol_keeps_the_record_tolerances(self, runner):
         args = ["verify", "--cutoff", "60", "--format", "json"]

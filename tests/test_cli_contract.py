@@ -1,0 +1,204 @@
+"""Property tests of the CLI exit-code contract over all six commands.
+
+Every argv ends in one of three ways: exit 0 with strict JSON (no NaN or
+Infinity), exit 1 from ``verify`` with at least one FAIL row, or exit 2
+with one ``Error:`` line. None ends in a traceback. The argv strategies
+draw negative, zero, NaN and infinite values, out-of-range sectors,
+charges and indices, and duplicate or nonpositive ``--scales``; sizes stay
+small (cutoff <= 48, grids <= 24 points, |zeta| <= 0.9 for the coefficient
+sums) so the whole file runs in a few seconds.
+"""
+
+import json
+import math
+
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twomode_jcx.cli import main
+
+
+def _contract(max_examples):
+    """Reproducible runs: fixed examples, no example database, no deadline."""
+    return settings(max_examples=max_examples, derandomize=True, database=None, deadline=None)
+
+
+SPECIALS = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+def _reals(lo, hi):
+    """Finite floats in [lo, hi] or one of the edge values a user can type."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from(SPECIALS))
+
+
+def _flags(options):
+    """argv fragment: each ``--flag value`` pair present or absent."""
+    parts = [
+        st.one_of(st.just([]), values.map(lambda v, flag=flag: [flag, str(v)]))
+        for flag, values in options.items()
+    ]
+    return st.tuples(*parts).map(lambda ps: [tok for part in ps for tok in part])
+
+
+def _model_flags(coupling):
+    return _flags({
+        "--model": st.sampled_from(["jc-ajc", "jc-jc"]),
+        "--case": st.sampled_from(["dirac1p1", "dirac2p1", "ndpa", "coupled-osc"]),
+        "--f-re": coupling,
+        "--f-im": coupling,
+        "--g-re": coupling,
+        "--g-im": coupling,
+        "--omega1": _reals(-1.0, 2.0),
+        "--omega2": _reals(-1.0, 2.0),
+        "--phase": _reals(-4.0, 4.0),
+        "--mc2": _reals(-2.0, 3.0),
+        "--hbar": _reals(-2.0, 3.0),
+    })
+
+
+def _argv(command, *fragments):
+    return st.tuples(*fragments).map(
+        lambda ps: [command, *(tok for part in ps for tok in part), "--format", "json"]
+    )
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _run(argv):
+    """Invoke the CLI and check the part of the contract every command shares."""
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        argv, repr(result.exception))
+    assert "Traceback" not in result.output, (argv, result.output)
+    if result.exit_code == 2:
+        errors = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
+        assert len(errors) == 1, (argv, result.output)
+    if result.exit_code == 0:
+        _strict_json(result.stdout)
+    return result
+
+
+SPECTRUM = _argv(
+    "spectrum",
+    _model_flags(_reals(-3.0, 3.0)),
+    _flags({"--nmax": st.integers(-2, 6), "--mmax": st.integers(-2, 6)}),
+)
+
+DIAGONALIZE = _argv(
+    "diagonalize",
+    _model_flags(_reals(-3.0, 3.0)),
+    _flags({
+        "--cutoff": st.integers(-2, 48),
+        "--count": st.integers(-2, 12),
+        "--component": st.sampled_from(["upper", "lower"]),
+    }),
+    st.lists(st.integers(-60, 60), max_size=3).map(
+        lambda qs: [tok for q in qs for tok in ("--sector", str(q))]
+    ),
+)
+
+# Small couplings let some cutoff <= 48 runs pass, and a tiny --tol turns
+# passes into FAILs, so exits 0 and 1 are drawn as well as 2. The presets and
+# the mc2/hbar checks are shared with spectrum and diagonalize.
+VERIFY_COUPLING = st.sampled_from([0.0, 0.1, 0.2, 0.5, -0.3, 1.0, 2.0, math.nan, math.inf])
+VERIFY = _argv(
+    "verify",
+    _flags({
+        "--f-re": VERIFY_COUPLING,
+        "--f-im": VERIFY_COUPLING,
+        "--g-re": VERIFY_COUPLING,
+        "--g-im": VERIFY_COUPLING,
+        "--cutoff": st.integers(-3, 48),
+        "--seed": st.integers(-2, 5),
+        "--tol": st.sampled_from([1e-30, 1e-8, 1.0, 0.0, -1.0, math.nan, math.inf]),
+    }),
+    st.sampled_from([[], ["--timing"]]),
+)
+
+WAVEFUNCTION = _argv(
+    "wavefunction",
+    _flags({
+        "--n-l": st.integers(-2, 4),
+        "--m-n": st.integers(-2, 4),
+        "--zeta-re": _reals(-0.35, 0.35),
+        "--zeta-im": _reals(-0.35, 0.35),
+        "--rho-max": _reals(-1.0, 6.0),
+        "--n-rho": st.integers(-2, 24),
+        "--n-phi": st.integers(-2, 24),
+    }),
+)
+
+COHERENT_STATE = _argv(
+    "coherent-state",
+    _flags({
+        "--algebra": st.sampled_from(["su11", "su2"]),
+        "--k": _reals(-1.0, 5.0),
+        "--n": st.integers(-2, 12),
+        "--j": st.sampled_from([-1.0, 0.0, 0.3, 0.5, 1.0, 1.5, 3.0, 8.0, math.nan, math.inf]),
+        "--mu": st.one_of(st.integers(-9, 9).map(lambda m: m / 2), st.sampled_from(SPECIALS)),
+        "--zeta-re": _reals(-0.63, 0.63),
+        "--zeta-im": _reals(-0.63, 0.63),
+        "--max-index": st.integers(-2, 60),
+    }),
+)
+
+LIMITS = _argv(
+    "limits",
+    _flags({
+        "--case": st.sampled_from(["ndpa", "coupled-osc"]),
+        "--omega1": _reals(-1.0, 3.0),
+        "--omega2": _reals(-1.0, 3.0),
+        "--phase": _reals(-4.0, 4.0),
+        "--charge": st.integers(-5, 200),
+        "--index": st.integers(-2, 5),
+        "--scales": st.lists(
+            st.sampled_from(["1e4", "1e5", "1e6", "-1", "0", "nan", "inf", "x"]), max_size=4
+        ).map(",".join),
+    }),
+)
+
+
+@_contract(40)
+@given(argv=SPECTRUM)
+def test_spectrum_contract(argv):
+    _run(argv)
+
+
+@_contract(40)
+@given(argv=DIAGONALIZE)
+def test_diagonalize_contract(argv):
+    _run(argv)
+
+
+@_contract(15)
+@given(argv=VERIFY)
+def test_verify_contract(argv):
+    result = _run(argv)
+    if result.exit_code in (0, 1):
+        statuses = {row["status"] for row in _strict_json(result.stdout)["rows"]}
+        assert ("FAIL" in statuses) == (result.exit_code == 1), (argv, statuses)
+
+
+@_contract(30)
+@given(argv=WAVEFUNCTION)
+def test_wavefunction_contract(argv):
+    _run(argv)
+
+
+@_contract(40)
+@given(argv=COHERENT_STATE)
+def test_coherent_state_contract(argv):
+    _run(argv)
+
+
+@_contract(40)
+@given(argv=LIMITS)
+def test_limits_contract(argv):
+    _run(argv)

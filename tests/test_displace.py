@@ -177,6 +177,15 @@ class TestSu11Ncs:
         with pytest.raises(ValueError, match="k must be positive"):
             su11_ncs_coefficients(k, 0, 0.3)
 
+    @pytest.mark.parametrize("k, zeta, match", [
+        (float("inf"), 0.3, "k must be positive and finite"),
+        (float("nan"), 0.3, "k must be positive and finite"),
+        (0.5, complex(float("nan"), 0.0), r"\|zeta\| < 1"),
+    ])
+    def test_non_finite_inputs_rejected_up_front(self, k, zeta, match):
+        with pytest.raises(ValueError, match=match):
+            su11_ncs_coefficients(k, 0, zeta)
+
 
 class TestSu2Ncs:
     def test_zeta_zero_unit_vector(self):

@@ -135,6 +135,16 @@ class TestTilting:
         tp = tilting_parameters(ModelKind.JC_JC, ModelParams(g=1.0, f=1.0))
         assert tp.theta == pytest.approx(np.pi / 2)
 
+    @pytest.mark.parametrize("f", [1.0, 1j, 2.0 - 0.5j])
+    def test_su2_angle_is_pi_at_g_zero(self, f):
+        # atan2(0, -|f|^2) = pi; theta = 0 would leave the f ladder terms.
+        p = ModelParams(g=0.0, f=f)
+        assert tilting_parameters(ModelKind.JC_JC, p).theta == pytest.approx(np.pi)
+        sec = get_sector(build_basis(16), ChargeKind.SUM_NS, 5)
+        rep = verify_tilting(ModelKind.JC_JC, p, sec)
+        assert rep.max_offdiag <= 1e-10
+        assert rep.max_diag_dev <= 1e-10
+
     def test_su11_elimination(self, params_f2_g1):
         basis = build_basis(150)
         for d in (0, -1, 2):
@@ -269,6 +279,16 @@ class TestSpecialCases:
         assert p.g == 0.0
         assert abs(p.f) ** 2 == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("case", [Dirac1p1(0.3), Dirac2p1(0.3),
+                                      NondegenerateParametricAmplifier(1.0, 2.0),
+                                      CoupledOscillators(1.0, 2.0)])
+    @pytest.mark.parametrize("mc2, hbar, name", [
+        (1.0, 0.0, "hbar"), (1.0, -1.0, "hbar"), (0.0, 1.0, "mc2"), (-2.0, 1.0, "mc2"),
+    ])
+    def test_nonpositive_mc2_or_hbar_rejected(self, case, mc2, hbar, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            special_case_params(case, mc2=mc2, hbar=hbar)
+
     def test_dirac2p1_preset(self):
         p, kind = special_case_params(Dirac2p1(0.3))
         assert kind is ModelKind.JC_JC
@@ -388,6 +408,16 @@ class TestNonRelativisticLimits:
             NondegenerateParametricAmplifier(1.0, 2.0), 0, 1, [1e4, 1e5, 1e6]
         )
         assert slope == pytest.approx(-1.0, abs=0.1)
+
+    @pytest.mark.parametrize("scales", [[1e4, 1e4], [1e5], []])
+    def test_decay_exponent_needs_two_distinct_scales(self, scales):
+        with pytest.raises(ValueError, match="two distinct scales"):
+            spectra.limit_decay_exponent(CoupledOscillators(1.0, 2.0), 2, 1, scales)
+
+    @pytest.mark.parametrize("scale", [-1e4, 0.0, float("inf"), float("nan")])
+    def test_scale_outside_domain_named(self, scale):
+        with pytest.raises(ValueError, match=f"limit scale must be positive and finite, got {scale}"):
+            nonrelativistic_limit_check(CoupledOscillators(1.0, 2.0), 2, 1, scale)
 
     def test_zero_frequencies(self):
         rep = nonrelativistic_limit_check(CoupledOscillators(0.0, 0.0), 2, 0, 1e5)
