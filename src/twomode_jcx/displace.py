@@ -21,7 +21,8 @@ Conjugation moves generators inside the algebra:
 
 with alpha = sinh 2|xi|, beta = (cosh 2|xi| - 1)/2, and the su(2) analogues
 carry delta = sin 2|xi|, eps = (cos 2|xi| - 1)/2 and a minus sign on the G0
-transfer of G±.
+transfer of G±. Number coherent states D(xi)|n> are eigenvectors of the
+tilted generator D G0 D†, which is tridiagonal on the irrep ladder.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
-from scipy.special import gammaln
 
 from .errors import ConvergenceError, SectorMismatchError, TailError
 from .fock import SectorBasis
@@ -40,6 +40,11 @@ from .liealg import AlgebraKind, sector_algebra, sector_generators
 
 UNITARITY_TOL = 1e-10
 NCS_NORM_TOL = 1e-10
+NCS_LADDER_TOL = 1e-12  # coefficient change allowed under ladder doubling
+NCS_TAIL_MASS = 1e-24  # coefficient mass left out when the series is trimmed
+BOUNDARY_MASS_TOL = 1e-8
+BOUNDARY_MARGIN = 3
+_PIVMIN = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -228,26 +233,72 @@ class CoherentStateCoeffs:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
+def _boundary_free(v: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvector columns of a hard-truncated ladder that are not
+    pinned to the cut: at most BOUNDARY_MASS_TOL in the top BOUNDARY_MARGIN rows."""
+    margin = min(BOUNDARY_MARGIN, max(1, v.shape[0] - 1))
+    return np.sum(v[-margin:, :] ** 2, axis=0) <= BOUNDARY_MASS_TOL
+
+
+def _det_sign(lam: float, diag: np.ndarray, off: np.ndarray, p: int) -> int:
+    """Sign of det(lam - T[:p, :p]) for the tridiagonal T = (diag, off): the
+    product of its LDLᵀ pivot signs, with a zero pivot taken as tiny negative."""
+    q, sign = 1.0, 1
+    for a, b2 in zip((lam - diag[:p]).tolist(), [0.0] + (off[: max(p - 1, 0)] ** 2).tolist()):
+        q = (a - b2 / q) or -_PIVMIN
+        if q < 0:
+            sign = -sign
+    return sign
+
+
+def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, length: int):
+    """D(xi)|n> on the first ``length`` ladder states |m>, G0 = lowest + m
+    (lowest = k or -j); None when every candidate is pinned to the cut.
+
+    D|n> is the eigenvector, eigenvalue lowest + n, of D G0 D† = c0 G0 +
+    c+ G+ + c- G- (``similarity_coefficients(algebra, -xi).zero``), here in
+    zeta: c0 = (1 ± |zeta|²)/(1 ∓ |zeta|²), c+ = -zeta/(1 ∓ |zeta|²), upper
+    signs su(1,1); the artanh/arctan round trip costs digits as |zeta| -> 1.
+    It is tridiagonal on the ladder, real T in the gauge diag(u^m),
+    u = c+/|c+| (as in ``displacement_direct``), and solved in the window
+    lowest + n ± 1/2. Gauge: c_0 is (-zeta*)^n times a positive number and
+    can underflow, so the sign of w is read at its peak p, where
+    w_p / w_0 = det(lam - T[:p, :p]) / (product of the subdiagonal).
+    """
+    su11 = algebra is AlgebraKind.SU11
+    z = abs(zeta)
+    num, den = (1.0 + z * z, 1.0 - z * z) if su11 else (1.0 - z * z, 1.0 + z * z)
+    m = np.arange(length, dtype=float)
+    span = m[:-1] + 2 * lowest if su11 else -2 * lowest - m[:-1]
+    diag = (num / den) * (lowest + m)
+    off = (z / den) * np.sqrt(m[1:] * span)
+    target = lowest + n
+    w, v = la.eigh_tridiagonal(diag, off, select="v", select_range=(target - 0.5, target + 0.5))
+    if su11:
+        keep = _boundary_free(v)
+        w, v = w[keep], v[:, keep]
+    if not w.size:
+        return None
+    i = int(np.argmin(np.abs(w - target)))
+    vec = v[:, i]
+    p = int(np.argmax(np.abs(vec)))
+    sign = np.sign(vec[p]) * _det_sign(w[i], diag, off, p)
+    # u^m (-zeta*)^n / |zeta|^n = e^{i arg(-zeta) (m - n)}
+    return sign * np.exp(1j * cmath.phase(-zeta) * (m - n)) * vec
+
+
 def su11_ncs_coefficients(
     k: float,
     n: int,
     zeta: complex,
     max_index: int | None = None,
-    tail_tol: float = 1e-12,
 ) -> CoherentStateCoeffs:
-    """Number coherent state |zeta, k, n> in the discrete-series ladder.
+    """Number coherent state |zeta, k, n> = D(xi)|k, n> in the discrete-series ladder.
 
-    Coefficient of |k, r> is the double sum over (j, s) with r = n - j + s:
-
-        sum_j  (zeta^s / s!) ((-zeta*)^j / j!) e^{eta (k + n - j)}
-               sqrt(G(2k+n) G(2k+r)) / G(2k+n-j)
-               sqrt(G(n+1) G(r+1)) / G(n-j+1)
-
-    evaluated with log-Gamma prefactors. The infinite tail over r is cut
-    once a geometric bound on the remaining amplitude mass (sum of |c_r|)
-    drops below ``tail_tol``; TailError if the cap ``max_index`` is too
-    small for that. ValueError unless 0 < k < inf and |zeta| < 1;
-    ConvergenceError when the float64 sum has lost the norm.
+    ``_tilted_state``, with the ladder doubled until it agrees with its
+    double to NCS_LADDER_TOL, then trimmed where the tail mass falls below
+    NCS_TAIL_MASS. TailError when that needs states above ``max_index``
+    (default 100 000); ValueError unless 0 < k < inf and |zeta| < 1.
     """
     if not 0 < k < math.inf:
         raise ValueError(f"Bargmann index k must be positive and finite, got {k}")
@@ -260,107 +311,54 @@ def su11_ncs_coefficients(
         coeffs[n] = 1.0
         return CoherentStateCoeffs(zeta=zeta, coeffs=coeffs)
 
-    eta = math.log(1.0 - abs(zeta) ** 2)
-    az = abs(zeta)
-    hard_cap = max_index if max_index is not None else 100_000
-
-    def coeff(r: int):
-        total = 0.0 + 0.0j
-        mass = 0.0
-        for j in range(max(0, n - r), n + 1):
-            s = r - n + j
-            log_mag = (
-                eta * (k + n - j)
-                + 0.5 * (gammaln(2 * k + n) + gammaln(2 * k + r))
-                - gammaln(2 * k + n - j)
-                + 0.5 * (gammaln(n + 1) + gammaln(r + 1))
-                - gammaln(n - j + 1)
-                - gammaln(s + 1)
-                - gammaln(j + 1)
-            )
-            term = (zeta**s) * ((-np.conj(zeta)) ** j) * math.exp(log_mag)
-            total += term
-            mass += abs(term)
-        return total, mass
-
-    values = []
-    r = 0
+    top = 100_000 if max_index is None else max_index
+    length, prev, change = max(16, 2 * (n + 1)), None, math.inf
     while True:
-        value, mass = coeff(r)
-        values.append(value)
-        # Geometric tail bound on the absolute term mass: for r >= n the
-        # per-step ratio is at most |zeta| sqrt((2k+r)(r+1)) / (r-n+1),
-        # which decreases towards |zeta|. Bounding with the absolute mass
-        # rather than the signed coefficient keeps the bound valid under
-        # cancellation between j-terms.
-        if r >= n + 1:
-            q = az * math.sqrt((2 * k + r + 1) * (r + 2)) / (r - n + 1)
-            if q < 1.0:
-                tail = mass * q / (1.0 - q)
-                if tail < tail_tol:
-                    break
-        if r >= hard_cap:
+        length = min(length, top + 1)
+        state = _tilted_state(AlgebraKind.SU11, k, n, zeta, length) if length > n else None
+        if state is not None and prev is not None:
+            tail = np.linalg.norm(state[prev.size :])
+            change = max(np.max(np.abs(state[: prev.size] - prev)), tail)
+            if change <= NCS_LADDER_TOL:
+                break
+        if length == top + 1:
             raise TailError(
-                f"tail mass not below {tail_tol:.1e} within max_index={hard_cap}"
+                f"coherent-state ladder not converged within max_index={top} "
+                f"(doubling change {change:.1e} > {NCS_LADDER_TOL:.0e})"
             )
-        r += 1
-    coeffs = np.array(values, dtype=complex)
+        prev, length = state, 2 * length
+    tail_mass = np.cumsum(np.abs(state[::-1]) ** 2)[::-1]
+    coeffs = state[: np.count_nonzero(tail_mass >= NCS_TAIL_MASS)]
     return _norm_checked(CoherentStateCoeffs(zeta=zeta, coeffs=coeffs))
 
 
 def _norm_checked(state: CoherentStateCoeffs) -> CoherentStateCoeffs:
-    """``state`` itself; ConvergenceError when |1 - norm²| > NCS_NORM_TOL.
-
-    The alternating double sums cancel catastrophically in float64 at large
-    labels or |zeta|; a truncated tail alone leaves a defect below tail_tol².
-    """
+    """``state`` itself; ConvergenceError when |1 - norm²| > NCS_NORM_TOL."""
     defect = abs(1.0 - state.norm_sq)
     if not defect <= NCS_NORM_TOL:
         raise ConvergenceError(
             f"coherent-state coefficients lost their norm: |1 - norm^2| = {defect:.3e} "
-            f"> {NCS_NORM_TOL:.0e} (float64 cancellation)"
+            f"> {NCS_NORM_TOL:.0e}"
         )
     return state
 
 
 def su2_ncs_coefficients(j: float, mu: float, zeta: complex) -> CoherentStateCoeffs:
-    """Number coherent state |zeta, j, mu>; all sums are finite.
-
-    Coefficient of |j, mu - n + s> accumulates
-
-        (zeta^s / s!) ((-zeta*)^n / n!) e^{eta (mu - n)}
-        G(j-mu+n+1) / G(j+mu-n+1)
-        sqrt( G(j+mu+1) G(j+mu-n+s+1) / (G(j-mu+1) G(j-mu+n-s+1)) )
-
-    over 0 <= n <= j + mu and 0 <= s <= j - mu + n, with
-    eta = ln(1 + |zeta|^2). ConvergenceError when the float64 sum has lost
-    the norm.
-    """
+    """|zeta, j, mu> = D(xi)|j, mu> over the 2j + 1 states: one exact
+    ``_tilted_state``, the Wigner-d method of Feng et al., PRE 92, 043307 (2015)."""
     jp, jm = j + mu, j - mu
     if abs(jp - round(jp)) > 1e-9 or abs(jm - round(jm)) > 1e-9:
         raise ValueError("j + mu and j - mu must be integers")
     jp, jm = int(round(jp)), int(round(jm))
     if jp < 0 or jm < 0:
         raise ValueError("mu must lie in [-j, j]")
-    dim = jp + jm + 1  # 2j + 1
-    coeffs = np.zeros(dim, dtype=complex)
+    if not abs(zeta) * abs(zeta) < math.inf:
+        raise ValueError("su(2) coherent states require a finite |zeta|^2")
     if zeta == 0:
+        coeffs = np.zeros(jp + jm + 1, dtype=complex)
         coeffs[jp] = 1.0
         return CoherentStateCoeffs(zeta=zeta, coeffs=coeffs)
-    eta = math.log(1.0 + abs(zeta) ** 2)
-    for nn in range(jp + 1):
-        for s in range(jm + nn + 1):
-            log_mag = (
-                eta * (mu - nn)
-                + gammaln(jm + nn + 1)
-                - gammaln(jp - nn + 1)
-                + 0.5 * (gammaln(jp + 1) + gammaln(jp - nn + s + 1))
-                - 0.5 * (gammaln(jm + 1) + gammaln(jm + nn - s + 1))
-                - gammaln(s + 1)
-                - gammaln(nn + 1)
-            )
-            term = (zeta**s) * ((-np.conj(zeta)) ** nn) * math.exp(log_mag)
-            coeffs[jp - nn + s] += term
+    coeffs = _tilted_state(AlgebraKind.SU2, -0.5 * (jp + jm), jp, zeta, jp + jm + 1)
     return _norm_checked(CoherentStateCoeffs(zeta=zeta, coeffs=coeffs))
 
 

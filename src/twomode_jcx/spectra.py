@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as la
 
-from .displace import TiltingParams, displacement_direct
+from .displace import TiltingParams, _boundary_free, displacement_direct
 from .errors import DegenerateCouplingError, DomainError, NotConvergedError
 from .fock import ChargeKind, SectorBasis, sector_basis
 from .liealg import AlgebraKind
@@ -62,12 +62,6 @@ class EnergyLevel:
     @property
     def energy_sq(self) -> float:
         return self.energy**2
-
-
-def su2_radical(f: complex, g: complex) -> float:
-    """sqrt((|g|² - |f|²)² + 4 |g|² |f|²), evaluated literally."""
-    fa2, ga2 = abs(f) ** 2, abs(g) ** 2
-    return math.sqrt((ga2 - fa2) ** 2 + 4.0 * ga2 * fa2)
 
 
 def su11_sector_energy_sq(p: ModelParams, d: int, n: int) -> float:
@@ -143,10 +137,11 @@ def analytic_energy_su11(
 
 
 def su2_energy_sq(p: ModelParams, n_l: int, m_n: int, inner_sign: int = 1) -> float:
-    """General closed form for E² of the JC_JC model (inner sign = sign of mu)."""
-    fa2, ga2 = abs(p.f) ** 2, abs(p.g) ** 2
-    s = fa2 + ga2
-    val = p.hbar**2 * (s * (n_l + m_n / 2.0) + inner_sign * 0.5 * su2_radical(p.f, p.g) * m_n)
+    """General closed form for E² of the JC_JC model (inner sign = sign of mu).
+
+    The radical sqrt((|g|² - |f|²)² + 4|g|²|f|²) is S, written so it cannot cancel."""
+    s = abs(p.f) ** 2 + abs(p.g) ** 2
+    val = p.hbar**2 * s * (n_l + m_n / 2.0 + inner_sign * 0.5 * m_n)
     return val + p.mc2**2
 
 
@@ -282,19 +277,14 @@ def verify_tilting(
     )
 
 
-BOUNDARY_MASS_TOL = 1e-8
-BOUNDARY_MARGIN = 3
-
-
 def _interior_eigenvalues(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
     """Lowest eigenvalues whose eigenvectors carry no boundary mass.
 
     Hard truncation can manufacture exact eigenpairs pinned to the top of a
     sector (e.g. a kernel vector of the coupling with |amplitude| growing up
     the ladder becomes normalizable once cut). Such artifacts are invariant
-    under cutoff doubling and must be rejected by eigenvector support: a
-    converged state at the tilting strengths used here leaves mass ~1e-30
-    in the top rows, an artifact leaves O(1).
+    under cutoff doubling and must be rejected by eigenvector support
+    (``displace._boundary_free``).
 
     Eigenpairs are computed for the lowest window of the spectrum, doubled
     until it holds ``count`` interior ones or spans the sector; a kept
@@ -302,12 +292,11 @@ def _interior_eigenvalues(diag: np.ndarray, off: np.ndarray, count: int) -> np.n
     result is that of the full eigendecomposition.
     """
     dim = diag.size
-    margin = min(BOUNDARY_MARGIN, max(1, dim - 1))
     window = count
     while True:
         window = min(dim, 2 * window)
         w, v = la.eigh_tridiagonal(diag, np.abs(off), select="i", select_range=(0, window - 1))
-        keep = np.sum(v[-margin:, :] ** 2, axis=0) <= BOUNDARY_MASS_TOL
+        keep = _boundary_free(v)
         if np.count_nonzero(keep) >= count or window == dim:
             break
     vals = w[keep]

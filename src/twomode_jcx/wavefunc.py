@@ -62,8 +62,9 @@ def laguerre(n: int, alpha, x):
 def oscillator_wavefunction(n_l: int, m_n: int, rho, phi):
     """Normalized polar oscillator eigenfunction psi_{n_l, m_n}(rho, phi).
 
-    The Gamma-ratio prefactor is evaluated in the log domain, so large
-    quantum numbers do not overflow. Accepts scalar or array rho/phi.
+    The Gamma-ratio prefactor is evaluated in the log domain, but rho**m_n
+    is formed directly and overflows at large m_n. Accepts scalar or array
+    rho/phi.
     """
     if n_l < 0 or m_n < 0:
         raise ValueError("n_l and m_n must be nonnegative")
@@ -87,17 +88,16 @@ def ncs_wavefunction_series(
     m_n: int,
     rho,
     phi,
-    tail_tol: float = 1e-12,
 ):
     """Coherent-state wavefunction as a coefficient series.
 
     Sum of su(1,1) number-coherent-state coefficients (Bargmann index
     k = (m_n+1)/2, excitation n_l) times oscillator eigenfunctions of
-    fixed m_n and running radial number. Truncation follows the
-    coefficient tail bound; TailError propagates from there.
+    fixed m_n and running radial number. The series ends where the
+    coefficients are trimmed; TailError propagates from there.
     """
     k = 0.5 * (m_n + 1)
-    coeffs = su11_ncs_coefficients(k, n_l, zeta, tail_tol=tail_tol).coeffs
+    coeffs = su11_ncs_coefficients(k, n_l, zeta).coeffs
     rho = np.asarray(rho, dtype=float)
     phi = np.asarray(phi, dtype=float)
     out = np.zeros(np.broadcast(rho, phi).shape, dtype=complex)

@@ -5,8 +5,8 @@ Infinity), exit 1 from ``verify`` with at least one FAIL row, or exit 2
 with one ``Error:`` line. None ends in a traceback. The argv strategies
 draw negative, zero, NaN and infinite values, out-of-range sectors,
 charges and indices, and duplicate or nonpositive ``--scales``; sizes stay
-small (cutoff <= 48, grids <= 24 points, |zeta| <= 0.9 for the coefficient
-sums) so the whole file runs in a few seconds.
+small (cutoff <= 48, grids <= 24 points) so the whole file runs in a few
+seconds; coherent states reach j = 300, n = 200 and |zeta| = 0.99.
 """
 
 import json
@@ -140,11 +140,17 @@ COHERENT_STATE = _argv(
     _flags({
         "--algebra": st.sampled_from(["su11", "su2"]),
         "--k": _reals(-1.0, 5.0),
-        "--n": st.integers(-2, 12),
-        "--j": st.sampled_from([-1.0, 0.0, 0.3, 0.5, 1.0, 1.5, 3.0, 8.0, math.nan, math.inf]),
-        "--mu": st.one_of(st.integers(-9, 9).map(lambda m: m / 2), st.sampled_from(SPECIALS)),
-        "--zeta-re": _reals(-0.63, 0.63),
-        "--zeta-im": _reals(-0.63, 0.63),
+        "--n": st.integers(-2, 200),
+        "--j": st.sampled_from(
+            [-1.0, 0.0, 0.3, 0.5, 1.0, 1.5, 3.0, 8.0, 24.0, 299.5, 300.0, math.nan, math.inf]
+        ),
+        "--mu": st.one_of(
+            st.integers(-9, 9).map(lambda m: m / 2),
+            st.integers(-600, 600).map(lambda m: m / 2),
+            st.sampled_from(SPECIALS),
+        ),
+        "--zeta-re": _reals(-0.99, 0.99),
+        "--zeta-im": _reals(-0.99, 0.99),
         "--max-index": st.integers(-2, 60),
     }),
 )

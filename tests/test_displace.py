@@ -164,6 +164,14 @@ class TestSu11Ncs:
         m = min(len(c.coeffs), len(col))
         assert np.max(np.abs(c.coeffs[:m] - col[:m])) <= 1e-8
 
+    def test_series_trimmed_at_tail_mass(self, basis100):
+        # The trim drops a tail of mass below 1e-24 and keeps the rest.
+        zeta = 0.45j
+        size = len(su11_ncs_coefficients(1.0, 2, zeta).coeffs)
+        sec = get_sector(basis100, ChargeKind.DIFFERENCE_ND, 1)
+        col = ncs_from_displacement(zeta_to_xi(AlgebraKind.SU11, zeta), sec, 2)
+        assert np.sum(np.abs(col[size:]) ** 2) < 1e-24 <= np.sum(np.abs(col[size - 1 :]) ** 2)
+
     def test_tail_error_when_capped(self):
         with pytest.raises(TailError):
             su11_ncs_coefficients(0.5, 1, 0.6, max_index=5)
@@ -225,6 +233,8 @@ class TestSu2Ncs:
             su2_ncs_coefficients(1.0, 0.3, 0.2)
         with pytest.raises(ValueError):
             su2_ncs_coefficients(1.0, -2.0, 0.2)
+        with pytest.raises(ValueError, match="finite"):
+            su2_ncs_coefficients(1.0, 0.0, complex(float("nan"), 0.0))
 
 
 class TestRandomizedUnitarity:

@@ -14,7 +14,13 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from twomode_jcx import fock
-from twomode_jcx.displace import TiltingParams, displacement_direct, displacement_normal
+from twomode_jcx.displace import (
+    BOUNDARY_MARGIN,
+    BOUNDARY_MASS_TOL,
+    TiltingParams,
+    displacement_direct,
+    displacement_normal,
+)
 from twomode_jcx.errors import NotConvergedError, SectorMismatchError
 from twomode_jcx.fock import (
     ChargeKind,
@@ -47,8 +53,6 @@ from twomode_jcx.models import (
     sector_tridiagonal,
 )
 from twomode_jcx.spectra import (
-    BOUNDARY_MARGIN,
-    BOUNDARY_MASS_TOL,
     CoupledOscillators,
     NondegenerateParametricAmplifier,
     nonrelativistic_limit_check,

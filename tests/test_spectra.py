@@ -93,6 +93,13 @@ class TestAnalyticSu2:
             s = abs(params_f2_g1.f) ** 2 + abs(params_f2_g1.g) ** 2
             assert plus - 1.0 == pytest.approx(s * n_l)
 
+    @pytest.mark.parametrize("m_n", [1, 2, 3])
+    def test_one_coupling_dwarfing_the_other(self, m_n):
+        # Inner minus at n_l = 0 is m²c⁴ exactly, and the literal radical
+        # sqrt((|g|²-|f|²)² + 4|g|²|f|²) cancels at these couplings.
+        p = ModelParams(g=1e8, f=3.0)
+        assert su2_energy_sq(p, 0, m_n, -1) == 1.0
+
     def test_rewritten_form_identical(self, rng):
         for _ in range(50):
             p = ModelParams(
