@@ -91,7 +91,6 @@ from .spectra import (
 )
 from .wavefunc import (
     ClosedFormParams,
-    RadialPoint,
     closed_form_comparison,
     laguerre,
     ncs_wavefunction_closed,

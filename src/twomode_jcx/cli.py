@@ -19,7 +19,7 @@ import numpy as np
 
 from . import spectra, wavefunc
 from .displace import su11_ncs_coefficients, su2_ncs_coefficients
-from .errors import TwoModeJcxError
+from .errors import QuadratureError, TwoModeJcxError
 # build_basis stays bound here: the benchmark's span tests (bench/) check
 # that by-name imports such as cli.build_basis are traced and restored.
 from .fock import ChargeKind, build_basis, sector_basis  # noqa: F401
@@ -28,6 +28,8 @@ from .parallel import parallel_map
 from .verify import run_verification_suite
 
 SCHEMA_VERSION = 1
+# wavefunction norm: node-doubling change and |norm - 1| (README, bench)
+NORM_TOL = 1e-7
 
 _CASES = {
     "dirac1p1": lambda o1, o2, ph: spectra.Dirac1p1(o1),
@@ -286,37 +288,34 @@ def verify(**params):
 @click.option("--rho-max", type=float, default=4.0, show_default=True)
 @click.option("--n-rho", type=int, default=100, show_default=True)
 @click.option("--n-phi", type=int, default=64, show_default=True)
-@np.errstate(over="raise")  # overflow raises FloatingPointError, not a warning
+@np.errstate(over="raise")  # rho**2 at a huge --rho-max: an error, not a warning
 def wavefunction(**params):
-    """Sample the oscillator or coherent-state wavefunction on a polar grid."""
+    """Sample the oscillator (zeta = 0) or coherent-state wavefunction on a
+    polar grid; exit 2 unless its quadrature norm is certified to NORM_TOL."""
+    if not 0.0 <= params["rho_max"] < math.inf:
+        raise click.UsageError(f"--rho-max must be nonnegative and finite, got {params['rho_max']}")
     zeta = complex(params["zeta_re"], params["zeta_im"])
     n_l, m_n = params["n_l"], params["m_n"]
-    if zeta == 0:
-        fn = lambda r, p: wavefunc.oscillator_wavefunction(n_l, m_n, r, p)
-    else:
-        fn = lambda r, p: wavefunc.ncs_wavefunction_series(zeta, n_l, m_n, r, p)
+    fn = lambda r, p: wavefunc.ncs_wavefunction_series(zeta, n_l, m_n, r, p)
     rho = np.linspace(0.0, params["rho_max"], params["n_rho"])
     phi = np.linspace(0.0, 2 * np.pi, params["n_phi"], endpoint=False)
-    rr, pp = np.meshgrid(rho, phi, indexing="ij")
-    vals = fn(rr, pp)
-    norm = wavefunc.quadrature_inner_product(fn, fn).value.real
+    quad = wavefunc.quadrature_inner_product(fn, fn, tol=NORM_TOL)
+    norm = quad.value.real
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise QuadratureError(f"quadrature norm {norm:.9g} is not 1 within {NORM_TOL:.0e}; "
+                              "the state is not resolved by the Gauss-Laguerre rule")
     rows = [
-        {
-            "rho": float(rr[i, j]),
-            "phi": float(pp[i, j]),
-            "re": float(vals[i, j].real),
-            "im": float(vals[i, j].imag),
-            "abs2": float(np.abs(vals[i, j]) ** 2),
-        }
-        for i in range(rr.shape[0])
-        for j in range(rr.shape[1])
+        {"rho": float(r), "phi": float(p), "re": float(v.real), "im": float(v.imag),
+         "abs2": float(np.abs(v) ** 2)}
+        for r, vals_r in zip(rho, fn(rho[:, None], phi[None, :]))
+        for p, v in zip(phi, vals_r)
     ]
     emit_rows(
         rows,
         params["fmt"],
         params["out_path"],
-        meta={"norm_estimate": norm, "n_l": n_l, "m_n": m_n,
-              "zeta_re": zeta.real, "zeta_im": zeta.imag},
+        meta={"norm_estimate": norm, "norm_error_estimate": quad.error_estimate,
+              "n_l": n_l, "m_n": m_n, "zeta_re": zeta.real, "zeta_im": zeta.imag},
     )
 
 

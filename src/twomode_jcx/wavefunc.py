@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre, roots_legendre
+from scipy.special import gammaln, roots_genlaguerre, roots_legendre, xlogy
 
 from .displace import su11_ncs_coefficients
 from .errors import QuadratureError, SingularParameterError
@@ -27,25 +27,13 @@ from .errors import QuadratureError, SingularParameterError
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class RadialPoint:
-    """Polar sample point (dimensionless oscillator radius, angle)."""
-
-    rho: float
-    phi_angle: float
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-
-
 def laguerre(n: int, alpha, x):
     """Associated Laguerre polynomial L_n^alpha by the three-term recurrence.
 
     (k+1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}
 
-    Stable for the argument ranges used here; ``x`` may be a scalar or
-    array, real or complex.
+    Serves the closed forms, whose arguments are complex; ``x`` may be a
+    scalar or array, real or complex.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -59,27 +47,44 @@ def laguerre(n: int, alpha, x):
     return cur if cur.shape else cur[()]
 
 
+def _radial_series(coeffs, m_n: int, rho, phi):
+    """Sum_r coeffs[r] psi_{r, m_n}(rho, phi) in one pass over the radial orders.
+
+    With x = rho^2, the normalized radial factors l_r of psi_{r, m} obey
+    l_{r+1} = -[(2r+1+m-x) l_r + sqrt(r (r+m)) l_{r-1}] / sqrt((r+1)(r+1+m))
+    from l_0 = rho^m e^{-x/2} / sqrt(pi m!). l_r is carried as a value times
+    exp(log_scale); l_0's factors start in the log domain and values above
+    1e150 move into the scale, so nothing overflows or underflows at rho = 0
+    or large m, r. rho >= 0; the phase e^{i m phi} broadcasts against it.
+    """
+    rho = np.asarray(rho, dtype=float)
+    x = rho**2
+    log_scale = xlogy(m_n, rho) - 0.5 * x - 0.5 * gammaln(m_n + 1)
+    prev, cur = 0.0, np.full(x.shape, 1.0 / _SQRT_PI)
+    radial = np.zeros(x.shape, dtype=complex)
+    for r, c in enumerate(coeffs):
+        if r:
+            prev, cur = cur, -(
+                (2 * r - 1 + m_n - x) * cur + math.sqrt((r - 1) * (r - 1 + m_n)) * prev
+            ) / math.sqrt(r * (r + m_n))
+            if np.max(np.abs(cur), initial=0.0) > 1e150:
+                s = np.maximum(np.abs(cur), 1.0)
+                prev, cur, radial, log_scale = prev / s, cur / s, radial / s, log_scale + np.log(s)
+        if c:
+            radial += c * cur
+    val = radial * np.exp(log_scale) * np.exp(1j * m_n * phi)
+    return val if val.ndim else complex(val)
+
+
 def oscillator_wavefunction(n_l: int, m_n: int, rho, phi):
     """Normalized polar oscillator eigenfunction psi_{n_l, m_n}(rho, phi).
 
-    The Gamma-ratio prefactor is evaluated in the log domain, but rho**m_n
-    is formed directly and overflows at large m_n. Accepts scalar or array
-    rho/phi.
+    ``_radial_series`` with the unit coefficient vector e_{n_l}; finite for
+    any labels. Accepts scalar or array rho >= 0 and phi.
     """
     if n_l < 0 or m_n < 0:
         raise ValueError("n_l and m_n must be nonnegative")
-    rho = np.asarray(rho, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    log_norm = 0.5 * (gammaln(n_l + 1) - gammaln(n_l + m_n + 1))
-    pref = ((-1) ** n_l) * math.exp(log_norm) / _SQRT_PI
-    val = (
-        pref
-        * np.exp(1j * m_n * phi)
-        * rho**m_n
-        * laguerre(n_l, m_n, rho**2)
-        * np.exp(-0.5 * rho**2)
-    )
-    return val if np.ndim(val) else complex(val)
+    return _radial_series(np.eye(1, n_l + 1, n_l)[0], m_n, rho, phi)
 
 
 def ncs_wavefunction_series(
@@ -93,19 +98,13 @@ def ncs_wavefunction_series(
 
     Sum of su(1,1) number-coherent-state coefficients (Bargmann index
     k = (m_n+1)/2, excitation n_l) times oscillator eigenfunctions of
-    fixed m_n and running radial number. The series ends where the
-    coefficients are trimmed; TailError propagates from there.
+    fixed m_n and running radial number, in one ``_radial_series`` pass.
+    It ends where the coefficients are trimmed; TailError propagates.
     """
-    k = 0.5 * (m_n + 1)
-    coeffs = su11_ncs_coefficients(k, n_l, zeta).coeffs
-    rho = np.asarray(rho, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    out = np.zeros(np.broadcast(rho, phi).shape, dtype=complex)
-    for r, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        out = out + c * oscillator_wavefunction(r, m_n, rho, phi)
-    return out if out.shape else complex(out)
+    if n_l < 0 or m_n < 0:
+        raise ValueError("n_l and m_n must be nonnegative")
+    coeffs = su11_ncs_coefficients(0.5 * (m_n + 1), n_l, zeta).coeffs
+    return _radial_series(coeffs, m_n, rho, phi)
 
 
 @dataclass(frozen=True)
@@ -298,7 +297,8 @@ def quadrature_inner_product(
 ) -> QuadratureResult:
     """integr f*(rho,phi) g(rho,phi) rho drho dphi with a node-doubling error estimate.
 
-    ``f`` and ``g`` are callables of (rho, phi) broadcastable over arrays.
+    ``f`` and ``g`` are callables of (rho, phi) broadcastable over arrays;
+    when ``g is f`` it is evaluated once per node set.
     QuadratureError when an explicit ``tol`` is given and node doubling
     moves the result by more than it.
     """
@@ -307,7 +307,8 @@ def quadrature_inner_product(
         rho, w_rho, phi, w_phi = _polar_nodes(nr, nph)
         rr = rho[:, None]
         pp = phi[None, :]
-        vals = np.conj(f(rr, pp)) * g(rr, pp)
+        fv = f(rr, pp)
+        vals = np.conj(fv) * (fv if g is f else g(rr, pp))
         return complex(np.einsum("i,j,ij->", w_rho, w_phi, vals))
 
     coarse = evaluate(n_rho, n_phi)

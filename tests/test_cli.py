@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import click
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from twomode_jcx.cli import emit_rows, main
+from twomode_jcx.wavefunc import oscillator_wavefunction
 
 
 @pytest.fixture
@@ -143,12 +145,6 @@ class TestDomainErrorExitCodes:
         result = runner.invoke(main, [command, *flags])
         _one_line_usage_error(result, fragment)
 
-    @pytest.mark.parametrize("argv", [
-        ["wavefunction", "--n-l", "400", "--m-n", "300"],
-    ])
-    def test_overflow(self, runner, argv):
-        _one_line_usage_error(runner.invoke(main, argv), "numeric overflow")
-
     @pytest.mark.parametrize("argv, fragment", [
         (["limits", "--omega1", "-1"], "frequencies must be nonnegative"),
         (["wavefunction", "--n-l", "-1"], "n_l and m_n must be nonnegative"),
@@ -167,6 +163,7 @@ class TestDomainErrorExitCodes:
         (["limits", "--scales", "0"], "limit scale must be positive and finite, got 0.0"),
         (["coherent-state", "--k", "inf"], "Bargmann index k must be positive and finite"),
         (["wavefunction", "--zeta-re", "nan"], "|zeta| < 1"),
+        (["wavefunction", "--n-l", "400", "--m-n", "300"], "under node doubling"),
     ])
     def test_library_errors_end_at_the_group_boundary(self, runner, argv, fragment):
         _one_line_usage_error(runner.invoke(main, argv), fragment)
@@ -266,6 +263,7 @@ class TestWavefunctionCommand:
         assert len(rows) == 20 * 8
         assert list(rows[0].keys()) == ["rho", "phi", "re", "im", "abs2"]
         assert abs(float(meta["norm_estimate"]) - 1.0) <= 1e-6
+        assert 0.0 <= float(meta["norm_error_estimate"]) <= 1e-7
 
     def test_zeta_zero_matches_oscillator_file(self, runner):
         base = ["wavefunction", "--n-l", "1", "--m-n", "1", "--n-rho", "10",
@@ -273,6 +271,42 @@ class TestWavefunctionCommand:
         r1 = runner.invoke(main, base)
         r2 = runner.invoke(main, base + ["--zeta-re", "0", "--zeta-im", "0"])
         assert r1.output == r2.output
+        # every sample is the oscillator eigenfunction, to the last printed digit
+        rows, _ = parse_csv(r1.output)
+        for row in rows:
+            want = oscillator_wavefunction(1, 1, float(row["rho"]), float(row["phi"]))
+            assert (row["re"], row["im"]) == (f"{want.real:.17g}", f"{want.imag:.17g}")
+
+    @pytest.mark.parametrize("argv", [
+        ["--zeta-re", "0.99", "--n-l", "2", "--m-n", "1"],
+        ["--zeta-re", "0.9", "--n-l", "4", "--m-n", "4", "--n-rho", "4", "--n-phi", "4"],
+        ["--zeta-re", "0.3", "--n-l", "50", "--m-n", "200"],
+    ])
+    def test_uncertified_norm_exits_2(self, runner, argv):
+        # node doubling exposes these; each used to print a wrong norm_estimate
+        _one_line_usage_error(runner.invoke(main, ["wavefunction", *argv]), "under node doubling")
+
+    def test_norm_off_one_exits_2(self, runner):
+        # no node reaches the peak at rho^2 ~ 2000: both rules agree on norm 0
+        result = runner.invoke(main, ["wavefunction", "--m-n", "2000"])
+        _one_line_usage_error(result, "quadrature norm 0 is not 1 within 1e-07")
+
+    @pytest.mark.parametrize("value", ["-1", "-inf", "inf", "nan"])
+    def test_bad_rho_max(self, runner, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["wavefunction", "--rho-max", value])
+        _one_line_usage_error(result, "--rho-max must be nonnegative and finite")
+
+    def test_zeta_0_6_certified(self, runner):
+        result = runner.invoke(
+            main, ["wavefunction", "--zeta-re", "0.6", "--n-l", "6", "--m-n", "6",
+                   "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        meta = json.loads(result.output)["meta"]
+        assert abs(meta["norm_estimate"] - 1.0) <= 1e-7
+        assert meta["norm_error_estimate"] <= 1e-7
 
     def test_deterministic(self, runner):
         args = ["wavefunction", "--n-l", "1", "--m-n", "2", "--zeta-re", "0.2",

@@ -6,7 +6,9 @@ with one ``Error:`` line. None ends in a traceback. The argv strategies
 draw negative, zero, NaN and infinite values, out-of-range sectors,
 charges and indices, and duplicate or nonpositive ``--scales``; sizes stay
 small (cutoff <= 48, grids <= 24 points) so the whole file runs in a few
-seconds; coherent states reach j = 300, n = 200 and |zeta| = 0.99.
+seconds; coherent states reach j = 300, n = 200 and |zeta| = 0.99, and
+wavefunctions n_l, m_n = 40 and |zeta| components 0.99, where an exit 0
+must carry a norm within 1e-7 of 1.
 """
 
 import json
@@ -125,10 +127,10 @@ VERIFY = _argv(
 WAVEFUNCTION = _argv(
     "wavefunction",
     _flags({
-        "--n-l": st.integers(-2, 4),
-        "--m-n": st.integers(-2, 4),
-        "--zeta-re": _reals(-0.35, 0.35),
-        "--zeta-im": _reals(-0.35, 0.35),
+        "--n-l": st.integers(-2, 40),
+        "--m-n": st.integers(-2, 40),
+        "--zeta-re": _reals(-0.99, 0.99),
+        "--zeta-im": _reals(-0.99, 0.99),
         "--rho-max": _reals(-1.0, 6.0),
         "--n-rho": st.integers(-2, 24),
         "--n-phi": st.integers(-2, 24),
@@ -195,7 +197,10 @@ def test_verify_contract(argv):
 @_contract(30)
 @given(argv=WAVEFUNCTION)
 def test_wavefunction_contract(argv):
-    _run(argv)
+    result = _run(argv)
+    if result.exit_code == 0:
+        norm = _strict_json(result.stdout)["meta"]["norm_estimate"]
+        assert abs(norm - 1.0) <= 1e-7, (argv, norm)
 
 
 @_contract(40)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from twomode_jcx.errors import QuadratureError, SingularParameterError
 from twomode_jcx.wavefunc import (
     ClosedFormParams,
-    RadialPoint,
     closed_form_comparison,
     laguerre,
     ncs_wavefunction_closed,
@@ -12,6 +12,16 @@ from twomode_jcx.wavefunc import (
     oscillator_wavefunction,
     quadrature_inner_product,
 )
+
+
+def reference_wavefunction(n, m, rho, phi):
+    """psi_{n,m} from scipy's Laguerre polynomials, independent of wavefunc."""
+    log_norm = 0.5 * (gammaln(n + 1) - gammaln(n + m + 1))
+    return (
+        (-1) ** n * np.exp(log_norm) / np.sqrt(np.pi)
+        * rho**m * eval_genlaguerre(n, m, rho**2) * np.exp(-0.5 * rho**2)
+        * np.exp(1j * m * phi)
+    )
 
 
 class TestLaguerre:
@@ -83,6 +93,25 @@ class TestOscillatorWavefunction:
         val = oscillator_wavefunction(90, 40, 2.0, 0.1)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
+    def test_matches_scipy_reference(self):
+        rho = np.linspace(0.0, 12.0, 241)
+        phi = np.linspace(0.0, 2 * np.pi, 241)
+        for n in range(31):
+            for m in range(31):
+                want = reference_wavefunction(n, m, rho, phi)
+                have = oscillator_wavefunction(n, m, rho, phi)
+                assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want)), (n, m)
+
+    @pytest.mark.parametrize("n_l,m_n,rho_max", [(400, 300, 70.0), (1000, 500, 90.0)])
+    def test_high_orders_stay_normalized(self, n_l, m_n, rho_max):
+        # rho^300 overflows near rho = 11, and rho^m e^{-rho^2/2} underflows
+        # inside the support of psi_{1000, 500}; the scaled recurrence does neither
+        rho = np.linspace(0.0, rho_max, 30_001)
+        val = oscillator_wavefunction(n_l, m_n, rho, 0.0)
+        assert np.all(np.isfinite(val))
+        norm = 2 * np.pi * np.trapezoid(np.abs(val) ** 2 * rho, rho)
+        assert abs(norm - 1.0) <= 1e-10
+
 
 class TestNcsSeries:
     def test_zeta_zero_reduces(self):
@@ -96,21 +125,17 @@ class TestNcsSeries:
         res = quadrature_inner_product(fn, fn)
         assert abs(res.value - 1.0) <= 1e-8
 
-    def test_matches_coefficient_reconstruction(self, rng):
-        # oracle: rebuild from the coefficient vector directly
+    @pytest.mark.parametrize("zeta,n_l,m_n", [(0.25 - 0.3j, 2, 2), (0.6j, 5, 3), (-0.7, 1, 6)])
+    def test_matches_per_term_reference(self, zeta, n_l, m_n, rng):
+        # oracle: the coefficient vector times scipy's eigenfunctions, term by term
         from twomode_jcx.displace import su11_ncs_coefficients
 
-        zeta, n_l, m_n = 0.25 - 0.3j, 2, 2
         coeffs = su11_ncs_coefficients(0.5 * (m_n + 1), n_l, zeta).coeffs
-        for _ in range(20):
-            r = rng.uniform(0.05, 3.0)
-            p = rng.uniform(0, 2 * np.pi)
-            direct = sum(
-                c * oscillator_wavefunction(i, m_n, r, p) for i, c in enumerate(coeffs)
-            )
-            assert ncs_wavefunction_series(zeta, n_l, m_n, r, p) == pytest.approx(
-                direct, abs=1e-9
-            )
+        r = rng.uniform(0.0, 6.0, 200)
+        p = rng.uniform(0, 2 * np.pi, 200)
+        direct = sum(c * reference_wavefunction(i, m_n, r, p) for i, c in enumerate(coeffs))
+        series = ncs_wavefunction_series(zeta, n_l, m_n, r, p)
+        assert np.max(np.abs(series - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_norm_invariant_under_zeta_phase(self):
         norms = []
@@ -183,17 +208,17 @@ class TestQuadrature:
         with pytest.raises(QuadratureError):
             quadrature_inner_product(bad, bad, n_rho=16, n_phi=8, tol=1e-10)
 
+    def test_integrand_evaluated_once_per_node_set_when_g_is_f(self):
+        calls = []
+
+        def fn(r, p):
+            calls.append(r.shape)
+            return oscillator_wavefunction(1, 1, r, p)
+
+        quadrature_inner_product(fn, fn, n_rho=16, n_phi=8)
+        assert len(calls) == 2
+
     def test_error_estimate_returned(self):
         fn = lambda r, p: oscillator_wavefunction(1, 0, r, p)
         res = quadrature_inner_product(fn, fn)
         assert res.error_estimate >= 0.0
-
-
-class TestRadialPoint:
-    def test_fields(self):
-        pt = RadialPoint(rho=1.5, phi_angle=0.3)
-        assert pt.rho == 1.5
-
-    def test_negative_rho_rejected(self):
-        with pytest.raises(ValueError):
-            RadialPoint(rho=-0.1, phi_angle=0.0)
