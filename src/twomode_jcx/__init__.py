@@ -47,6 +47,7 @@ from .liealg import (
     su2_generators,
     su11_generators,
     verify_algebra,
+    verify_sector_algebra,
 )
 from .displace import (
     CoherentStateCoeffs,
@@ -64,12 +65,15 @@ from .models import (
     Component,
     ModelKind,
     ModelParams,
+    SectorPair,
     SpinorState,
     build_full_hamiltonian,
     build_kg_operator,
     build_spinor,
     eigen_residual,
     lower_from_upper,
+    sector_pair,
+    sector_spinor,
     sector_tridiagonal,
 )
 from .spectra import (

@@ -44,6 +44,12 @@ NCS_LADDER_TOL = 1e-12  # coefficient change allowed under ladder doubling
 NCS_TAIL_MASS = 1e-24  # coefficient mass left out when the series is trimmed
 BOUNDARY_MASS_TOL = 1e-8
 BOUNDARY_MARGIN = 3
+# Longest irrep ladder a coherent state may request (su(1,1) max_index + 1,
+# su(2) 2j + 1). The solve holds about 110 bytes per ladder state (the
+# tridiagonal, its eigenvector window, LAPACK's stebz/stein workspace and
+# the phased result), about 15 MB here; the cap admits the default
+# su(1,1) max_index of 100 000.
+MAX_LADDER_LENGTH = 1 << 17
 _PIVMIN = np.finfo(float).tiny
 
 
@@ -133,18 +139,37 @@ def displacement_direct(xi: complex, sector: SectorBasis) -> np.ndarray:
 def displacement_normal(params: TiltingParams, sector: SectorBasis) -> np.ndarray:
     """Normal-form product exp(zeta G+) exp(eta G0) exp(-zeta* G-) on a sector.
 
+    Each factor is in closed form: G+ is nilpotent on the ladder
+    (``_raising_exp``), and exp(eta G0) scales rows.
     SectorMismatchError when ``params.algebra`` is not the sector's algebra.
     """
     if params.algebra is not sector_algebra(sector):
         raise SectorMismatchError(
             f"{params.algebra.value} parameters on a {sector.charge_kind.value} sector"
         )
-    g0, gp, gm = _sector_triple(sector)
-    zeta, eta = params.zeta, params.eta
-    left = la.expm(zeta * gp)
-    mid = np.diag(np.exp(eta * np.diag(g0)))
-    right = la.expm(-np.conj(zeta) * gm)
-    return left @ mid @ right
+    g0, sub = sector_generators(sector)
+    zeta = params.zeta
+    # G- = G+ᵀ with real amplitudes, so exp(-zeta* G-) = exp(-zeta* G+)ᵀ.
+    right = np.exp(params.eta * g0)[:, None] * _raising_exp(-np.conj(zeta), sub).T
+    return _raising_exp(zeta, sub) @ right
+
+
+def _raising_exp(c: complex, sub: np.ndarray) -> np.ndarray:
+    """exp(c G+) for the nilpotent G+ with subdiagonal ``sub``, in closed form.
+
+    Column j is sum_k c^k/k! (G+)^k e_j, so its entries obey
+    e_{j+k, j} = e_{j+k-1, j} c sub[j+k-1] / k: each subdiagonal band is the
+    one above it times c sub / k. O(dim²), no series or scaling-and-squaring.
+    """
+    dim = sub.size + 1
+    out = np.zeros((dim, dim), dtype=complex)
+    flat = out.reshape(-1)  # band k starts at flat index k dim, stride dim + 1
+    band = np.ones(dim, dtype=complex)
+    flat[:: dim + 1] = band
+    for k in range(1, dim):
+        band = band[:-1] * (c / k) * sub[k - 1 :]
+        flat[k * dim :: dim + 1] = band
+    return out
 
 
 @dataclass(frozen=True)
@@ -298,7 +323,8 @@ def su11_ncs_coefficients(
     ``_tilted_state``, with the ladder doubled until it agrees with its
     double to NCS_LADDER_TOL, then trimmed where the tail mass falls below
     NCS_TAIL_MASS. TailError when that needs states above ``max_index``
-    (default 100 000); ValueError unless 0 < k < inf and |zeta| < 1.
+    (default 100 000); ValueError unless 0 < k < inf and |zeta| < 1, and
+    when ``max_index`` + 1 or n + 1 exceeds MAX_LADDER_LENGTH.
     """
     if not 0 < k < math.inf:
         raise ValueError(f"Bargmann index k must be positive and finite, got {k}")
@@ -306,12 +332,14 @@ def su11_ncs_coefficients(
         raise ValueError("su(1,1) coherent states require |zeta| < 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    top = 100_000 if max_index is None else max_index
+    _check_ladder_length(top + 1, "max_index + 1")
+    _check_ladder_length(n + 1, "n + 1")
     if zeta == 0:
         coeffs = np.zeros(n + 1, dtype=complex)
         coeffs[n] = 1.0
         return CoherentStateCoeffs(zeta=zeta, coeffs=coeffs)
 
-    top = 100_000 if max_index is None else max_index
     length, prev, change = max(16, 2 * (n + 1)), None, math.inf
     while True:
         length = min(length, top + 1)
@@ -332,6 +360,14 @@ def su11_ncs_coefficients(
     return _norm_checked(CoherentStateCoeffs(zeta=zeta, coeffs=coeffs))
 
 
+def _check_ladder_length(length: int, what: str) -> None:
+    """ValueError, before anything is allocated, when ``length`` ladder states exceed the cap."""
+    if length > MAX_LADDER_LENGTH:
+        raise ValueError(
+            f"{what} = {float(length):.6g} ladder states exceeds the cap of {MAX_LADDER_LENGTH}"
+        )
+
+
 def _norm_checked(state: CoherentStateCoeffs) -> CoherentStateCoeffs:
     """``state`` itself; ConvergenceError when |1 - norm²| > NCS_NORM_TOL."""
     defect = abs(1.0 - state.norm_sq)
@@ -345,13 +381,15 @@ def _norm_checked(state: CoherentStateCoeffs) -> CoherentStateCoeffs:
 
 def su2_ncs_coefficients(j: float, mu: float, zeta: complex) -> CoherentStateCoeffs:
     """|zeta, j, mu> = D(xi)|j, mu> over the 2j + 1 states: one exact
-    ``_tilted_state``, the Wigner-d method of Feng et al., PRE 92, 043307 (2015)."""
+    ``_tilted_state``, the Wigner-d method of Feng et al., PRE 92, 043307 (2015).
+    ValueError when 2j + 1 exceeds MAX_LADDER_LENGTH."""
     jp, jm = j + mu, j - mu
     if abs(jp - round(jp)) > 1e-9 or abs(jm - round(jm)) > 1e-9:
         raise ValueError("j + mu and j - mu must be integers")
     jp, jm = int(round(jp)), int(round(jm))
     if jp < 0 or jm < 0:
         raise ValueError("mu must lie in [-j, j]")
+    _check_ladder_length(jp + jm + 1, "2j + 1")
     if not abs(zeta) * abs(zeta) < math.inf:
         raise ValueError("su(2) coherent states require a finite |zeta|^2")
     if zeta == 0:

@@ -214,11 +214,14 @@ def sector_basis(cutoff: int, charge_kind: ChargeKind, charge_value: int) -> Sec
     )
 
 
+def sector_charges(cutoff: int, charge_kind: ChargeKind) -> range:
+    """Every charge value that some state of the cutoff-``cutoff`` basis carries, ascending."""
+    return range(-cutoff, cutoff + 1) if charge_kind is ChargeKind.DIFFERENCE_ND else range(2 * cutoff + 1)
+
+
 def sector_decompose(basis: FockBasis, charge_kind: ChargeKind) -> list:
     """Partition the basis into conserved-charge sectors, charges ascending."""
-    c = basis.cutoff
-    charges = range(-c, c + 1) if charge_kind is ChargeKind.DIFFERENCE_ND else range(2 * c + 1)
-    return [sector_basis(c, charge_kind, q) for q in charges]
+    return [sector_basis(basis.cutoff, charge_kind, q) for q in sector_charges(basis.cutoff, charge_kind)]
 
 
 def get_sector(basis: FockBasis, charge_kind: ChargeKind, charge_value: int) -> SectorBasis:

@@ -10,8 +10,10 @@ su(2):  J0 = (a†a - b†b)/2,  J+ = a†b,  J- = b†a, with [J0, J±] = ±J±
 and each N_s sector carries the spin-j representation with j = N_s/2;
 the Casimir is J² = (N_s/2)(N_s/2 + 1).
 
-The full-space generators (CSR) serve the closure checks; the displacement
-machinery works per sector from ``sector_generators``, in closed form.
+The closure checks (``verify_sector_algebra``) and the displacement
+machinery work per sector from ``sector_generators``, in closed form; the
+full-space generators (CSR) and ``verify_algebra`` are the reference they
+are tested against.
 """
 
 from __future__ import annotations
@@ -192,6 +194,86 @@ def verify_algebra(gens, interior_margin: int = 1) -> AlgebraReport:
         )
     return AlgebraReport(
         algebra=gens.algebra,
+        margin=interior_margin,
+        residuals=residuals,
+        casimir_residuals=casimir_residuals,
+    )
+
+
+def _interior_max(band: np.ndarray, columns: np.ndarray) -> float:
+    """Largest |entry| of one band over the entries that sit in ``columns``."""
+    return float(np.max(np.abs(band[columns]), initial=0.0))
+
+
+def verify_sector_algebra(
+    cutoff: int, algebra: AlgebraKind, interior_margin: int = 1
+) -> AlgebraReport:
+    """``verify_algebra`` of the cutoff-``cutoff`` generators, sector by sector.
+
+    Ordered by charge, the full space is block tridiagonal: each sector
+    contributes its ``sector_generators`` (G0 diagonal, G+ subdiagonal) and
+    neighbouring sectors join with zero amplitude. So every commutator and
+    the Casimir are banded, and each residual is read off one band over the
+    same interior columns, with the same Casimir scale, in O((cutoff + 1)²).
+    The charge is read from each state's occupations. The sector form
+    stores G- as the transpose of G+'s real amplitudes, so the adjointness
+    residual is zero by construction; it is kept so both reports carry the
+    same identities.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    su11 = algebra is AlgebraKind.SU11
+    kind = ChargeKind.DIFFERENCE_ND if su11 else ChargeKind.SUM_NS
+    diag, sub, occ_a, occ_b = [], [], [], []
+    for q in fock.sector_charges(cutoff, kind):
+        sec = fock.sector_basis(cutoff, kind, q)
+        g0, amp = sector_generators(sec)
+        na, nb = sec.occupations
+        diag.append(g0)
+        sub.append(np.append(amp, 0.0))  # zero join to the next sector
+        occ_a.append(na)
+        occ_b.append(nb)
+    d = np.concatenate(diag)
+    s = np.concatenate(sub)[:-1]
+    na, nb = np.concatenate(occ_a), np.concatenate(occ_b)
+    charge = (nb - na if su11 else na + nb).astype(float)
+
+    def columns(margin):
+        # diagonal, lower-band and upper-band entries in interior columns
+        top = cutoff - margin
+        inside = (na <= top) & (nb <= top)
+        return inside, inside[:-1], inside[1:]
+
+    def bracket(a):
+        # [diag(a), G+] on its lower band; [diag(a), G-] is minus it, upper band
+        return a[1:] * s - s * a[:-1]
+
+    cols, lower, upper = columns(interior_margin)
+    # G-G+ carries s_i² on the diagonal, G+G- carries s_(i-1)².
+    s_next, s_prev = np.append(s, 0.0) ** 2, np.append(0.0, s) ** 2
+    residuals = {}
+    residuals["[G0,G+] - G+"] = _interior_max(bracket(d) - s, lower)
+    residuals["[G0,G-] + G-"] = _interior_max(s - bracket(d), upper)
+    if su11:
+        residuals["[G-,G+] - 2G0"] = _interior_max(s_next - s_prev - 2.0 * d, cols)
+    else:
+        residuals["[G+,G-] - 2G0"] = _interior_max(s_prev - s_next - 2.0 * d, cols)
+    residuals["G+ - (G-)†"] = 0.0
+    residuals["[charge,G0]"] = _interior_max(charge * d - d * charge, cols)
+    residuals["[charge,G+]"] = _interior_max(bracket(charge), lower)
+    residuals["[charge,G-]"] = _interior_max(-bracket(charge), upper)
+
+    cross = 0.5 * (s_prev + s_next)
+    cas = d * d - cross if su11 else d * d + cross
+    cas_scale = max(1.0, float(np.max(np.abs(cas))))
+    cols, lower, upper = columns(interior_margin + 1)
+    casimir_residuals = {
+        "[Casimir,G0]": _interior_max(cas * d - d * cas, cols) / cas_scale,
+        "[Casimir,G+]": _interior_max(bracket(cas), lower) / cas_scale,
+        "[Casimir,G-]": _interior_max(-bracket(cas), upper) / cas_scale,
+    }
+    return AlgebraReport(
+        algebra=algebra,
         margin=interior_margin,
         residuals=residuals,
         casimir_residuals=casimir_residuals,

@@ -19,14 +19,16 @@ On a charge sector both second-order operators are built directly as
 tridiagonal arrays from the closed ladder matrix elements, with hard
 truncation reproduced term by term (a a† = (n_a + 1)[n_a < cutoff], and so
 on), so they equal the projection of the products of the hard-truncated
-ladder matrices at finite cutoff, boundary rows included. The full-space
-products remain as the small-cutoff reference they are tested against.
+ladder matrices at finite cutoff, boundary rows included. An eigenspinor
+lives on one (upper sector, lower sector) pair joined by a bidiagonal block
+of X (``SectorPair``). The full-space products and Hamiltonian remain as
+the small-cutoff reference they are tested against.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -38,7 +40,9 @@ from .errors import (
     SectorMismatchError,
     SingularBranchError,
 )
-from .fock import (
+# get_sector stays bound here, unused: the benchmark's span tests (bench/)
+# name models.get_sector as a by-name import to trace and restore.
+from .fock import (  # noqa: F401
     ChargeKind,
     FockBasis,
     LadderKind,
@@ -46,6 +50,7 @@ from .fock import (
     SectorBasis,
     get_sector,
     ladder_op,
+    sector_basis,
 )
 
 EDGE_REL_TOL = 1e-12
@@ -91,7 +96,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SpinorState:
-    """Normalized two-component eigenstate over a FockBasis.
+    """Normalized two-component eigenstate over a FockBasis or a ``SectorPair``.
 
     ``edge`` marks one-component states whose partner component vanishes
     identically (|E| = mc²); ``partner_qn`` carries the relabeling of the
@@ -192,6 +197,77 @@ def build_kg_operator(
     return (p.hbar**2) * kg
 
 
+@dataclass(frozen=True)
+class SectorPair:
+    """The charge sectors of a spinor's two components and the coupling block between them.
+
+    X† moves one charge quantum (N_d up for JC_AJC, N_s down for JC_JC), so
+    an upper component on ``upper`` has its lower component on ``lower``,
+    which is empty when X† leaves the truncated space. ``coupling`` is X_s,
+    the block of X (without the hbar) from ``lower`` into ``upper``: dense,
+    with g sqrt(n_a + 1) on one band and f sqrt(n_b) (JC_AJC) or
+    f sqrt(n_b + 1) (JC_JC) on the other, and zero where raising passes the
+    cutoff. It is the pair's block of ``coupling_block``, hard truncation
+    included.
+    """
+
+    params: ModelParams
+    upper: SectorBasis
+    lower: SectorBasis
+    coupling: np.ndarray = field(repr=False)
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """H on the pair, dense: its block of ``build_full_hamiltonian``."""
+        p = self.params
+        hx = p.hbar * self.coupling
+        return np.block([
+            [p.mc2 * np.eye(self.upper.dim), hx],
+            [hx.conj().T, -p.mc2 * np.eye(self.lower.dim)],
+        ])
+
+
+def sector_pair(kind: ModelKind, p: ModelParams, upper: SectorBasis) -> SectorPair:
+    """The ``SectorPair`` whose upper component lives on ``upper``, in O(dim²).
+
+    SectorMismatchError when the sector charge is not the model's conserved
+    quantity.
+    """
+    if upper.charge_kind is not conserved_charge(kind):
+        raise SectorMismatchError(
+            f"{kind.value} conserves {conserved_charge(kind).value}, "
+            f"got a {upper.charge_kind.value} sector"
+        )
+    cutoff = upper.parent_cutoff
+    q = upper.charge_value + (1 if kind is ModelKind.JC_AJC else -1)
+    try:
+        lower = sector_basis(cutoff, upper.charge_kind, q)
+    except ValueError:  # no state carries charge q: X† leaves the space
+        lower = SectorBasis(upper.charge_kind, q, cutoff, np.empty(0, dtype=int))
+    na, nb = lower.occupations
+    # Both sectors run over consecutive n_a, so a target state's row is its
+    # n_a minus the first n_a of ``upper``; every target inside the
+    # truncated space lies in ``upper``.
+    first = int(upper.occupations[0][0])
+    col = np.arange(lower.dim)
+    x = np.zeros((upper.dim, lower.dim), dtype=complex)
+    raised = na < cutoff  # g a†: (n_a, n_b) -> (n_a + 1, n_b)
+    x[na[raised] + 1 - first, col[raised]] = p.g * np.sqrt(na[raised] + 1.0)
+    if kind is ModelKind.JC_AJC:  # f b: (n_a, n_b) -> (n_a, n_b - 1)
+        moved, amp = nb > 0, np.sqrt(nb.astype(float))
+    else:  # f b†: (n_a, n_b) -> (n_a, n_b + 1)
+        moved, amp = nb < cutoff, np.sqrt(nb + 1.0)
+    x[na[moved] - first, col[moved]] = p.f * amp[moved]
+    return SectorPair(params=p, upper=upper, lower=lower, coupling=x)
+
+
+def _lower_component(p: ModelParams, energy: float, x, upper: np.ndarray) -> np.ndarray:
+    """psi2 = hbar X† psi1 / (E + mc²) for the coupling (block) ``x``."""
+    if abs(energy + p.mc2) <= EDGE_REL_TOL * p.mc2:
+        raise SingularBranchError("lower component not reconstructible at E = -mc^2")
+    return p.hbar * (x.conj().T @ np.asarray(upper, dtype=complex)) / (energy + p.mc2)
+
+
 def lower_from_upper(
     kind: ModelKind,
     p: ModelParams,
@@ -199,11 +275,8 @@ def lower_from_upper(
     upper: np.ndarray,
     basis: FockBasis,
 ) -> np.ndarray:
-    """psi2 = hbar X† psi1 / (E + mc²), unnormalized."""
-    if abs(energy + p.mc2) <= EDGE_REL_TOL * p.mc2:
-        raise SingularBranchError("lower component not reconstructible at E = -mc^2")
-    xd = coupling_block(kind, p, basis).conj().T
-    return p.hbar * (xd @ np.asarray(upper, dtype=complex)) / (energy + p.mc2)
+    """psi2 = hbar X† psi1 / (E + mc²) over the full basis, unnormalized."""
+    return _lower_component(p, energy, coupling_block(kind, p, basis), upper)
 
 
 def _tilted_state_position(kind: ModelKind, n_l: int, m_n: int, inner_sign: int):
@@ -218,31 +291,20 @@ def _tilted_state_position(kind: ModelKind, n_l: int, m_n: int, inner_sign: int)
     return 2 * n_l + m_n, n_l
 
 
-def build_spinor(
+def sector_spinor(
     kind: ModelKind,
     p: ModelParams,
     n_l: int,
     m_n: int,
     branch: Branch,
-    basis: FockBasis,
+    cutoff: int,
     inner_sign: int = 1,
-) -> SpinorState:
-    """Eigenspinor with the analytic energy of the (n_l, m_n) level.
+) -> tuple:
+    """(spinor, pair): the eigenspinor of ``build_spinor`` on its ``SectorPair``.
 
-    The upper component is the tilted number state mapped back by the
-    displacement operator; the lower component follows exactly from the
-    coupled first-order equation, which fixes its phase and gives the
-    amplitude split |upper|² = (E + mc²)/2E, |lower|² = (E - mc²)/2E.
-
-    The coupling moves one charge quantum, so the lower component is the
-    displaced number state of the adjacent sector (one angular quantum
-    down). ``partner_qn`` instead records the (n_l+1, m_n-2) / (n_l-1, m_n)
-    relabeling conventionally quoted with these spinors, which reproduces
-    the same energy; it is spectral bookkeeping, not the state mapping.
-
-    At |E| = mc² the partner component vanishes identically: the PLUS
-    branch returns a flagged one-component spinor, the MINUS branch has no
-    eigenvector with these labels and raises EdgeStateError.
+    ``spinor.upper`` and ``spinor.lower`` are vectors over ``pair.upper``
+    and ``pair.lower``, so ``eigen_residual(pair.hamiltonian, spinor)`` is
+    the full-space residual at a sector pair's cost.
     """
     from . import spectra
     from .displace import displacement_direct
@@ -258,13 +320,12 @@ def build_spinor(
 
     tilt = spectra.tilting_parameters(kind, p)
     charge, pos = _tilted_state_position(kind, n_l, m_n, inner_sign)
-    sector = get_sector(basis, conserved_charge(kind), charge)
-    if pos >= sector.dim:
+    pair = sector_pair(kind, p, sector_basis(cutoff, conserved_charge(kind), charge))
+    if pos >= pair.upper.dim:
         raise DomainError(
-            f"state (n_l={n_l}, m_n={m_n}) exceeds the cutoff-{basis.cutoff} sector"
+            f"state (n_l={n_l}, m_n={m_n}) exceeds the cutoff-{cutoff} sector"
         )
-    d = displacement_direct(tilt.xi, sector)
-    upper = sector.embed(d[:, pos], basis.dim)
+    upper = displacement_direct(tilt.xi, pair.upper)[:, pos]
 
     if kind is ModelKind.JC_AJC:
         partner = (n_l + 1, m_n - 2) if m_n >= 2 else None
@@ -276,9 +337,9 @@ def build_spinor(
             raise EdgeStateError(
                 f"(n_l={n_l}, m_n={m_n}) has no lower-branch eigenvector of this form"
             )
-        return SpinorState(
+        edge = SpinorState(
             upper=upper / np.linalg.norm(upper),
-            lower=np.zeros_like(upper),
+            lower=np.zeros(pair.lower.dim, dtype=complex),
             energy=p.mc2,
             branch=branch,
             qn=(n_l, m_n),
@@ -286,13 +347,14 @@ def build_spinor(
             edge=True,
             partner_qn=partner,
         )
+        return edge, pair
 
-    lower_raw = lower_from_upper(kind, p, energy, upper, basis)
+    lower_raw = _lower_component(p, energy, pair.coupling, upper)
     amp = np.sqrt((energy + p.mc2) / (2.0 * energy))
     vec_upper = amp * upper
     vec_lower = amp * lower_raw
     norm = np.sqrt(np.sum(np.abs(vec_upper) ** 2) + np.sum(np.abs(vec_lower) ** 2))
-    return SpinorState(
+    spinor = SpinorState(
         upper=vec_upper / norm,
         lower=vec_lower / norm,
         energy=energy,
@@ -301,6 +363,42 @@ def build_spinor(
         kind=kind,
         edge=False,
         partner_qn=partner,
+    )
+    return spinor, pair
+
+
+def build_spinor(
+    kind: ModelKind,
+    p: ModelParams,
+    n_l: int,
+    m_n: int,
+    branch: Branch,
+    basis: FockBasis,
+    inner_sign: int = 1,
+) -> SpinorState:
+    """Eigenspinor with the analytic energy of the (n_l, m_n) level, over ``basis``.
+
+    The upper component is the tilted number state mapped back by the
+    displacement operator; the lower component follows exactly from the
+    coupled first-order equation, which fixes its phase and gives the
+    amplitude split |upper|² = (E + mc²)/2E, |lower|² = (E - mc²)/2E.
+    Both are built on their ``SectorPair`` (``sector_spinor``) and embedded.
+
+    The coupling moves one charge quantum, so the lower component is the
+    displaced number state of the adjacent sector (one angular quantum
+    down). ``partner_qn`` instead records the (n_l+1, m_n-2) / (n_l-1, m_n)
+    relabeling conventionally quoted with these spinors, which reproduces
+    the same energy; it is spectral bookkeeping, not the state mapping.
+
+    At |E| = mc² the partner component vanishes identically: the PLUS
+    branch returns a flagged one-component spinor, the MINUS branch has no
+    eigenvector with these labels and raises EdgeStateError.
+    """
+    spinor, pair = sector_spinor(kind, p, n_l, m_n, branch, basis.cutoff, inner_sign)
+    return replace(
+        spinor,
+        upper=pair.upper.embed(spinor.upper, basis.dim),
+        lower=pair.lower.embed(spinor.lower, basis.dim),
     )
 
 

@@ -17,10 +17,9 @@ import numpy as np
 
 from . import displace, liealg, spectra, wavefunc
 from .errors import EdgeStateError
-from .fock import ChargeKind, build_basis, sector_basis
+from .fock import ChargeKind, sector_basis
 from .liealg import AlgebraKind
-from .models import Branch, Component, ModelKind, ModelParams, build_full_hamiltonian, build_spinor, eigen_residual
-from .parallel import parallel_map
+from .models import Branch, Component, ModelKind, ModelParams, eigen_residual, sector_spinor
 
 
 @dataclass
@@ -87,12 +86,9 @@ def _timed(fn):
 
 def _algebra_checks(cutoff: int):
     recs = []
-    basis = build_basis(cutoff)
-    for gens, tag in (
-        (liealg.su11_generators(basis), "su11"),
-        (liealg.su2_generators(basis), "su2"),
-    ):
-        rep = liealg.verify_algebra(gens, interior_margin=1)
+    for algebra in (AlgebraKind.SU11, AlgebraKind.SU2):
+        tag = algebra.value
+        rep = liealg.verify_sector_algebra(cutoff, algebra, interior_margin=1)
         recs.append(
             ReportRecord.check(
                 f"{tag} closure (cutoff {cutoff})",
@@ -234,7 +230,7 @@ def _spectrum_checks(p: ModelParams, cutoff: int):
         analytic = np.sort(analytic)
         return float(np.max(np.abs(numeric - analytic) / np.abs(analytic)))
 
-    devs = parallel_map(su2_sector_dev, range(0, cutoff2 // 2))
+    devs = [su2_sector_dev(n_s) for n_s in range(0, cutoff2 // 2)]
     recs.append(
         ReportRecord.check(
             "su2 numeric == analytic spectrum (all sectors)",
@@ -260,7 +256,7 @@ def _spectrum_checks(p: ModelParams, cutoff: int):
         analytic = np.array([spectra.su11_sector_energy_sq(p, d, n) for n in range(8)])
         return float(np.max(np.abs(numeric - analytic) / np.abs(analytic)))
 
-    devs = parallel_map(su11_sector_dev, range(-3, 4))
+    devs = [su11_sector_dev(d) for d in range(-3, 4)]
     recs.append(
         ReportRecord.check(
             "su11 numeric == analytic spectrum (N_d -3..3)",
@@ -553,8 +549,10 @@ def _limit_checks():
 
 
 def _spinor_checks(p: ModelParams):
+    # Residuals on each spinor's (upper, lower) sector pair, which hold every
+    # nonzero entry of H psi - E psi at this cutoff.
+    cutoff = 70
     recs = []
-    basis = build_basis(70)
     if abs(abs(p.f) - abs(p.g)) < 1e-12:
         recs.append(
             ReportRecord.skip(
@@ -564,13 +562,12 @@ def _spinor_checks(p: ModelParams):
             )
         )
     else:
-        h = build_full_hamiltonian(ModelKind.JC_AJC, p, basis)
         worst = 0.0
         edge_skips = []
         for n_l, m_n in ((0, 0), (2, 1), (1, 4)):
             for br in (Branch.PLUS, Branch.MINUS):
                 try:
-                    s = build_spinor(ModelKind.JC_AJC, p, n_l, m_n, br, basis)
+                    s, pair = sector_spinor(ModelKind.JC_AJC, p, n_l, m_n, br, cutoff)
                 except EdgeStateError as exc:
                     # |E| = mc²: the flagged one-component PLUS spinor is
                     # still checked; the MINUS branch has no eigenvector.
@@ -582,7 +579,7 @@ def _spinor_checks(p: ModelParams):
                         )
                     )
                     continue
-                worst = max(worst, eigen_residual(h, s))
+                worst = max(worst, eigen_residual(pair.hamiltonian, s))
         recs.append(
             ReportRecord.check(
                 "su11 eigenspinor residuals",
@@ -592,11 +589,10 @@ def _spinor_checks(p: ModelParams):
             )
         )
         recs += edge_skips
-    h2 = build_full_hamiltonian(ModelKind.JC_JC, p, basis)
     worst = 0.0
     for n_l, m_n in ((1, 0), (1, 2), (0, 3)):
-        s = build_spinor(ModelKind.JC_JC, p, n_l, m_n, Branch.PLUS, basis)
-        worst = max(worst, eigen_residual(h2, s))
+        s, pair = sector_spinor(ModelKind.JC_JC, p, n_l, m_n, Branch.PLUS, cutoff)
+        worst = max(worst, eigen_residual(pair.hamiltonian, s))
     recs.append(
         ReportRecord.check(
             "su2 eigenspinor residuals",

@@ -15,6 +15,7 @@ by resumming that series through the Laguerre generating function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -270,12 +271,15 @@ class QuadratureResult:
     n_phi: int
 
 
+@functools.lru_cache(maxsize=16)
 def _polar_nodes(n_rho: int, n_phi: int):
     """Nodes/weights for integr(f rho drho dphi) over rho >= 0, phi in [0, 2pi).
 
     Radial part: substitute x = rho^2 and use Gauss-Laguerre with the e^{-x}
     weight folded back in; combined weights stay O(1) because the integrands
     carry Gaussian decay. Angular part: Gauss-Legendre scaled to the period.
+    Each rule costs an eigenproblem and depends on the sizes alone, so it is
+    built once per size; the arrays are read-only because callers share them.
     """
     if n_rho > 170:
         raise QuadratureError("Gauss-Laguerre weights underflow beyond ~170 nodes")
@@ -285,7 +289,10 @@ def _polar_nodes(n_rho: int, n_phi: int):
     t, wt = roots_legendre(n_phi)
     phi = np.pi * (t + 1.0)
     w_phi = np.pi * wt
-    return rho, w_rho, phi, w_phi
+    nodes = (rho, w_rho, phi, w_phi)
+    for arr in nodes:
+        arr.flags.writeable = False
+    return nodes
 
 
 def quadrature_inner_product(

@@ -8,17 +8,21 @@ charges and indices, and duplicate or nonpositive ``--scales``; sizes stay
 small (cutoff <= 48, grids <= 24 points) so the whole file runs in a few
 seconds; coherent states reach j = 300, n = 200 and |zeta| = 0.99, and
 wavefunctions n_l, m_n = 40 and |zeta| components 0.99, where an exit 0
-must carry a norm within 1e-7 of 1.
+must carry a norm within 1e-7 of 1. Coherent-state ladders longer than
+``MAX_LADDER_LENGTH`` are drawn too; they must exit 2 before anything of
+that size is allocated.
 """
 
 import json
 import math
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twomode_jcx.cli import main
+from twomode_jcx.displace import MAX_LADDER_LENGTH
 
 
 def _contract(max_examples):
@@ -137,14 +141,17 @@ WAVEFUNCTION = _argv(
     }),
 )
 
+# Ladder lengths (n + 1, max_index + 1) just and far above the cap.
+OVER_CAP = [MAX_LADDER_LENGTH, 10**18]
 COHERENT_STATE = _argv(
     "coherent-state",
     _flags({
         "--algebra": st.sampled_from(["su11", "su2"]),
         "--k": _reals(-1.0, 5.0),
-        "--n": st.integers(-2, 200),
+        "--n": st.one_of(st.integers(-2, 200), st.sampled_from(OVER_CAP)),
         "--j": st.sampled_from(
             [-1.0, 0.0, 0.3, 0.5, 1.0, 1.5, 3.0, 8.0, 24.0, 299.5, 300.0, math.nan, math.inf]
+            + [MAX_LADDER_LENGTH / 2, 1e300]
         ),
         "--mu": st.one_of(
             st.integers(-9, 9).map(lambda m: m / 2),
@@ -153,7 +160,7 @@ COHERENT_STATE = _argv(
         ),
         "--zeta-re": _reals(-0.99, 0.99),
         "--zeta-im": _reals(-0.99, 0.99),
-        "--max-index": st.integers(-2, 60),
+        "--max-index": st.one_of(st.integers(-2, 60), st.sampled_from(OVER_CAP)),
     }),
 )
 
@@ -207,6 +214,19 @@ def test_wavefunction_contract(argv):
 @given(argv=COHERENT_STATE)
 def test_coherent_state_contract(argv):
     _run(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--algebra", "su2", "--j", str(MAX_LADDER_LENGTH / 2), "--mu", "0"],
+    ["--algebra", "su2", "--j", "1e300", "--mu", "0", "--zeta-re", "0"],
+    ["--max-index", str(MAX_LADDER_LENGTH)],
+    ["--max-index", str(10**18), "--zeta-re", "0.99"],
+    ["--n", str(10**18), "--zeta-re", "0"],
+])
+def test_coherent_state_over_cap_exits_before_allocating(argv):
+    result = _run(["coherent-state", *argv])
+    assert result.exit_code == 2, (argv, result.output)
+    assert f"exceeds the cap of {MAX_LADDER_LENGTH}" in result.output, result.output
 
 
 @_contract(40)

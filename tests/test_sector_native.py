@@ -13,15 +13,16 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from twomode_jcx import fock
+from twomode_jcx import displace, fock
 from twomode_jcx.displace import (
     BOUNDARY_MARGIN,
     BOUNDARY_MASS_TOL,
     TiltingParams,
     displacement_direct,
     displacement_normal,
+    zeta_to_xi,
 )
-from twomode_jcx.errors import NotConvergedError, SectorMismatchError
+from twomode_jcx.errors import DomainError, EdgeStateError, NotConvergedError, SectorMismatchError
 from twomode_jcx.fock import (
     ChargeKind,
     LadderKind,
@@ -38,18 +39,26 @@ from twomode_jcx.liealg import (
     AlgebraKind,
     casimir,
     generator_triple,
+    sector_algebra,
     sector_generators,
     su2_generators,
     su11_generators,
+    verify_algebra,
+    verify_sector_algebra,
 )
 from twomode_jcx.models import (
+    Branch,
     Component,
     ModelKind,
     ModelParams,
     build_full_hamiltonian,
     build_kg_operator,
+    build_spinor,
     conserved_charge,
     coupling_block,
+    eigen_residual,
+    sector_pair,
+    sector_spinor,
     sector_tridiagonal,
 )
 from twomode_jcx.spectra import (
@@ -233,6 +242,9 @@ def test_limit_operator_equals_projected_ladder_products(case, charge, charge_ki
 
 GENERATOR_TOL = 1e-13  # absolute; entries are at most cutoff + 1/2
 DISPLACEMENT_TOL = 1e-12
+NORMAL_FORM_TOL = 1e-12  # normwise, relative
+ALGEBRA_TOL = 1e-12  # relative to max(1, full-space residual)
+RESIDUAL_TOL = 1e-13  # relative to max(1, full-space residual)
 
 
 def _full_generators(basis, charge_kind):
@@ -264,6 +276,32 @@ class TestSectorGenerators:
             xi = (0.2 + 0.1 * (q % 5)) * cmath.exp(1j * (0.4 + 1.3 * q))
             gen = xi * project_operator(gp, sec).toarray() - np.conj(xi) * project_operator(gm, sec).toarray()
             assert np.max(np.abs(displacement_direct(xi, sec) - la.expm(gen))) <= DISPLACEMENT_TOL
+
+    @pytest.mark.parametrize("cutoff", range(25))
+    @pytest.mark.parametrize("charge_kind", list(ChargeKind))
+    def test_normal_form_equals_expm_of_projected_generators(self, cutoff, charge_kind):
+        # la.expm of the projected full-space generators is the oracle for
+        # both closed-form factors and for their product; errors are taken
+        # normwise, as expm's are.
+        basis = build_basis(cutoff)
+        g0, gp, gm = generator_triple(_full_generators(basis, charge_kind))
+        for sec in sector_decompose(basis, charge_kind):
+            q = sec.charge_value
+            zeta = (0.3 + 0.1 * (q % 6)) * cmath.exp(1j * (0.4 + 1.3 * q))
+            algebra = sector_algebra(sec)
+            tp = TiltingParams.from_xi(algebra, zeta_to_xi(algebra, zeta))
+            _, sub = sector_generators(sec)
+            left = la.expm(tp.zeta * project_operator(gp, sec).toarray())
+            right = la.expm(-np.conj(tp.zeta) * project_operator(gm, sec).toarray())
+            for got, ref in (
+                (displace._raising_exp(tp.zeta, sub), left),
+                (displace._raising_exp(-np.conj(tp.zeta), sub).T, right),
+            ):
+                assert np.max(np.abs(got - ref)) <= NORMAL_FORM_TOL * np.max(np.abs(ref))
+            mid = np.exp(tp.eta * project_operator(g0, sec).diagonal().real)[:, None]
+            scale = np.max(np.abs(left) @ (mid * np.abs(right)))
+            got = displacement_normal(tp, sec)
+            assert np.max(np.abs(got - left @ (mid * right))) <= NORMAL_FORM_TOL * scale
 
     @pytest.mark.parametrize("algebra, charge_kind", [
         (AlgebraKind.SU2, ChargeKind.DIFFERENCE_ND),
@@ -306,3 +344,69 @@ def test_full_space_operators_hold_csr():
         ops += [build_kg_operator(kind, c, p, basis) for c in Component]
     for op in ops:
         assert isinstance(op, sp.csr_matrix), type(op)
+
+
+@pytest.mark.parametrize("cutoff", range(25))
+@pytest.mark.parametrize("algebra", list(AlgebraKind))
+@pytest.mark.parametrize("margin", [0, 1, 2])
+def test_sector_algebra_report_equals_full_space(cutoff, algebra, margin):
+    # Margin 0 takes the truncated boundary columns in, where the residuals
+    # are O(cutoff), so both reports must agree on the truncation too.
+    basis = build_basis(cutoff)
+    gens = su11_generators(basis) if algebra is AlgebraKind.SU11 else su2_generators(basis)
+    full = verify_algebra(gens, interior_margin=margin)
+    sec = verify_sector_algebra(cutoff, algebra, interior_margin=margin)
+    assert (sec.algebra, sec.margin) == (full.algebra, full.margin)
+    for got, ref in ((sec.residuals, full.residuals), (sec.casimir_residuals, full.casimir_residuals)):
+        assert list(got) == list(ref)
+        for key, value in ref.items():
+            assert abs(got[key] - value) <= ALGEBRA_TOL * max(1.0, value), (key, got[key], value)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 5, 12, 24])
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("p", [F_DOMINANT, G_DOMINANT])
+def test_sector_pair_coupling_is_the_full_coupling_block(cutoff, kind, p):
+    # Every column of X on the lower sector, and every row of X on the upper
+    # sector, is X_s embedded: nothing of X leaves the pair.
+    basis = build_basis(cutoff)
+    x = coupling_block(kind, p, basis).toarray()
+    for sec in sector_decompose(basis, conserved_charge(kind)):
+        pair = sector_pair(kind, p, sec)
+        assert pair.coupling.shape == (sec.dim, pair.lower.dim)
+        cols = np.zeros((basis.dim, pair.lower.dim), dtype=complex)
+        cols[sec.indices] = pair.coupling
+        assert np.array_equal(x[:, pair.lower.indices], cols)
+        rows = np.zeros((sec.dim, basis.dim), dtype=complex)
+        rows[:, pair.lower.indices] = pair.coupling
+        assert np.array_equal(x[sec.indices], rows)
+
+
+def test_sector_pair_rejects_the_other_charge():
+    with pytest.raises(SectorMismatchError):
+        sector_pair(ModelKind.JC_JC, F_DOMINANT, sector_basis(6, ChargeKind.DIFFERENCE_ND, 0))
+
+
+@pytest.mark.parametrize("cutoff", [3, 6, 12, 24, 70])
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("p", [F_DOMINANT, G_DOMINANT])
+def test_sector_pair_residual_equals_full_space_residual(cutoff, kind, p):
+    # Small cutoffs truncate the spinors, so there the residuals are O(1)
+    # and the pair must reproduce the full space's hard truncation.
+    h = build_full_hamiltonian(kind, p, build_basis(cutoff))
+    checked = 0
+    for n_l, m_n, inner in ((0, 0, 1), (1, 0, 1), (2, 1, 1), (1, 4, 1), (0, 3, -1), (2, 2, -1)):
+        if kind is ModelKind.JC_AJC and inner < 0:
+            continue
+        for branch in Branch:
+            try:
+                s, pair = sector_spinor(kind, p, n_l, m_n, branch, cutoff, inner_sign=inner)
+            except (EdgeStateError, DomainError, ValueError):
+                continue
+            full = eigen_residual(h, build_spinor(kind, p, n_l, m_n, branch, build_basis(cutoff), inner))
+            got = eigen_residual(pair.hamiltonian, s)
+            assert abs(got - full) <= RESIDUAL_TOL * max(1.0, full), (n_l, m_n, branch, got, full)
+            if cutoff == 70:
+                assert full <= 1e-8
+            checked += 1
+    assert checked >= 4

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre, roots_legendre
 
+from twomode_jcx import wavefunc
 from twomode_jcx.errors import QuadratureError, SingularParameterError
 from twomode_jcx.wavefunc import (
     ClosedFormParams,
@@ -190,6 +191,19 @@ class TestNcsClosedForm:
 
 
 class TestQuadrature:
+    @pytest.mark.parametrize("n_rho, n_phi", [(1, 1), (96, 64), (170, 128)])
+    def test_polar_nodes_are_shared_read_only_rules(self, n_rho, n_phi):
+        nodes = wavefunc._polar_nodes(n_rho, n_phi)
+        assert wavefunc._polar_nodes(n_rho, n_phi) is nodes
+        x, wx = roots_genlaguerre(n_rho, 0.0)
+        t, wt = roots_legendre(n_phi)
+        fresh = (np.sqrt(x), 0.5 * wx * np.exp(x), np.pi * (t + 1.0), np.pi * wt)
+        for got, ref in zip(nodes, fresh):
+            assert not got.flags.writeable
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        with pytest.raises(ValueError):
+            nodes[0][0] = 1.0
+
     def test_gaussian_integral(self):
         # integr e^{-rho^2} rho drho dphi = pi
         one = lambda r, p: np.exp(-0.5 * r**2) * np.ones_like(p)
