@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import click
 import numpy as np
 
 from . import spectra, wavefunc
-from .displace import su11_ncs_coefficients, su2_ncs_coefficients
+from .displace import MAX_LADDER_LENGTH, su11_ncs_coefficients, su2_ncs_coefficients
 from .errors import QuadratureError, TwoModeJcxError
 # build_basis stays bound here: the benchmark's span tests (bench/) check
 # that by-name imports such as cli.build_basis are traced and restored.
@@ -30,6 +31,13 @@ from .verify import run_verification_suite
 SCHEMA_VERSION = 1
 # wavefunction norm: node-doubling change and |norm - 1| (README, bench)
 NORM_TOL = 1e-7
+# Most rows a table may hold (spectrum, wavefunction): as many as the
+# longest coherent-state ladder, displace.MAX_LADDER_LENGTH.
+MAX_ROWS = MAX_LADDER_LENGTH
+# Largest diagonalize cutoff. Cutoff doubling solves each sector again on up
+# to 2 cutoff + 1 states; with --count near the sector size it keeps every
+# eigenvector of that ladder, 4095² doubles (134 MB) at the cap.
+MAX_CUTOFF = 2047
 
 _CASES = {
     "dirac1p1": lambda o1, o2, ph: spectra.Dirac1p1(o1),
@@ -39,14 +47,86 @@ _CASES = {
 }
 
 
+def _check_cap(value: int, cap: int, what: str) -> None:
+    """Exit 2 with one line, before anything is allocated, when ``value`` > ``cap``."""
+    if value > cap:
+        raise click.UsageError(f"{what} = {value} exceeds the cap of {cap}")
+
+
+_NON_FINITE = "non-finite number in output; refusing to serialize"
+
+
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise click.UsageError(_NON_FINITE)
+    return x
+
+
 def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
+    return f"{_finite(x):.17g}"
 
 
-def _scrub(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        raise click.UsageError("non-finite number in output; refusing to serialize")
-    return value
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+# The C encoders json.dumps applies to these exact scalar types.
+_JSON_BY_TYPE = {float: float.__repr__, int: int.__repr__, str: _json_str}
+
+
+def _json_value(value, pad: str) -> str:
+    """``value`` as json.dumps(value, indent=2) writes it, nested at indent
+    ``pad``; a non-finite float exits 2.
+
+    json.dumps falls back to its pure-Python encoder when it indents, twice
+    the time of its C encoder on a 6 400-row table. Here each dict key of a
+    list of like dicts is encoded once, and each column of values in one
+    pass of json's C scalar encoders (``_json_column``).
+    """
+    if isinstance(value, dict):
+        return _json_dicts([value], pad)[0]
+    if not isinstance(value, list):
+        return _json_scalar(value)
+    if not value:
+        return "[]"
+    inner = pad + "  "
+    keys = list(value[0]) if isinstance(value[0], dict) else None
+    if keys is not None and all(isinstance(v, dict) and list(v) == keys for v in value):
+        items = _json_dicts(value, inner)
+    else:
+        items = [_json_value(v, inner) for v in value]
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
+def _json_dicts(dicts: list, pad: str) -> list:
+    """Each of ``dicts``, which share their string keys in order, as JSON at ``pad``."""
+    keys = list(dicts[0])
+    if not keys:
+        return ["{}"] * len(dicts)
+    inner = pad + "  "
+    fields = (_json_str(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
+    template = f"{{{{\n{inner}" + f",\n{inner}".join(fields) + f"\n{pad}}}}}"
+    columns = [_json_column([d[k] for d in dicts], inner) for k in keys]
+    return list(map(template.format, *columns))
+
+
+def _json_column(values: list, pad: str) -> list:
+    kinds = set(map(type, values))
+    encode = _JSON_BY_TYPE.get(kinds.pop()) if len(kinds) == 1 else None
+    if encode is None:
+        return [_json_value(v, pad) for v in values]
+    if encode is float.__repr__ and not all(map(math.isfinite, values)):
+        raise click.UsageError(_NON_FINITE)
+    return list(map(encode, values))
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or isinstance(value, bool):
+        return _JSON_LITERALS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(_finite(value))
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def emit_rows(rows, fmt: str, out_path: str | None, meta: dict | None = None,
@@ -54,15 +134,14 @@ def emit_rows(rows, fmt: str, out_path: str | None, meta: dict | None = None,
     """Serialize a list of flat dicts; deterministic field order.
 
     ``fields`` supplies the CSV header when the table is empty (the header
-    row is part of the format contract either way).
+    row is part of the format contract either way). JSON is byte-equal to
+    ``json.dumps(payload, indent=2) + "\n"``; a non-finite float exits 2.
     """
-    rows = [{k: _scrub(v) for k, v in row.items()} for row in rows]
-    meta = {k: _scrub(v) for k, v in (meta or {}).items()}
     if fmt == "json":
         payload = {"schema_version": SCHEMA_VERSION, "rows": rows}
         if meta:
             payload["meta"] = meta
-        text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        text = _json_value(payload, "") + "\n"
     else:
         header = list(rows[0].keys()) if rows else list(fields or [])
         lines = [",".join(header)]
@@ -168,6 +247,9 @@ def main(ctx, config):
 @click.option("--mmax", type=int, default=5, show_default=True)
 def spectrum(**params):
     """Closed-form energy table over the (n_l, m_n) grid, both branches."""
+    # up to four rows per grid point: two branches, two inner signs
+    grid = (max(params["nmax"], 0) + 1) * (max(params["mmax"], 0) + 1)
+    _check_cap(grid, MAX_ROWS // 4, "(--nmax + 1)(--mmax + 1)")
     p, kind = _resolve_model(params)
     rows = []
     for n_l in range(params["nmax"] + 1):
@@ -206,6 +288,7 @@ def diagonalize(**params):
     """Numeric sector spectra (E^2 values) with convergence certification."""
     if params["cutoff"] < 4:
         raise click.UsageError("--cutoff must be at least 4")
+    _check_cap(params["cutoff"], MAX_CUTOFF, "--cutoff")
     if params["count"] < 1:
         raise click.UsageError("--count must be at least 1")
     p, kind = _resolve_model(params)
@@ -292,6 +375,8 @@ def verify(**params):
 def wavefunction(**params):
     """Sample the oscillator (zeta = 0) or coherent-state wavefunction on a
     polar grid; exit 2 unless its quadrature norm is certified to NORM_TOL."""
+    # each axis is allocated even when the other is empty
+    _check_cap(max(params["n_rho"], 1) * max(params["n_phi"], 1), MAX_ROWS, "--n-rho * --n-phi")
     if not 0.0 <= params["rho_max"] < math.inf:
         raise click.UsageError(f"--rho-max must be nonnegative and finite, got {params['rho_max']}")
     zeta = complex(params["zeta_re"], params["zeta_im"])

@@ -4,7 +4,11 @@ The displacement operator is D(xi) = exp(xi G+ - xi* G-) for either algebra,
 with xi = -(theta/2) e^{-i phi}. It acts within one irrep at a time, so it
 is built per charge sector, from the sector's closed-form generators
 (``liealg.sector_generators``: su(1,1) on N_d sectors, su(2) on N_s
-sectors), and returned as a dense unitary. Its Gaussian (normal) form is
+sectors). In a diagonal phase gauge its generator is |xi| times a real
+tridiagonal that does not depend on xi, so that tridiagonal is
+eigendecomposed once per sector and cached; ``displacement_direct`` then
+forms only the columns a caller reads, O(dim² k) for k columns, and checks
+that they are orthonormal. Its Gaussian (normal) form is
 
     D = exp(zeta G+) exp(eta G0) exp(-zeta* G-)
 
@@ -28,6 +32,7 @@ tilted generator D G0 D†, which is tridiagonal on the irrep ladder.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +40,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import ConvergenceError, SectorMismatchError, TailError
-from .fock import SectorBasis
+from .fock import ChargeKind, SectorBasis, sector_basis
 from .liealg import AlgebraKind, sector_algebra, sector_generators
 
 UNITARITY_TOL = 1e-10
@@ -101,39 +106,64 @@ def zeta_to_xi(algebra: AlgebraKind, zeta: complex) -> complex:
     return r * zeta / mag
 
 
-def _sector_triple(sector: SectorBasis):
-    """Dense (G0, G+, G-) of the sector's algebra, from ``sector_generators``."""
-    g0, sub = sector_generators(sector)
-    gp = np.diag(sub, -1)
-    return np.diag(g0), gp, gp.T
+@functools.lru_cache(maxsize=64)  # verify uses 17 sectors, 0.6 MB of V0 in all
+def _generator_eigenbasis(parent_cutoff: int, charge_kind: ChargeKind, charge_value: int):
+    """(w0, V0) with T0 = V0 diag(w0) V0ᵀ, T0 the real tridiagonal with zero
+    diagonal and subdiagonal ``pair_amplitudes`` of the sector.
+
+    T0 depends on the sector alone, so it is solved once per sector; the
+    arrays are read-only because callers share them. ConvergenceError when
+    max|V0ᵀV0 - I| > UNITARITY_TOL.
+    """
+    sub = sector_basis(parent_cutoff, charge_kind, charge_value).pair_amplitudes
+    w, v = la.eigh_tridiagonal(np.zeros(sub.size + 1), sub)
+    orth_dev = np.max(np.abs(v.T @ v - np.eye(w.size)))
+    if orth_dev > UNITARITY_TOL:
+        raise ConvergenceError(
+            f"displacement generator eigenbasis is not orthonormal: deviation {orth_dev:.3e}"
+        )
+    for arr in (w, v):
+        arr.flags.writeable = False
+    return w, v
 
 
-def displacement_direct(xi: complex, sector: SectorBasis) -> np.ndarray:
-    """exp(xi G+ - xi* G-) on a charge sector, as a dense unitary.
+def displacement_direct(xi: complex, sector: SectorBasis, columns=slice(None)) -> np.ndarray:
+    """Columns D[:, columns] of D = exp(xi G+ - xi* G-) on a charge sector.
 
-    The algebra is the sector's: su(1,1) on N_d sectors, su(2) on N_s
-    sectors. The generator is anti-Hermitian, so the exponential is taken
-    through the eigendecomposition of the Hermitian matrix
-    H = i(xi G+ - xi* G-); unitarity is then structural rather than
-    accidental. H is tridiagonal with a zero diagonal and subdiagonal
-    i xi ``pair_amplitudes``, one phase u = i xi / |xi| throughout, so the
-    diagonal gauge Phi = diag(u^k) makes it the real tridiagonal
-    T = Phi† H Phi with subdiagonal |xi| ``pair_amplitudes``. With
-    T = V diag(w) Vᵀ, D = (Phi V) e^{-iw} (Phi V)†.
+    ``columns`` indexes like a numpy column index (scalar, slice or index
+    array); the default is the whole unitary. The algebra is the sector's:
+    su(1,1) on N_d sectors, su(2) on N_s sectors. The generator is
+    anti-Hermitian, D = exp(-iH) with H = i(xi G+ - xi* G-) Hermitian and
+    tridiagonal, zero diagonal, subdiagonal i xi ``pair_amplitudes``: one
+    phase u = i xi / |xi| throughout. So the diagonal gauge Phi = diag(u^k)
+    gives H = |xi| Phi T0 Phi†, with T0 real and free of xi
+    (``_generator_eigenbasis``), and
+
+        D[:, columns] = Phi V0 e^{-i|xi| w0} V0ᵀ Phi† E_columns,
+
+    O(dim² k) for k columns. ConvergenceError unless the returned columns C
+    are orthonormal to UNITARITY_TOL: max|C†C - I|, with I the Gram matrix
+    of the unit columns asked for (a repeated index repeats a column). For
+    the whole D this is the full unitarity check.
     """
     dim = sector.dim
+    idx = np.arange(dim)[columns]
+    cols = np.atleast_1d(idx)
     if xi == 0:
-        return np.eye(dim, dtype=complex)
-    _, sub = sector_generators(sector)
-    w, v = la.eigh_tridiagonal(np.zeros(dim), abs(xi) * sub)
-    pv = np.exp(1j * cmath.phase(1j * xi) * np.arange(dim))[:, None] * v
-    d = (pv * np.exp(-1j * w)) @ pv.conj().T
-    unit_dev = np.max(np.abs(d @ d.conj().T - np.eye(dim)))
+        out = np.eye(dim, dtype=complex)[:, cols]
+    else:
+        w, v = _generator_eigenbasis(sector.parent_cutoff, sector.charge_kind, sector.charge_value)
+        phase = np.exp(1j * cmath.phase(1j * xi) * np.arange(dim))
+        right = np.exp(-1j * abs(xi) * w)[:, None] * (v[cols].T * phase[cols].conj())
+        out = phase[:, None] * (v @ right)
+    # D unitary: the Gram matrix of its columns is that of the unit vectors
+    gram = cols[:, None] == cols[None, :]
+    unit_dev = np.max(np.abs(out.conj().T @ out - gram), initial=0.0)
     if unit_dev > UNITARITY_TOL:
         raise ConvergenceError(
             f"displacement exponential lost unitarity: deviation {unit_dev:.3e}"
         )
-    return d
+    return out if np.ndim(idx) else out[:, 0]
 
 
 def displacement_normal(params: TiltingParams, sector: SectorBasis) -> np.ndarray:
@@ -219,26 +249,37 @@ class SimilarityReport:
         return max(self.residuals.values())
 
 
+def _generator_action(sector: SectorBasis, x: np.ndarray) -> tuple:
+    """(G+ x, G- x, G0 x) for the columns of ``x``, from the sector's
+    tridiagonal generators (``sector_generators``): O(dim) per column."""
+    g0, sub = sector_generators(sector)
+    up, down = np.zeros_like(x), np.zeros_like(x)
+    up[1:] = sub[:, None] * x[:-1]
+    down[:-1] = sub[:, None] * x[1:]
+    return up, down, g0[:, None] * x
+
+
 def verify_similarity(xi: complex, sector: SectorBasis, keep: int | None = None) -> SimilarityReport:
     """Compare numerical D† G_i D against the closed-form combinations.
 
     ``keep`` restricts the comparison to the lowest-lying block of the
     sector; use it for su(1,1), where truncation pollutes the top states.
+    That block, C† G_i C with C = D[:, :keep], needs only those columns.
     """
     algebra = sector_algebra(sector)
-    g0, gp, gm = _sector_triple(sector)
-    d = displacement_direct(xi, sector)
-    coeffs = similarity_coefficients(algebra, xi)
     sl = slice(None) if keep is None else slice(0, keep)
+    c = displacement_direct(xi, sector, sl)
+    coeffs = similarity_coefficients(algebra, xi)
+    gp, gm, g0 = _generator_action(sector, np.eye(sector.dim)[:, sl])
     residuals = {}
-    for name, g, (c0, cp, cm) in (
-        ("G+", gp, coeffs.plus),
-        ("G-", gm, coeffs.minus),
-        ("G0", g0, coeffs.zero),
+    for name, g_c, (c0, cp, cm) in zip(
+        ("G+", "G-", "G0"),
+        _generator_action(sector, c),
+        (coeffs.plus, coeffs.minus, coeffs.zero),
     ):
-        lhs = d.conj().T @ g @ d
-        rhs = c0 * g0 + cp * gp + cm * gm
-        residuals[name] = float(np.max(np.abs((lhs - rhs)[sl, sl])))
+        lhs = c.conj().T @ g_c
+        rhs = (c0 * g0 + cp * gp + cm * gm)[sl]
+        residuals[name] = float(np.max(np.abs(lhs - rhs)))
     return SimilarityReport(algebra=algebra, xi=xi, residuals=residuals)
 
 
@@ -402,4 +443,4 @@ def su2_ncs_coefficients(j: float, mu: float, zeta: complex) -> CoherentStateCoe
 
 def ncs_from_displacement(xi: complex, sector: SectorBasis, excitation: int) -> np.ndarray:
     """Matrix-action oracle: column of D(xi) over the sector ladder."""
-    return displacement_direct(xi, sector)[:, excitation]
+    return displacement_direct(xi, sector, excitation)

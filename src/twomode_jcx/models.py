@@ -325,7 +325,7 @@ def sector_spinor(
         raise DomainError(
             f"state (n_l={n_l}, m_n={m_n}) exceeds the cutoff-{cutoff} sector"
         )
-    upper = displacement_direct(tilt.xi, pair.upper)[:, pos]
+    upper = displacement_direct(tilt.xi, pair.upper, pos)
 
     if kind is ModelKind.JC_AJC:
         partner = (n_l + 1, m_n - 2) if m_n >= 2 else None

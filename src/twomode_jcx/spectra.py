@@ -257,15 +257,15 @@ def verify_tilting(
 
     Reports the largest off-diagonal element and the largest deviation of
     the diagonal from the predicted reduced form, both over the lowest
-    ``keep`` states (entire sector when ``keep`` is None).
+    ``keep`` states (entire sector when ``keep`` is None). That block is
+    C† KG C with C = D[:, :keep], so only those displacement columns are
+    formed, and KG stays sparse.
     """
     if params is None:
         params = tilting_parameters(kind, p)
-    kg = build_kg_operator(kind, component, p, sector).toarray()
-    d = displacement_direct(params.xi, sector)
-    tilted = d.conj().T @ kg @ d
     sl = slice(None) if keep is None else slice(0, keep)
-    block = tilted[sl, sl]
+    c = displacement_direct(params.xi, sector, sl)
+    block = c.conj().T @ (build_kg_operator(kind, component, p, sector) @ c)
     predicted = _predicted_tilted_diagonal(kind, component, p, sector)[sl]
     diag = np.diag(block)
     off = block - np.diag(diag)

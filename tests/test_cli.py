@@ -1,14 +1,19 @@
 import csv
 import io
 import json
+import os
+import tempfile
 import warnings
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twomode_jcx.cli import emit_rows, main
+from twomode_jcx import cli
+from twomode_jcx.cli import SCHEMA_VERSION, emit_rows, main
 from twomode_jcx.wavefunc import oscillator_wavefunction
 
 
@@ -404,3 +409,71 @@ class TestConfigPrecedence:
         )
         rows = json.loads(result.output)["rows"]
         assert {r["n_l"] for r in rows} == {0}
+
+
+def _payload(rows, meta):
+    payload = {"schema_version": SCHEMA_VERSION, "rows": rows}
+    if meta:
+        payload["meta"] = meta
+    return payload
+
+
+class TestJsonLayout:
+    """JSON output is byte-equal to json.dumps(payload, indent=2) + "\\n"."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "jc-jc", "--nmax", "2", "--mmax", "2"],
+        ["diagonalize", "--cutoff", "40", "--sector", "0", "--sector", "1", "--count", "3"],
+        ["verify"],
+        ["wavefunction", "--n-l", "1", "--m-n", "2", "--zeta-re", "0.3", "--n-rho", "5", "--n-phi", "4"],
+        ["coherent-state", "--algebra", "su2", "--j", "2", "--mu", "0", "--zeta-im", "0.4"],
+        ["limits", "--scales", "1e4,1e5"],
+    ], ids=lambda argv: argv[0])
+    def test_command_rows(self, runner, monkeypatch, argv):
+        emitted = []
+
+        def recording(rows, fmt, out_path, meta=None, fields=None):
+            emitted.append(_payload(rows, meta))
+            return emit_rows(rows, fmt, out_path, meta=meta, fields=fields)
+
+        monkeypatch.setattr(cli, "emit_rows", recording)
+        result = runner.invoke(main, [*argv, "--format", "json"])
+        assert result.exit_code == 0, result.output
+        (payload,) = emitted
+        assert payload["rows"]
+        assert result.stdout == json.dumps(payload, indent=2) + "\n"
+
+    SCALARS = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+        st.sampled_from([-0.0, 5e-324, np.float64(-2.5e-310), 1e308]),
+        st.booleans(),
+        st.none(),
+        st.integers(),
+        st.text(),
+        st.sampled_from(["Δ ≤ 1e-10 — |ψ|² ✓", "{key}", 'quote " backslash \\ tab \t sep \u2028']),
+    )
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        table=st.lists(
+            st.fixed_dictionaries({
+                "name": st.text(),
+                "residual": SCALARS,
+                "status": st.sampled_from(["PASS", "FAIL", "SKIP"]),
+                "detail": SCALARS,
+            }),
+            max_size=5,
+        ),
+        loose=st.lists(st.dictionaries(st.text(), SCALARS, max_size=4), max_size=4),
+        meta=st.dictionaries(st.text(), SCALARS, max_size=4),
+    )
+    def test_drawn_scalars(self, table, loose, meta):
+        with tempfile.TemporaryDirectory() as tmp:
+            for rows in (table, loose):
+                out = os.path.join(tmp, "rows.json")
+                emit_rows(rows, "json", out, meta=meta)
+                with open(out, "rb") as fh:
+                    got = fh.read()
+                want = json.dumps(_payload(rows, meta), indent=2) + "\n"
+                assert got == want.encode("utf-8")

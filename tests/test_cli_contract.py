@@ -8,9 +8,11 @@ charges and indices, and duplicate or nonpositive ``--scales``; sizes stay
 small (cutoff <= 48, grids <= 24 points) so the whole file runs in a few
 seconds; coherent states reach j = 300, n = 200 and |zeta| = 0.99, and
 wavefunctions n_l, m_n = 40 and |zeta| components 0.99, where an exit 0
-must carry a norm within 1e-7 of 1. Coherent-state ladders longer than
-``MAX_LADDER_LENGTH`` are drawn too; they must exit 2 before anything of
-that size is allocated.
+must carry a norm within 1e-7 of 1. Sizes above their caps are drawn too:
+coherent-state ladders longer than ``MAX_LADDER_LENGTH``, ``spectrum`` and
+``wavefunction`` tables longer than ``MAX_ROWS`` and ``diagonalize``
+cutoffs above ``MAX_CUTOFF``; they must exit 2 before anything of that size
+is allocated.
 """
 
 import json
@@ -21,7 +23,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twomode_jcx.cli import main
+from twomode_jcx import cli, spectra, wavefunc
+from twomode_jcx.cli import MAX_CUTOFF, MAX_ROWS, main
 from twomode_jcx.displace import MAX_LADDER_LENGTH
 
 
@@ -91,17 +94,24 @@ def _run(argv):
     return result
 
 
+# Sizes just and far above their caps.
+OVER_ROWS = [MAX_ROWS + 1, 10**18]
+OVER_CUTOFF = [MAX_CUTOFF + 1, 10**18]
+
 SPECTRUM = _argv(
     "spectrum",
     _model_flags(_reals(-3.0, 3.0)),
-    _flags({"--nmax": st.integers(-2, 6), "--mmax": st.integers(-2, 6)}),
+    _flags({
+        "--nmax": st.one_of(st.integers(-2, 6), st.sampled_from(OVER_ROWS)),
+        "--mmax": st.one_of(st.integers(-2, 6), st.sampled_from(OVER_ROWS)),
+    }),
 )
 
 DIAGONALIZE = _argv(
     "diagonalize",
     _model_flags(_reals(-3.0, 3.0)),
     _flags({
-        "--cutoff": st.integers(-2, 48),
+        "--cutoff": st.one_of(st.integers(-2, 48), st.sampled_from(OVER_CUTOFF)),
         "--count": st.integers(-2, 12),
         "--component": st.sampled_from(["upper", "lower"]),
     }),
@@ -136,8 +146,8 @@ WAVEFUNCTION = _argv(
         "--zeta-re": _reals(-0.99, 0.99),
         "--zeta-im": _reals(-0.99, 0.99),
         "--rho-max": _reals(-1.0, 6.0),
-        "--n-rho": st.integers(-2, 24),
-        "--n-phi": st.integers(-2, 24),
+        "--n-rho": st.one_of(st.integers(-2, 24), st.sampled_from(OVER_ROWS)),
+        "--n-phi": st.one_of(st.integers(-2, 24), st.sampled_from(OVER_ROWS)),
     }),
 )
 
@@ -227,6 +237,31 @@ def test_coherent_state_over_cap_exits_before_allocating(argv):
     result = _run(["coherent-state", *argv])
     assert result.exit_code == 2, (argv, result.output)
     assert f"exceeds the cap of {MAX_LADDER_LENGTH}" in result.output, result.output
+
+
+@pytest.mark.parametrize("argv, flag, cap", [
+    (["spectrum", "--nmax", str(10**18), "--mmax", "-1"], "(--nmax + 1)(--mmax + 1)", MAX_ROWS // 4),
+    (["spectrum", "--model", "jc-jc", "--nmax", "181", "--mmax", "180"],
+     "(--nmax + 1)(--mmax + 1)", MAX_ROWS // 4),
+    (["diagonalize", "--cutoff", str(MAX_CUTOFF + 1)], "--cutoff", MAX_CUTOFF),
+    (["diagonalize", "--cutoff", str(10**18), "--sector", "0"], "--cutoff", MAX_CUTOFF),
+    (["wavefunction", "--n-rho", str(10**18), "--n-phi", "0"], "--n-rho * --n-phi", MAX_ROWS),
+    (["wavefunction", "--n-rho", "513", "--n-phi", "256"], "--n-rho * --n-phi", MAX_ROWS),
+])
+def test_sizes_over_cap_exit_before_computing(monkeypatch, argv, flag, cap):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-cap command started computing")
+
+    for owner, attr in [
+        (spectra, "analytic_energy_su11"), (spectra, "analytic_energy_su2"),
+        (cli, "sector_basis"), (spectra, "numeric_spectrum"),
+        (wavefunc, "quadrature_inner_product"), (wavefunc, "ncs_wavefunction_series"),
+    ]:
+        monkeypatch.setattr(owner, attr, refuse)
+    result = _run([*argv, "--format", "json"])
+    assert result.exit_code == 2, (argv, result.output)
+    assert f"Error: {flag} = " in result.output, result.output
+    assert f"exceeds the cap of {cap}" in result.output, result.output
 
 
 @_contract(40)

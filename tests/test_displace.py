@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from twomode_jcx import displace
 from twomode_jcx.displace import (
@@ -13,9 +14,9 @@ from twomode_jcx.displace import (
     verify_similarity,
     zeta_to_xi,
 )
-from twomode_jcx.errors import TailError
-from twomode_jcx.fock import ChargeKind, build_basis, get_sector
-from twomode_jcx.liealg import AlgebraKind
+from twomode_jcx.errors import ConvergenceError, TailError
+from twomode_jcx.fock import ChargeKind, build_basis, get_sector, sector_basis, sector_charges
+from twomode_jcx.liealg import AlgebraKind, sector_generators
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,64 @@ class TestDisplacementDirect:
         d1 = displacement_direct(xi, sec)
         d2 = displacement_direct(-xi, sec)
         assert np.max(np.abs(d1 @ d2 - np.eye(sec.dim))) <= 1e-12
+
+
+class TestDisplacementColumns:
+    """D[:, columns] formed from the cached xi-free eigenbasis, not from D."""
+
+    @pytest.mark.parametrize("cutoff", range(25))
+    @pytest.mark.parametrize("charge_kind", list(ChargeKind))
+    def test_columns_equal_full_unitary_and_expm(self, cutoff, charge_kind):
+        for q in sector_charges(cutoff, charge_kind):
+            sec = sector_basis(cutoff, charge_kind, q)
+            dim = sec.dim
+            _, sub = sector_generators(sec)
+            gp = np.diag(sub, -1)
+            for xi in (0.0, (0.2 + 0.1 * (q % 5)) * np.exp(1j * (0.4 + 1.3 * q))):
+                full = displacement_direct(xi, sec)
+                ref = la.expm(xi * gp - np.conj(xi) * gp.T)
+                for columns in (q % dim, slice(dim // 2, None), slice(None, None, 2),
+                                np.array([dim - 1, 0]), [dim - 1]):
+                    got = displacement_direct(xi, sec, columns)
+                    assert got.shape == full[:, columns].shape
+                    assert np.max(np.abs(got - full[:, columns])) <= 1e-12
+                    assert np.max(np.abs(got - ref[:, columns])) <= 1e-12
+
+    def test_eigenbasis_cached_read_only(self):
+        sec = sector_basis(12, ChargeKind.DIFFERENCE_ND, 1)
+        key = (sec.parent_cutoff, sec.charge_kind, sec.charge_value)
+        displace._generator_eigenbasis.cache_clear()
+        first = displace._generator_eigenbasis(*key)
+        displacement_direct(0.3j, sec)
+        displacement_direct(0.5, sec, 2)
+        again = displace._generator_eigenbasis(*key)
+        assert all(a is b for a, b in zip(first, again))
+        assert not any(arr.flags.writeable for arr in first)
+        info = displace._generator_eigenbasis.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    @pytest.mark.parametrize("columns", [slice(None), 3])
+    def test_corrupted_eigenbasis_raises(self, monkeypatch, columns):
+        sec = sector_basis(12, ChargeKind.SUM_NS, 7)
+        w, v = displace._generator_eigenbasis(sec.parent_cutoff, sec.charge_kind, sec.charge_value)
+        skewed = v.copy()
+        skewed[:, 0] *= 1.0 + 1e-6
+        monkeypatch.setattr(displace, "_generator_eigenbasis", lambda *key: (w, skewed))
+        with pytest.raises(ConvergenceError, match="lost unitarity"):
+            displacement_direct(0.4, sec, columns)
+
+    def test_eigenbasis_checked_when_solved(self, monkeypatch):
+        solve = la.eigh_tridiagonal
+
+        def skewed(d, e):
+            w, v = solve(d, e)
+            return w, v * (1.0 + 1e-6)
+
+        displace._generator_eigenbasis.cache_clear()
+        monkeypatch.setattr(displace.la, "eigh_tridiagonal", skewed)
+        with pytest.raises(ConvergenceError, match="not orthonormal"):
+            displace._generator_eigenbasis(12, ChargeKind.SUM_NS, 7)
+        assert displace._generator_eigenbasis.cache_info().currsize == 0
 
 
 class TestDisplacementNormal:
