@@ -34,9 +34,10 @@ NORM_TOL = 1e-7
 # Most rows a table may hold (spectrum, wavefunction): as many as the
 # longest coherent-state ladder, displace.MAX_LADDER_LENGTH.
 MAX_ROWS = MAX_LADDER_LENGTH
-# Largest diagonalize cutoff. Cutoff doubling solves each sector again on up
-# to 2 cutoff + 1 states; with --count near the sector size it keeps every
-# eigenvector of that ladder, 4095² doubles (134 MB) at the cap.
+# Largest diagonalize and verify cutoff. Cutoff doubling solves each sector
+# again on up to 2 cutoff + 1 states; with --count near the sector size it
+# keeps every eigenvector of that ladder, 4095² doubles (134 MB) at the cap.
+# verify's su(2) spectrum stage grows roughly as cutoff³ (0.4 s at the cap).
 MAX_CUTOFF = 2047
 
 _CASES = {
@@ -328,6 +329,7 @@ def diagonalize(**params):
               help="Include wall-clock runtimes (breaks byte-identical output).")
 def verify(**params):
     """Run the full self-verification suite; exit 0 iff every record passes."""
+    _check_cap(params["cutoff"], MAX_CUTOFF, "--cutoff")
     p, kind = _resolve_model(params)
     report = run_verification_suite(p, cutoff=params["cutoff"], seed=params["seed"])
     rows = []

@@ -39,7 +39,6 @@ from .models import (
     Component,
     ModelKind,
     ModelParams,
-    build_kg_operator,
     conserved_charge,
     sector_tridiagonal,
 )
@@ -259,13 +258,18 @@ def verify_tilting(
     the diagonal from the predicted reduced form, both over the lowest
     ``keep`` states (entire sector when ``keep`` is None). That block is
     C† KG C with C = D[:, :keep], so only those displacement columns are
-    formed, and KG stays sparse.
+    formed, and KG C comes from the sector tridiagonal in three banded
+    products (the layout of ``build_kg_operator``).
     """
     if params is None:
         params = tilting_parameters(kind, p)
     sl = slice(None) if keep is None else slice(0, keep)
     c = displacement_direct(params.xi, sector, sl)
-    block = c.conj().T @ (build_kg_operator(kind, component, p, sector) @ c)
+    kg_diag, kg_off = sector_tridiagonal(kind, component, p, sector)
+    kg_c = kg_diag[:, None] * c
+    kg_c[1:] += kg_off[:, None] * c[:-1]
+    kg_c[:-1] += kg_off.conj()[:, None] * c[1:]
+    block = c.conj().T @ kg_c
     predicted = _predicted_tilted_diagonal(kind, component, p, sector)[sl]
     diag = np.diag(block)
     off = block - np.diag(diag)
@@ -277,8 +281,11 @@ def verify_tilting(
     )
 
 
-def _interior_eigenvalues(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
-    """Lowest eigenvalues whose eigenvectors carry no boundary mass.
+def _interior_eigenvalues(
+    diag: np.ndarray, off: np.ndarray, count: int, first: int | None = None
+) -> tuple:
+    """(lowest ``count`` eigenvalues whose eigenvectors carry no boundary
+    mass, number of boundary-pinned eigenpairs below the last of them).
 
     Hard truncation can manufacture exact eigenpairs pinned to the top of a
     sector (e.g. a kernel vector of the coupling with |amplitude| growing up
@@ -286,25 +293,30 @@ def _interior_eigenvalues(diag: np.ndarray, off: np.ndarray, count: int) -> np.n
     under cutoff doubling and must be rejected by eigenvector support
     (``displace._boundary_free``).
 
-    Eigenpairs are computed for the lowest window of the spectrum, doubled
-    until it holds ``count`` interior ones or spans the sector; a kept
-    eigenvalue outside the window lies above all of those inside it, so the
-    result is that of the full eigendecomposition.
+    Eigenpairs are computed in index order: indices [0, ``first``) (default
+    ``count``), then, while fewer than ``count`` interior ones are found and
+    the sector has more, only the next shortfall of indices; no index is
+    solved twice. A kept eigenvalue above the computed indices lies above
+    all of those below them, so the result is that of the full
+    eigendecomposition. NotConvergedError when the sector holds fewer than
+    ``count`` interior eigenpairs.
     """
-    dim = diag.size
-    window = count
+    dim, b = diag.size, np.abs(off)
+    w, keep = np.empty(0), np.empty(0, dtype=bool)
+    lo, hi = 0, min(dim, count if first is None else first)
     while True:
-        window = min(dim, 2 * window)
-        w, v = la.eigh_tridiagonal(diag, np.abs(off), select="i", select_range=(0, window - 1))
-        keep = _boundary_free(v)
-        if np.count_nonzero(keep) >= count or window == dim:
+        w_new, v_new = la.eigh_tridiagonal(diag, b, select="i", select_range=(lo, hi - 1))
+        w, keep = np.concatenate([w, w_new]), np.concatenate([keep, _boundary_free(v_new)])
+        found = int(np.count_nonzero(keep))
+        if found >= count or hi == dim:
             break
-    vals = w[keep]
-    if len(vals) < count:
+        lo, hi = hi, min(dim, hi + count - found)
+    if found < count:
         raise NotConvergedError(
-            f"only {len(vals)} interior-supported eigenvalues available; raise the cutoff"
+            f"only {found} interior-supported eigenvalues available; raise the cutoff"
         )
-    return vals[:count]
+    interior = np.flatnonzero(keep)[:count]
+    return w[interior], int(interior[-1]) + 1 - count
 
 
 def numeric_spectrum(
@@ -323,10 +335,12 @@ def numeric_spectrum(
     gauge is a diagonal unitary similarity, so it leaves the eigenvalues
     and |eigenvector| entries unchanged. su(2) sectors with charge <=
     cutoff are exact and keep all eigenvalues; every other sector keeps
-    interior-supported eigenpairs only and is certified by rebuilding it
-    at twice the cutoff, demanding relative agreement below
-    ``convergence_tol`` (NotConvergedError otherwise, or when fewer than
-    ``count`` interior eigenvalues exist).
+    interior-supported eigenpairs only (``_interior_eigenvalues``) and is
+    certified by rebuilding it at twice the cutoff, demanding relative
+    agreement below ``convergence_tol`` (NotConvergedError otherwise, or
+    when fewer than ``count`` interior eigenvalues exist). The doubled
+    solve starts with as many indices as the cutoff needed, since the
+    artifacts it rejected are invariant under doubling.
     """
     if not 1 <= count <= sector.dim:
         raise ValueError(f"requested {count} levels from a dim-{sector.dim} sector")
@@ -342,9 +356,11 @@ def numeric_spectrum(
         )
         return vals + p.mc2**2
 
-    lowest = _interior_eigenvalues(diag, off, count)
+    lowest, rejected = _interior_eigenvalues(diag, off, count)
     doubled = sector_basis(2 * sector.parent_cutoff, sector.charge_kind, sector.charge_value)
-    vals2 = _interior_eigenvalues(*sector_tridiagonal(kind, component, p, doubled), count)
+    vals2, _ = _interior_eigenvalues(
+        *sector_tridiagonal(kind, component, p, doubled), count, first=count + rejected
+    )
     scale = np.maximum(np.abs(vals2), p.mc2**2)
     change = np.max(np.abs(lowest - vals2) / scale)
     if change > convergence_tol:

@@ -10,9 +10,9 @@ seconds; coherent states reach j = 300, n = 200 and |zeta| = 0.99, and
 wavefunctions n_l, m_n = 40 and |zeta| components 0.99, where an exit 0
 must carry a norm within 1e-7 of 1. Sizes above their caps are drawn too:
 coherent-state ladders longer than ``MAX_LADDER_LENGTH``, ``spectrum`` and
-``wavefunction`` tables longer than ``MAX_ROWS`` and ``diagonalize``
-cutoffs above ``MAX_CUTOFF``; they must exit 2 before anything of that size
-is allocated.
+``wavefunction`` tables longer than ``MAX_ROWS`` and ``diagonalize`` and
+``verify`` cutoffs above ``MAX_CUTOFF``; they must exit 2 before anything of
+that size is allocated.
 """
 
 import json
@@ -131,7 +131,7 @@ VERIFY = _argv(
         "--f-im": VERIFY_COUPLING,
         "--g-re": VERIFY_COUPLING,
         "--g-im": VERIFY_COUPLING,
-        "--cutoff": st.integers(-3, 48),
+        "--cutoff": st.one_of(st.integers(-3, 48), st.sampled_from(OVER_CUTOFF)),
         "--seed": st.integers(-2, 5),
         "--tol": st.sampled_from([1e-30, 1e-8, 1.0, 0.0, -1.0, math.nan, math.inf]),
     }),
@@ -245,6 +245,8 @@ def test_coherent_state_over_cap_exits_before_allocating(argv):
      "(--nmax + 1)(--mmax + 1)", MAX_ROWS // 4),
     (["diagonalize", "--cutoff", str(MAX_CUTOFF + 1)], "--cutoff", MAX_CUTOFF),
     (["diagonalize", "--cutoff", str(10**18), "--sector", "0"], "--cutoff", MAX_CUTOFF),
+    (["verify", "--cutoff", str(MAX_CUTOFF + 1)], "--cutoff", MAX_CUTOFF),
+    (["verify", "--cutoff", str(10**18), "--f-re", "1", "--g-re", "2"], "--cutoff", MAX_CUTOFF),
     (["wavefunction", "--n-rho", str(10**18), "--n-phi", "0"], "--n-rho * --n-phi", MAX_ROWS),
     (["wavefunction", "--n-rho", "513", "--n-phi", "256"], "--n-rho * --n-phi", MAX_ROWS),
 ])
@@ -254,7 +256,7 @@ def test_sizes_over_cap_exit_before_computing(monkeypatch, argv, flag, cap):
 
     for owner, attr in [
         (spectra, "analytic_energy_su11"), (spectra, "analytic_energy_su2"),
-        (cli, "sector_basis"), (spectra, "numeric_spectrum"),
+        (cli, "sector_basis"), (spectra, "numeric_spectrum"), (cli, "run_verification_suite"),
         (wavefunc, "quadrature_inner_product"), (wavefunc, "ncs_wavefunction_series"),
     ]:
         monkeypatch.setattr(owner, attr, refuse)
