@@ -21,11 +21,13 @@ import numpy as np
 from . import spectra, wavefunc
 from .displace import MAX_LADDER_LENGTH, su11_ncs_coefficients, su2_ncs_coefficients
 from .errors import QuadratureError, TwoModeJcxError
-# build_basis stays bound here: the benchmark's span tests (bench/) check
-# that by-name imports such as cli.build_basis are traced and restored.
+# build_basis and parallel stay bound here for the benchmark (bench/) alone:
+# its span tests check that by-name imports such as cli.build_basis are
+# traced and restored, and its spans wrap parallel's functions, which must
+# be loaded with the CLI.
+from . import parallel  # noqa: F401
 from .fock import ChargeKind, build_basis, sector_basis  # noqa: F401
 from .models import Branch, Component, ModelKind, ModelParams, conserved_charge
-from .parallel import parallel_map
 from .verify import run_verification_suite
 
 SCHEMA_VERSION = 1
@@ -299,16 +301,13 @@ def diagonalize(**params):
         charges = list(range(-3, 4)) if charge is ChargeKind.DIFFERENCE_ND else list(range(0, 7))
     sectors = [sector_basis(params["cutoff"], charge, q) for q in charges]
     component = Component(params["component"])
-
-    def solve(sec):
-        count = min(params["count"], sec.dim)
-        vals = spectra.numeric_spectrum(kind, component, p, sec, count)
-        return [
-            {"sector": sec.charge_value, "level": i, "energy_sq": float(v)}
-            for i, v in enumerate(vals)
-        ]
-
-    rows = [row for chunk in parallel_map(solve, sectors) for row in chunk]
+    # In order, in this thread: LAPACK's dstebz and dstein hold the GIL, so
+    # threads cannot overlap sector solves.
+    rows = []
+    for sec in sectors:
+        vals = spectra.numeric_spectrum(kind, component, p, sec, min(params["count"], sec.dim))
+        rows += [{"sector": sec.charge_value, "level": i, "energy_sq": float(v)}
+                 for i, v in enumerate(vals)]
     emit_rows(
         rows,
         params["fmt"],
@@ -357,6 +356,8 @@ def verify(**params):
         params["fmt"],
         params["out_path"],
         meta={"model": kind.value, "seed": params["seed"], "cutoff": params["cutoff"]},
+        fields=["name", "anchor", "computed", "reference", "residual", "tolerance", "status",
+                "detail"] + (["runtime_s"] if params["timing"] else []),
     )
     n_fail = sum(1 for row in rows if row["status"] == "FAIL")
     if n_fail:
@@ -403,6 +404,7 @@ def wavefunction(**params):
         params["out_path"],
         meta={"norm_estimate": norm, "norm_error_estimate": quad.error_estimate,
               "n_l": n_l, "m_n": m_n, "zeta_re": zeta.real, "zeta_im": zeta.imag},
+        fields=["rho", "phi", "re", "im", "abs2"],
     )
 
 
@@ -433,6 +435,7 @@ def coherent_state(**params):
         params["out_path"],
         meta={"algebra": params["algebra"], "norm_sq": coeffs.norm_sq,
               "zeta_re": zeta.real, "zeta_im": zeta.imag},
+        fields=["index", "re", "im", "abs2"],
     )
 
 
@@ -470,7 +473,8 @@ def limits(**params):
     meta = {"case": params["case"], "charge": charge, "index": params["index"]}
     if len(scales) >= 2:
         meta["decay_exponent"] = spectra.limit_decay_exponent(case, charge, params["index"], scales)
-    emit_rows(rows, params["fmt"], params["out_path"], meta=meta)
+    emit_rows(rows, params["fmt"], params["out_path"], meta=meta,
+              fields=["scale", "eps_model", "eps_analytic", "offset", "rel_error"])
 
 
 if __name__ == "__main__":

@@ -37,8 +37,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
+# la stays bound here: the benchmark's span tests (bench/) trace its
+# eigensolvers as displace.la.
+import scipy.linalg as la  # noqa: F401
 
+from . import tridiag
 from .errors import ConvergenceError, SectorMismatchError, TailError
 from .fock import ChargeKind, SectorBasis, sector_basis
 from .liealg import AlgebraKind, sector_algebra, sector_generators
@@ -47,8 +50,6 @@ UNITARITY_TOL = 1e-10
 NCS_NORM_TOL = 1e-10
 NCS_LADDER_TOL = 1e-12  # coefficient change allowed under ladder doubling
 NCS_TAIL_MASS = 1e-24  # coefficient mass left out when the series is trimmed
-BOUNDARY_MASS_TOL = 1e-8
-BOUNDARY_MARGIN = 3
 # Longest irrep ladder a coherent state may request (su(1,1) max_index + 1,
 # su(2) 2j + 1). The solve holds about 110 bytes per ladder state (the
 # tridiagonal, its eigenvector window, LAPACK's stebz/stein workspace and
@@ -116,7 +117,7 @@ def _generator_eigenbasis(parent_cutoff: int, charge_kind: ChargeKind, charge_va
     max|V0ᵀV0 - I| > UNITARITY_TOL.
     """
     sub = sector_basis(parent_cutoff, charge_kind, charge_value).pair_amplitudes
-    w, v = la.eigh_tridiagonal(np.zeros(sub.size + 1), sub)
+    w, v = tridiag.eigh(np.zeros(sub.size + 1), sub)
     orth_dev = np.max(np.abs(v.T @ v - np.eye(w.size)))
     if orth_dev > UNITARITY_TOL:
         raise ConvergenceError(
@@ -299,13 +300,6 @@ class CoherentStateCoeffs:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
-def _boundary_free(v: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvector columns of a hard-truncated ladder that are not
-    pinned to the cut: at most BOUNDARY_MASS_TOL in the top BOUNDARY_MARGIN rows."""
-    margin = min(BOUNDARY_MARGIN, max(1, v.shape[0] - 1))
-    return np.sum(v[-margin:, :] ** 2, axis=0) <= BOUNDARY_MASS_TOL
-
-
 def _det_sign(lam: float, diag: np.ndarray, off: np.ndarray, p: int) -> int:
     """Sign of det(lam - T[:p, :p]) for the tridiagonal T = (diag, off): the
     product of its LDLᵀ pivot signs, with a zero pivot taken as tiny negative."""
@@ -339,9 +333,9 @@ def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, le
     diag = (num / den) * (lowest + m)
     off = (z / den) * np.sqrt(m[1:] * span)
     target = lowest + n
-    w, v = la.eigh_tridiagonal(diag, off, select="v", select_range=(target - 0.5, target + 0.5))
+    w, v = tridiag.eigh(diag, off, select="v", select_range=(target - 0.5, target + 0.5))
     if su11:
-        keep = _boundary_free(v)
+        keep = tridiag.boundary_free(v)
         w, v = w[keep], v[:, keep]
     if not w.size:
         return None

@@ -1,7 +1,10 @@
-"""Thread-budget helper for sector sweeps.
+"""Thread-budget helper, kept only because the benchmark's spans
+(``bench/spans.py``) trace ``parallel_map`` and ``thread_budget`` by name.
 
-TWOMODE_JCX_THREADS caps worker threads (0 or unset = one per CPU). Sector
-eigensolves release the GIL inside LAPACK, so threads are enough here.
+No command uses it. ``diagonalize`` once spread its sectors over this pool,
+but LAPACK's ``dstebz`` and ``dstein`` hold the GIL for the whole call, so
+the threads could not overlap sector solves and only added the pool's cost.
+``thread_budget`` reads TWOMODE_JCX_THREADS (0 or unset = one per CPU).
 """
 
 from __future__ import annotations

@@ -28,9 +28,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as la
+# la stays bound here: the benchmark's span tests (bench/) trace its
+# eigensolvers as spectra.la.
+import scipy.linalg as la  # noqa: F401
 
-from .displace import TiltingParams, _boundary_free, displacement_direct
+from . import tridiag
+from .displace import TiltingParams, displacement_direct
 from .errors import DegenerateCouplingError, DomainError, NotConvergedError
 from .fock import ChargeKind, SectorBasis, sector_basis
 from .liealg import AlgebraKind
@@ -281,44 +284,6 @@ def verify_tilting(
     )
 
 
-def _interior_eigenvalues(
-    diag: np.ndarray, off: np.ndarray, count: int, first: int | None = None
-) -> tuple:
-    """(lowest ``count`` eigenvalues whose eigenvectors carry no boundary
-    mass, number of boundary-pinned eigenpairs below the last of them).
-
-    Hard truncation can manufacture exact eigenpairs pinned to the top of a
-    sector (e.g. a kernel vector of the coupling with |amplitude| growing up
-    the ladder becomes normalizable once cut). Such artifacts are invariant
-    under cutoff doubling and must be rejected by eigenvector support
-    (``displace._boundary_free``).
-
-    Eigenpairs are computed in index order: indices [0, ``first``) (default
-    ``count``), then, while fewer than ``count`` interior ones are found and
-    the sector has more, only the next shortfall of indices; no index is
-    solved twice. A kept eigenvalue above the computed indices lies above
-    all of those below them, so the result is that of the full
-    eigendecomposition. NotConvergedError when the sector holds fewer than
-    ``count`` interior eigenpairs.
-    """
-    dim, b = diag.size, np.abs(off)
-    w, keep = np.empty(0), np.empty(0, dtype=bool)
-    lo, hi = 0, min(dim, count if first is None else first)
-    while True:
-        w_new, v_new = la.eigh_tridiagonal(diag, b, select="i", select_range=(lo, hi - 1))
-        w, keep = np.concatenate([w, w_new]), np.concatenate([keep, _boundary_free(v_new)])
-        found = int(np.count_nonzero(keep))
-        if found >= count or hi == dim:
-            break
-        lo, hi = hi, min(dim, hi + count - found)
-    if found < count:
-        raise NotConvergedError(
-            f"only {found} interior-supported eigenvalues available; raise the cutoff"
-        )
-    interior = np.flatnonzero(keep)[:count]
-    return w[interior], int(interior[-1]) + 1 - count
-
-
 def numeric_spectrum(
     kind: ModelKind,
     component: Component,
@@ -331,11 +296,13 @@ def numeric_spectrum(
 
     Brute-force oracle: the sector operator is built as a tridiagonal from
     the closed ladder matrix elements (``models.sector_tridiagonal``) and
-    solved with a tridiagonal eigensolver on (diag, |offdiag|); that phase
-    gauge is a diagonal unitary similarity, so it leaves the eigenvalues
-    and |eigenvector| entries unchanged. su(2) sectors with charge <=
-    cutoff are exact and keep all eigenvalues; every other sector keeps
-    interior-supported eigenpairs only (``_interior_eigenvalues``) and is
+    solved on (diag, |offdiag|) by ``tridiag``, the package's one LAPACK
+    tridiagonal eigensolver; that phase gauge is a diagonal unitary
+    similarity, so it leaves the eigenvalues and |eigenvector| entries
+    unchanged. su(2) sectors with charge <= cutoff are exact and keep all
+    eigenvalues, from one eigenvalue-only solve of indices 0..count - 1
+    (``tridiag.eigh``); every other sector keeps interior-supported
+    eigenpairs only (``tridiag.interior_eigenvalues``) and is
     certified by rebuilding it at twice the cutoff, demanding relative
     agreement below ``convergence_tol`` (NotConvergedError otherwise, or
     when fewer than ``count`` interior eigenvalues exist). The doubled
@@ -351,14 +318,14 @@ def numeric_spectrum(
         and sector.charge_value <= sector.parent_cutoff
     )
     if exact_sector:
-        vals = la.eigh_tridiagonal(
+        vals = tridiag.eigh(
             diag, np.abs(off), eigvals_only=True, select="i", select_range=(0, count - 1)
         )
         return vals + p.mc2**2
 
-    lowest, rejected = _interior_eigenvalues(diag, off, count)
+    lowest, rejected = tridiag.interior_eigenvalues(diag, off, count)
     doubled = sector_basis(2 * sector.parent_cutoff, sector.charge_kind, sector.charge_value)
-    vals2, _ = _interior_eigenvalues(
+    vals2, _ = tridiag.interior_eigenvalues(
         *sector_tridiagonal(kind, component, p, doubled), count, first=count + rejected
     )
     scale = np.maximum(np.abs(vals2), p.mc2**2)
@@ -587,7 +554,7 @@ def nonrelativistic_limit_check(
     if not 0 <= index < sector.dim:
         raise ValueError(f"index {index} outside the dim-{sector.dim} sector")
     diag, off = _nonrel_tridiagonal(case, sector)
-    level = la.eigh_tridiagonal(
+    level = tridiag.eigh(
         diag, np.abs(off), eigvals_only=True, select="i", select_range=(index, index)
     )
     eps_analytic = float(level[0]) + offset

@@ -34,3 +34,13 @@ def params_f2_g1():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def pinned_tridiagonal():
+    """dim 40: a chain (diag 10 + i, off 0.1) on rows 0..36 and three
+    decoupled top rows (diag 0, 10.5, 12.5), whose unit eigenvectors are
+    pinned to the cut and interleave the chain's lowest levels."""
+    diag = np.concatenate([10.0 + np.arange(37), [0.0, 10.5, 12.5]])
+    off = np.concatenate([np.full(36, 0.1), np.zeros(3)])
+    return diag, off

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import threading
 import warnings
 
 import click
@@ -92,6 +93,23 @@ class TestDiagonalizeCommand:
         assert all(r["sector"] == 3 for r in rows)
         vals = [r["energy_sq"] for r in rows]
         assert vals == sorted(vals)
+
+    def test_sectors_solved_in_order_in_one_thread(self, runner, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("diagonalize started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setenv("TWOMODE_JCX_THREADS", "4")  # read by no command
+        result = runner.invoke(
+            main,
+            ["diagonalize", "--cutoff", "40", "--sector", "2", "--sector", "-1",
+             "--sector", "0", "--count", "3", "--format", "json"],
+        )
+        assert result.exit_code == 0, result.output
+        rows = json.loads(result.output)["rows"]
+        assert [(r["sector"], r["level"]) for r in rows] == [
+            (q, i) for q in (2, -1, 0) for i in range(3)
+        ]
 
     def test_cutoff_minimum_enforced(self, runner):
         result = runner.invoke(main, ["diagonalize", "--cutoff", "2"])
@@ -418,17 +436,50 @@ def _payload(rows, meta):
     return payload
 
 
+# One small table-producing argv per command.
+COMMAND_ARGVS = [
+    ["spectrum", "--model", "jc-jc", "--nmax", "2", "--mmax", "2"],
+    ["diagonalize", "--cutoff", "40", "--sector", "0", "--sector", "1", "--count", "3"],
+    ["verify"],
+    ["wavefunction", "--n-l", "1", "--m-n", "2", "--zeta-re", "0.3", "--n-rho", "5", "--n-phi", "4"],
+    ["coherent-state", "--algebra", "su2", "--j", "2", "--mu", "0", "--zeta-im", "0.4"],
+    ["limits", "--scales", "1e4,1e5"],
+]
+
+
+class TestEmptyTableCsv:
+    """An empty table's CSV still starts with the command's header row."""
+
+    @pytest.mark.parametrize("argv", [*COMMAND_ARGVS, ["verify", "--timing"]],
+                             ids=[argv[0] for argv in COMMAND_ARGVS] + ["verify-timing"])
+    def test_emptied_table_keeps_the_header(self, runner, monkeypatch, argv):
+        headers = []
+
+        def emptied(rows, fmt, out_path, meta=None, fields=None):
+            headers.append(",".join(rows[0]))
+            return emit_rows([], fmt, out_path, meta=meta, fields=fields)
+
+        monkeypatch.setattr(cli, "emit_rows", emptied)
+        result = runner.invoke(main, [*argv, "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        (header,) = headers
+        assert result.stdout.split("\n")[0] == header
+
+    @pytest.mark.parametrize("argv, header", [
+        (["spectrum", "--nmax", "-1"], "n_l,m_n,branch,inner_sign,energy"),
+        (["wavefunction", "--n-rho", "0"], "rho,phi,re,im,abs2"),
+        (["limits", "--scales", ","], "scale,eps_model,eps_analytic,offset,rel_error"),
+    ], ids=["spectrum", "wavefunction", "limits"])
+    def test_empty_table(self, runner, argv, header):
+        result = runner.invoke(main, [*argv, "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.split("\n")[0] == header
+
+
 class TestJsonLayout:
     """JSON output is byte-equal to json.dumps(payload, indent=2) + "\\n"."""
 
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", "--model", "jc-jc", "--nmax", "2", "--mmax", "2"],
-        ["diagonalize", "--cutoff", "40", "--sector", "0", "--sector", "1", "--count", "3"],
-        ["verify"],
-        ["wavefunction", "--n-l", "1", "--m-n", "2", "--zeta-re", "0.3", "--n-rho", "5", "--n-phi", "4"],
-        ["coherent-state", "--algebra", "su2", "--j", "2", "--mu", "0", "--zeta-im", "0.4"],
-        ["limits", "--scales", "1e4,1e5"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
     def test_command_rows(self, runner, monkeypatch, argv):
         emitted = []
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from twomode_jcx import displace
+from twomode_jcx import displace, tridiag
 from twomode_jcx.displace import (
     TiltingParams,
     displacement_direct,
@@ -121,14 +121,14 @@ class TestDisplacementColumns:
             displacement_direct(0.4, sec, columns)
 
     def test_eigenbasis_checked_when_solved(self, monkeypatch):
-        solve = la.eigh_tridiagonal
+        solve = tridiag.eigh
 
         def skewed(d, e):
             w, v = solve(d, e)
             return w, v * (1.0 + 1e-6)
 
         displace._generator_eigenbasis.cache_clear()
-        monkeypatch.setattr(displace.la, "eigh_tridiagonal", skewed)
+        monkeypatch.setattr(tridiag, "eigh", skewed)
         with pytest.raises(ConvergenceError, match="not orthonormal"):
             displace._generator_eigenbasis(12, ChargeKind.SUM_NS, 7)
         assert displace._generator_eigenbasis.cache_info().currsize == 0

@@ -15,8 +15,6 @@ import scipy.sparse as sp
 
 from twomode_jcx import displace, fock
 from twomode_jcx.displace import (
-    BOUNDARY_MARGIN,
-    BOUNDARY_MASS_TOL,
     TiltingParams,
     displacement_direct,
     displacement_normal,
@@ -67,6 +65,7 @@ from twomode_jcx.spectra import (
     nonrelativistic_limit_check,
     numeric_spectrum,
 )
+from twomode_jcx.tridiag import BOUNDARY_MARGIN, BOUNDARY_MASS_TOL
 
 OPERATOR_TOL = 1e-13  # relative to the block's largest entry
 SPECTRUM_TOL = 1e-12  # relative, per eigenvalue

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from twomode_jcx import spectra
-from twomode_jcx.displace import _boundary_free
+from twomode_jcx import spectra, tridiag
 from twomode_jcx.errors import DegenerateCouplingError, DomainError, NotConvergedError
 from twomode_jcx.fock import ChargeKind, build_basis, get_sector, sector_basis
 from twomode_jcx.models import Branch, Component, ModelKind, ModelParams, sector_tridiagonal
@@ -251,34 +250,31 @@ def _full_interior_prefix(diag, off, count):
     """(boundary-free prefix, artifacts below its last pair) of the full
     eigendecomposition of the tridiagonal (diag, |off|)."""
     w, v = la.eigh_tridiagonal(diag, np.abs(off))
-    keep = _boundary_free(v)
+    keep = tridiag.boundary_free(v)
     last = int(np.flatnonzero(keep)[count - 1])
     return w[keep][:count], last + 1 - count, float(np.max(np.abs(w)))
 
 
-class _RecordingLinalg:
-    """Stand-in for ``scipy.linalg`` whose ``eigh_tridiagonal`` logs (dim, select_range)."""
-
-    def __init__(self):
-        self.calls = []
-
-    def eigh_tridiagonal(self, d, e, **kwargs):
-        self.calls.append((d.size, kwargs.get("select_range")))
-        return la.eigh_tridiagonal(d, e, **kwargs)
+_EIGH = tridiag.eigh
 
 
-def _pinned_tridiagonal():
-    """dim 40: a chain (diag 10 + i, off 0.1) on rows 0..36 and three
-    decoupled top rows (diag 0, 10.5, 12.5), whose unit eigenvectors are
-    pinned to the cut and interleave the chain's lowest levels."""
-    diag = np.concatenate([10.0 + np.arange(37), [0.0, 10.5, 12.5]])
-    off = np.concatenate([np.full(36, 0.1), np.zeros(3)])
-    return diag, off
+def _record_solves(monkeypatch):
+    """Replace the kernel ``tridiag.eigh`` by one that also logs
+    (dim, select_range) of every solve; returns the log."""
+    calls = []
+
+    def recording(d, e, **kwargs):
+        calls.append((d.size, kwargs.get("select_range")))
+        return _EIGH(d, e, **kwargs)
+
+    monkeypatch.setattr(tridiag, "eigh", recording)
+    return calls
 
 
 class TestIncrementalInteriorSolve:
-    """``_interior_eigenvalues`` solves indices in order, each at most once,
-    and equals the boundary-free prefix of the full eigendecomposition."""
+    """``tridiag.interior_eigenvalues`` solves indices in order, each at
+    most once, and equals the boundary-free prefix of the full
+    eigendecomposition."""
 
     @pytest.mark.parametrize("component", list(Component))
     @pytest.mark.parametrize("p", [ModelParams(g=0.5j, f=2.0), ModelParams(g=2.0, f=0.5 - 0.2j)],
@@ -290,7 +286,7 @@ class TestIncrementalInteriorSolve:
                 sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, q)
                 diag, off = sector_tridiagonal(ModelKind.JC_AJC, component, p, sec)
                 for count in (1, 3, 8):
-                    vals, rejected = spectra._interior_eigenvalues(diag, off, count)
+                    vals, rejected = tridiag.interior_eigenvalues(diag, off, count)
                     ref, ref_rejected, norm = _full_interior_prefix(diag, off, count)
                     np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-13 * norm)
                     assert rejected == ref_rejected
@@ -301,31 +297,29 @@ class TestIncrementalInteriorSolve:
         assert rejected_seen == ({0, 1} if pinned else {0})
 
     @pytest.mark.parametrize("count", range(1, 8))
-    def test_equals_full_solve_prefix_with_several_pinned_pairs(self, count):
-        diag, off = _pinned_tridiagonal()
-        vals, rejected = spectra._interior_eigenvalues(diag, off, count)
+    def test_equals_full_solve_prefix_with_several_pinned_pairs(self, count, pinned_tridiagonal):
+        diag, off = pinned_tridiagonal
+        vals, rejected = tridiag.interior_eigenvalues(diag, off, count)
         ref, ref_rejected, norm = _full_interior_prefix(diag, off, count)
         np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-13 * norm)
         assert rejected == ref_rejected
 
-    def test_growth_requests_only_the_shortfall(self, monkeypatch):
+    def test_growth_requests_only_the_shortfall(self, monkeypatch, pinned_tridiagonal):
         # Levels: 0 P, 10 I, 10.5 P, 11 I | 12 I, 12.5 P | 13 I (P pinned).
-        rec = _RecordingLinalg()
-        monkeypatch.setattr(spectra, "la", rec)
-        vals, rejected = spectra._interior_eigenvalues(*_pinned_tridiagonal(), 4)
-        assert rec.calls == [(40, (0, 3)), (40, (4, 5)), (40, (6, 6))]
+        calls = _record_solves(monkeypatch)
+        vals, rejected = tridiag.interior_eigenvalues(*pinned_tridiagonal, 4)
+        assert calls == [(40, (0, 3)), (40, (4, 5)), (40, (6, 6))]
         assert rejected == 3 and len(vals) == 4
 
-    def test_first_sets_the_initial_window(self, monkeypatch):
-        rec = _RecordingLinalg()
-        monkeypatch.setattr(spectra, "la", rec)
-        spectra._interior_eigenvalues(*_pinned_tridiagonal(), 4, first=7)
-        assert rec.calls == [(40, (0, 6))]
+    def test_first_sets_the_initial_window(self, monkeypatch, pinned_tridiagonal):
+        calls = _record_solves(monkeypatch)
+        tridiag.interior_eigenvalues(*pinned_tridiagonal, 4, first=7)
+        assert calls == [(40, (0, 6))]
 
-    def test_exhausted_sector_raises(self):
-        diag, off = _pinned_tridiagonal()
+    def test_exhausted_sector_raises(self, pinned_tridiagonal):
+        diag, off = pinned_tridiagonal
         with pytest.raises(NotConvergedError, match="only 37 interior-supported"):
-            spectra._interior_eigenvalues(diag, off, 38)
+            tridiag.interior_eigenvalues(diag, off, 38)
 
     @pytest.mark.parametrize("component", list(Component))
     @pytest.mark.parametrize("p", [ModelParams(g=1.0, f=2.0), ModelParams(g=2.0, f=1.0)],
@@ -339,22 +333,20 @@ class TestIncrementalInteriorSolve:
                 *sector_tridiagonal(ModelKind.JC_AJC, component, p, sec), count)
             _, r2, _ = _full_interior_prefix(
                 *sector_tridiagonal(ModelKind.JC_AJC, component, p, doubled), count)
-            rec = _RecordingLinalg()
-            monkeypatch.setattr(spectra, "la", rec)
+            calls = _record_solves(monkeypatch)
             numeric_spectrum(ModelKind.JC_AJC, component, p, sec, count)
             monkeypatch.undo()
             for dim, needed in ((sec.dim, count + r), (doubled.dim, count + max(r, r2))):
-                ranges = [rng for d, rng in rec.calls if d == dim]
+                ranges = [rng for d, rng in calls if d == dim]
                 indices = [i for lo, hi in ranges for i in range(lo, hi + 1)]
                 assert indices == list(range(needed)), (q, dim, ranges)
-            assert {d for d, _ in rec.calls} == {sec.dim, doubled.dim}
+            assert {d for d, _ in calls} == {sec.dim, doubled.dim}
 
     def test_exact_su2_sector_is_one_solve(self, monkeypatch):
-        rec = _RecordingLinalg()
-        monkeypatch.setattr(spectra, "la", rec)
+        calls = _record_solves(monkeypatch)
         sec = sector_basis(20, ChargeKind.SUM_NS, 6)
         numeric_spectrum(ModelKind.JC_JC, Component.UPPER, ModelParams(g=1.0, f=2.0), sec, 7)
-        assert rec.calls == [(7, (0, 6))]
+        assert calls == [(7, (0, 6))]
 
 
 class TestPartnerShift:
