@@ -1,11 +1,12 @@
 """Command-line surface: spectra, diagonalization, verification, samples.
 
-Output contract: JSON is one top-level object with a ``schema_version``
-field; CSV is UTF-8, comma-separated, LF line endings, mandatory header
-row, floats printed with 17 significant digits, metadata appended as
-``# key=value`` comment lines. Exit codes: 0 success, 1 verification
-failure, 2 usage or domain errors. The command group is the one place where
-a library exception becomes exit 2; commands translate none themselves.
+Output contract: each command builds one ``table`` of typed columns. JSON
+is one top-level object with a ``schema_version`` field; CSV is UTF-8,
+comma-separated, LF line endings, mandatory header row, floats printed with
+17 significant digits, metadata appended as ``# key=value`` comment lines.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain errors.
+The command group is the one place where a library exception becomes
+exit 2; commands translate none themselves.
 """
 
 from __future__ import annotations
@@ -58,106 +59,83 @@ def _check_cap(value: int, cap: int, what: str) -> None:
 
 _NON_FINITE = "non-finite number in output; refusing to serialize"
 
-
-def _finite(x: float) -> float:
-    if not math.isfinite(x):
-        raise click.UsageError(_NON_FINITE)
-    return x
-
-
-def _fmt_float(x: float) -> str:
-    return f"{_finite(x):.17g}"
-
-
-_JSON_LITERALS = {None: "null", True: "true", False: "false"}
-# The C encoders json.dumps applies to these exact scalar types.
-_JSON_BY_TYPE = {float: float.__repr__, int: int.__repr__, str: _json_str}
+# How each scalar type is written, by numpy dtype kind. JSON writes a float
+# or an int as its repr and a string through json's own escaper, as
+# json.dumps does (whose indenting encoder is pure Python, twice the time on a
+# 6 400-row table); CSV writes a float to 17 significant digits and a string raw.
+_FORMATS = {
+    "json": {"f": "{!r}", "i": "{!r}", "O": "{}"},
+    "csv": {"f": "{:.17g}", "i": "{!r}", "O": "{}"},
+}
+_KINDS = {float: "f", int: "i", str: "O"}
 
 
-def _json_value(value, pad: str) -> str:
-    """``value`` as json.dumps(value, indent=2) writes it, nested at indent
-    ``pad``; a non-finite float exits 2.
+def table(**columns) -> np.ndarray:
+    """A table: one row per index and one typed field per keyword, in order.
 
-    json.dumps falls back to its pure-Python encoder when it indents, twice
-    the time of its C encoder on a 6 400-row table. Here each dict key of a
-    list of like dicts is encoded once, and each column of values in one
-    pass of json's C scalar encoders (``_json_column``).
+    Numbers keep their numpy dtype. Strings are held as Python objects,
+    since a fixed-width unicode field drops trailing NULs.
     """
-    if isinstance(value, dict):
-        return _json_dicts([value], pad)[0]
-    if not isinstance(value, list):
-        return _json_scalar(value)
-    if not value:
-        return "[]"
-    inner = pad + "  "
-    keys = list(value[0]) if isinstance(value[0], dict) else None
-    if keys is not None and all(isinstance(v, dict) and list(v) == keys for v in value):
-        items = _json_dicts(value, inner)
-    else:
-        items = [_json_value(v, inner) for v in value]
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    arrays = {}
+    for name, values in columns.items():
+        col = np.asarray(values)
+        arrays[name] = np.array(values, dtype=object) if col.dtype.kind == "U" else col
+    length = len(next(iter(arrays.values())))
+    rows = np.empty(length, dtype=[(name, col.dtype) for name, col in arrays.items()])
+    for name, col in arrays.items():
+        rows[name] = col
+    return rows
 
 
-def _json_dicts(dicts: list, pad: str) -> list:
-    """Each of ``dicts``, which share their string keys in order, as JSON at ``pad``."""
-    keys = list(dicts[0])
-    if not keys:
-        return ["{}"] * len(dicts)
-    inner = pad + "  "
-    fields = (_json_str(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
-    template = f"{{{{\n{inner}" + f",\n{inner}".join(fields) + f"\n{pad}}}}}"
-    columns = [_json_column([d[k] for d in dicts], inner) for k in keys]
-    return list(map(template.format, *columns))
-
-
-def _json_column(values: list, pad: str) -> list:
-    kinds = set(map(type, values))
-    encode = _JSON_BY_TYPE.get(kinds.pop()) if len(kinds) == 1 else None
-    if encode is None:
-        return [_json_value(v, pad) for v in values]
-    if encode is float.__repr__ and not all(map(math.isfinite, values)):
+def _cells(values: list, kind: str, fmt: str) -> list:
+    """One column's Python values, ready for its format: a non-finite float
+    exits 2, and a string is escaped for JSON."""
+    if kind == "f" and not all(map(math.isfinite, values)):
         raise click.UsageError(_NON_FINITE)
-    return list(map(encode, values))
+    return list(map(_json_str, values)) if fmt == "json" and kind == "O" else values
 
 
-def _json_scalar(value) -> str:
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None or isinstance(value, bool):
-        return _JSON_LITERALS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(_finite(value))
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _scalar(value, fmt: str) -> str:
+    """One metadata value, written as a one-cell column of its type."""
+    value = float(value) if isinstance(value, float) else value  # numpy's repr is not JSON
+    kind = _KINDS[type(value)]
+    return _FORMATS[fmt][kind].format(*_cells([value], kind, fmt))
 
 
-def emit_rows(rows, fmt: str, out_path: str | None, meta: dict | None = None,
-              fields: list | None = None):
-    """Serialize a list of flat dicts; deterministic field order.
+def _text(rows: np.ndarray, fmt: str, meta: dict) -> str:
+    """The whole output, from one row template, in one join. Its columns
+    are freed on return, before the text is written."""
+    names = rows.dtype.names
+    kinds = [rows.dtype[n].kind for n in names]
+    columns = [_cells(rows[n].tolist(), k, fmt) for n, k in zip(names, kinds)]
+    meta = [(k, _scalar(v, fmt)) for k, v in meta.items()]
+    specs = [_FORMATS[fmt][k] for k in kinds]
+    if fmt == "csv":
+        return "\n".join([",".join(names), *map(",".join(specs).format, *columns),
+                          *(f"# {k}={v}" for k, v in meta), ""])
+    # each row starts with the comma that separates it from the one before
+    fields = ",\n      ".join(f"{_json_str(n)}: {spec}" for n, spec in zip(names, specs))
+    parts = [f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "rows": [',
+             *map((",\n    {{\n      " + fields + "\n    }}").format, *columns)]
+    if len(parts) > 1:
+        parts[1] = parts[1][1:]
+        parts.append("\n  ")
+    parts.append("]")
+    if meta:
+        parts.append(',\n  "meta": {\n    '
+                     + ",\n    ".join(f"{_json_str(k)}: {v}" for k, v in meta) + "\n  }")
+    parts.append("\n}\n")
+    return "".join(parts)
 
-    ``fields`` supplies the CSV header when the table is empty (the header
-    row is part of the format contract either way). JSON is byte-equal to
-    ``json.dumps(payload, indent=2) + "\n"``; a non-finite float exits 2.
+
+def emit_rows(rows: np.ndarray, fmt: str, out_path: str | None, meta: dict | None = None):
+    """Write a ``table`` and a flat str/int/float ``meta`` dict.
+
+    Every cell is encoded before the first byte is written, so a non-finite
+    float exits 2 with nothing written. JSON is byte-equal to
+    ``json.dumps(payload, indent=2) + "\n"`` of the rows as dicts.
     """
-    if fmt == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "rows": rows}
-        if meta:
-            payload["meta"] = meta
-        text = _json_value(payload, "") + "\n"
-    else:
-        header = list(rows[0].keys()) if rows else list(fields or [])
-        lines = [",".join(header)]
-        for row in rows:
-            cells = []
-            for key in header:
-                v = row[key]
-                cells.append(_fmt_float(v) if isinstance(v, float) else str(v))
-            lines.append(",".join(cells))
-        if meta:
-            for k, v in meta.items():
-                lines.append(f"# {k}={_fmt_float(v) if isinstance(v, float) else v}")
-        text = "\n".join(lines) + "\n"
+    text = _text(rows, fmt, meta or {})
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -254,29 +232,26 @@ def spectrum(**params):
     grid = (max(params["nmax"], 0) + 1) * (max(params["mmax"], 0) + 1)
     _check_cap(grid, MAX_ROWS // 4, "(--nmax + 1)(--mmax + 1)")
     p, kind = _resolve_model(params)
-    rows = []
+    levels = []
     for n_l in range(params["nmax"] + 1):
         for m_n in range(params["mmax"] + 1):
             for branch in (Branch.PLUS, Branch.MINUS):
                 if kind is ModelKind.JC_AJC:
-                    levels = [spectra.analytic_energy_su11(p, n_l, m_n, branch)]
+                    levels.append(spectra.analytic_energy_su11(p, n_l, m_n, branch))
                 else:
-                    levels = [
+                    levels += [
                         spectra.analytic_energy_su2(p, n_l, m_n, branch, inner)
                         for inner in ((1,) if m_n == 0 else (1, -1))
                     ]
-                for lvl in levels:
-                    rows.append(
-                        {
-                            "n_l": n_l,
-                            "m_n": m_n,
-                            "branch": lvl.branch.name.lower(),
-                            "inner_sign": lvl.inner_sign.name.lower(),
-                            "energy": lvl.energy,
-                        }
-                    )
-    emit_rows(rows, params["fmt"], params["out_path"], meta={"model": kind.value},
-              fields=["n_l", "m_n", "branch", "inner_sign", "energy"])
+    rows = table(
+        n_l=[lvl.n_l for lvl in levels],
+        m_n=[lvl.m_n for lvl in levels],
+        branch=[lvl.branch.name.lower() for lvl in levels],
+        inner_sign=[lvl.inner_sign.name.lower() for lvl in levels],
+        energy=[lvl.energy for lvl in levels],
+    )
+    del levels  # the table holds every cell; the encoder needs the room at the cap
+    emit_rows(rows, params["fmt"], params["out_path"], meta={"model": kind.value})
 
 
 @main.command()
@@ -303,17 +278,18 @@ def diagonalize(**params):
     component = Component(params["component"])
     # In order, in this thread: LAPACK's dstebz and dstein hold the GIL, so
     # threads cannot overlap sector solves.
-    rows = []
-    for sec in sectors:
-        vals = spectra.numeric_spectrum(kind, component, p, sec, min(params["count"], sec.dim))
-        rows += [{"sector": sec.charge_value, "level": i, "energy_sq": float(v)}
-                 for i, v in enumerate(vals)]
+    vals = [spectra.numeric_spectrum(kind, component, p, sec, min(params["count"], sec.dim))
+            for sec in sectors]
+    rows = table(
+        sector=np.repeat([sec.charge_value for sec in sectors], [len(v) for v in vals]),
+        level=np.concatenate([np.arange(len(v)) for v in vals]),
+        energy_sq=np.concatenate(vals),
+    )
     emit_rows(
         rows,
         params["fmt"],
         params["out_path"],
         meta={"model": kind.value, "cutoff": params["cutoff"], "component": params["component"]},
-        fields=["sector", "level", "energy_sq"],
     )
 
 
@@ -331,35 +307,33 @@ def verify(**params):
     _check_cap(params["cutoff"], MAX_CUTOFF, "--cutoff")
     p, kind = _resolve_model(params)
     report = run_verification_suite(p, cutoff=params["cutoff"], seed=params["seed"])
-    rows = []
-    for r in report.records:
+    records = report.records
+    tols = [r.tolerance for r in records]
+    status = [r.status for r in records]
+    if params["tol"] is not None:
         # Tighten-only: no flag can turn a FAIL into a PASS.
-        tol = r.tolerance if params["tol"] is None else min(params["tol"], r.tolerance)
-        status = r.status
-        if status != "SKIP" and params["tol"] is not None:
-            status = "PASS" if r.residual <= tol else "FAIL"
-        row = {
-            "name": r.name,
-            "anchor": r.anchor,
-            "computed": r.computed,
-            "reference": r.reference,
-            "residual": r.residual,
-            "tolerance": tol if status != "SKIP" else 0.0,
-            "status": status,
-            "detail": r.detail,
-        }
-        if params["timing"]:
-            row["runtime_s"] = r.runtime if r.runtime is not None else 0.0
-        rows.append(row)
+        tols = [min(params["tol"], t) for t in tols]
+        status = [s if s == "SKIP" else "PASS" if r.residual <= t else "FAIL"
+                  for r, s, t in zip(records, status, tols)]
+    columns = dict(
+        name=[r.name for r in records],
+        anchor=[r.anchor for r in records],
+        computed=[r.computed for r in records],
+        reference=[r.reference for r in records],
+        residual=[r.residual for r in records],
+        tolerance=[0.0 if s == "SKIP" else t for s, t in zip(status, tols)],
+        status=status,
+        detail=[r.detail for r in records],
+    )
+    if params["timing"]:
+        columns["runtime_s"] = [r.runtime if r.runtime is not None else 0.0 for r in records]
     emit_rows(
-        rows,
+        table(**columns),
         params["fmt"],
         params["out_path"],
         meta={"model": kind.value, "seed": params["seed"], "cutoff": params["cutoff"]},
-        fields=["name", "anchor", "computed", "reference", "residual", "tolerance", "status",
-                "detail"] + (["runtime_s"] if params["timing"] else []),
     )
-    n_fail = sum(1 for row in rows if row["status"] == "FAIL")
+    n_fail = status.count("FAIL")
     if n_fail:
         click.echo(f"{n_fail} verification record(s) failed", err=True)
         sys.exit(1)
@@ -392,19 +366,17 @@ def wavefunction(**params):
     if not abs(norm - 1.0) <= NORM_TOL:
         raise QuadratureError(f"quadrature norm {norm:.9g} is not 1 within {NORM_TOL:.0e}; "
                               "the state is not resolved by the Gauss-Laguerre rule")
-    rows = [
-        {"rho": float(r), "phi": float(p), "re": float(v.real), "im": float(v.imag),
-         "abs2": float(np.abs(v) ** 2)}
-        for r, vals_r in zip(rho, fn(rho[:, None], phi[None, :]))
-        for p, v in zip(phi, vals_r)
-    ]
+    vals = fn(rho[:, None], phi[None, :]).ravel()
+    # abs2 one value at a time, as np.abs(v) ** 2: numpy's vectorized square
+    # and abs() of a numpy complex each differ from it in some last digits
+    rows = table(rho=np.repeat(rho, len(phi)), phi=np.tile(phi, len(rho)),
+                 re=vals.real, im=vals.imag, abs2=[np.abs(v) ** 2 for v in vals])
     emit_rows(
         rows,
         params["fmt"],
         params["out_path"],
         meta={"norm_estimate": norm, "norm_error_estimate": quad.error_estimate,
               "n_l": n_l, "m_n": m_n, "zeta_re": zeta.real, "zeta_im": zeta.imag},
-        fields=["rho", "phi", "re", "im", "abs2"],
     )
 
 
@@ -425,17 +397,15 @@ def coherent_state(**params):
         coeffs = su11_ncs_coefficients(params["k"], params["n"], zeta, max_index=params["max_index"])
     else:
         coeffs = su2_ncs_coefficients(params["j"], params["mu"], zeta)
-    rows = [
-        {"index": i, "re": float(c.real), "im": float(c.imag), "abs2": float(abs(c) ** 2)}
-        for i, c in enumerate(coeffs.coeffs)
-    ]
+    c = coeffs.coeffs
+    # abs2 one value at a time: numpy's vectorized square differs from ** 2
+    # in some last digits
     emit_rows(
-        rows,
+        table(index=np.arange(len(c)), re=c.real, im=c.imag, abs2=[abs(v) ** 2 for v in c]),
         params["fmt"],
         params["out_path"],
         meta={"algebra": params["algebra"], "norm_sq": coeffs.norm_sq,
               "zeta_re": zeta.real, "zeta_im": zeta.imag},
-        fields=["index", "re", "im", "abs2"],
     )
 
 
@@ -458,23 +428,18 @@ def limits(**params):
         scales = [float(s) for s in params["scales"].split(",") if s]
     except ValueError as exc:
         raise click.UsageError(f"bad --scales list: {params['scales']}") from exc
-    rows = []
-    for s in scales:
-        rep = spectra.nonrelativistic_limit_check(case, charge, params["index"], s)
-        rows.append(
-            {
-                "scale": s,
-                "eps_model": rep.eps_model,
-                "eps_analytic": rep.eps_analytic,
-                "offset": rep.offset,
-                "rel_error": rep.rel_error,
-            }
-        )
+    reports = [spectra.nonrelativistic_limit_check(case, charge, params["index"], s) for s in scales]
+    rows = table(
+        scale=scales,
+        eps_model=[r.eps_model for r in reports],
+        eps_analytic=[r.eps_analytic for r in reports],
+        offset=[r.offset for r in reports],
+        rel_error=[r.rel_error for r in reports],
+    )
     meta = {"case": params["case"], "charge": charge, "index": params["index"]}
     if len(scales) >= 2:
         meta["decay_exponent"] = spectra.limit_decay_exponent(case, charge, params["index"], scales)
-    emit_rows(rows, params["fmt"], params["out_path"], meta=meta,
-              fields=["scale", "eps_model", "eps_analytic", "offset", "rel_error"])
+    emit_rows(rows, params["fmt"], params["out_path"], meta=meta)
 
 
 if __name__ == "__main__":

@@ -142,6 +142,7 @@ def _lowered_after_raise(n: np.ndarray, cutoff: int) -> np.ndarray:
     return np.where(n < cutoff, n + 1.0, 0.0)
 
 
+@np.errstate(over="raise")  # a band past float64: an error whatever the warning filter
 def sector_tridiagonal(
     kind: ModelKind, component: Component, p: ModelParams, sector: SectorBasis
 ) -> tuple:
@@ -154,7 +155,7 @@ def sector_tridiagonal(
     cases, hbar² g f* times ``sector.pair_amplitudes``, and never meets the
     cutoff, since both states of a pair lie inside the sector.
     SectorMismatchError when the sector charge is not the model's conserved
-    quantity.
+    quantity; FloatingPointError when a band element overflows float64.
     """
     if sector.charge_kind is not conserved_charge(kind):
         raise SectorMismatchError(

@@ -80,12 +80,9 @@ def su11_sector_energy_sq(p: ModelParams, d: int, n: int) -> float:
 
 
 def su11_energy_sq(p: ModelParams, n_l: int, m_n: int) -> float:
-    """General closed form for E² of the JC_AJC model."""
-    fa2, ga2 = abs(p.f) ** 2, abs(p.g) ** 2
-    lam = abs(fa2 - ga2)
-    dlt = fa2 - ga2
-    val = p.hbar**2 * (lam * (n_l + m_n / 2.0 + 0.5) - 0.5 * dlt * (m_n - 1))
-    return val + p.mc2**2
+    """General closed form for E² of the JC_AJC model: the N_d = -m_n sector's
+    n_l-th level."""
+    return su11_sector_energy_sq(p, -m_n, n_l)
 
 
 def su11_energy_sq_simplified(p: ModelParams, n_l: int) -> float:

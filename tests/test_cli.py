@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from twomode_jcx import cli
 from twomode_jcx.cli import SCHEMA_VERSION, emit_rows, main
-from twomode_jcx.wavefunc import oscillator_wavefunction
+from twomode_jcx.displace import su11_ncs_coefficients
+from twomode_jcx.wavefunc import ncs_wavefunction_series, oscillator_wavefunction
 
 
 @pytest.fixture
@@ -32,6 +33,40 @@ def parse_csv(text):
             meta[key] = val
     rows = list(csv.DictReader(io.StringIO("\n".join(body))))
     return rows, meta
+
+
+# One small table-producing argv per command.
+COMMAND_ARGVS = [
+    ["spectrum", "--model", "jc-jc", "--nmax", "2", "--mmax", "2"],
+    ["diagonalize", "--cutoff", "40", "--sector", "0", "--sector", "1", "--count", "3"],
+    ["verify"],
+    ["wavefunction", "--n-l", "1", "--m-n", "2", "--zeta-re", "0.3", "--n-rho", "5", "--n-phi", "4"],
+    ["coherent-state", "--algebra", "su2", "--j", "2", "--mu", "0", "--zeta-im", "0.4"],
+    ["limits", "--scales", "1e4,1e5"],
+]
+
+
+def _csv_cells(line, like):
+    """``line`` split into cells shaped like the JSON values ``like``: CSV
+    writes strings raw, so a string cell is taken whole, commas and all."""
+    cells = []
+    for i, value in enumerate(like):
+        if i == len(like) - 1:
+            cell, line = line, ""
+        elif isinstance(value, str):
+            cell, sep, line = line[:len(value)], line[len(value):len(value) + 1], line[len(value) + 1:]
+            assert sep == ",", (cell, line)
+        else:
+            cell, _, line = line.partition(",")
+        cells.append(cell)
+    return cells
+
+
+def _same_cell(text, value):
+    """A CSV cell holds ``value``: floats equal after the round trip."""
+    if isinstance(value, str):
+        return text == value
+    return type(value)(text) == value
 
 
 class TestSpectrumCommand:
@@ -57,16 +92,22 @@ class TestSpectrumCommand:
         assert result.exit_code == 0
         assert json.loads(result.output)["rows"] == []
 
-    def test_json_csv_identical_numbers(self, runner, tmp_path):
-        args = ["spectrum", "--f-re", "2", "--g-re", "1", "--nmax", "2", "--mmax", "2"]
-        r_json = runner.invoke(main, args + ["--format", "json"])
-        r_csv = runner.invoke(main, args + ["--format", "csv"])
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
+    def test_json_csv_identical_numbers(self, runner, argv):
+        r_json = runner.invoke(main, [*argv, "--format", "json"])
+        r_csv = runner.invoke(main, [*argv, "--format", "csv"])
         assert r_json.exit_code == 0 and r_csv.exit_code == 0
-        json_rows = json.loads(r_json.output)["rows"]
-        csv_rows, _ = parse_csv(r_csv.output)
-        assert len(json_rows) == len(csv_rows)
-        for a, b in zip(json_rows, csv_rows):
-            assert float(b["energy"]) == a["energy"]  # 17 digits round-trip
+        payload = json.loads(r_json.stdout)
+        header, *lines = r_csv.stdout.splitlines()
+        body = [ln for ln in lines if not ln.startswith("# ")]
+        meta = [ln[2:].partition("=") for ln in lines if ln.startswith("# ")]
+        assert payload["rows"] and len(body) == len(payload["rows"])
+        assert all(header.split(",") == list(row) for row in payload["rows"])
+        for line, row in zip(body, payload["rows"]):
+            cells = _csv_cells(line, list(row.values()))
+            assert all(map(_same_cell, cells, row.values())), (line, row)
+        assert [k for k, _, _ in meta] == list(payload["meta"])
+        assert all(_same_cell(v, payload["meta"][k]) for k, _, v in meta)
 
     def test_out_file(self, runner, tmp_path):
         path = tmp_path / "levels.csv"
@@ -206,9 +247,14 @@ class TestDomainErrorExitCodes:
         cfg.write_text(text)
         _one_line_usage_error(runner.invoke(main, ["--config", str(cfg), "spectrum"]), fragment)
 
-    def test_non_finite_metadata_refused(self):
-        with pytest.raises(click.UsageError, match="non-finite number in output"):
-            emit_rows([], "json", None, meta={"decay_exponent": float("nan")})
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_metadata_refused(self, tmp_path, fmt):
+        out = tmp_path / "rows.out"
+        for rows, meta in [(cli.table(scale=[]), {"decay_exponent": float("nan")}),
+                           (cli.table(index=[0, 1], abs2=[0.5, float("inf")]), None)]:
+            with pytest.raises(click.UsageError, match="non-finite number in output"):
+                emit_rows(rows, fmt, str(out), meta=meta)
+            assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -331,6 +377,22 @@ class TestWavefunctionCommand:
         assert abs(meta["norm_estimate"] - 1.0) <= 1e-7
         assert meta["norm_error_estimate"] <= 1e-7
 
+    def test_abs2_per_sample(self, runner):
+        # abs2 is np.abs(v) ** 2 one sample at a time, bit for bit. On this
+        # grid the vectorized np.abs(vals) ** 2 differs from it in 3 samples
+        # and abs(v) ** 2 in 100, so neither can replace it unnoticed.
+        result = runner.invoke(main, ["wavefunction", "--n-l", "3", "--m-n", "2", "--zeta-re", "0.5",
+                                      "--n-rho", "64", "--n-phi", "16", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        rho = np.linspace(0.0, 4.0, 64)
+        phi = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+        vals = ncs_wavefunction_series(complex(0.5, 0.0), 3, 2, rho[:, None], phi[None, :]).ravel()
+        rows = json.loads(result.stdout)["rows"]
+        assert [complex(r["re"], r["im"]) for r in rows] == vals.tolist()
+        want = [float(np.abs(v) ** 2) for v in vals]
+        assert [r["abs2"] for r in rows] == want
+        assert (np.abs(vals) ** 2).tolist() != want != [float(abs(v) ** 2) for v in vals]
+
     def test_deterministic(self, runner):
         args = ["wavefunction", "--n-l", "1", "--m-n", "2", "--zeta-re", "0.2",
                 "--n-rho", "8", "--n-phi", "4", "--format", "json"]
@@ -383,6 +445,19 @@ class TestCoherentStateCommand:
         assert abs(payload["meta"]["norm_sq"] - 1.0) <= 1e-10
         assert abs(1.0 - sum(r["abs2"] for r in payload["rows"])) <= 1e-10
 
+    def test_abs2_per_coefficient(self, runner):
+        # abs2 is abs(c) ** 2 one coefficient at a time, bit for bit; the
+        # vectorized np.abs(coeffs) ** 2 differs from it in 20 of these 68
+        result = runner.invoke(main, ["coherent-state", "--k", "1.5", "--n", "3", "--zeta-re", "0.5",
+                                      "--zeta-im", "-0.2", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        coeffs = su11_ncs_coefficients(1.5, 3, 0.5 - 0.2j).coeffs
+        rows = json.loads(result.stdout)["rows"]
+        assert [complex(r["re"], r["im"]) for r in rows] == coeffs.tolist()
+        want = [float(abs(c) ** 2) for c in coeffs]
+        assert [r["abs2"] for r in rows] == want
+        assert (np.abs(coeffs) ** 2).tolist() != want
+
     def test_bad_labels_exit_code(self, runner):
         result = runner.invoke(
             main, ["coherent-state", "--algebra", "su2", "--j", "1.0", "--mu", "0.3"]
@@ -429,22 +504,16 @@ class TestConfigPrecedence:
         assert {r["n_l"] for r in rows} == {0}
 
 
+def _dicts(rows):
+    """A table's rows as dicts, the way json.dumps is given them."""
+    return [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]
+
+
 def _payload(rows, meta):
     payload = {"schema_version": SCHEMA_VERSION, "rows": rows}
     if meta:
         payload["meta"] = meta
     return payload
-
-
-# One small table-producing argv per command.
-COMMAND_ARGVS = [
-    ["spectrum", "--model", "jc-jc", "--nmax", "2", "--mmax", "2"],
-    ["diagonalize", "--cutoff", "40", "--sector", "0", "--sector", "1", "--count", "3"],
-    ["verify"],
-    ["wavefunction", "--n-l", "1", "--m-n", "2", "--zeta-re", "0.3", "--n-rho", "5", "--n-phi", "4"],
-    ["coherent-state", "--algebra", "su2", "--j", "2", "--mu", "0", "--zeta-im", "0.4"],
-    ["limits", "--scales", "1e4,1e5"],
-]
 
 
 class TestEmptyTableCsv:
@@ -455,9 +524,10 @@ class TestEmptyTableCsv:
     def test_emptied_table_keeps_the_header(self, runner, monkeypatch, argv):
         headers = []
 
-        def emptied(rows, fmt, out_path, meta=None, fields=None):
-            headers.append(",".join(rows[0]))
-            return emit_rows([], fmt, out_path, meta=meta, fields=fields)
+        def emptied(rows, fmt, out_path, meta=None):
+            assert len(rows)
+            headers.append(",".join(rows.dtype.names))
+            return emit_rows(rows[:0], fmt, out_path, meta=meta)
 
         monkeypatch.setattr(cli, "emit_rows", emptied)
         result = runner.invoke(main, [*argv, "--format", "csv"])
@@ -483,9 +553,9 @@ class TestJsonLayout:
     def test_command_rows(self, runner, monkeypatch, argv):
         emitted = []
 
-        def recording(rows, fmt, out_path, meta=None, fields=None):
-            emitted.append(_payload(rows, meta))
-            return emit_rows(rows, fmt, out_path, meta=meta, fields=fields)
+        def recording(rows, fmt, out_path, meta=None):
+            emitted.append(_payload(_dicts(rows), meta))
+            return emit_rows(rows, fmt, out_path, meta=meta)
 
         monkeypatch.setattr(cli, "emit_rows", recording)
         result = runner.invoke(main, [*argv, "--format", "json"])
@@ -494,37 +564,29 @@ class TestJsonLayout:
         assert payload["rows"]
         assert result.stdout == json.dumps(payload, indent=2) + "\n"
 
-    SCALARS = st.one_of(
+    FLOATS = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
         st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
         st.sampled_from([-0.0, 5e-324, np.float64(-2.5e-310), 1e308]),
-        st.booleans(),
-        st.none(),
-        st.integers(),
+    )
+    TEXT = st.one_of(
         st.text(),
         st.sampled_from(["Δ ≤ 1e-10 — |ψ|² ✓", "{key}", 'quote " backslash \\ tab \t sep \u2028']),
     )
+    NAMES = ("name", "residual", "level", "detail")
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(
-        table=st.lists(
-            st.fixed_dictionaries({
-                "name": st.text(),
-                "residual": SCALARS,
-                "status": st.sampled_from(["PASS", "FAIL", "SKIP"]),
-                "detail": SCALARS,
-            }),
-            max_size=5,
-        ),
-        loose=st.lists(st.dictionaries(st.text(), SCALARS, max_size=4), max_size=4),
-        meta=st.dictionaries(st.text(), SCALARS, max_size=4),
+        rows=st.lists(st.tuples(TEXT, FLOATS, st.integers(-2**63, 2**63 - 1), TEXT), max_size=5),
+        meta=st.dictionaries(st.text(), st.one_of(FLOATS, st.integers(), TEXT), max_size=4),
     )
-    def test_drawn_scalars(self, table, loose, meta):
+    def test_drawn_scalars(self, rows, meta):
+        # int columns are int64; meta ints are Python ints of any size
+        columns = zip(*rows) if rows else [[]] * len(self.NAMES)
         with tempfile.TemporaryDirectory() as tmp:
-            for rows in (table, loose):
-                out = os.path.join(tmp, "rows.json")
-                emit_rows(rows, "json", out, meta=meta)
-                with open(out, "rb") as fh:
-                    got = fh.read()
-                want = json.dumps(_payload(rows, meta), indent=2) + "\n"
-                assert got == want.encode("utf-8")
+            out = os.path.join(tmp, "rows.json")
+            emit_rows(cli.table(**dict(zip(self.NAMES, columns))), "json", out, meta=meta)
+            with open(out, "rb") as fh:
+                got = fh.read()
+        want = json.dumps(_payload([dict(zip(self.NAMES, r)) for r in rows], meta), indent=2) + "\n"
+        assert got == want.encode("utf-8")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twomode_jcx import spectra, tridiag
 from twomode_jcx.errors import DegenerateCouplingError, DomainError, NotConvergedError
@@ -77,6 +79,21 @@ class TestAnalyticSu11:
     def test_negative_qn_rejected(self, params_f2_g1):
         with pytest.raises(DomainError):
             analytic_energy_su11(params_f2_g1, -1, 0)
+
+    COUPLING = st.floats(-1e3, 1e3, allow_nan=False)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(g_re=COUPLING, g_im=COUPLING, f_re=COUPLING, f_im=COUPLING,
+           mc2=st.floats(1e-3, 1e3), hbar=st.floats(1e-3, 1e3),
+           n_l=st.integers(0, 10**6), m_n=st.integers(0, 10**6))
+    def test_general_form_is_the_sector_form(self, g_re, g_im, f_re, f_im, mc2, hbar, n_l, m_n):
+        # (n_l, m_n) is level n_l of the N_d = -m_n sector, bit for bit; the
+        # reference is the general formula as the paper writes it
+        p = ModelParams(g=complex(g_re, g_im), f=complex(f_re, f_im), mc2=mc2, hbar=hbar)
+        fa2, ga2 = abs(p.f) ** 2, abs(p.g) ** 2
+        lam, dlt = abs(fa2 - ga2), fa2 - ga2
+        written = p.hbar**2 * (lam * (n_l + m_n / 2.0 + 0.5) - 0.5 * dlt * (m_n - 1)) + p.mc2**2
+        assert su11_energy_sq(p, n_l, m_n) == su11_sector_energy_sq(p, -m_n, n_l) == written
 
 
 class TestAnalyticSu2:

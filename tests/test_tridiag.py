@@ -1,8 +1,6 @@
 """``tridiag.eigh`` returns what ``scipy.linalg.eigh_tridiagonal`` returns on
 the same arguments, bit for bit, and rejects what it rejects."""
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -93,11 +91,16 @@ def test_malformed_arguments_rejected_as_scipy_does(args, kwargs, error):
             solve(*args, **kwargs)
 
 
-def test_non_finite_sector_exits_2():
-    # |f|² N overflows the sector diagonal; the solve refuses it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = CliRunner().invoke(main, ["diagonalize", "--f-re", "1e154", "--sector", "0"])
+@pytest.mark.parametrize("argv", [
+    ["diagonalize", "--f-re", "1e154", "--sector", "0"],
+    ["diagonalize", "--hbar", "1e154"],
+    ["verify", "--f-re", "1e154"],
+    ["verify", "--g-re", "1e154"],
+], ids=["diagonalize-f", "diagonalize-hbar", "verify-f", "verify-g"])
+def test_non_finite_sector_exits_2(argv):
+    # |f|² N, |g|² N or hbar² |f|² N overflows a sector band: refused where
+    # it is formed, with RuntimeWarning an error (as pytest runs it)
+    result = CliRunner().invoke(main, argv)
     assert result.exit_code == 2, result.output
     errors = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
-    assert len(errors) == 1 and "infs or NaNs" in errors[0], result.output
+    assert len(errors) == 1 and "numeric overflow" in errors[0], result.output
