@@ -3,7 +3,9 @@
 Output contract: each command builds one ``table`` of typed columns. JSON
 is one top-level object with a ``schema_version`` field; CSV is UTF-8,
 comma-separated, LF line endings, mandatory header row, floats printed with
-17 significant digits, metadata appended as ``# key=value`` comment lines.
+17 significant digits, a string raw unless it holds a comma, a double quote,
+CR or LF, in which case it is double-quoted with inner quotes doubled
+(RFC 4180), metadata appended as ``# key=value`` comment lines.
 Exit codes: 0 success, 1 verification failure, 2 usage or domain errors.
 The command group is the one place where a library exception becomes
 exit 2; commands translate none themselves.
@@ -27,7 +29,7 @@ from .errors import QuadratureError, TwoModeJcxError
 # traced and restored, and its spans wrap parallel's functions, which must
 # be loaded with the CLI.
 from . import parallel  # noqa: F401
-from .fock import ChargeKind, build_basis, sector_basis  # noqa: F401
+from .fock import ChargeKind, build_basis, sector_basis, su2_irrep  # noqa: F401
 from .models import Branch, Component, ModelKind, ModelParams, conserved_charge
 from .verify import run_verification_suite
 
@@ -37,9 +39,10 @@ NORM_TOL = 1e-7
 # Most rows a table may hold (spectrum, wavefunction): as many as the
 # longest coherent-state ladder, displace.MAX_LADDER_LENGTH.
 MAX_ROWS = MAX_LADDER_LENGTH
-# Largest diagonalize and verify cutoff. Cutoff doubling solves each sector
-# again on up to 2 cutoff + 1 states; with --count near the sector size it
-# keeps every eigenvector of that ladder, 4095² doubles (134 MB) at the cap.
+# Largest diagonalize and verify cutoff. Cutoff doubling solves each N_d
+# sector again on up to 2 cutoff + 1 states; with --count near the sector size
+# it keeps every eigenvector of that ladder, 4095² doubles (134 MB) at the cap.
+# An N_s sector (N_s <= 2 cutoff) is one eigenvalue-only solve of N_s + 1 states.
 # verify's su(2) spectrum stage grows roughly as cutoff³ (0.4 s at the cap).
 MAX_CUTOFF = 2047
 
@@ -62,7 +65,8 @@ _NON_FINITE = "non-finite number in output; refusing to serialize"
 # How each scalar type is written, by numpy dtype kind. JSON writes a float
 # or an int as its repr and a string through json's own escaper, as
 # json.dumps does (whose indenting encoder is pure Python, twice the time on a
-# 6 400-row table); CSV writes a float to 17 significant digits and a string raw.
+# 6 400-row table); CSV writes a float to 17 significant digits and a string
+# raw, or quoted (RFC 4180) when it holds a separator, a quote or a newline.
 _FORMATS = {
     "json": {"f": "{!r}", "i": "{!r}", "O": "{}"},
     "csv": {"f": "{:.17g}", "i": "{!r}", "O": "{}"},
@@ -87,12 +91,22 @@ def table(**columns) -> np.ndarray:
     return rows
 
 
+def _csv_str(value: str) -> str:
+    """A CSV string cell: raw, or in double quotes with inner quotes doubled
+    when it holds a comma, a quote, CR or LF (RFC 4180)."""
+    if any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
 def _cells(values: list, kind: str, fmt: str) -> list:
     """One column's Python values, ready for its format: a non-finite float
-    exits 2, and a string is escaped for JSON."""
+    exits 2, and a string is escaped for JSON or quoted for CSV."""
     if kind == "f" and not all(map(math.isfinite, values)):
         raise click.UsageError(_NON_FINITE)
-    return list(map(_json_str, values)) if fmt == "json" and kind == "O" else values
+    if kind == "O":
+        return list(map(_json_str if fmt == "json" else _csv_str, values))
+    return values
 
 
 def _scalar(value, fmt: str) -> str:
@@ -257,7 +271,10 @@ def spectrum(**params):
 @main.command()
 @model_options
 @output_options
-@click.option("--cutoff", type=int, default=120, show_default=True)
+@click.option("--cutoff", type=int, default=120, show_default=True,
+              help="Fock cutoff per mode. It truncates the JC+AJC (N_d) ladders, which "
+                   "doubling it certifies; a JC+JC sector is solved whole, and the cutoff "
+                   "only admits N_s <= 2 cutoff.")
 @click.option("--sector", "sectors", type=int, multiple=True,
               help="Charge values; repeatable. Default: small symmetric range.")
 @click.option("--count", type=int, default=8, show_default=True)
@@ -275,6 +292,9 @@ def diagonalize(**params):
     if not charges:
         charges = list(range(-3, 4)) if charge is ChargeKind.DIFFERENCE_ND else list(range(0, 7))
     sectors = [sector_basis(params["cutoff"], charge, q) for q in charges]
+    if charge is ChargeKind.SUM_NS:
+        # the cutoff decides which N_s exist; each is solved whole, as its irrep
+        sectors = [su2_irrep(q) for q in charges]
     component = Component(params["component"])
     # In order, in this thread: LAPACK's dstebz and dstein hold the GIL, so
     # threads cannot overlap sector solves.

@@ -2,8 +2,10 @@
 
 Basis indexing, ladder operators with hard truncation, and decomposition of
 the space into sectors of a conserved charge (number difference or total
-number). Bases store only what the index formula n_a (cutoff + 1) + n_b
-cannot give; full-space operators are plain ``scipy.sparse.csr_matrix``.
+number). A total-number sector is finite, so it can be built whole
+(``su2_irrep``); a number-difference sector is always cut. Bases store
+only what the index formula n_a (cutoff + 1) + n_b cannot give;
+full-space operators are plain ``scipy.sparse.csr_matrix``.
 Everything here is exact apart from the square roots in the ladder matrix
 elements.
 """
@@ -212,6 +214,15 @@ def sector_basis(cutoff: int, charge_kind: ChargeKind, charge_value: int) -> Sec
         parent_cutoff=cutoff,
         indices=na * (cutoff + 1) + nb,
     )
+
+
+def su2_irrep(n_s: int) -> SectorBasis:
+    """The whole N_s = ``n_s`` sector: the n_s + 1 states of the spin-n_s/2
+    irrep of su(2), built at cutoff n_s + 1 so that no state reaches the
+    cutoff and no truncated a a† or b b† term touches them."""
+    if n_s < 0:
+        raise ValueError(f"no sector with charge {n_s}: N_s is nonnegative")
+    return sector_basis(n_s + 1, ChargeKind.SUM_NS, n_s)
 
 
 def sector_charges(cutoff: int, charge_kind: ChargeKind) -> range:

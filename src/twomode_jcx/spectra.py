@@ -35,7 +35,7 @@ import scipy.linalg as la  # noqa: F401
 from . import tridiag
 from .displace import TiltingParams, displacement_direct
 from .errors import DegenerateCouplingError, DomainError, NotConvergedError
-from .fock import ChargeKind, SectorBasis, sector_basis
+from .fock import ChargeKind, SectorBasis, sector_basis, su2_irrep
 from .liealg import AlgebraKind
 from .models import (
     Branch,
@@ -296,25 +296,26 @@ def numeric_spectrum(
     solved on (diag, |offdiag|) by ``tridiag``, the package's one LAPACK
     tridiagonal eigensolver; that phase gauge is a diagonal unitary
     similarity, so it leaves the eigenvalues and |eigenvector| entries
-    unchanged. su(2) sectors with charge <= cutoff are exact and keep all
-    eigenvalues, from one eigenvalue-only solve of indices 0..count - 1
-    (``tridiag.eigh``); every other sector keeps interior-supported
-    eigenpairs only (``tridiag.interior_eigenvalues``) and is
-    certified by rebuilding it at twice the cutoff, demanding relative
-    agreement below ``convergence_tol`` (NotConvergedError otherwise, or
-    when fewer than ``count`` interior eigenvalues exist). The doubled
-    solve starts with as many indices as the cutoff needed, since the
-    artifacts it rejected are invariant under doubling.
+    unchanged.
+
+    An N_s sector is a finite su(2) irrep whatever the cutoff of
+    ``sector``: it is solved whole (``fock.su2_irrep``, N_s + 1 states, no
+    truncated term), by one eigenvalue-only solve of indices
+    0..count - 1, so ``count`` may reach N_s + 1. An N_d sector is a cut
+    su(1,1) ladder: it keeps interior-supported eigenpairs only
+    (``tridiag.interior_eigenvalues``) and is certified by rebuilding it
+    at twice the cutoff, demanding relative agreement below
+    ``convergence_tol`` (NotConvergedError otherwise, or when fewer than
+    ``count`` interior eigenvalues exist). The doubled solve starts with
+    as many indices as the cutoff needed, since the artifacts it rejected
+    are invariant under doubling.
     """
+    if sector.charge_kind is ChargeKind.SUM_NS:
+        sector = su2_irrep(sector.charge_value)
     if not 1 <= count <= sector.dim:
         raise ValueError(f"requested {count} levels from a dim-{sector.dim} sector")
     diag, off = sector_tridiagonal(kind, component, p, sector)
-
-    exact_sector = (
-        sector.charge_kind is ChargeKind.SUM_NS
-        and sector.charge_value <= sector.parent_cutoff
-    )
-    if exact_sector:
+    if sector.charge_kind is ChargeKind.SUM_NS:
         vals = tridiag.eigh(
             diag, np.abs(off), eigvals_only=True, select="i", select_range=(0, count - 1)
         )
@@ -526,6 +527,12 @@ def nonrelativistic_limit_check(
     shifted by the constant the second-order reduction leaves behind
     (hbar w2 for the amplifier; zero for the coupled oscillators). The
     relative error decays like 1/scale.
+
+    ``cutoff`` decides which sectors exist (ValueError otherwise). The
+    coupled oscillators' N_s sector is then solved whole, as its su(2)
+    irrep (``fock.su2_irrep``), so any N_s <= 2 cutoff and index <= N_s is
+    exact; the amplifier's N_d sector is the su(1,1) ladder cut at
+    ``cutoff``, solved once and not certified by doubling.
     """
     hbar = 1.0
     if not isinstance(case, (NondegenerateParametricAmplifier, CoupledOscillators)):
@@ -536,20 +543,21 @@ def nonrelativistic_limit_check(
     mc2 = scale * hbar * (wbar if wbar > 0 else 1.0)
     p, kind = special_case_params(case, mc2=mc2, hbar=hbar)
 
+    sector = sector_basis(cutoff, conserved_charge(kind), charge)
+    if kind is ModelKind.JC_JC:
+        sector = su2_irrep(charge)
+    if not 0 <= index < sector.dim:
+        raise ValueError(f"index {index} outside the dim-{sector.dim} sector")
+
     if kind is ModelKind.JC_AJC:
         e_sq = su11_sector_energy_sq(p, charge, index)
         offset = hbar * case.omega2
     else:
-        if index > charge:
-            raise ValueError(f"index {index} exceeds sector N_s={charge}")
         s = abs(p.f) ** 2 + abs(p.g) ** 2
         e_sq = p.mc2**2 + p.hbar**2 * s * index
         offset = 0.0
     eps_model = math.sqrt(e_sq) - mc2
 
-    sector = sector_basis(cutoff, conserved_charge(kind), charge)
-    if not 0 <= index < sector.dim:
-        raise ValueError(f"index {index} outside the dim-{sector.dim} sector")
     diag, off = _nonrel_tridiagonal(case, sector)
     level = tridiag.eigh(
         diag, np.abs(off), eigvals_only=True, select="i", select_range=(index, index)

@@ -12,9 +12,10 @@ reorder of ``dstein``'s block-ordered eigenvectors. So it returns the same
 bits, without the argument handling around that function (20-50 µs a call
 at sector dims 7-561 on an Intel Xeon core).
 
-``interior_eigenvalues`` is the certified index-order solve of a sector:
-eigenpairs pinned to the cut of a hard-truncated ladder
-(``boundary_free``) are rejected, the rest kept in ascending order.
+``interior_eigenvalues`` is the index-order solve of a cut su(1,1) ladder
+(an N_d sector; an N_s sector is a finite su(2) irrep, solved whole):
+eigenpairs pinned to the cut (``boundary_free``) are rejected, the rest
+kept in ascending order.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import displace, liealg, spectra, wavefunc
 from .errors import EdgeStateError
-from .fock import ChargeKind, sector_basis
+from .fock import ChargeKind, sector_basis, su2_irrep
 from .liealg import AlgebraKind
 from .models import Branch, Component, ModelKind, ModelParams, eigen_residual, sector_spinor
 
@@ -218,7 +218,7 @@ def _spectrum_checks(p: ModelParams, cutoff: int):
     cutoff2 = max(12, cutoff // 10)
 
     def su2_sector_dev(n_s):
-        sec = sector_basis(cutoff2, ChargeKind.SUM_NS, n_s)
+        sec = su2_irrep(n_s)
         numeric = spectra.numeric_spectrum(ModelKind.JC_JC, Component.UPPER, p, sec, n_s + 1)
         analytic = []
         for m_n in range(n_s, -1, -1):

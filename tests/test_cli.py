@@ -46,19 +46,9 @@ COMMAND_ARGVS = [
 ]
 
 
-def _csv_cells(line, like):
-    """``line`` split into cells shaped like the JSON values ``like``: CSV
-    writes strings raw, so a string cell is taken whole, commas and all."""
-    cells = []
-    for i, value in enumerate(like):
-        if i == len(like) - 1:
-            cell, line = line, ""
-        elif isinstance(value, str):
-            cell, sep, line = line[:len(value)], line[len(value):len(value) + 1], line[len(value) + 1:]
-            assert sep == ",", (cell, line)
-        else:
-            cell, _, line = line.partition(",")
-        cells.append(cell)
+def _csv_cells(line):
+    """The cells of one CSV line, quoted ones unquoted (RFC 4180)."""
+    (cells,) = csv.reader([line])
     return cells
 
 
@@ -104,7 +94,8 @@ class TestSpectrumCommand:
         assert payload["rows"] and len(body) == len(payload["rows"])
         assert all(header.split(",") == list(row) for row in payload["rows"])
         for line, row in zip(body, payload["rows"]):
-            cells = _csv_cells(line, list(row.values()))
+            cells = _csv_cells(line)
+            assert len(cells) == len(row), (line, row)
             assert all(map(_same_cell, cells, row.values())), (line, row)
         assert [k for k, _, _ in meta] == list(payload["meta"])
         assert all(_same_cell(v, payload["meta"][k]) for k, _, v in meta)
@@ -151,6 +142,42 @@ class TestDiagonalizeCommand:
         assert [(r["sector"], r["level"]) for r in rows] == [
             (q, i) for q in (2, -1, 0) for i in range(3)
         ]
+
+    @pytest.mark.parametrize("argv, want", [
+        # N_s = cutoff, lower component: the sector is solved whole, so its
+        # top states keep their a a† and b b† terms.
+        (["--cutoff", "40", "--sector", "40", "--count", "3", "--component", "lower"],
+         [6.0, 11.0, 16.0]),
+        # N_s above the cutoff: still one finite irrep, solved whole.
+        (["--cutoff", "20", "--sector", "30"], [1.0 + 5.0 * k for k in range(8)]),
+    ], ids=["at-cutoff-lower", "above-cutoff"])
+    def test_su2_sector_solved_whole(self, runner, argv, want):
+        result = runner.invoke(
+            main, ["diagonalize", "--model", "jc-jc", "--f-re", "2", "--g-re", "1", *argv,
+                   "--format", "json"],
+        )
+        assert result.exit_code == 0, result.output
+        got = [r["energy_sq"] for r in json.loads(result.output)["rows"]]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("component", ["upper", "lower"])
+    def test_every_su2_sector_of_the_cutoff(self, runner, component):
+        # N_s = 0..2 cutoff all exit 0, --count clipped to each irrep's N_s + 1
+        # levels: E² = 1 + 5k, k = 0..N_s (upper) or 1..N_s + 1 (lower).
+        cutoff, shift = 4, 0 if component == "upper" else 1
+        sectors = [arg for q in range(2 * cutoff + 1) for arg in ("--sector", str(q))]
+        result = runner.invoke(
+            main, ["diagonalize", "--model", "jc-jc", "--f-re", "1", "--g-re", "0", "--g-im", "2",
+                   "--cutoff", str(cutoff), *sectors, "--count", "100",
+                   "--component", component, "--format", "json"],
+        )
+        assert result.exit_code == 0, result.output
+        rows = json.loads(result.output)["rows"]
+        assert [(r["sector"], r["level"]) for r in rows] == [
+            (q, k) for q in range(2 * cutoff + 1) for k in range(q + 1)
+        ]
+        want = [1.0 + 5.0 * (r["level"] + shift) for r in rows]
+        np.testing.assert_allclose([r["energy_sq"] for r in rows], want, rtol=1e-10, atol=0)
 
     def test_cutoff_minimum_enforced(self, runner):
         result = runner.invoke(main, ["diagonalize", "--cutoff", "2"])
@@ -310,6 +337,19 @@ class TestVerifyCommand:
         assert base.exit_code == 0 and loose.exit_code == 0, loose.output
         tols = [[r["tolerance"] for r in json.loads(res.output)["rows"]] for res in (base, loose)]
         assert tols[0] == tols[1]
+
+    def test_csv_strings_read_back_as_json(self, runner):
+        # name and detail cells hold commas; quoted, every row keeps the
+        # header's fields and DictReader puts nothing under an overflow key.
+        args = ["verify", "--seed", "7"]
+        rows = json.loads(runner.invoke(main, [*args, "--format", "json"]).stdout)["rows"]
+        text = runner.invoke(main, [*args, "--format", "csv"]).stdout
+        got = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("# ")))
+        assert len(got) == len(rows)
+        assert any("," in row["detail"] for row in rows)
+        for csv_row, row in zip(got, rows):
+            assert None not in csv_row and list(csv_row) == list(row)
+            assert all(csv_row[k] == v for k, v in row.items() if isinstance(v, str))
 
     def test_seeded_reports_byte_identical(self, runner, tmp_path):
         args = ["verify", "--cutoff", "60", "--seed", "7", "--format", "json"]
@@ -485,6 +525,17 @@ class TestLimitsCommand:
         assert errs[2] <= 1e-5
         assert payload["meta"]["decay_exponent"] == pytest.approx(-1.0, abs=0.1)
 
+    def test_coupled_osc_sector_above_the_cutoff(self, runner):
+        # N_s = 200 exceeds the limit check's cutoff 160: the sector is
+        # solved whole, and its level 1 is w1 + w2 = 3.
+        result = runner.invoke(main, ["limits", "--case", "coupled-osc", "--charge", "200",
+                                      "--format", "json"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        for row in payload["rows"]:
+            assert row["eps_analytic"] == pytest.approx(3.0, rel=1e-12)
+        assert payload["meta"]["decay_exponent"] == pytest.approx(-1.0, abs=0.15)
+
 
 class TestConfigPrecedence:
     def test_config_file_defaults(self, runner, tmp_path):
@@ -544,6 +595,21 @@ class TestEmptyTableCsv:
         result = runner.invoke(main, [*argv, "--format", "csv"])
         assert result.exit_code == 0, result.output
         assert result.stdout.split("\n")[0] == header
+
+
+class TestCsvQuoting:
+    """A CSV string cell is raw unless it needs quoting (RFC 4180)."""
+
+    @pytest.mark.parametrize("value, cell", [
+        ("plain", "plain"), ("", ""), ("a,b", '"a,b"'), ('say "hi"', '"say ""hi"""'),
+        ("two\nlines", '"two\nlines"'), ("cr\rhere", '"cr\rhere"'),
+    ])
+    def test_string_cell(self, tmp_path, value, cell):
+        out = tmp_path / "rows.csv"
+        emit_rows(cli.table(name=[value], level=[1]), "csv", str(out))
+        text = out.read_bytes().decode("utf-8")
+        assert text == f"name,level\n{cell},1\n"
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [["name", "level"], [value, "1"]]
 
 
 class TestJsonLayout:

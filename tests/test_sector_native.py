@@ -155,10 +155,15 @@ def _reference_interior(kind, component, p, cutoff, charge):
 
 
 def _reference_spectrum(kind, component, p, cutoff, charge, count, tol=1e-9):
-    """The numeric_spectrum contract, from full-space dense diagonalization."""
-    w, kept = _reference_interior(kind, component, p, cutoff, charge)
-    if kind is ModelKind.JC_JC and charge <= cutoff:
+    """The numeric_spectrum contract, from full-space dense diagonalization.
+
+    An N_s sector is a finite su(2) irrep: its reference is the projection
+    at a cutoff above N_s, where no truncated term touches it.
+    """
+    if kind is ModelKind.JC_JC:
+        w, _ = _reference_interior(kind, component, p, max(cutoff, charge + 1), charge)
         return w[:count] + p.mc2**2
+    _, kept = _reference_interior(kind, component, p, cutoff, charge)
     _, kept2 = _reference_interior(kind, component, p, 2 * cutoff, charge)
     if min(len(kept), len(kept2)) < count:
         raise NotConvergedError("too few interior eigenvalues")
@@ -173,7 +178,7 @@ class TestNumericSpectrumOracle:
     @pytest.mark.parametrize("p", [F_DOMINANT, G_DOMINANT], ids=["f>g", "g>f"])
     @pytest.mark.parametrize("kind, charges", [
         (ModelKind.JC_AJC, (-4, 0, 3)),
-        (ModelKind.JC_JC, (0, 7, 30)),
+        (ModelKind.JC_JC, (0, 7, 30, 45)),
     ])
     def test_equals_dense_eigh_of_projection(self, kind, charges, component, p):
         cutoff = 30
@@ -192,8 +197,6 @@ class TestNumericSpectrumOracle:
         # |g| > |f| leaves boundary-pinned artifacts: a full sector has
         # fewer interior eigenpairs than states.
         (ModelKind.JC_AJC, ModelParams(g=2.0, f=0.5), 6, 0, 7, "interior"),
-        # su(2) sector cut by the cutoff (N_s > cutoff) is not converged.
-        (ModelKind.JC_JC, ModelParams(g=1.0, f=2.0), 10, 15, 3, "interior"),
     ])
     def test_not_converged_where_the_reference_is_not(self, kind, p, cutoff, charge, count, match):
         with pytest.raises(NotConvergedError):

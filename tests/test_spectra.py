@@ -223,19 +223,23 @@ class TestNumericSpectrum:
         vals = numeric_spectrum(ModelKind.JC_JC, Component.UPPER, p, sec, 5)
         np.testing.assert_allclose(vals, np.ones(5), atol=0)
 
-    def test_su2_sector_complete_and_exact(self, basis20, params_f2_g1):
-        n_s = 6
-        sec = get_sector(basis20, ChargeKind.SUM_NS, n_s)
-        vals = numeric_spectrum(ModelKind.JC_JC, Component.UPPER, params_f2_g1, sec, n_s + 1)
-        assert len(vals) == n_s + 1
-        analytic = []
-        for m_n in range(n_s, -1, -1):
-            if (n_s - m_n) % 2 == 0:
-                n_l = (n_s - m_n) // 2
-                analytic.append(su2_energy_sq(params_f2_g1, n_l, m_n, 1))
-                if m_n:
-                    analytic.append(su2_energy_sq(params_f2_g1, n_l, m_n, -1))
-        np.testing.assert_allclose(vals, np.sort(analytic), rtol=1e-12)
+    @pytest.mark.parametrize("component", list(Component))
+    @pytest.mark.parametrize("p", [
+        ModelParams(g=0.5 - 0.4j, f=1.7 + 0.9j, mc2=1.3, hbar=0.9),
+        ModelParams(g=-1.6 + 1.1j, f=0.3 - 0.6j, mc2=1.3, hbar=0.9),
+    ], ids=["f>g", "g>f"])
+    @pytest.mark.parametrize("cutoff", [4, 10, 30])
+    def test_su2_sector_complete_and_exact(self, cutoff, p, component):
+        # Every sector the cutoff admits, N_s = 0..2 cutoff, is its whole
+        # su(2) irrep: E² = m²c⁴ + hbar² S k with k = 0..N_s (upper) or
+        # 1..N_s + 1 (lower), at the cutoff and above it alike.
+        s = abs(p.f) ** 2 + abs(p.g) ** 2
+        shift = 0 if component is Component.UPPER else 1
+        for n_s in range(2 * cutoff + 1):
+            sec = sector_basis(cutoff, ChargeKind.SUM_NS, n_s)
+            vals = numeric_spectrum(ModelKind.JC_JC, component, p, sec, n_s + 1)
+            want = p.mc2**2 + p.hbar**2 * s * np.arange(shift, n_s + 1 + shift)
+            np.testing.assert_allclose(vals, want, rtol=1e-10, atol=0, err_msg=f"N_s={n_s}")
 
     def test_su11_grid_pattern(self, basis100):
         # g = 0: eigenvalues m^2c^4 + |f|^2 (n + 1) on the N_d = 0 sector
@@ -359,11 +363,22 @@ class TestIncrementalInteriorSolve:
                 assert indices == list(range(needed)), (q, dim, ranges)
             assert {d for d, _ in calls} == {sec.dim, doubled.dim}
 
-    def test_exact_su2_sector_is_one_solve(self, monkeypatch):
+    @pytest.mark.parametrize("component", list(Component))
+    @pytest.mark.parametrize("n_s, count", [(6, 7), (20, 3), (30, 31), (40, 5)])
+    def test_exact_su2_sector_is_one_solve(self, monkeypatch, n_s, count, component):
+        # Below, at and above the cutoff 20: one eigenvalue-only solve of the
+        # N_s + 1 states, never the interior solve or cutoff doubling.
         calls = _record_solves(monkeypatch)
-        sec = sector_basis(20, ChargeKind.SUM_NS, 6)
-        numeric_spectrum(ModelKind.JC_JC, Component.UPPER, ModelParams(g=1.0, f=2.0), sec, 7)
-        assert calls == [(7, (0, 6))]
+        monkeypatch.setattr(tridiag, "interior_eigenvalues", None)
+        sec = sector_basis(20, ChargeKind.SUM_NS, n_s)
+        vals = numeric_spectrum(ModelKind.JC_JC, component, ModelParams(g=1.0, f=2.0), sec, count)
+        assert calls == [(n_s + 1, (0, count - 1))]
+        assert len(vals) == count
+
+    def test_su2_count_beyond_the_irrep_raises(self):
+        sec = sector_basis(20, ChargeKind.SUM_NS, 30)
+        with pytest.raises(ValueError, match="requested 32 levels from a dim-31 sector"):
+            numeric_spectrum(ModelKind.JC_JC, Component.UPPER, ModelParams(g=1.0, f=2.0), sec, 32)
 
 
 class TestPartnerShift:
