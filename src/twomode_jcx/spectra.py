@@ -301,14 +301,23 @@ def numeric_spectrum(
     An N_s sector is a finite su(2) irrep whatever the cutoff of
     ``sector``: it is solved whole (``fock.su2_irrep``, N_s + 1 states, no
     truncated term), by one eigenvalue-only solve of indices
-    0..count - 1, so ``count`` may reach N_s + 1. An N_d sector is a cut
-    su(1,1) ladder: it keeps interior-supported eigenpairs only
-    (``tridiag.interior_eigenvalues``) and is certified by rebuilding it
-    at twice the cutoff, demanding relative agreement below
-    ``convergence_tol`` (NotConvergedError otherwise, or when fewer than
-    ``count`` interior eigenvalues exist). The doubled solve starts with
-    as many indices as the cutoff needed, since the artifacts it rejected
-    are invariant under doubling.
+    0..count - 1, so ``count`` may reach N_s + 1.
+
+    An N_d sector is a cut su(1,1) ladder, certified against the same
+    ladder cut at twice the cutoff: its lowest ``count`` eigenpairs not
+    pinned to the cut must move by less than ``convergence_tol`` (relative,
+    with scale floor m²c⁴) under doubling. The low levels' eigenvectors
+    decay geometrically up the ladder, so the shortcut
+    (``_seeded_doubling``) certifies them from their support: seeded from a
+    leading block both ladders share, it counts eigenvalues in a narrow
+    window around each seed value (``tridiag.seeded_eigenvalues``). When a
+    check of the shortcut fails (slow decay, clustered or pinned levels
+    between windows, a small cutoff), the general path
+    (``_doubled_interior``) solves both ladders by index and compares them;
+    it alone raises NotConvergedError, when doubling moves a level too far
+    or fewer than ``count`` interior eigenvalues exist. Where the shortcut
+    certifies, the general path certifies the same levels, and both return
+    the doubled ladder's values to roundoff.
     """
     if sector.charge_kind is ChargeKind.SUM_NS:
         sector = su2_irrep(sector.charge_value)
@@ -321,19 +330,56 @@ def numeric_spectrum(
         )
         return vals + p.mc2**2
 
-    lowest, rejected = tridiag.interior_eigenvalues(diag, off, count)
     doubled = sector_basis(2 * sector.parent_cutoff, sector.charge_kind, sector.charge_value)
+    args = (kind, component, p, (diag, off), doubled, count, convergence_tol)
+    vals2 = _seeded_doubling(*args)
+    if vals2 is None:
+        vals2 = _doubled_interior(*args)
+    return vals2 + p.mc2**2
+
+
+def _seeded_doubling(kind, component, p, bands, doubled, count, tol):
+    """The doubled ladder's lowest ``count`` interior levels (E² - m²c⁴) when
+    one leading-block seed certifies both ladders and bounds how far
+    doubling moves each level within ``tol``; None otherwise.
+
+    The cut ladder (``bands``) and the ``doubled`` one differ only from the
+    cut's top row up, so both begin with the seed's block. Any bisection of
+    a level of either ladder lies within its window's half-width of the
+    seed value, so the general path's measured move is at most the sum of
+    the two half-widths over its scale.
+    """
+    seed = tridiag.leading_block_seed(*bands, count)
+    cut = None if seed is None else tridiag.seeded_eigenvalues(*bands, seed)
+    if cut is None:
+        return None
+    cut2 = tridiag.seeded_eigenvalues(*sector_tridiagonal(kind, component, p, doubled), seed)
+    if cut2 is None:
+        return None
+    (_, width), (vals2, width2) = cut, cut2
+    scale = np.maximum(np.abs(vals2) - 2 * width2, p.mc2**2)
+    return vals2 if np.max((width + width2) / scale) <= tol else None
+
+
+def _doubled_interior(kind, component, p, bands, doubled, count, tol):
+    """The general path: the lowest ``count`` interior levels (E² - m²c⁴) of
+    the cut ladder (``bands``) and of the ``doubled`` one, each solved by
+    index (``tridiag.interior_eigenvalues``); the doubled ones, when no level
+    moved by more than ``tol``. The doubled solve starts with as many
+    indices as the cut one needed, since the artifacts it rejected are
+    invariant under doubling."""
+    lowest, rejected = tridiag.interior_eigenvalues(*bands, count)
     vals2, _ = tridiag.interior_eigenvalues(
         *sector_tridiagonal(kind, component, p, doubled), count, first=count + rejected
     )
     scale = np.maximum(np.abs(vals2), p.mc2**2)
     change = np.max(np.abs(lowest - vals2) / scale)
-    if change > convergence_tol:
+    if change > tol:
         raise NotConvergedError(
             f"cutoff doubling moved eigenvalues by {change:.3e} "
-            f"(> {convergence_tol:.1e}); raise the cutoff"
+            f"(> {tol:.1e}); raise the cutoff"
         )
-    return vals2 + p.mc2**2
+    return vals2
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +526,9 @@ def coupled_osc_energy(
 # Non-relativistic limits
 
 
+LIMIT_DOUBLING_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class LimitReport:
     case: str
@@ -512,6 +561,15 @@ def _nonrel_tridiagonal(case, sector: SectorBasis) -> tuple:
     return diag, chi * sector.pair_amplitudes
 
 
+def _nonrel_level(case, sector: SectorBasis, index: int) -> float:
+    """Eigenvalue ``index`` (ascending) of the limit Hamiltonian on ``sector``."""
+    diag, off = _nonrel_tridiagonal(case, sector)
+    level = tridiag.eigh(
+        diag, np.abs(off), eigvals_only=True, select="i", select_range=(index, index)
+    )
+    return float(level[0])
+
+
 def nonrelativistic_limit_check(
     case,
     charge: int,
@@ -531,8 +589,11 @@ def nonrelativistic_limit_check(
     ``cutoff`` decides which sectors exist (ValueError otherwise). The
     coupled oscillators' N_s sector is then solved whole, as its su(2)
     irrep (``fock.su2_irrep``), so any N_s <= 2 cutoff and index <= N_s is
-    exact; the amplifier's N_d sector is the su(1,1) ladder cut at
-    ``cutoff``, solved once and not certified by doubling.
+    exact. The amplifier's N_d sector is the su(1,1) ladder cut at
+    ``cutoff``; its level is solved again at twice the cutoff, and
+    NotConvergedError is raised when the two differ by more than
+    LIMIT_DOUBLING_TOL·max(|level|, w1 + w2) (the floor: level 1 sits at
+    roundoff of 0). The value at ``cutoff`` is the one reported.
     """
     hbar = 1.0
     if not isinstance(case, (NondegenerateParametricAmplifier, CoupledOscillators)):
@@ -558,11 +619,18 @@ def nonrelativistic_limit_check(
         offset = 0.0
     eps_model = math.sqrt(e_sq) - mc2
 
-    diag, off = _nonrel_tridiagonal(case, sector)
-    level = tridiag.eigh(
-        diag, np.abs(off), eigvals_only=True, select="i", select_range=(index, index)
-    )
-    eps_analytic = float(level[0]) + offset
+    level = _nonrel_level(case, sector, index)
+    if kind is ModelKind.JC_AJC:
+        doubled = sector_basis(2 * cutoff, sector.charge_kind, charge)
+        change = abs(_nonrel_level(case, doubled, index) - level)
+        level_scale = max(abs(level), case.omega1 + case.omega2)
+        if change > LIMIT_DOUBLING_TOL * level_scale:
+            raise NotConvergedError(
+                f"cutoff doubling moved amplifier limit level {index} by "
+                f"{change / level_scale:.3e} (> {LIMIT_DOUBLING_TOL:.1e}); "
+                f"it is not converged at cutoff {cutoff}"
+            )
+    eps_analytic = level + offset
     return LimitReport(
         case=type(case).__name__,
         scale=scale,

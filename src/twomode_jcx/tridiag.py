@@ -16,9 +16,34 @@ at sector dims 7-561 on an Intel Xeon core).
 (an N_d sector; an N_s sector is a finite su(2) irrep, solved whole):
 eigenpairs pinned to the cut (``boundary_free``) are rejected, the rest
 kept in ascending order.
+
+``leading_block_seed`` and ``seeded_eigenvalues`` are a certified shortcut
+in front of it, for ladders whose low eigenvectors decay up the ladder. The
+seed is the lowest eigenpairs (theta_k, y_k) of a leading block that stops
+BOUNDARY_MARGIN rows short of the cut, accepted once every residual of
+(theta_k, [y_k; 0]) on the whole ladder is at roundoff; its tail part is
+|off[m-1]|·|y_k[m-1]|. By the symmetric residual bound any ladder beginning
+with that block has an eigenvalue within the residual of each theta_k.
+``seeded_eigenvalues`` then makes three checks with value-range ``dstebz``
+counts:
+
+1. exactly one eigenvalue in each window theta_k ± delta_k, none between
+   windows and none up to a gap G above the last;
+2. every eigenpair below the first window pinned to the cut;
+3. those pinned levels and the windows at least G + 2 max(delta) apart.
+
+The windowed levels then have the indices right after the pinned ones, and
+by Davis-Kahan (SIAM J. Numer. Anal. 7, 1970: sin∠ ≤ residual/gap) their
+eigenvectors lie within SEED_MAX_SIN of their seeds, which vanish on the top
+BOUNDARY_MARGIN rows: ``interior_eigenvalues`` would keep exactly these
+levels, to roundoff. When a check fails (slow decay, clustered levels, a
+level pinned between windows, a ladder too short for the block) the
+shortcut returns None and the caller runs the index-order solve.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -28,6 +53,14 @@ from .errors import NotConvergedError
 
 BOUNDARY_MASS_TOL = 1e-8
 BOUNDARY_MARGIN = 3
+# The leading-block shortcut (``leading_block_seed``, ``seeded_eigenvalues``):
+SEED_START = 48  # rows of the first leading block tried; doubled up to the cap
+SEED_RESID_EPS = 4.0  # a seed is accepted once every residual is below this many eps·‖T‖
+SEED_REFINE = 1e-2  # a larger block refines the seed when residual/spacing is below this
+WINDOW_EPS = 8.0  # window half-width beyond a seed pair's residual, in eps·‖T‖
+SEED_MAX_SIN = 1e-6  # largest certified sin∠ between a kept level's eigenvector and its seed
+SEED_NORM_MAX = 1e150  # beyond this ‖T‖ the shortcut declines, so no square in it overflows
+EPS = np.finfo(float).eps
 _SELECT = {"a": 0, "v": 1, "i": 2}  # LAPACK's RANGE codes: all, value, index
 
 
@@ -140,3 +173,132 @@ def interior_eigenvalues(
         )
     interior = np.flatnonzero(keep)[:count]
     return w[interior], int(interior[-1]) + 1 - count
+
+
+@dataclass(frozen=True)
+class LadderSeed:
+    """Approximate lowest eigenpairs (values ``theta``, ascending) of a
+    ladder's leading block (``diag``, ``off[:-1]``), and ``resid``, the
+    computed residual norm of each seed pair (theta_k, [y_k; 0]) on any
+    tridiagonal that begins with these rows and couples the last of them
+    upward by ``off[-1]``."""
+
+    diag: np.ndarray
+    off: np.ndarray
+    theta: np.ndarray
+    resid: np.ndarray
+
+
+def _norm(d: np.ndarray, b: np.ndarray) -> float:
+    """Gershgorin bound on ‖T‖; inf above SEED_NORM_MAX or when it overflows."""
+    with np.errstate(over="ignore"):
+        rows = np.abs(d)
+        rows[:-1] += b
+        rows[1:] += b
+    norm = float(rows.max())
+    return norm if norm <= SEED_NORM_MAX else np.inf
+
+
+def leading_block_seed(diag: np.ndarray, off: np.ndarray, count: int) -> LadderSeed | None:
+    """Seed of the lowest ``count`` levels of the ladder (diag, |off|) from
+    its leading block, or None.
+
+    The block has SEED_START rows, doubled up to dim - BOUNDARY_MARGIN, so it
+    never holds the cut's top rows. Its lowest ``count`` eigenpairs are
+    bisected (``eigh``), or, once the previous block's residuals are below
+    SEED_REFINE of the spacing of its values, refined from those values by
+    inverse iteration (``dstein``) and Rayleigh quotients. The seed is
+    accepted once every residual |off[m-1]|·|y_k[m-1]| + ‖T_m y_k -
+    theta_k y_k‖ is at roundoff (SEED_RESID_EPS·eps·‖T‖): the levels then live
+    inside the block. None when no block up to the cap is, or LAPACK fails
+    on one.
+    """
+    d, b = np.asarray(diag, dtype=float), np.abs(off)
+    cap = d.size - BOUNDARY_MARGIN
+    norm = _norm(d, b)
+    m, w, resid = min(SEED_START, cap), None, None
+    while np.isfinite(norm) and m > count:
+        e = b[: m - 1]
+        try:
+            if w is not None and np.all(resid <= SEED_REFINE * np.diff(w).min(initial=np.inf)):
+                # one unsplit block: every iblock entry 1, its last row m
+                iblock, isplit = np.ones(m, dtype=np.int32), np.full(m, m, dtype=np.int32)
+                v, info = dstein(d[:m], e, w, iblock, isplit)
+                _check_info(info, "dstein")
+            else:
+                w, v = eigh(d[:m], e, select="i", select_range=(0, count - 1))
+        except LinAlgError:
+            return None
+        tv = d[:m, None] * v
+        tv[:-1] += e[:, None] * v[1:]
+        tv[1:] += e[:, None] * v[:-1]
+        w = np.sum(v * tv, axis=0)  # Rayleigh quotients
+        resid = b[m - 1] * np.abs(v[-1]) + np.linalg.norm(tv - w * v, axis=0)
+        if np.all(resid <= SEED_RESID_EPS * EPS * norm):
+            return LadderSeed(d[:m], b[:m], w, resid)
+        if m == cap:
+            break
+        m = min(2 * m, cap)
+    return None
+
+
+def seeded_eigenvalues(diag: np.ndarray, off: np.ndarray, seed: LadderSeed) -> tuple | None:
+    """(values, half-widths) of the ladder (diag, |off|)'s lowest interior
+    levels, certified from ``seed``; None when a check fails.
+
+    The ladder must begin with the seed's rows and extend BOUNDARY_MARGIN
+    rows past them. Each level is bisected only inside its window
+    theta_k ± delta_k, delta_k = resid_k + WINDOW_EPS·eps·‖T‖, which holds an
+    eigenvalue by the symmetric residual bound. LAPACK's value-range
+    ``dstebz`` counts at the window ends and certifies:
+
+    - exactly one eigenvalue in each window, none between windows, and none
+      above the last one up to a gap G = max(delta)/SEED_MAX_SIN;
+    - every eigenpair below the first window pinned to the cut
+      (``boundary_free`` fails on its ``dstein`` vector);
+    - those pinned levels and the windows apart by at least G + 2 max(delta).
+
+    Then the windowed levels have indices r..r + count - 1 (r pinned
+    below), and by Davis-Kahan each eigenvector is within sin ≤
+    resid_k / G ≤ SEED_MAX_SIN of its seed, which is zero on the top
+    BOUNDARY_MARGIN rows: its boundary mass is at most SEED_MAX_SIN², far
+    below BOUNDARY_MASS_TOL. So ``interior_eigenvalues`` keeps exactly these
+    levels, and any bisection of one lies within its half-width of theta_k.
+    The values returned are bisected inside the windows.
+    """
+    d, b = np.asarray(diag, dtype=float), np.abs(off)
+    m = seed.diag.size
+    if d.size - m < BOUNDARY_MARGIN or not (
+        np.array_equal(d[:m], seed.diag) and np.array_equal(b[:m], seed.off)
+    ):
+        return None
+    norm = _norm(d, b)
+    if not np.isfinite(norm):
+        return None
+    theta = seed.theta
+    delta = seed.resid + WINDOW_EPS * EPS * norm
+    gap = np.max(delta) / SEED_MAX_SIN
+    lo, top = theta - delta, theta[-1] + gap
+    # Counted only (the tolerance spans the range): the eigenvalues up to G
+    # above the last window are the windowed ones and those below the first.
+    found, _, _, _, info = dstebz(d, b, 1, -np.inf, top, 1, 1, 2 * (abs(top) + norm), "E")
+    below = found - theta.size
+    if info or below < 0:
+        return None
+    pinned = np.empty(0)
+    if below:
+        try:
+            pinned, v = eigh(d, b, select="v", select_range=(-np.inf, lo[0]))
+        except LinAlgError:
+            return None
+        if pinned.size != below or np.any(boundary_free(v)):
+            return None
+    if np.any(np.diff(np.append(pinned, theta)) < gap + 2 * np.max(delta)):
+        return None
+    values = np.empty(theta.size)
+    for k in range(theta.size):
+        found, w, _, _, info = dstebz(d, b, 1, lo[k], theta[k] + delta[k], 1, 1, 0.0, "E")
+        if info or found != 1:
+            return None
+        values[k] = w[0]
+    return values, delta

@@ -537,6 +537,14 @@ class TestLimitsCommand:
         assert payload["meta"]["decay_exponent"] == pytest.approx(-1.0, abs=0.15)
 
 
+    @pytest.mark.parametrize("index", ["30", "100"])
+    def test_unconverged_amplifier_level_refused(self, runner, index):
+        # The cut N_d ladder misplaces these levels (level 100 is 253.6 at
+        # cutoff 160, 132.4 at 320 and 99.0 at 640): doubling refuses them.
+        result = runner.invoke(main, ["limits", "--case", "ndpa", "--index", index])
+        _one_line_usage_error(result, f"cutoff doubling moved amplifier limit level {index}")
+
+
 class TestConfigPrecedence:
     def test_config_file_defaults(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,3 +1,7 @@
+import cmath
+import math
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -346,16 +350,18 @@ class TestIncrementalInteriorSolve:
     @pytest.mark.parametrize("p", [ModelParams(g=1.0, f=2.0), ModelParams(g=2.0, f=1.0)],
                              ids=["f>g", "g>f"])
     def test_numeric_spectrum_solves_each_index_once(self, monkeypatch, p, component):
+        # numeric_spectrum's general path, called directly: these sectors
+        # take the leading-block shortcut through numeric_spectrum itself.
         cutoff, count = 120, 8
         for q in range(-3, 4):
             sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, q)
             doubled = sector_basis(2 * cutoff, ChargeKind.DIFFERENCE_ND, q)
-            _, r, _ = _full_interior_prefix(
-                *sector_tridiagonal(ModelKind.JC_AJC, component, p, sec), count)
+            bands = sector_tridiagonal(ModelKind.JC_AJC, component, p, sec)
+            _, r, _ = _full_interior_prefix(*bands, count)
             _, r2, _ = _full_interior_prefix(
                 *sector_tridiagonal(ModelKind.JC_AJC, component, p, doubled), count)
             calls = _record_solves(monkeypatch)
-            numeric_spectrum(ModelKind.JC_AJC, component, p, sec, count)
+            spectra._doubled_interior(ModelKind.JC_AJC, component, p, bands, doubled, count, 1e-9)
             monkeypatch.undo()
             for dim, needed in ((sec.dim, count + r), (doubled.dim, count + max(r, r2))):
                 ranges = [rng for d, rng in calls if d == dim]
@@ -379,6 +385,121 @@ class TestIncrementalInteriorSolve:
         sec = sector_basis(20, ChargeKind.SUM_NS, 30)
         with pytest.raises(ValueError, match="requested 32 levels from a dim-31 sector"):
             numeric_spectrum(ModelKind.JC_JC, Component.UPPER, ModelParams(g=1.0, f=2.0), sec, 32)
+
+
+def _tilted(tilt, magnitude=1.0, f_dominant=True, phases=(0.0, 0.0), mc2=1.0):
+    """Couplings with tilt 2|f||g|/(|f|² + |g|²) = ``tilt`` < 1, the larger
+    of magnitude ``magnitude``."""
+    small = magnitude * tilt / (1.0 + math.sqrt(1.0 - tilt**2))
+    fa, ga = (magnitude, small) if f_dominant else (small, magnitude)
+    return ModelParams(f=cmath.rect(fa, phases[0]), g=cmath.rect(ga, phases[1]), mc2=mc2)
+
+
+def _both_paths(p, component, cutoff, charge, count):
+    """(the shortcut's levels or None, the general path's levels or the
+    NotConvergedError it raised) of one N_d sector, both E² - m²c⁴, and
+    the doubled ladder's Gershgorin bound on its norm."""
+    kind = ModelKind.JC_AJC
+    sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, charge)
+    doubled = sector_basis(2 * cutoff, ChargeKind.DIFFERENCE_ND, charge)
+    args = (kind, component, p, sector_tridiagonal(kind, component, p, sec), doubled, count, 1e-9)
+    try:
+        general = spectra._doubled_interior(*args)
+    except NotConvergedError as exc:
+        general = exc
+    diag2, off2 = sector_tridiagonal(kind, component, p, doubled)
+    norm2 = np.max(np.abs(diag2)) + 2 * np.max(np.abs(off2))
+    return spectra._seeded_doubling(*args), general, norm2
+
+
+def _index_solve_dims(calls):
+    """Dims of the index-range solves in a ``_record_solves`` log (a value
+    window has float ends)."""
+    return [dim for dim, rng in calls if rng is not None and isinstance(rng[0], int)]
+
+
+class TestLeadingBlockShortcut:
+    """Where the leading-block shortcut certifies an N_d sector, the general
+    path certifies the same levels to roundoff; everywhere else
+    ``numeric_spectrum`` is the general path, errors included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tilt=st.floats(0.0, 0.97),
+        magnitude=st.floats(0.3, 3.0),
+        f_dominant=st.booleans(),
+        phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+        mc2=st.sampled_from([0.3, 1.0, 5.0]),
+        cutoff=st.integers(12, 400),
+        charge=st.integers(-3, 3),
+        count=st.integers(1, 8),
+        component=st.sampled_from(list(Component)),
+    )
+    def test_certifies_what_the_general_path_certifies(
+        self, tilt, magnitude, f_dominant, phases, mc2, cutoff, charge, count, component
+    ):
+        p = _tilted(tilt, magnitude, f_dominant, phases, mc2)
+        seeded, general, norm2 = _both_paths(p, component, cutoff, charge, count)
+        sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, charge)
+        if isinstance(general, NotConvergedError):
+            assert seeded is None
+            with pytest.raises(NotConvergedError, match=f"^{re.escape(str(general))}$"):
+                numeric_spectrum(ModelKind.JC_AJC, component, p, sec, count)
+            return
+        numeric = numeric_spectrum(ModelKind.JC_AJC, component, p, sec, count)
+        if seeded is None:
+            np.testing.assert_array_equal(numeric, general + p.mc2**2)
+        else:
+            np.testing.assert_array_equal(numeric, seeded + p.mc2**2)
+            assert np.max(np.abs(seeded - general)) <= 4 * np.finfo(float).eps * norm2
+
+    def test_seed_block_stops_short_of_the_cut(self):
+        # A seed block reaching into the top BOUNDARY_MARGIN rows would
+        # certify five levels here; the general path finds four interior ones.
+        p = ModelParams(f=0.93, g=0.016)
+        seeded, general, _ = _both_paths(p, Component.UPPER, 12, -3, 5)
+        assert seeded is None
+        assert "only 4 interior-supported eigenvalues" in str(general)
+        sec = sector_basis(12, ChargeKind.DIFFERENCE_ND, -3)
+        diag, off = sector_tridiagonal(ModelKind.JC_AJC, Component.UPPER, p, sec)
+        seed = tridiag.leading_block_seed(diag, off, 5)
+        assert seed is None or seed.diag.size <= sec.dim - tridiag.BOUNDARY_MARGIN
+        with pytest.raises(NotConvergedError, match="only 4 interior-supported eigenvalues"):
+            numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 5)
+
+    @pytest.mark.parametrize("p", [ModelParams(g=cmath.rect(1.0, 0.3), f=2.0),
+                                   ModelParams(g=2.0, f=cmath.rect(1.0, 1.0))],
+                             ids=["f>g", "g>f"])
+    def test_benchmark_sector_takes_the_shortcut(self, monkeypatch, p):
+        # cutoff 280, N_d = 0, tilt 0.8: no index-range solve at dim 281 or
+        # 561, only the seed's at the leading blocks
+        calls = _record_solves(monkeypatch)
+        sec = sector_basis(280, ChargeKind.DIFFERENCE_ND, 0)
+        numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 8)
+        index_solves = _index_solve_dims(calls)
+        assert index_solves and max(index_solves) <= 280 - tridiag.BOUNDARY_MARGIN
+
+    def test_strong_tilt_takes_the_general_path(self, monkeypatch):
+        # tilt 0.97: the levels' eigenvectors reach past any block the cut allows
+        p = _tilted(0.97, 1.0)
+        calls = _record_solves(monkeypatch)
+        sec = sector_basis(200, ChargeKind.DIFFERENCE_ND, 0)
+        numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 8)
+        assert {201, 401} <= set(_index_solve_dims(calls))
+
+    def test_pinned_pair_between_levels_takes_the_general_path(self):
+        # two rows cut off the top of a ladder whose levels are 0, 3, 6, ...:
+        # pinned eigenpairs at 10 and 11, between the levels 9 and 12
+        p = ModelParams(g=2.0, f=1.0)
+        sec = sector_basis(120, ChargeKind.DIFFERENCE_ND, 0)
+        diag, off = sector_tridiagonal(ModelKind.JC_AJC, Component.UPPER, p, sec)
+        diag[-2:], off[-2:] = (10.0, 11.0), 0.0
+        seed = tridiag.leading_block_seed(diag, off, 8)
+        np.testing.assert_allclose(seed.theta, 3.0 * np.arange(8), rtol=0, atol=1e-12)
+        assert tridiag.seeded_eigenvalues(diag, off, seed) is None
+        vals, rejected = tridiag.interior_eigenvalues(diag, off, 8)
+        np.testing.assert_allclose(vals, seed.theta, rtol=0, atol=1e-12)
+        assert rejected == 2
 
 
 class TestPartnerShift:
@@ -552,6 +673,28 @@ class TestNonRelativisticLimits:
             )
             assert rep.rel_error <= 1e-5
             assert rep.offset == pytest.approx(2.0)  # hbar * omega2
+
+    def test_ndpa_level_reported_at_the_cutoff(self):
+        # certified by doubling, reported as solved at the cutoff 160
+        case = NondegenerateParametricAmplifier(1.0, 2.0)
+        for idx in (0, 1, 2):
+            rep = nonrelativistic_limit_check(case, 0, idx, 1e6)
+            assert rep.scale == 1e6
+            sec = sector_basis(160, ChargeKind.DIFFERENCE_ND, 0)
+            diag, off = spectra._nonrel_tridiagonal(case, sec)
+            level = tridiag.eigh(diag, np.abs(off), eigvals_only=True, select="i",
+                                 select_range=(idx, idx))
+            assert rep.eps_analytic == float(level[0]) + rep.offset
+
+    @pytest.mark.parametrize("idx", [30, 100])
+    def test_ndpa_unconverged_level_refused(self, idx):
+        with pytest.raises(NotConvergedError,
+                           match=f"cutoff doubling moved amplifier limit level {idx} by"):
+            nonrelativistic_limit_check(NondegenerateParametricAmplifier(1.0, 2.0), 0, idx, 1e6)
+
+    def test_zero_frequency_amplifier(self):
+        rep = nonrelativistic_limit_check(NondegenerateParametricAmplifier(0.0, 0.0), 0, 0, 1e5)
+        assert rep.eps_analytic == 0.0
 
     def test_scale_doubling_halves_error(self):
         e1 = nonrelativistic_limit_check(CoupledOscillators(1.0, 2.0), 2, 1, 2e4).rel_error
