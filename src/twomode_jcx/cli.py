@@ -448,7 +448,8 @@ def limits(**params):
         scales = [float(s) for s in params["scales"].split(",") if s]
     except ValueError as exc:
         raise click.UsageError(f"bad --scales list: {params['scales']}") from exc
-    reports = [spectra.nonrelativistic_limit_check(case, charge, params["index"], s) for s in scales]
+    # the limit level is solved once, for every scale and the exponent
+    reports = spectra.nonrelativistic_limit_checks(case, charge, params["index"], scales)
     rows = table(
         scale=scales,
         eps_model=[r.eps_model for r in reports],
@@ -458,7 +459,7 @@ def limits(**params):
     )
     meta = {"case": params["case"], "charge": charge, "index": params["index"]}
     if len(scales) >= 2:
-        meta["decay_exponent"] = spectra.limit_decay_exponent(case, charge, params["index"], scales)
+        meta["decay_exponent"] = spectra.decay_exponent(reports)
     emit_rows(rows, params["fmt"], params["out_path"], meta=meta)
 
 

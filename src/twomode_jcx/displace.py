@@ -37,14 +37,23 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# la stays bound here: the benchmark's span tests (bench/) trace its
-# eigensolvers as displace.la.
-import scipy.linalg as la  # noqa: F401
 
 from . import tridiag
 from .errors import ConvergenceError, SectorMismatchError, TailError
 from .fock import ChargeKind, SectorBasis, sector_basis
 from .liealg import AlgebraKind, sector_algebra, sector_generators
+
+
+def __getattr__(name):
+    # la (scipy.linalg) is bound on first access, for the benchmark alone: its
+    # span tests (bench/) trace the eigensolvers of displace.la. No command reads
+    # it, so no command pays for importing scipy.linalg.
+    if name == "la":
+        global la
+        import scipy.linalg as la
+        return la
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 UNITARITY_TOL = 1e-10
 NCS_NORM_TOL = 1e-10

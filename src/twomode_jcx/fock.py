@@ -5,7 +5,10 @@ the space into sectors of a conserved charge (number difference or total
 number). A total-number sector is finite, so it can be built whole
 (``su2_irrep``); a number-difference sector is always cut. Bases store
 only what the index formula n_a (cutoff + 1) + n_b cannot give;
-full-space operators are plain ``scipy.sparse.csr_matrix``.
+full-space operators are plain ``scipy.sparse.csr_matrix``. The full-space
+helpers (``ladder_op`` and the other operators, ``reassemble``) serve the
+tests and the benchmark alone, and import scipy.sparse when called, so the
+sector basis the commands use loads without it.
 Everything here is exact apart from the square roots in the ladder matrix
 elements.
 """
@@ -14,11 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, LeakageError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LEAKAGE_TOL = 1e-12
 
@@ -147,6 +153,8 @@ def ladder_op(mode: Mode, kind: LadderKind, basis: FockBasis) -> sp.csr_matrix:
     out of the cutoff gives zero. One entry per column, so products of
     ladder operators stay sparse.
     """
+    import scipy.sparse as sp
+
     na, nb = basis.occupations
     m_occ = na if mode is Mode.A else nb
     step = basis.cutoff + 1 if mode is Mode.A else 1
@@ -164,18 +172,24 @@ def ladder_op(mode: Mode, kind: LadderKind, basis: FockBasis) -> sp.csr_matrix:
 
 def number_op(mode: Mode, basis: FockBasis) -> sp.csr_matrix:
     """Diagonal occupation-number operator for one mode."""
+    import scipy.sparse as sp
+
     na, nb = basis.occupations
     return sp.diags((na if mode is Mode.A else nb).astype(complex), format="csr")
 
 
 def charge_op(charge_kind: ChargeKind, basis: FockBasis) -> sp.csr_matrix:
     """Diagonal conserved charge: n_b - n_a or n_a + n_b."""
+    import scipy.sparse as sp
+
     na, nb = basis.occupations
     diag = nb - na if charge_kind is ChargeKind.DIFFERENCE_ND else na + nb
     return sp.diags(diag.astype(complex), format="csr")
 
 
 def identity_op(basis: FockBasis) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     return sp.identity(basis.dim, dtype=complex, format="csr")
 
 
@@ -263,6 +277,8 @@ def project_operator(op: sp.csr_matrix, sector: SectorBasis) -> sp.csr_matrix:
 
 def reassemble(sector_ops: list, sectors: list, parent_dim: int) -> sp.csr_matrix:
     """Inverse of project_operator over a full decomposition."""
+    import scipy.sparse as sp
+
     parent = np.concatenate([sec.indices for sec in sectors])
     block = sp.block_diag(sector_ops, format="coo")
     return sp.csr_matrix(

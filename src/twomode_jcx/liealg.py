@@ -13,16 +13,17 @@ the Casimir is J² = (N_s/2)(N_s/2 + 1).
 The closure checks (``verify_sector_algebra``) and the displacement
 machinery work per sector from ``sector_generators``, in closed form; the
 full-space generators (CSR) and ``verify_algebra`` are the reference they
-are tested against.
+are tested against. They are built by ``fock``'s full-space helpers, which
+import scipy.sparse when called; this module never imports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fock
 from .errors import NonIntegerError
@@ -34,6 +35,9 @@ from .fock import (
     SectorBasis,
     commutator,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class AlgebraKind(Enum):

@@ -22,7 +22,8 @@ on), so they equal the projection of the products of the hard-truncated
 ladder matrices at finite cutoff, boundary rows included. An eigenspinor
 lives on one (upper sector, lower sector) pair joined by a bidiagonal block
 of X (``SectorPair``). The full-space products and Hamiltonian remain as
-the small-cutoff reference they are tested against.
+the small-cutoff reference they are tested against; those helpers import
+scipy.sparse when called, so the sector code loads without it.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DomainError,
@@ -52,6 +53,9 @@ from .fock import (  # noqa: F401
     ladder_op,
     sector_basis,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 EDGE_REL_TOL = 1e-12
 
@@ -132,6 +136,8 @@ def coupling_block(kind: ModelKind, p: ModelParams, basis: FockBasis) -> sp.csr_
 
 def build_full_hamiltonian(kind: ModelKind, p: ModelParams, basis: FockBasis) -> sp.csr_matrix:
     """Full 2 dim(basis) Hamiltonian in (upper, lower) block order."""
+    import scipy.sparse as sp
+
     hx = p.hbar * coupling_block(kind, p, basis)
     eye = sp.identity(basis.dim, dtype=complex)
     return sp.bmat([[p.mc2 * eye, hx], [hx.conj().T, -p.mc2 * eye]], format="csr")
@@ -188,6 +194,8 @@ def build_kg_operator(
     ``sector_tridiagonal``; passing a FockBasis forms the full-space ladder
     products, the small-cutoff reference.
     """
+    import scipy.sparse as sp
+
     if isinstance(basis_or_sector, SectorBasis):
         diag, off = sector_tridiagonal(kind, component, p, basis_or_sector)
         return sp.diags([off, diag, off.conj()], [-1, 0, 1], dtype=complex, format="csr")

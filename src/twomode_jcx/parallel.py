@@ -10,7 +10,6 @@ the threads could not overlap sector solves and only added the pool's cost.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def thread_budget() -> int:
@@ -30,5 +29,7 @@ def parallel_map(fn, items):
     budget = min(thread_budget(), len(items))
     if budget <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor  # not loaded with the CLI
+
     with ThreadPoolExecutor(max_workers=budget) as pool:
         return list(pool.map(fn, items))

@@ -28,9 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-# la stays bound here: the benchmark's span tests (bench/) trace its
-# eigensolvers as spectra.la.
-import scipy.linalg as la  # noqa: F401
 
 from . import tridiag
 from .displace import TiltingParams, displacement_direct
@@ -45,6 +42,17 @@ from .models import (
     conserved_charge,
     sector_tridiagonal,
 )
+
+
+def __getattr__(name):
+    # la (scipy.linalg) is bound on first access, for the benchmark alone: its
+    # span tests (bench/) trace the eigensolvers of spectra.la. No command reads
+    # it, so no command pays for importing scipy.linalg.
+    if name == "la":
+        global la
+        import scipy.linalg as la
+        return la
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InnerSign(Enum):
@@ -570,6 +578,26 @@ def _nonrel_level(case, sector: SectorBasis, index: int) -> float:
     return float(level[0])
 
 
+def _certified_limit_level(case, sector: SectorBasis, index: int) -> float:
+    """``_nonrel_level`` on ``sector``; an N_d (amplifier) sector is cut, so
+    its level is solved again at twice the cutoff, and NotConvergedError is
+    raised when the two differ by more than LIMIT_DOUBLING_TOL·max(|level|,
+    w1 + w2)."""
+    level = _nonrel_level(case, sector, index)
+    if sector.charge_kind is ChargeKind.DIFFERENCE_ND:
+        cutoff = sector.parent_cutoff
+        doubled = sector_basis(2 * cutoff, sector.charge_kind, sector.charge_value)
+        change = abs(_nonrel_level(case, doubled, index) - level)
+        level_scale = max(abs(level), case.omega1 + case.omega2)
+        if change > LIMIT_DOUBLING_TOL * level_scale:
+            raise NotConvergedError(
+                f"cutoff doubling moved amplifier limit level {index} by "
+                f"{change / level_scale:.3e} (> {LIMIT_DOUBLING_TOL:.1e}); "
+                f"it is not converged at cutoff {cutoff}"
+            )
+    return level
+
+
 def nonrelativistic_limit_check(
     case,
     charge: int,
@@ -595,64 +623,80 @@ def nonrelativistic_limit_check(
     LIMIT_DOUBLING_TOL·max(|level|, w1 + w2) (the floor: level 1 sits at
     roundoff of 0). The value at ``cutoff`` is the one reported.
     """
+    return nonrelativistic_limit_checks(case, charge, index, [scale], cutoff)[0]
+
+
+def nonrelativistic_limit_checks(
+    case,
+    charge: int,
+    index: int,
+    scales,
+    cutoff: int = 160,
+) -> list:
+    """``nonrelativistic_limit_check`` at each of ``scales``, in order.
+
+    The limit Hamiltonian (hbar = 1) does not depend on the scale, so its
+    level is solved and certified once, by the first scale that reaches it;
+    every check before it runs per scale, in the same order as one call per
+    scale, so each error is the one the first failing call would raise.
+    """
     hbar = 1.0
     if not isinstance(case, (NondegenerateParametricAmplifier, CoupledOscillators)):
         raise TypeError("limit check applies to the amplifier and coupled-oscillator cases")
-    if not 0 < scale < math.inf:
-        raise ValueError(f"limit scale must be positive and finite, got {scale}")
-    wbar = 0.5 * (case.omega1 + case.omega2)
-    mc2 = scale * hbar * (wbar if wbar > 0 else 1.0)
-    p, kind = special_case_params(case, mc2=mc2, hbar=hbar)
+    level, reports = None, []
+    for scale in scales:
+        if not 0 < scale < math.inf:
+            raise ValueError(f"limit scale must be positive and finite, got {scale}")
+        wbar = 0.5 * (case.omega1 + case.omega2)
+        mc2 = scale * hbar * (wbar if wbar > 0 else 1.0)
+        p, kind = special_case_params(case, mc2=mc2, hbar=hbar)
 
-    sector = sector_basis(cutoff, conserved_charge(kind), charge)
-    if kind is ModelKind.JC_JC:
-        sector = su2_irrep(charge)
-    if not 0 <= index < sector.dim:
-        raise ValueError(f"index {index} outside the dim-{sector.dim} sector")
+        sector = sector_basis(cutoff, conserved_charge(kind), charge)
+        if kind is ModelKind.JC_JC:
+            sector = su2_irrep(charge)
+        if not 0 <= index < sector.dim:
+            raise ValueError(f"index {index} outside the dim-{sector.dim} sector")
 
-    if kind is ModelKind.JC_AJC:
-        e_sq = su11_sector_energy_sq(p, charge, index)
-        offset = hbar * case.omega2
-    else:
-        s = abs(p.f) ** 2 + abs(p.g) ** 2
-        e_sq = p.mc2**2 + p.hbar**2 * s * index
-        offset = 0.0
-    eps_model = math.sqrt(e_sq) - mc2
+        if kind is ModelKind.JC_AJC:
+            e_sq = su11_sector_energy_sq(p, charge, index)
+            offset = hbar * case.omega2
+        else:
+            s = abs(p.f) ** 2 + abs(p.g) ** 2
+            e_sq = p.mc2**2 + p.hbar**2 * s * index
+            offset = 0.0
+        eps_model = math.sqrt(e_sq) - mc2
 
-    level = _nonrel_level(case, sector, index)
-    if kind is ModelKind.JC_AJC:
-        doubled = sector_basis(2 * cutoff, sector.charge_kind, charge)
-        change = abs(_nonrel_level(case, doubled, index) - level)
-        level_scale = max(abs(level), case.omega1 + case.omega2)
-        if change > LIMIT_DOUBLING_TOL * level_scale:
-            raise NotConvergedError(
-                f"cutoff doubling moved amplifier limit level {index} by "
-                f"{change / level_scale:.3e} (> {LIMIT_DOUBLING_TOL:.1e}); "
-                f"it is not converged at cutoff {cutoff}"
-            )
-    eps_analytic = level + offset
-    return LimitReport(
-        case=type(case).__name__,
-        scale=scale,
-        charge=charge,
-        index=index,
-        eps_model=eps_model,
-        eps_analytic=eps_analytic,
-        offset=offset,
-    )
+        if level is None:
+            level = _certified_limit_level(case, sector, index)
+        reports.append(LimitReport(
+            case=type(case).__name__,
+            scale=scale,
+            charge=charge,
+            index=index,
+            eps_model=eps_model,
+            eps_analytic=level + offset,
+            offset=offset,
+        ))
+    return reports
 
 
 def limit_decay_exponent(case, charge: int, index: int, scales) -> float:
-    """Log-log slope of the limit error across ``scales`` (expects ~ -1).
+    """Log-log slope of the limit error across ``scales`` (expects ~ -1),
+    from ``nonrelativistic_limit_checks``; see ``decay_exponent``."""
+    return decay_exponent(nonrelativistic_limit_checks(case, charge, index, scales))
 
-    ValueError unless ``scales`` holds at least two distinct values and
+
+def decay_exponent(reports) -> float:
+    """Log-log slope of the relative errors of limit ``reports`` against their
+    scales (expects ~ -1).
+
+    ValueError unless the reports hold at least two distinct scales and
     every error is positive (an exact limit has no slope).
     """
+    scales = [r.scale for r in reports]
     if len(set(scales)) < 2:
-        raise ValueError(f"decay exponent needs at least two distinct scales, got {list(scales)}")
-    errs = [
-        nonrelativistic_limit_check(case, charge, index, s).rel_error for s in scales
-    ]
+        raise ValueError(f"decay exponent needs at least two distinct scales, got {scales}")
+    errs = [r.rel_error for r in reports]
     if not all(e > 0 for e in errs):
         raise ValueError(f"decay exponent undefined: limit errors {errs} are not all positive")
     slope = np.polyfit(np.log(np.asarray(scales)), np.log(np.asarray(errs)), 1)[0]

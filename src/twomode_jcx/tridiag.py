@@ -12,6 +12,19 @@ reorder of ``dstein``'s block-ordered eigenvectors. So it returns the same
 bits, without the argument handling around that function (20-50 µs a call
 at sector dims 7-561 on an Intel Xeon core).
 
+The three routines come from scipy's compiled LAPACK module,
+``scipy.linalg._flapack``, loaded from its file next to scipy's sources:
+importing it through ``scipy.linalg`` would first run that package's
+``__init__``, whose Python layer (``scipy._lib``'s array-API shims,
+``numpy.f2py``, ``numpy.testing``) costs about half of a command's
+start-up, while the compiled module loads in milliseconds. It is registered
+in ``sys.modules`` under its own name, so a later ``import scipy.linalg``
+reuses it, and one already loaded is reused here: ``dstebz``, ``dstein`` and
+``dstevd`` are the very objects ``scipy.linalg.lapack`` exports, and every
+result is bit-identical either way. When no such file exists (another
+scipy layout), they are imported from ``scipy.linalg.lapack``.
+``LinAlgError`` is numpy's, the class scipy re-exports.
+
 ``interior_eigenvalues`` is the index-order solve of a cut su(1,1) ladder
 (an N_d sector; an N_s sector is a finite su(2) irrep, solved whole):
 eigenpairs pinned to the cut (``boundary_free``) are rejected, the rest
@@ -43,13 +56,43 @@ shortcut returns None and the caller runs the index-order solve.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dstebz, dstein, dstevd
+from numpy.linalg import LinAlgError
 
 from .errors import NotConvergedError
+
+
+def _compiled_lapack():
+    """``scipy.linalg._flapack``, without running ``scipy/linalg/__init__.py``;
+    None when scipy has no such extension file."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")  # locates scipy, runs none of it
+    roots = scipy_spec.submodule_search_locations if scipy_spec else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                spec.loader.exec_module(module)
+                return module
+    return None
+
+
+_flapack = _compiled_lapack()
+if _flapack is None:
+    from scipy.linalg.lapack import dstebz, dstein, dstevd
+else:
+    dstebz, dstein, dstevd = _flapack.dstebz, _flapack.dstein, _flapack.dstevd
 
 BOUNDARY_MASS_TOL = 1e-8
 BOUNDARY_MARGIN = 3

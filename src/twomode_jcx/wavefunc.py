@@ -11,6 +11,9 @@ eigenstate back with the displacement operator turns it into a number
 coherent state; its wavefunction is the coefficient series over fixed m
 with running Laguerre order, or equivalently a single closed form obtained
 by resumming that series through the Laguerre generating function.
+
+scipy.special is imported where it is used, so only the commands that
+evaluate a wavefunction (``wavefunction``, ``verify``) pay for loading it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre, roots_legendre, xlogy
 
 from .displace import su11_ncs_coefficients
 from .errors import QuadratureError, SingularParameterError
@@ -58,6 +60,8 @@ def _radial_series(coeffs, m_n: int, rho, phi):
     1e150 move into the scale, so nothing overflows or underflows at rho = 0
     or large m, r. rho >= 0; the phase e^{i m phi} broadcasts against it.
     """
+    from scipy.special import gammaln, xlogy
+
     rho = np.asarray(rho, dtype=float)
     x = rho**2
     log_scale = xlogy(m_n, rho) - 0.5 * x - 0.5 * gammaln(m_n + 1)
@@ -157,6 +161,8 @@ def ncs_wavefunction_closed(
     at -zeta (see ``closed_form_comparison``). Kept for the discrepancy
     report.
     """
+    from scipy.special import gammaln
+
     z = params.zeta
     rho = np.asarray(rho, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -225,6 +231,8 @@ def closed_form_comparison(
     +zeta. A small value pins the mismatch to that sign and the mirrored
     argument rather than to a loose tolerance.
     """
+    from scipy.special import gammaln
+
     rng = np.random.default_rng(seed)
     rho = rng.uniform(0.05, 3.0, n_points)
     phi = rng.uniform(0.0, 2 * np.pi, n_points)
@@ -281,6 +289,8 @@ def _polar_nodes(n_rho: int, n_phi: int):
     Each rule costs an eigenproblem and depends on the sizes alone, so it is
     built once per size; the arrays are read-only because callers share them.
     """
+    from scipy.special import roots_genlaguerre, roots_legendre
+
     if n_rho > 170:
         raise QuadratureError("Gauss-Laguerre weights underflow beyond ~170 nodes")
     x, wx = roots_genlaguerre(n_rho, 0.0)

@@ -707,6 +707,38 @@ class TestNonRelativisticLimits:
         )
         assert slope == pytest.approx(-1.0, abs=0.1)
 
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+        eigh = tridiag.eigh
+        monkeypatch.setattr(tridiag, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("case, solves", [("ndpa", 2), ("coupled-osc", 1)])
+    def test_limits_command_solves_the_level_once(self, monkeypatch, tmp_path, case, solves):
+        # the level does not depend on the scale: the amplifier's is solved
+        # at the cutoff and at twice it, the oscillators' whole, once a call
+        from twomode_jcx.cli import main
+
+        calls = self._count_solves(monkeypatch)
+        main(["limits", "--case", case, "--out", str(tmp_path / "limits.json")],
+             standalone_mode=False)
+        assert len(calls) == solves
+
+    def test_decay_exponent_solves_the_level_once(self, monkeypatch):
+        calls = self._count_solves(monkeypatch)
+        spectra.limit_decay_exponent(NondegenerateParametricAmplifier(1.0, 2.0), 0, 1,
+                                     [1e4, 1e5, 1e6])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("case, charge", [(NondegenerateParametricAmplifier(1.0, 2.0), 0),
+                                              (CoupledOscillators(1.0, 2.0), 2)])
+    def test_checks_equal_one_call_per_scale(self, case, charge):
+        scales = [1e4, 1e5, 1e6]
+        assert spectra.nonrelativistic_limit_checks(case, charge, 1, scales) == [
+            nonrelativistic_limit_check(case, charge, 1, s) for s in scales
+        ]
+
     @pytest.mark.parametrize("scales", [[1e4, 1e4], [1e5], []])
     def test_decay_exponent_needs_two_distinct_scales(self, scales):
         with pytest.raises(ValueError, match="two distinct scales"):
