@@ -80,8 +80,6 @@ from .spectra import (
     CoupledOscillators,
     Dirac1p1,
     Dirac2p1,
-    EnergyLevel,
-    InnerSign,
     NondegenerateParametricAmplifier,
     analytic_energy_su2,
     analytic_energy_su11,

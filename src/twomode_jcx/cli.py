@@ -30,7 +30,7 @@ from .errors import QuadratureError, TwoModeJcxError
 # be loaded with the CLI.
 from . import parallel  # noqa: F401
 from .fock import ChargeKind, build_basis, sector_basis, su2_irrep  # noqa: F401
-from .models import Branch, Component, ModelKind, ModelParams, conserved_charge
+from .models import Component, ModelKind, ModelParams, conserved_charge
 from .verify import run_verification_suite
 
 SCHEMA_VERSION = 1
@@ -246,26 +246,33 @@ def spectrum(**params):
     grid = (max(params["nmax"], 0) + 1) * (max(params["mmax"], 0) + 1)
     _check_cap(grid, MAX_ROWS // 4, "(--nmax + 1)(--mmax + 1)")
     p, kind = _resolve_model(params)
-    levels = []
-    for n_l in range(params["nmax"] + 1):
-        for m_n in range(params["mmax"] + 1):
-            for branch in (Branch.PLUS, Branch.MINUS):
-                if kind is ModelKind.JC_AJC:
-                    levels.append(spectra.analytic_energy_su11(p, n_l, m_n, branch))
-                else:
-                    levels += [
-                        spectra.analytic_energy_su2(p, n_l, m_n, branch, inner)
-                        for inner in ((1,) if m_n == 0 else (1, -1))
-                    ]
-    rows = table(
-        n_l=[lvl.n_l for lvl in levels],
-        m_n=[lvl.m_n for lvl in levels],
-        branch=[lvl.branch.name.lower() for lvl in levels],
-        inner_sign=[lvl.inner_sign.name.lower() for lvl in levels],
-        energy=[lvl.energy for lvl in levels],
-    )
-    del levels  # the table holds every cell; the encoder needs the room at the cap
+    rows = _spectrum_table(p, kind, params["nmax"], params["mmax"])
     emit_rows(rows, params["fmt"], params["out_path"], meta={"model": kind.value})
+
+
+# spectrum's branch and inner-sign names, indexed by 0 (plus) or 1 (minus):
+# each cell of those columns refers to one of these strings.
+_SIGN_NAMES = np.array(["plus", "minus"], dtype=object)
+
+
+def _spectrum_table(p: ModelParams, kind: ModelKind, nmax: int, mmax: int) -> np.ndarray:
+    """spectrum's rows: n_l, then m_n, then four slots per grid point, in the
+    order plus +1, plus -1, minus +1, minus -1 (branch, inner sign). A -1
+    slot is a row only for JC+JC at m_n > 0; JC+AJC has no inner sign (na)."""
+    jc_jc = kind is ModelKind.JC_JC
+    point, slot = np.divmod(np.arange(4 * max(nmax + 1, 0) * max(mmax + 1, 0)), 4)
+    n_l, m_n = np.divmod(point, max(mmax + 1, 1))
+    minus, inner_minus = np.divmod(slot, 2)
+    keep = (inner_minus == 0) | (jc_jc & (m_n > 0))
+    n_l, m_n, minus, inner_minus = n_l[keep], m_n[keep], minus[keep], inner_minus[keep]
+    if jc_jc:
+        energy = spectra.analytic_energy_su2(p, n_l, m_n, inner_sign=1 - 2 * inner_minus)
+        inner_sign = _SIGN_NAMES[inner_minus]
+    else:
+        energy = spectra.analytic_energy_su11(p, n_l, m_n)
+        inner_sign = np.full(len(n_l), "na", dtype=object)
+    return table(n_l=n_l, m_n=m_n, branch=_SIGN_NAMES[minus], inner_sign=inner_sign,
+                 energy=np.where(minus, -energy, energy))
 
 
 @main.command()

@@ -318,14 +318,11 @@ def sector_spinor(
     from . import spectra
     from .displace import displacement_direct
 
-    if n_l < 0 or m_n < 0:
-        raise DomainError("n_l and m_n must be nonnegative")
-
+    # the energy raises DomainError first for a negative n_l or m_n
     if kind is ModelKind.JC_AJC:
-        level = spectra.analytic_energy_su11(p, n_l, m_n, branch)
+        energy = spectra.analytic_energy_su11(p, n_l, m_n, branch)
     else:
-        level = spectra.analytic_energy_su2(p, n_l, m_n, branch, inner_sign)
-    energy = level.energy
+        energy = spectra.analytic_energy_su2(p, n_l, m_n, branch, inner_sign)
 
     tilt = spectra.tilting_parameters(kind, p)
     charge, pos = _tilted_state_position(kind, n_l, m_n, inner_sign)

@@ -13,7 +13,10 @@ whose diagonal gives the closed-form spectra
     JC_AJC:  E² = m²c⁴ + hbar² [ Lam (n_l + m_n/2 + 1/2) - (Dlt/2)(m_n - 1) ]
     JC_JC:   E² = m²c⁴ + hbar² [ S (n_l + m_n/2) ± (S/2) m_n ]
 
-with the su(2) inner sign selecting mu = ±m_n/2. The hyperbolic tilting
+with the su(2) inner sign selecting mu = ±m_n/2. Both closed forms (and the
+signed energies ``analytic_energy_su11``/``analytic_energy_su2``) are
+array-valued: integer-array labels give one value per element, bit-identical
+to the scalar result at that element. The hyperbolic tilting
 angle satisfies tanh(theta) = 2|f||g|/S (su(1,1), diverges at |f| = |g|) and
 tan(theta) = 2|f||g|/(|g|² - |f|²) taken in [0, pi) (su(2)); the phase
 -arg(f* g) kills the G± coefficients, which is verified numerically rather
@@ -25,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -55,39 +57,34 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class InnerSign(Enum):
-    PLUS = 1
-    MINUS = -1
-    NA = 0
+# The closed forms take scalar or integer-array labels; each array element is
+# bit-identical to the scalar result, and a term that overflows gives inf
+# (or nan) as a Python float does, not a numpy warning.
+_FLOAT_SEMANTICS = np.errstate(over="ignore", invalid="ignore")
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
-    energy: float
-    branch: Branch
-    inner_sign: InnerSign
-    n_l: int
-    m_n: int
-
-    @property
-    def energy_sq(self) -> float:
-        return self.energy**2
+@_FLOAT_SEMANTICS
+def _su11_sector_coupling(p: ModelParams, d, n):
+    """hbar² [ Lam (n + (|d|+1)/2) + (Dlt/2)(d+1) ]: E² - m²c⁴ of the n-th
+    level in the N_d = d sector of the JC_AJC model, and the diagonal of
+    that sector's tilted operator."""
+    fa2, ga2 = abs(p.f) ** 2, abs(p.g) ** 2
+    lam = abs(fa2 - ga2)
+    dlt = fa2 - ga2
+    return p.hbar**2 * (lam * (n + (abs(d) + 1) / 2.0) + 0.5 * dlt * (d + 1))
 
 
-def su11_sector_energy_sq(p: ModelParams, d: int, n: int) -> float:
+@_FLOAT_SEMANTICS
+def su11_sector_energy_sq(p: ModelParams, d, n):
     """E² of the n-th level in the N_d = d sector of the JC_AJC model.
 
     hbar² [ Lam (n + (|d|+1)/2) + (Dlt/2)(d+1) ] + m²c⁴; for d = -m_n this
     is the (n_l, m_n) closed form, for d > 0 it is the mirror family.
     """
-    fa2, ga2 = abs(p.f) ** 2, abs(p.g) ** 2
-    lam = abs(fa2 - ga2)
-    dlt = fa2 - ga2
-    val = p.hbar**2 * (lam * (n + (abs(d) + 1) / 2.0) + 0.5 * dlt * (d + 1))
-    return val + p.mc2**2
+    return _su11_sector_coupling(p, d, n) + p.mc2**2
 
 
-def su11_energy_sq(p: ModelParams, n_l: int, m_n: int) -> float:
+def su11_energy_sq(p: ModelParams, n_l, m_n):
     """General closed form for E² of the JC_AJC model: the N_d = -m_n sector's
     n_l-th level."""
     return su11_sector_energy_sq(p, -m_n, n_l)
@@ -122,28 +119,33 @@ def su11_energy_sq_rewritten(p: ModelParams, n_l: int) -> float:
     )
 
 
-def analytic_energy_su11(
-    p: ModelParams, n_l: int, m_n: int, branch: Branch = Branch.PLUS
-) -> EnergyLevel:
-    """Closed-form JC_AJC energy; general formula is the authority."""
-    if n_l < 0 or m_n < 0:
+def _signed_energy(e_sq_of, p: ModelParams, n_l, m_n, branch: Branch, *inner):
+    """``branch``-signed sqrt of ``e_sq_of(p, n_l, m_n, *inner)``: a float,
+    or an array over array labels. DomainError for a negative label, or for
+    a negative radicand, named by its first element."""
+    if np.any(np.less(n_l, 0)) or np.any(np.less(m_n, 0)):
         raise DomainError("n_l and m_n must be nonnegative")
-    e_sq = su11_energy_sq(p, n_l, m_n)
-    if e_sq < 0:
-        raise DomainError(
-            f"negative radicand {e_sq} at n_l={n_l}, m_n={m_n}, f={p.f}, g={p.g}"
+    e_sq = e_sq_of(p, n_l, m_n, *inner)
+    negative = np.less(e_sq, 0)
+    if np.any(negative):
+        first = int(np.argmax(negative))
+        e_sq, n_l, m_n, *inner = (
+            x.item(first) for x in np.broadcast_arrays(e_sq, n_l, m_n, *inner)
         )
-    e = math.sqrt(e_sq)
-    return EnergyLevel(
-        energy=e if branch is Branch.PLUS else -e,
-        branch=branch,
-        inner_sign=InnerSign.NA,
-        n_l=n_l,
-        m_n=m_n,
-    )
+        where = f" (inner {inner[0]})" if inner else f", f={p.f}, g={p.g}"
+        raise DomainError(f"negative radicand {e_sq} at n_l={n_l}, m_n={m_n}{where}")
+    # a scalar stays a Python float, whose ** raises OverflowError
+    e = math.sqrt(e_sq) if np.ndim(e_sq) == 0 else np.sqrt(e_sq)
+    return e if branch is Branch.PLUS else -e
 
 
-def su2_energy_sq(p: ModelParams, n_l: int, m_n: int, inner_sign: int = 1) -> float:
+def analytic_energy_su11(p: ModelParams, n_l, m_n, branch: Branch = Branch.PLUS):
+    """Closed-form JC_AJC energy of ``branch``; general formula is the authority."""
+    return _signed_energy(su11_energy_sq, p, n_l, m_n, branch)
+
+
+@_FLOAT_SEMANTICS
+def su2_energy_sq(p: ModelParams, n_l, m_n, inner_sign=1):
     """General closed form for E² of the JC_JC model (inner sign = sign of mu).
 
     The radical sqrt((|g|² - |f|²)² + 4|g|²|f|²) is S, written so it cannot cancel."""
@@ -162,29 +164,9 @@ def su2_energy_sq_rewritten(p: ModelParams, n_l: int, m_n: int, inner_sign: int 
     )
 
 
-def analytic_energy_su2(
-    p: ModelParams,
-    n_l: int,
-    m_n: int,
-    branch: Branch = Branch.PLUS,
-    inner_sign: int = 1,
-) -> EnergyLevel:
-    """Closed-form JC_JC energy."""
-    if n_l < 0 or m_n < 0:
-        raise DomainError("n_l and m_n must be nonnegative")
-    e_sq = su2_energy_sq(p, n_l, m_n, inner_sign)
-    if e_sq < 0:
-        raise DomainError(
-            f"negative radicand {e_sq} at n_l={n_l}, m_n={m_n} (inner {inner_sign})"
-        )
-    e = math.sqrt(e_sq)
-    return EnergyLevel(
-        energy=e if branch is Branch.PLUS else -e,
-        branch=branch,
-        inner_sign=InnerSign.PLUS if inner_sign >= 0 else InnerSign.MINUS,
-        n_l=n_l,
-        m_n=m_n,
-    )
+def analytic_energy_su2(p: ModelParams, n_l, m_n, branch: Branch = Branch.PLUS, inner_sign=1):
+    """Closed-form JC_JC energy of ``branch``."""
+    return _signed_energy(su2_energy_sq, p, n_l, m_n, branch, inner_sign)
 
 
 def tilting_parameters(kind: ModelKind, p: ModelParams) -> TiltingParams:
@@ -236,9 +218,7 @@ def _predicted_tilted_diagonal(
     fa2, ga2 = abs(p.f) ** 2, abs(p.g) ** 2
     h2 = p.hbar**2
     if kind is ModelKind.JC_AJC:
-        d = sector.charge_value
-        n = np.arange(sector.dim)
-        diag = h2 * (abs(fa2 - ga2) * (n + (abs(d) + 1) / 2.0) + 0.5 * (fa2 - ga2) * (d + 1))
+        diag = _su11_sector_coupling(p, sector.charge_value, np.arange(sector.dim))
         if component is Component.LOWER:
             diag = diag - h2 * (fa2 - ga2)
         return diag
@@ -472,30 +452,25 @@ def ndpa_energy(
     branch: Branch = Branch.PLUS,
     mc2: float = 1.0,
     hbar: float = 1.0,
-) -> EnergyLevel:
-    """Parametric-amplifier spectrum:
+) -> float:
+    """Parametric-amplifier energy of ``branch``:
 
         E² = m²c⁴ + hbar mc² [ 2 sqrt((w1+w2)² - 4 w1 w2)(n_l + m/2 + 1/2)
                                - (w2 - w1)(m - 1) ].
 
     Identical to the general su(1,1) formula at the amplifier preset (the
     two couplings have |g|² = 2 mc² w1/hbar and |f|² = 2 mc² w2/hbar, so the
-    radical collapses to 2 mc² |w2 - w1| / hbar).
+    radical collapses to 2 mc² |w2 - w1| / hbar). The radical is evaluated
+    as |w2 - w1|, which cannot cancel when w1 ≈ w2.
     """
-    rad = math.sqrt((omega1 + omega2) ** 2 - 4.0 * omega1 * omega2)
+    rad = abs(omega2 - omega1)
     e_sq = mc2**2 + hbar * mc2 * (
         2.0 * rad * (n_l + m / 2.0 + 0.5) - (omega2 - omega1) * (m - 1)
     )
     if e_sq < 0:
         raise DomainError(f"negative radicand {e_sq} for amplifier spectrum")
     e = math.sqrt(e_sq)
-    return EnergyLevel(
-        energy=e if branch is Branch.PLUS else -e,
-        branch=branch,
-        inner_sign=InnerSign.NA,
-        n_l=n_l,
-        m_n=m,
-    )
+    return e if branch is Branch.PLUS else -e
 
 
 def coupled_osc_energy(
@@ -506,8 +481,8 @@ def coupled_osc_energy(
     branch: Branch = Branch.PLUS,
     mc2: float = 1.0,
     hbar: float = 1.0,
-) -> EnergyLevel:
-    """Coupled-oscillator spectrum in group labels:
+) -> float:
+    """Coupled-oscillator energy of ``branch``, in group labels:
 
         E = ± mc² sqrt(1 + (2 hbar/mc²) (w1 + w2)(j + mu))
 
@@ -519,15 +494,7 @@ def coupled_osc_energy(
     if e_sq < 0:
         raise DomainError("negative radicand for coupled-oscillator spectrum")
     e = math.sqrt(e_sq)
-    n_l = int(round(j - abs(mu)))
-    m_n = int(round(2 * abs(mu)))
-    return EnergyLevel(
-        energy=e if branch is Branch.PLUS else -e,
-        branch=branch,
-        inner_sign=InnerSign.PLUS if mu >= 0 else InnerSign.MINUS,
-        n_l=n_l,
-        m_n=m_n,
-    )
+    return e if branch is Branch.PLUS else -e
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +628,7 @@ def nonrelativistic_limit_checks(
             e_sq = su11_sector_energy_sq(p, charge, index)
             offset = hbar * case.omega2
         else:
-            s = abs(p.f) ** 2 + abs(p.g) ** 2
-            e_sq = p.mc2**2 + p.hbar**2 * s * index
+            e_sq = su2_energy_sq(p, index, 0)
             offset = 0.0
         eps_model = math.sqrt(e_sq) - mc2
 

@@ -220,14 +220,11 @@ def _spectrum_checks(p: ModelParams, cutoff: int):
     def su2_sector_dev(n_s):
         sec = su2_irrep(n_s)
         numeric = spectra.numeric_spectrum(ModelKind.JC_JC, Component.UPPER, p, sec, n_s + 1)
-        analytic = []
-        for m_n in range(n_s, -1, -1):
-            if (n_s - m_n) % 2 == 0:
-                n_l = (n_s - m_n) // 2
-                analytic.append(spectra.su2_energy_sq(p, n_l, m_n, 1))
-                if m_n:
-                    analytic.append(spectra.su2_energy_sq(p, n_l, m_n, -1))
-        analytic = np.sort(analytic)
+        # the irrep's states (n_a, N_s - n_a): m_n = |n_a - n_b|, inner sign of n_a - n_b
+        diff = 2 * np.arange(n_s + 1) - n_s
+        m_n = np.abs(diff)
+        inner = np.where(diff < 0, -1, 1)
+        analytic = np.sort(spectra.su2_energy_sq(p, (n_s - m_n) // 2, m_n, inner))
         return float(np.max(np.abs(numeric - analytic) / np.abs(analytic)))
 
     devs = [su2_sector_dev(n_s) for n_s in range(0, cutoff2 // 2)]
@@ -253,7 +250,7 @@ def _spectrum_checks(p: ModelParams, cutoff: int):
     def su11_sector_dev(d):
         sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, d)
         numeric = spectra.numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 8)
-        analytic = np.array([spectra.su11_sector_energy_sq(p, d, n) for n in range(8)])
+        analytic = spectra.su11_sector_energy_sq(p, d, np.arange(8))
         return float(np.max(np.abs(numeric - analytic) / np.abs(analytic)))
 
     devs = [su11_sector_dev(d) for d in range(-3, 4)]
@@ -464,7 +461,7 @@ def _special_case_checks():
     for xi in (0.05, 0.1, 0.25):
         pre, kind = spectra.special_case_params(spectra.Dirac2p1(xi))
         for n_l in range(11):
-            e = spectra.analytic_energy_su2(pre, n_l, 3, Branch.PLUS, inner_sign=-1).energy
+            e = spectra.analytic_energy_su2(pre, n_l, 3, Branch.PLUS, inner_sign=-1)
             ref = pre.mc2 * np.sqrt(1.0 + 4.0 * xi * n_l)
             worst = max(worst, abs(e - ref) / ref)
     recs.append(
@@ -479,20 +476,20 @@ def _special_case_checks():
     worst = 0.0
     for n_l in range(4):
         for m in range(4):
-            lvl = spectra.ndpa_energy(1.0, 2.0, n_l, m)
+            e = spectra.ndpa_energy(1.0, 2.0, n_l, m)
             pre, _ = spectra.special_case_params(
                 spectra.NondegenerateParametricAmplifier(1.0, 2.0)
             )
             ref = spectra.su11_energy_sq(pre, n_l, m)
-            worst = max(worst, abs(lvl.energy_sq - ref) / ref)
+            worst = max(worst, abs(e**2 - ref) / ref)
     for j2 in range(0, 7):
         for mu2 in range(-j2, j2 + 1, 2):
-            lvl = spectra.coupled_osc_energy(1.0, 2.0, j2 / 2, mu2 / 2)
+            e = spectra.coupled_osc_energy(1.0, 2.0, j2 / 2, mu2 / 2)
             pre, _ = spectra.special_case_params(spectra.CoupledOscillators(1.0, 2.0))
             ref = spectra.su2_energy_sq(
                 pre, int((j2 - abs(mu2)) // 2), abs(mu2), 1 if mu2 >= 0 else -1
             )
-            worst = max(worst, abs(lvl.energy_sq - ref) / max(ref, 1.0))
+            worst = max(worst, abs(e**2 - ref) / max(ref, 1.0))
     recs.append(
         ReportRecord.check(
             "amplifier/coupled presets equal the general spectra",

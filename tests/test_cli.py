@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -110,6 +111,52 @@ class TestSpectrumCommand:
         text = path.read_text()
         assert text.splitlines()[0] == "n_l,m_n,branch,inner_sign,energy"
         assert "\r" not in text
+
+
+# sha256 of spectrum's stdout (JSON, CSV) for these argvs, pinned so that no
+# change to the closed forms or to the table moves a byte; each exits 0 with
+# nothing on stderr. The last two grids are empty.
+SPECTRUM_GOLDEN = [
+    ("",
+     "5ce7d27a94501d4ed42b056042d5663cbc98f376e6de918fd750476a15849bbf",
+     "5aa644ce3e60fafeb48f69d7ad3f42ed07e7f2f655e07af423a956f429aebf15"),
+    ("--model jc-jc",
+     "0daa94263390dd7a6bee8037572e2fa41a7e137cf9483329e175dc6ba13b8a77",
+     "4cb54269e24ee6fc0bcb453588c726d497498023a5653d84b90c1ed7205d7ed4"),
+    ("--case dirac1p1",
+     "402c0acb59b8e4a6e59d664370a22d5b1c82d14e68fd3e5c674e44cd652cefbf",
+     "7ef661d77eb60bc8b928c9626e1d96f82ad2f3f1c9a99b2c53ca77203f0cca28"),
+    ("--case dirac2p1",
+     "05c489f3659463c9afd21f006f4ae28ed60a056d4d27b99b059b61abc51e716a",
+     "0d916877143181475c681e8e8ea6580f6477b0ec9c2901aa69fe9df3b60391f6"),
+    ("--case ndpa",
+     "f7a923f78a16e22b2c861cb1d14795c53b0275b1bdc6cc700752438e208e7bc8",
+     "699466e8318d2af2dba5b65765ba523f52e286cba3e3c7f249996258f75b5393"),
+    ("--case coupled-osc",
+     "db8e3e702ffac3c17d4beea163ad0dffe1321060ff7879fcde51fd27843ae9d6",
+     "aa8ac1ad29d6bb6b6fd5f305c3f83c92b74e749b6dbe15b92f9c1ec906229586"),
+    ("--f-re 1 --g-re 2 --nmax 40 --mmax 40",
+     "3db5e46d26410eeaf44d44fe568063a405b0c9824ec68cde1c86db3462f7cca3",
+     "66dc3b24ed553b87251fde2bdc5be2a8e06734b95a0d89ab21ea54fc6602b480"),
+    ("--model jc-jc --f-re 0.7 --f-im -1.3 --g-re 0.4 --g-im 2.1 --mc2 0.5 --hbar 1.7 --nmax 12 --mmax 9",
+     "8b637322bd81f54bb3ff749e2a780f5ae7af91cdeaa5b6a202f621aea6a7c485",
+     "3708e67351d157550491481c3529136adea0582074af87deb68e5d97770c59ea"),
+    ("--nmax -1",
+     "076a66575997ab653ad3c15f9b0ab5ae100e942c358768537250a8592b4eeaa5",
+     "17c9b54b701924a2c4a2b3ab0843ce0afd4132ec37bdf9c56cedc02be7583cdb"),
+    ("--nmax -3 --mmax -3",
+     "076a66575997ab653ad3c15f9b0ab5ae100e942c358768537250a8592b4eeaa5",
+     "17c9b54b701924a2c4a2b3ab0843ce0afd4132ec37bdf9c56cedc02be7583cdb"),
+]
+
+
+@pytest.mark.parametrize("argv, json_sha, csv_sha", SPECTRUM_GOLDEN,
+                         ids=[argv or "default" for argv, _, _ in SPECTRUM_GOLDEN])
+def test_spectrum_golden_bytes(runner, argv, json_sha, csv_sha):
+    for fmt, sha in (("json", json_sha), ("csv", csv_sha)):
+        result = runner.invoke(main, ["spectrum", *argv.split(), "--format", fmt])
+        assert (result.exit_code, result.stderr) == (0, ""), result.output
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == sha, (argv, fmt)
 
 
 class TestDiagonalizeCommand:

@@ -3,8 +3,9 @@
 Every argv ends in one of three ways: exit 0 with strict JSON (no NaN or
 Infinity), exit 1 from ``verify`` with at least one FAIL row, or exit 2
 with one ``Error:`` line. None ends in a traceback. The argv strategies
-draw negative, zero, NaN and infinite values, out-of-range sectors,
-charges and indices, and duplicate or nonpositive ``--scales``; sizes stay
+draw negative, zero, NaN and infinite values (and, for ``spectrum``,
+couplings, ``--mc2`` and ``--hbar`` whose squares overflow), out-of-range
+sectors, charges and indices, and duplicate or nonpositive ``--scales``; sizes stay
 small (cutoff <= 48, grids <= 24 points) so the whole file runs in a few
 seconds; coherent states reach j = 300, n = 200 and |zeta| = 0.99, and
 wavefunctions n_l, m_n = 40 and |zeta| components 0.99, where an exit 0
@@ -50,7 +51,7 @@ def _flags(options):
     return st.tuples(*parts).map(lambda ps: [tok for part in ps for tok in part])
 
 
-def _model_flags(coupling):
+def _model_flags(coupling, scale=_reals(-2.0, 3.0)):
     return _flags({
         "--model": st.sampled_from(["jc-ajc", "jc-jc"]),
         "--case": st.sampled_from(["dirac1p1", "dirac2p1", "ndpa", "coupled-osc"]),
@@ -61,8 +62,8 @@ def _model_flags(coupling):
         "--omega1": _reals(-1.0, 2.0),
         "--omega2": _reals(-1.0, 2.0),
         "--phase": _reals(-4.0, 4.0),
-        "--mc2": _reals(-2.0, 3.0),
-        "--hbar": _reals(-2.0, 3.0),
+        "--mc2": scale,
+        "--hbar": scale,
     })
 
 
@@ -98,9 +99,13 @@ def _run(argv):
 OVER_ROWS = [MAX_ROWS + 1, 10**18]
 OVER_CUTOFF = [MAX_CUTOFF + 1, 10**18]
 
+# Values whose squares or products overflow a double: a spectrum must exit 2
+# with one line for them, not end in a numpy overflow warning.
+HUGE = [1e150, -1e154, 1e154, 1e200]
 SPECTRUM = _argv(
     "spectrum",
-    _model_flags(_reals(-3.0, 3.0)),
+    _model_flags(st.one_of(_reals(-3.0, 3.0), st.sampled_from(HUGE)),
+                 scale=st.one_of(_reals(-2.0, 3.0), st.sampled_from(HUGE))),
     _flags({
         "--nmax": st.one_of(st.integers(-2, 6), st.sampled_from(OVER_ROWS)),
         "--mmax": st.one_of(st.integers(-2, 6), st.sampled_from(OVER_ROWS)),
@@ -196,6 +201,22 @@ def test_spectrum_contract(argv):
     _run(argv)
 
 
+@pytest.mark.parametrize("model", ["jc-ajc", "jc-jc"])
+@pytest.mark.parametrize("flags, error", [
+    (["--f-re", "1e154", "--g-re", "1"], "Error: non-finite number in output; refusing to serialize"),
+    (["--f-re", "1e150", "--hbar", "1e150"], "Error: non-finite number in output; refusing to serialize"),
+    (["--hbar", "1e160"], "Error: numeric overflow: "),
+    (["--mc2", "1e200"], "Error: numeric overflow: "),
+])
+def test_spectrum_overflow_exits_2(model, flags, error):
+    # an overflowing array element reaches the encoder as inf or nan, and
+    # an overflowing square of a scalar parameter raises OverflowError
+    result = _run(["spectrum", "--model", model, *flags, "--nmax", "3", "--mmax", "3",
+                   "--format", "json"])
+    assert result.exit_code == 2, result.output
+    assert error in result.output, result.output
+
+
 @_contract(40)
 @given(argv=DIAGONALIZE)
 def test_diagonalize_contract(argv):
@@ -256,6 +277,7 @@ def test_sizes_over_cap_exit_before_computing(monkeypatch, argv, flag, cap):
 
     for owner, attr in [
         (spectra, "analytic_energy_su11"), (spectra, "analytic_energy_su2"),
+        (spectra, "su11_sector_energy_sq"), (spectra, "su2_energy_sq"), (cli, "table"),
         (cli, "sector_basis"), (spectra, "numeric_spectrum"), (cli, "run_verification_suite"),
         (wavefunc, "quadrature_inner_product"), (wavefunc, "ncs_wavefunction_series"),
     ]:

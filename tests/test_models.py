@@ -4,6 +4,7 @@ import scipy.linalg as la
 
 from twomode_jcx import models, spectra
 from twomode_jcx.errors import (
+    DomainError,
     EdgeStateError,
     SectorMismatchError,
     SingularBranchError,
@@ -181,6 +182,12 @@ class TestLowerFromUpper:
 
 
 class TestSpinors:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("n_l, m_n", [(-1, 0), (0, -2)])
+    def test_negative_labels_rejected(self, kind, n_l, m_n):
+        with pytest.raises(DomainError, match="n_l and m_n must be nonnegative"):
+            models.sector_spinor(kind, ModelParams(g=1.0, f=2.0), n_l, m_n, Branch.PLUS, 10)
+
     def test_decoupled_plus_state(self):
         basis = build_basis(6)
         p = ModelParams(g=0.0, f=0.0)

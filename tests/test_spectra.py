@@ -43,9 +43,9 @@ class TestAnalyticSu11:
         sec = get_sector(basis100, ChargeKind.DIFFERENCE_ND, 0)
         numeric = numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 1)
         assert numeric[0] == pytest.approx(2.0, abs=1e-12)
-        lvl = analytic_energy_su11(p, 0, 0, Branch.PLUS)
-        assert lvl.energy == pytest.approx(np.sqrt(2.0), abs=1e-12)
-        assert lvl.energy == pytest.approx(np.sqrt(numeric[0]), rel=1e-12)
+        e = analytic_energy_su11(p, 0, 0, Branch.PLUS)
+        assert e == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert e == pytest.approx(np.sqrt(numeric[0]), rel=1e-12)
 
     def test_degenerate_ray_collapses(self):
         p = ModelParams(g=1.3, f=1.3)
@@ -57,7 +57,7 @@ class TestAnalyticSu11:
         # |g| > |f|: E^2 - 1 = 3 (1 + 3/2 + 1/2) + 3 = 12
         p = ModelParams(g=2.0, f=1.0)
         assert su11_energy_sq(p, 1, 3) == pytest.approx(13.0, abs=1e-13)
-        assert analytic_energy_su11(p, 1, 3, Branch.MINUS).energy == pytest.approx(
+        assert analytic_energy_su11(p, 1, 3, Branch.MINUS) == pytest.approx(
             -np.sqrt(13.0)
         )
 
@@ -98,14 +98,27 @@ class TestAnalyticSu11:
         lam, dlt = abs(fa2 - ga2), fa2 - ga2
         written = p.hbar**2 * (lam * (n_l + m_n / 2.0 + 0.5) - 0.5 * dlt * (m_n - 1)) + p.mc2**2
         assert su11_energy_sq(p, n_l, m_n) == su11_sector_energy_sq(p, -m_n, n_l) == written
+        # integer-array labels: each element is the scalar result, bit for bit,
+        # for both models, both inner signs and both branches
+        pairs = [(0, m_n), (1, 0), (n_l, 3), (n_l + 1, m_n + 1)]
+        n, m = np.array(pairs).T
+        assert su11_energy_sq(p, n, m).tolist() == [su11_energy_sq(p, a, b) for a, b in pairs]
+        for inner in (1, -1):
+            assert su2_energy_sq(p, n, m, inner).tolist() == [
+                su2_energy_sq(p, a, b, inner) for a, b in pairs]
+        for branch in Branch:
+            assert analytic_energy_su11(p, n, m, branch).tolist() == [
+                analytic_energy_su11(p, a, b, branch) for a, b in pairs]
+            for inner in (1, -1):
+                assert analytic_energy_su2(p, n, m, branch, inner).tolist() == [
+                    analytic_energy_su2(p, a, b, branch, inner) for a, b in pairs]
 
 
 class TestAnalyticSu2:
     def test_value_example(self):
         p = ModelParams(g=1.0, f=1.0)
         assert su2_energy_sq(p, 1, 2, 1) == pytest.approx(7.0)
-        lvl = analytic_energy_su2(p, 1, 2, Branch.PLUS, 1)
-        assert lvl.energy == pytest.approx(np.sqrt(7.0))
+        assert analytic_energy_su2(p, 1, 2, Branch.PLUS, 1) == pytest.approx(np.sqrt(7.0))
 
     def test_m_zero_inner_sign_irrelevant(self, params_f2_g1):
         for n_l in range(5):
@@ -141,7 +154,7 @@ class TestAnalyticSu2:
             assert kind is ModelKind.JC_JC
             for n_l in range(11):
                 for m_n in (0, 2, 5):
-                    e = analytic_energy_su2(p, n_l, m_n, Branch.PLUS, -1).energy
+                    e = analytic_energy_su2(p, n_l, m_n, Branch.PLUS, -1)
                     assert e == pytest.approx(np.sqrt(1 + 4 * xi * n_l), rel=1e-12)
 
 
@@ -583,41 +596,48 @@ class TestSpecialCases:
     def test_ndpa_energy_consistency(self):
         # frozen from the preset + general formula: omega = (1, 2),
         # (n_l, m) = (0, 1) gives E^2 = 3
-        lvl = ndpa_energy(1.0, 2.0, 0, 1)
-        assert lvl.energy == pytest.approx(np.sqrt(3.0), abs=1e-14)
+        assert ndpa_energy(1.0, 2.0, 0, 1) == pytest.approx(np.sqrt(3.0), abs=1e-14)
         p, _ = special_case_params(NondegenerateParametricAmplifier(1.0, 2.0))
         for n_l in range(4):
             for m in range(4):
-                assert ndpa_energy(1.0, 2.0, n_l, m).energy_sq == pytest.approx(
+                assert ndpa_energy(1.0, 2.0, n_l, m) ** 2 == pytest.approx(
                     su11_energy_sq(p, n_l, m), rel=1e-13
                 )
 
     def test_ndpa_degenerate_frequencies(self):
         for n_l in range(3):
             for m in range(3):
-                assert ndpa_energy(1.5, 1.5, n_l, m).energy == pytest.approx(1.0)
+                assert ndpa_energy(1.5, 1.5, n_l, m) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("delta, rel", [(1e-9, 1e-6), (3e-12, 1e-4)])
+    def test_ndpa_near_degenerate_frequencies(self, delta, rel):
+        # E² - m²c⁴ = 12 (w2 - w1) at n_l = 5, m = 0. The literal radical
+        # sqrt((w1+w2)² - 4 w1 w2) cancels here; the tolerance covers only
+        # the rounding of E = sqrt(E²) and its square back.
+        w2 = 1.0 + delta
+        assert ndpa_energy(1.0, w2, 5, 0) ** 2 - 1.0 == pytest.approx(12.0 * (w2 - 1.0), rel=rel)
 
     def test_ndpa_matches_numeric(self):
         p, kind = special_case_params(NondegenerateParametricAmplifier(1.0, 2.0, 0.3))
         basis = build_basis(140)
         sec = get_sector(basis, ChargeKind.DIFFERENCE_ND, 0)
         numeric = numeric_spectrum(kind, Component.UPPER, p, sec, 5)
-        analytic = [ndpa_energy(1.0, 2.0, n, 0).energy_sq for n in range(5)]
+        analytic = [ndpa_energy(1.0, 2.0, n, 0) ** 2 for n in range(5)]
         np.testing.assert_allclose(numeric, analytic, rtol=1e-8)
 
     def test_coupled_osc_consistency(self):
         p, _ = special_case_params(CoupledOscillators(1.0, 2.0))
         for j2 in range(0, 7):
             for mu2 in range(-j2, j2 + 1, 2):
-                lvl = coupled_osc_energy(1.0, 2.0, j2 / 2, mu2 / 2)
+                e = coupled_osc_energy(1.0, 2.0, j2 / 2, mu2 / 2)
                 ref = su2_energy_sq(
                     p, (j2 - abs(mu2)) // 2, abs(mu2), 1 if mu2 >= 0 else -1
                 )
-                assert lvl.energy_sq == pytest.approx(ref, rel=1e-13)
+                assert e**2 == pytest.approx(ref, rel=1e-13)
 
     def test_coupled_osc_ground(self):
-        assert coupled_osc_energy(1.0, 2.0, 0.0, 0.0).energy == pytest.approx(1.0)
-        assert coupled_osc_energy(1.0, 2.0, 0.0, 0.0, Branch.MINUS).energy == pytest.approx(-1.0)
+        assert coupled_osc_energy(1.0, 2.0, 0.0, 0.0) == pytest.approx(1.0)
+        assert coupled_osc_energy(1.0, 2.0, 0.0, 0.0, Branch.MINUS) == pytest.approx(-1.0)
 
     def test_coupled_osc_degenerate_matches_dirac2p1(self):
         # omega1 = omega2 = w is the balanced preset up to phases
