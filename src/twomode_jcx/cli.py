@@ -385,15 +385,16 @@ def wavefunction(**params):
         raise click.UsageError(f"--rho-max must be nonnegative and finite, got {params['rho_max']}")
     zeta = complex(params["zeta_re"], params["zeta_im"])
     n_l, m_n = params["n_l"], params["m_n"]
-    fn = lambda r, p: wavefunc.ncs_wavefunction_series(zeta, n_l, m_n, r, p)
-    rho = np.linspace(0.0, params["rho_max"], params["n_rho"])
-    phi = np.linspace(0.0, 2 * np.pi, params["n_phi"], endpoint=False)
-    quad = wavefunc.quadrature_inner_product(fn, fn, tol=NORM_TOL)
+    if n_l < 0 or m_n < 0:
+        raise ValueError("n_l and m_n must be nonnegative")
+    coeffs = su11_ncs_coefficients(0.5 * (m_n + 1), n_l, zeta).coeffs
+    quad = wavefunc.quadrature_inner_product(coeffs, coeffs, m_n, tol=NORM_TOL)
     norm = quad.value.real
     if not abs(norm - 1.0) <= NORM_TOL:
-        raise QuadratureError(f"quadrature norm {norm:.9g} is not 1 within {NORM_TOL:.0e}; "
-                              "the state is not resolved by the Gauss-Laguerre rule")
-    vals = fn(rho[:, None], phi[None, :]).ravel()
+        raise QuadratureError(f"quadrature norm {norm:.9g} is not 1 within {NORM_TOL:.0e}")
+    rho = np.linspace(0.0, params["rho_max"], params["n_rho"])
+    phi = np.linspace(0.0, 2 * np.pi, params["n_phi"], endpoint=False)
+    vals = wavefunc._radial_series(coeffs, m_n, rho[:, None], phi[None, :]).ravel()
     # abs2 one value at a time, as np.abs(v) ** 2: numpy's vectorized square
     # and abs() of a numpy complex each differ from it in some last digits
     rows = table(rho=np.repeat(rho, len(phi)), phi=np.tile(phi, len(rho)),

@@ -54,4 +54,4 @@ class SingularParameterError(TwoModeJcxError):
 
 
 class QuadratureError(TwoModeJcxError):
-    """Quadrature failed to converge under node doubling."""
+    """A quadrature rule moved under node doubling or would exceed its node cap."""

@@ -29,6 +29,7 @@ scipy.sparse when called, so the sector code loads without it.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -90,8 +91,11 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("g", "f", "mc2", "hbar"):
-            if not cmath.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            if math.isinf(abs(value) * abs(value)):  # every model squares each parameter
+                raise OverflowError(f"{name}² overflows float64")
         if self.mc2 <= 0:
             raise ValueError("mc2 must be positive")
         if self.hbar <= 0:

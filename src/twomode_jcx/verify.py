@@ -330,12 +330,9 @@ def _wavefunction_checks():
     recs = []
     worst = 0.0
     for n, m in ((0, 0), (2, 1), (4, 4)):
-        fn = lambda r, p, n=n, m=m: wavefunc.oscillator_wavefunction(n, m, r, p)
-        res = wavefunc.quadrature_inner_product(fn, fn)
-        worst = max(worst, abs(res.value - 1.0))
-    f01 = lambda r, p: wavefunc.oscillator_wavefunction(0, 1, r, p)
-    f11 = lambda r, p: wavefunc.oscillator_wavefunction(1, 1, r, p)
-    worst_orth = abs(wavefunc.quadrature_inner_product(f01, f11).value)
+        e_n = np.eye(1, n + 1, n)[0]
+        worst = max(worst, abs(wavefunc.quadrature_inner_product(e_n, e_n, m).value - 1.0))
+    worst_orth = abs(wavefunc.quadrature_inner_product([1.0], [0.0, 1.0], 1).value)
     recs.append(
         ReportRecord.check(
             "oscillator eigenfunctions orthonormal by quadrature",
@@ -344,8 +341,8 @@ def _wavefunction_checks():
             1e-9,
         )
     )
-    fs = lambda r, p: wavefunc.ncs_wavefunction_series(0.3j, 1, 1, r, p)
-    res = wavefunc.quadrature_inner_product(fs, fs)
+    coeffs = displace.su11_ncs_coefficients(1.0, 1, 0.3j).coeffs
+    res = wavefunc.quadrature_inner_product(coeffs, coeffs, 1)
     recs.append(
         ReportRecord.check(
             "coherent-state wavefunction norm (series)",

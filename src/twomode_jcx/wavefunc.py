@@ -12,8 +12,8 @@ coherent state; its wavefunction is the coefficient series over fixed m
 with running Laguerre order, or equivalently a single closed form obtained
 by resumming that series through the Laguerre generating function.
 
-scipy.special is imported where it is used, so only the commands that
-evaluate a wavefunction (``wavefunction``, ``verify``) pay for loading it.
+A norm is one radial Gauss-Laguerre rule, exact by degree, whose nodes
+``tridiag.eigh`` solves (Golub and Welsch, Math. Comp. 23, 1969).
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tridiag
 from .displace import su11_ncs_coefficients
 from .errors import QuadratureError, SingularParameterError
 
 _SQRT_PI = math.sqrt(math.pi)
+MAX_NODES = 8192  # largest rule a norm may use: O(n^2) to build, 1.4 s at the cap on 2 CPUs
 
 
 def laguerre(n: int, alpha, x):
@@ -60,11 +62,11 @@ def _radial_series(coeffs, m_n: int, rho, phi):
     1e150 move into the scale, so nothing overflows or underflows at rho = 0
     or large m, r. rho >= 0; the phase e^{i m phi} broadcasts against it.
     """
-    from scipy.special import gammaln, xlogy
-
     rho = np.asarray(rho, dtype=float)
     x = rho**2
-    log_scale = xlogy(m_n, rho) - 0.5 * x - 0.5 * gammaln(m_n + 1)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: l_0 = 0 at rho = 0 for m > 0
+        log_rho_m = m_n * np.log(rho) if m_n else 0.0
+    log_scale = log_rho_m - 0.5 * x - 0.5 * math.lgamma(m_n + 1)
     prev, cur = 0.0, np.full(x.shape, 1.0 / _SQRT_PI)
     radial = np.zeros(x.shape, dtype=complex)
     for r, c in enumerate(coeffs):
@@ -161,13 +163,11 @@ def ncs_wavefunction_closed(
     at -zeta (see ``closed_form_comparison``). Kept for the discrepancy
     report.
     """
-    from scipy.special import gammaln
-
     z = params.zeta
     rho = np.asarray(rho, dtype=float)
     phi = np.asarray(phi, dtype=float)
     x = rho**2
-    log_norm = 0.5 * (gammaln(n_l + 1) - gammaln(n_l + m_n + 1))
+    log_norm = 0.5 * (math.lgamma(n_l + 1) - math.lgamma(n_l + m_n + 1))
     if variant == "resummed":
         w = (1.0 - abs(z) ** 2) / (np.conj(z) * (1.0 + z))
         pref = math.exp(log_norm) / _SQRT_PI
@@ -231,8 +231,6 @@ def closed_form_comparison(
     +zeta. A small value pins the mismatch to that sign and the mirrored
     argument rather than to a loose tolerance.
     """
-    from scipy.special import gammaln
-
     rng = np.random.default_rng(seed)
     rho = rng.uniform(0.05, 3.0, n_points)
     phi = rng.uniform(0.0, 2 * np.pi, n_points)
@@ -246,7 +244,7 @@ def closed_form_comparison(
     p_mirror = ClosedFormParams(zeta=-zeta)
     sig_m = p_mirror.sigma
     x = rho**2
-    log_norm = 0.5 * (gammaln(n_l + 1) - gammaln(n_l + m_n + 1))
+    log_norm = 0.5 * (math.lgamma(n_l + 1) - math.lgamma(n_l + m_n + 1))
     pref = math.exp(log_norm) * ((-1) ** n_l) / _SQRT_PI
     mirror = (
         pref
@@ -275,64 +273,57 @@ def closed_form_comparison(
 class QuadratureResult:
     value: complex
     error_estimate: float
-    n_rho: int
-    n_phi: int
 
 
 @functools.lru_cache(maxsize=16)
-def _polar_nodes(n_rho: int, n_phi: int):
-    """Nodes/weights for integr(f rho drho dphi) over rho >= 0, phi in [0, 2pi).
+def _laguerre_rule(n: int):
+    """Nodes x_k and weights W_k = w_k e^{x_k} of the n-point Gauss-Laguerre rule.
 
-    Radial part: substitute x = rho^2 and use Gauss-Laguerre with the e^{-x}
-    weight folded back in; combined weights stay O(1) because the integrands
-    carry Gaussian decay. Angular part: Gauss-Legendre scaled to the period.
-    Each rule costs an eigenproblem and depends on the sizes alone, so it is
-    built once per size; the arrays are read-only because callers share them.
+    The nodes are the eigenvalues of the Jacobi matrix (diagonal 2k + 1,
+    off-diagonal k); the weights are w_k = x_k / ((n+1)^2 L_{n+1}(x_k)^2)
+    (Abramowitz and Stegun 25.4.45), with L_{n+1}(x)^2 e^{-x} read as
+    pi psi_{n+1,0}(sqrt x)^2, so e^{x_k} is never formed. Every W_k stays
+    between about 2e-4 and 1.3e2 up to n = 16384. A rule depends on n alone
+    and is built once; the arrays are read-only because callers share them.
     """
-    from scipy.special import roots_genlaguerre, roots_legendre
-
-    if n_rho > 170:
-        raise QuadratureError("Gauss-Laguerre weights underflow beyond ~170 nodes")
-    x, wx = roots_genlaguerre(n_rho, 0.0)
-    rho = np.sqrt(x)
-    w_rho = 0.5 * np.exp(np.log(wx) + x)  # w e^x without overflow
-    t, wt = roots_legendre(n_phi)
-    phi = np.pi * (t + 1.0)
-    w_phi = np.pi * wt
-    nodes = (rho, w_rho, phi, w_phi)
-    for arr in nodes:
+    k = np.arange(n, dtype=float)
+    x = tridiag.eigh(2.0 * k + 1.0, k[1:], eigvals_only=True)
+    psi = oscillator_wavefunction(n + 1, 0, np.sqrt(x), 0.0).real
+    w = x / ((n + 1) ** 2 * math.pi * psi**2)
+    for arr in (x, w):
         arr.flags.writeable = False
-    return nodes
+    return x, w
 
 
-def quadrature_inner_product(
-    f,
-    g,
-    n_rho: int = 96,
-    n_phi: int = 64,
-    tol: float | None = None,
-) -> QuadratureResult:
-    """integr f*(rho,phi) g(rho,phi) rho drho dphi with a node-doubling error estimate.
+def quadrature_inner_product(a, b, m_n: int, tol: float | None = None) -> QuadratureResult:
+    """<sum_r a_r psi_{r,m_n} | sum_r b_r psi_{r,m_n}> by a radial Gauss-Laguerre rule.
 
-    ``f`` and ``g`` are callables of (rho, phi) broadcastable over arrays;
-    when ``g is f`` it is evaluated once per node set.
-    QuadratureError when an explicit ``tol`` is given and node doubling
-    moves the result by more than it.
+    With x = rho^2 the integrand is e^{-x} times a polynomial of degree
+    < 2n in x and its phase integrates to 2 pi, so the n-node rule, n =
+    max(len a, len b) + floor(m_n / 2), is exact: the value is
+    pi sum_k W_k conj(A_k) B_k over the radial factors A, B at the nodes.
+    The 2n-node rule is the independent check, and their difference is
+    ``error_estimate``; the series are evaluated once per rule when ``b is
+    a``. QuadratureError, before any rule is built, when 2n exceeds
+    MAX_NODES, and when an explicit ``tol`` is given and the rules differ
+    by more than it.
     """
+    n = max(len(a), len(b)) + m_n // 2
+    if 2 * n > MAX_NODES:
+        raise QuadratureError(f"Gauss-Laguerre nodes = {2 * n} exceeds the cap of {MAX_NODES}")
 
-    def evaluate(nr, nph):
-        rho, w_rho, phi, w_phi = _polar_nodes(nr, nph)
-        rr = rho[:, None]
-        pp = phi[None, :]
-        fv = f(rr, pp)
-        vals = np.conj(fv) * (fv if g is f else g(rr, pp))
-        return complex(np.einsum("i,j,ij->", w_rho, w_phi, vals))
+    def evaluate(nodes):
+        x, w = _laguerre_rule(nodes)
+        rho = np.sqrt(x)
+        fa = _radial_series(a, m_n, rho, 0.0)
+        fb = fa if b is a else _radial_series(b, m_n, rho, 0.0)
+        return complex(math.pi * np.sum(w * np.conj(fa) * fb))
 
-    coarse = evaluate(n_rho, n_phi)
-    fine = evaluate(min(2 * n_rho, 170), 2 * n_phi)
+    coarse = evaluate(n)
+    fine = evaluate(2 * n)
     err = abs(fine - coarse)
     if tol is not None and err > tol:
         raise QuadratureError(
             f"quadrature moved by {err:.3e} under node doubling (tol {tol:.1e})"
         )
-    return QuadratureResult(value=fine, error_estimate=err, n_rho=n_rho, n_phi=n_phi)
+    return QuadratureResult(value=fine, error_estimate=err)

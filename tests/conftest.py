@@ -32,6 +32,24 @@ def params_f2_g1():
 
 
 @pytest.fixture
+def polar_inner_product():
+    """integr conj(f) g rho drho dphi of two callables of (rho, phi) on a polar
+    grid of scipy's rules, independent of wavefunc: Gauss-Laguerre in x = rho^2
+    (with e^{-x} folded back into the weights) times Gauss-Legendre in phi.
+    Unlike wavefunc's radial rule it also integrates pairs of different m."""
+    from scipy.special import roots_genlaguerre, roots_legendre
+
+    def integrate(f, g, n_rho=64, n_phi=48):
+        x, wx = roots_genlaguerre(n_rho, 0.0)
+        t, wt = roots_legendre(n_phi)
+        rho, phi = np.sqrt(x)[:, None], np.pi * (t[None, :] + 1.0)
+        weights = 0.5 * wx[:, None] * np.exp(x[:, None]) * np.pi * wt[None, :]
+        return complex(np.sum(weights * np.conj(f(rho, phi)) * g(rho, phi)))
+
+    return integrate
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
 

@@ -309,21 +309,26 @@ def test_criterion_9_eigenspinors():
     )
 
 
-def test_criterion_10_wavefunctions():
+def test_criterion_10_wavefunctions(polar_inner_product):
     t0 = time.perf_counter()
     worst_orth = 0.0
     states = [(n, m) for n in range(5) for m in range(5)]
     for i, (n1, m1) in enumerate(states):
-        f1 = lambda r, p, n=n1, m=m1: wavefunc.oscillator_wavefunction(n, m, r, p)
         for n2, m2 in states[i:]:
-            f2 = lambda r, p, n=n2, m=m2: wavefunc.oscillator_wavefunction(n, m, r, p)
-            val = wavefunc.quadrature_inner_product(f1, f2, n_rho=64, n_phi=48).value
+            if m1 == m2:  # the package's radial rule
+                a, b = np.eye(1, n1 + 1, n1)[0], np.eye(1, n2 + 1, n2)[0]
+                val = wavefunc.quadrature_inner_product(a, b, m1).value
+            else:  # the phases cancel: scipy's polar grid
+                val = polar_inner_product(
+                    lambda r, p, n=n1, m=m1: wavefunc.oscillator_wavefunction(n, m, r, p),
+                    lambda r, p, n=n2, m=m2: wavefunc.oscillator_wavefunction(n, m, r, p),
+                )
             expected = 1.0 if (n1, m1) == (n2, m2) else 0.0
             worst_orth = max(worst_orth, abs(val - expected))
     assert worst_orth <= 1e-9
 
-    fs = lambda r, p: wavefunc.ncs_wavefunction_series(0.3j, 1, 1, r, p)
-    norm_dev = abs(wavefunc.quadrature_inner_product(fs, fs).value - 1.0)
+    coeffs = displace.su11_ncs_coefficients(1.0, 1, 0.3j).coeffs
+    norm_dev = abs(wavefunc.quadrature_inner_product(coeffs, coeffs, 1).value - 1.0)
     assert norm_dev <= 1e-8
 
     # closed form: resummed variant matches; the sigma variant's mismatch is

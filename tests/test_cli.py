@@ -6,15 +6,17 @@ import os
 import tempfile
 import threading
 import warnings
+from types import SimpleNamespace
 
 import click
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twomode_jcx import cli
+from twomode_jcx import cli, wavefunc
 from twomode_jcx.cli import SCHEMA_VERSION, emit_rows, main
 from twomode_jcx.displace import su11_ncs_coefficients
 from twomode_jcx.wavefunc import ncs_wavefunction_series, oscillator_wavefunction
@@ -45,6 +47,25 @@ COMMAND_ARGVS = [
     ["coherent-state", "--algebra", "su2", "--j", "2", "--mu", "0", "--zeta-im", "0.4"],
     ["limits", "--scales", "1e4,1e5"],
 ]
+
+
+def _mp_wavefunction(zeta, n_l, m_n, rho, phi):
+    """psi at one point in mpmath, at 40 digits: the oscillator eigenfunction
+    psi_{n_l, m_n} at zeta = 0, else the resummed closed form of the
+    coherent-state wavefunction (``wavefunc.ncs_wavefunction_closed``)."""
+    with mpmath.workdps(40):
+        rho, z = mpmath.mpf(rho), mpmath.mpc(zeta)
+        x = rho**2
+        c = mpmath.sqrt(mpmath.factorial(n_l) / (mpmath.pi * mpmath.factorial(n_l + m_n)))
+        if z == 0:
+            val = (-1) ** n_l * c * rho**m_n * mpmath.laguerre(n_l, m_n, x) * mpmath.exp(-x / 2)
+        else:
+            w = (1 - abs(z) ** 2) / (mpmath.conj(z) * (1 + z))
+            val = (c * rho**m_n * (1 - abs(z) ** 2) ** (mpmath.mpf(m_n + 1) / 2)
+                   * (-mpmath.conj(z)) ** n_l * (1 + w) ** n_l * (1 + z) ** (-(m_n + 1))
+                   * mpmath.exp(-x * (1 - z) / (2 * (1 + z)))
+                   * mpmath.laguerre(n_l, m_n, w * x / ((1 + z) * (1 + w))))
+        return complex(val * mpmath.expj(m_n * mpmath.mpf(phi)))
 
 
 def _csv_cells(line):
@@ -278,6 +299,8 @@ class TestDomainErrorExitCodes:
         (["--hbar", "nan"], "hbar must be finite"),
         (["--f-re", "nan"], "f must be finite"),
         (["--g-im", "inf"], "g must be finite"),
+        (["--hbar", "1e160"], "numeric overflow: hbar² overflows float64"),
+        (["--f-im", "-1e160"], "numeric overflow: f² overflows float64"),
     ])
     def test_invalid_model_parameters(self, runner, command, flags, fragment):
         result = runner.invoke(main, [command, *flags])
@@ -301,7 +324,6 @@ class TestDomainErrorExitCodes:
         (["limits", "--scales", "0"], "limit scale must be positive and finite, got 0.0"),
         (["coherent-state", "--k", "inf"], "Bargmann index k must be positive and finite"),
         (["wavefunction", "--zeta-re", "nan"], "|zeta| < 1"),
-        (["wavefunction", "--n-l", "400", "--m-n", "300"], "under node doubling"),
     ])
     def test_library_errors_end_at_the_group_boundary(self, runner, argv, fragment):
         _one_line_usage_error(runner.invoke(main, argv), fragment)
@@ -433,19 +455,51 @@ class TestWavefunctionCommand:
             want = oscillator_wavefunction(1, 1, float(row["rho"]), float(row["phi"]))
             assert (row["re"], row["im"]) == (f"{want.real:.17g}", f"{want.imag:.17g}")
 
-    @pytest.mark.parametrize("argv", [
-        ["--zeta-re", "0.99", "--n-l", "2", "--m-n", "1"],
-        ["--zeta-re", "0.9", "--n-l", "4", "--m-n", "4", "--n-rho", "4", "--n-phi", "4"],
-        ["--zeta-re", "0.3", "--n-l", "50", "--m-n", "200"],
+    @pytest.mark.parametrize("zeta, n_l, m_n, grid", [
+        (0.99, 2, 1, []),
+        (0.9, 4, 4, ["--n-rho", "4", "--n-phi", "4"]),
+        (0.3, 50, 200, []),
+        (0.3, 50, 200, ["--rho-max", "25"]),
+        (0.0, 400, 300, []),
+        (0.0, 400, 300, ["--rho-max", "50"]),
+        (0.0, 100, 100, ["--rho-max", "25"]),
+        (0.0, 0, 2000, ["--rho-max", "55"]),
     ])
-    def test_uncertified_norm_exits_2(self, runner, argv):
-        # node doubling exposes these; each used to print a wrong norm_estimate
-        _one_line_usage_error(runner.invoke(main, ["wavefunction", *argv]), "under node doubling")
+    def test_certified_at_any_labels(self, runner, zeta, n_l, m_n, grid):
+        # norms that need more than 170 Gauss-Laguerre nodes (up to 7 384);
+        # the --rho-max rows sample the whole support (out to rho^2 ~ 2n + m). The tolerance is
+        # absolute: these states peak at |psi| ~ 0.02-0.06, and in the far
+        # tail (0.3, 50, 200 on [0, 4]) the truncated series is ~1e-31 where
+        # psi is ~1e-72.
+        result = runner.invoke(main, ["wavefunction", "--zeta-re", str(zeta), "--n-l", str(n_l),
+                                      "--m-n", str(m_n), *grid])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.stdout)
+        assert abs(payload["meta"]["norm_estimate"] - 1.0) <= 1e-7
+        rows = payload["rows"][:: max(1, len(payload["rows"]) // 64)]
+        have = np.array([complex(r["re"], r["im"]) for r in rows])
+        want = np.array([_mp_wavefunction(zeta, n_l, m_n, r["rho"], r["phi"]) for r in rows])
+        assert np.max(np.abs(have - want)) <= 1e-12
 
-    def test_norm_off_one_exits_2(self, runner):
-        # no node reaches the peak at rho^2 ~ 2000: both rules agree on norm 0
-        result = runner.invoke(main, ["wavefunction", "--m-n", "2000"])
-        _one_line_usage_error(result, "quadrature norm 0 is not 1 within 1e-07")
+    @pytest.mark.parametrize("argv, nodes", [
+        (["--zeta-re", "0.999"], 55236),
+        (["--m-n", "1000000000"], 1000000002),
+    ])
+    def test_node_cap_exits_2_before_building_a_rule(self, runner, monkeypatch, argv, nodes):
+        def refuse(n):
+            raise AssertionError("a rule above the cap was built")
+
+        monkeypatch.setattr(wavefunc, "_laguerre_rule", refuse)
+        _one_line_usage_error(runner.invoke(main, ["wavefunction", *argv]),
+                              f"Gauss-Laguerre nodes = {nodes} exceeds the cap of {wavefunc.MAX_NODES}")
+
+    def test_norm_off_one_exits_2(self, runner, monkeypatch):
+        # an unnormalized coefficient vector: both rules agree on its norm
+        ncs = cli.su11_ncs_coefficients
+        monkeypatch.setattr(cli, "su11_ncs_coefficients",
+                            lambda *args: SimpleNamespace(coeffs=1.001 * ncs(*args).coeffs))
+        result = runner.invoke(main, ["wavefunction", "--zeta-re", "0.5", "--n-l", "2"])
+        _one_line_usage_error(result, "quadrature norm 1.002001 is not 1 within 1e-07")
 
     @pytest.mark.parametrize("value", ["-1", "-inf", "inf", "nan"])
     def test_bad_rho_max(self, runner, value):

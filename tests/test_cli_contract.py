@@ -8,7 +8,8 @@ couplings, ``--mc2`` and ``--hbar`` whose squares overflow), out-of-range
 sectors, charges and indices, and duplicate or nonpositive ``--scales``; sizes stay
 small (cutoff <= 48, grids <= 24 points) so the whole file runs in a few
 seconds; coherent states reach j = 300, n = 200 and |zeta| = 0.99, and
-wavefunctions n_l, m_n = 40 and |zeta| components 0.99, where an exit 0
+wavefunctions n_l, m_n = 40 and |zeta| components 0.99, now and then
+n_l = 400, m_n = 2000 or 10^9 and |zeta| components 0.999, where an exit 0
 must carry a norm within 1e-7 of 1. Sizes above their caps are drawn too:
 coherent-state ladders longer than ``MAX_LADDER_LENGTH``, ``spectrum`` and
 ``wavefunction`` tables longer than ``MAX_ROWS`` and ``diagonalize`` and
@@ -21,7 +22,7 @@ import math
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twomode_jcx import cli, spectra, wavefunc
@@ -143,13 +144,16 @@ VERIFY = _argv(
     st.sampled_from([[], ["--timing"]]),
 )
 
+# Labels and |zeta| drawn now and then far out: the norm rule grows with
+# the state (2000 nodes at m_n = 2000) until its node cap refuses it.
+WAVEFUNCTION_ZETA = st.one_of(st.floats(-0.99, 0.99), st.sampled_from([*SPECIALS, 0.999, -0.999]))
 WAVEFUNCTION = _argv(
     "wavefunction",
     _flags({
-        "--n-l": st.integers(-2, 40),
-        "--m-n": st.integers(-2, 40),
-        "--zeta-re": _reals(-0.99, 0.99),
-        "--zeta-im": _reals(-0.99, 0.99),
+        "--n-l": st.sampled_from([*range(-2, 41), 400]),
+        "--m-n": st.sampled_from([*range(-2, 41), 2000, 10**9]),
+        "--zeta-re": WAVEFUNCTION_ZETA,
+        "--zeta-im": WAVEFUNCTION_ZETA,
         "--rho-max": _reals(-1.0, 6.0),
         "--n-rho": st.one_of(st.integers(-2, 24), st.sampled_from(OVER_ROWS)),
         "--n-phi": st.one_of(st.integers(-2, 24), st.sampled_from(OVER_ROWS)),
@@ -205,12 +209,13 @@ def test_spectrum_contract(argv):
 @pytest.mark.parametrize("flags, error", [
     (["--f-re", "1e154", "--g-re", "1"], "Error: non-finite number in output; refusing to serialize"),
     (["--f-re", "1e150", "--hbar", "1e150"], "Error: non-finite number in output; refusing to serialize"),
-    (["--hbar", "1e160"], "Error: numeric overflow: "),
-    (["--mc2", "1e200"], "Error: numeric overflow: "),
+    (["--hbar", "1e160"], "Error: numeric overflow: hbar² overflows float64"),
+    (["--mc2", "1e200"], "Error: numeric overflow: mc2² overflows float64"),
+    (["--g-re", "1e200"], "Error: numeric overflow: g² overflows float64"),
 ])
 def test_spectrum_overflow_exits_2(model, flags, error):
     # an overflowing array element reaches the encoder as inf or nan, and
-    # an overflowing square of a scalar parameter raises OverflowError
+    # a parameter whose square overflows is refused by name
     result = _run(["spectrum", "--model", model, *flags, "--nmax", "3", "--mmax", "3",
                    "--format", "json"])
     assert result.exit_code == 2, result.output
@@ -232,8 +237,12 @@ def test_verify_contract(argv):
         assert ("FAIL" in statuses) == (result.exit_code == 1), (argv, statuses)
 
 
-@_contract(30)
+@_contract(60)
 @given(argv=WAVEFUNCTION)
+@example(argv=["wavefunction", "--m-n", "2000", "--format", "json"])
+@example(argv=["wavefunction", "--m-n", str(10**9), "--format", "json"])
+@example(argv=["wavefunction", "--n-l", "400", "--zeta-im", "0.5", "--format", "json"])
+@example(argv=["wavefunction", "--zeta-re", "0.999", "--format", "json"])
 def test_wavefunction_contract(argv):
     result = _run(argv)
     if result.exit_code == 0:
@@ -280,6 +289,7 @@ def test_sizes_over_cap_exit_before_computing(monkeypatch, argv, flag, cap):
         (spectra, "su11_sector_energy_sq"), (spectra, "su2_energy_sq"), (cli, "table"),
         (cli, "sector_basis"), (spectra, "numeric_spectrum"), (cli, "run_verification_suite"),
         (wavefunc, "quadrature_inner_product"), (wavefunc, "ncs_wavefunction_series"),
+        (cli, "su11_ncs_coefficients"),
     ]:
         monkeypatch.setattr(owner, attr, refuse)
     result = _run([*argv, "--format", "json"])

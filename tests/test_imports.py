@@ -1,6 +1,6 @@
-"""Start-up: the commands that solve sectors load numpy, click and scipy's
-compiled LAPACK module alone, and ``tridiag``'s routines are the very
-objects ``scipy.linalg.lapack`` exports, however scipy is reached.
+"""Start-up: every command loads numpy, click and scipy's compiled LAPACK
+module alone, and ``tridiag``'s routines are the very objects
+``scipy.linalg.lapack`` exports, however scipy is reached.
 
 Each check runs in a fresh interpreter, since this test process has long
 imported scipy.linalg, scipy.sparse and scipy.special.
@@ -16,7 +16,7 @@ import twomode_jcx
 
 SRC = str(Path(twomode_jcx.__file__).resolve().parent.parent)
 
-# modules no command but verify and wavefunction may load
+# modules no command may load
 HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.special", "concurrent.futures")
 
 
@@ -31,7 +31,7 @@ def _run(*blocks: str) -> str:
     return done.stdout
 
 
-def test_sector_commands_load_no_heavy_module(tmp_path):
+def test_commands_load_no_heavy_module(tmp_path):
     out = _run(f"""
         import sys
         from twomode_jcx.cli import main
@@ -46,15 +46,15 @@ def test_sector_commands_load_no_heavy_module(tmp_path):
             ["coherent-state", "--algebra", "su2"],
             ["limits"],
             ["limits", "--case", "ndpa"],
+            ["verify"],
+            ["wavefunction"],
+            ["wavefunction", "--zeta-re", "0.5", "--n-l", "2", "--m-n", "3"],
         ]
         for argv in argvs:
             main([*argv, "--out", OUT], standalone_mode=False)
             loaded = [m for m in HEAVY if m in sys.modules]
             assert not loaded, (argv, loaded)
         assert "scipy.linalg._flapack" in sys.modules
-        # the two commands that pay for scipy.special still run here
-        main(["verify", "--out", OUT], standalone_mode=False)
-        main(["wavefunction", "--out", OUT], standalone_mode=False)
         print("ok")
     """)
     assert out.strip() == "ok"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre, roots_legendre
+from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
 from twomode_jcx import wavefunc
+from twomode_jcx.displace import su11_ncs_coefficients
 from twomode_jcx.errors import QuadratureError, SingularParameterError
 from twomode_jcx.wavefunc import (
     ClosedFormParams,
@@ -70,22 +71,27 @@ class TestOscillatorWavefunction:
 
     @pytest.mark.parametrize("n_l,m_n", [(0, 0), (1, 1), (2, 3), (4, 4)])
     def test_orthonormality(self, n_l, m_n):
-        fn = lambda r, p: oscillator_wavefunction(n_l, m_n, r, p)
-        res = quadrature_inner_product(fn, fn)
+        e_n = np.eye(1, n_l + 1, n_l)[0]
+        res = quadrature_inner_product(e_n, e_n, m_n)
         assert abs(res.value - 1.0) <= 1e-9
 
     def test_orthogonality_same_m(self):
-        f01 = lambda r, p: oscillator_wavefunction(0, 1, r, p)
-        f11 = lambda r, p: oscillator_wavefunction(1, 1, r, p)
-        assert abs(quadrature_inner_product(f01, f11).value) <= 1e-10
+        assert abs(quadrature_inner_product([1.0], [0.0, 1.0], 1).value) <= 1e-10
 
-    def test_pairwise_orthonormal_grid(self):
+    def test_pairwise_orthonormal_grid(self, polar_inner_product):
+        # a pair of one m by wavefunc's radial rule; a pair of two m, whose
+        # phases make it vanish, on scipy's polar grid
         states = [(n, m) for n in range(3) for m in range(3)]
         for i, (n1, m1) in enumerate(states):
-            f1 = lambda r, p, n=n1, m=m1: oscillator_wavefunction(n, m, r, p)
             for n2, m2 in states[i:]:
-                f2 = lambda r, p, n=n2, m=m2: oscillator_wavefunction(n, m, r, p)
-                val = quadrature_inner_product(f1, f2).value
+                if m1 == m2:
+                    a, b = np.eye(1, n1 + 1, n1)[0], np.eye(1, n2 + 1, n2)[0]
+                    val = quadrature_inner_product(a, b, m1).value
+                else:
+                    val = polar_inner_product(
+                        lambda r, p, n=n1, m=m1: oscillator_wavefunction(n, m, r, p),
+                        lambda r, p, n=n2, m=m2: oscillator_wavefunction(n, m, r, p),
+                    )
                 expected = 1.0 if (n1, m1) == (n2, m2) else 0.0
                 assert abs(val - expected) <= 1e-9
 
@@ -122,15 +128,13 @@ class TestNcsSeries:
         )
 
     def test_norm_unity(self):
-        fn = lambda r, p: ncs_wavefunction_series(0.3j, 1, 1, r, p)
-        res = quadrature_inner_product(fn, fn)
+        coeffs = su11_ncs_coefficients(1.0, 1, 0.3j).coeffs
+        res = quadrature_inner_product(coeffs, coeffs, 1)
         assert abs(res.value - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("zeta,n_l,m_n", [(0.25 - 0.3j, 2, 2), (0.6j, 5, 3), (-0.7, 1, 6)])
     def test_matches_per_term_reference(self, zeta, n_l, m_n, rng):
         # oracle: the coefficient vector times scipy's eigenfunctions, term by term
-        from twomode_jcx.displace import su11_ncs_coefficients
-
         coeffs = su11_ncs_coefficients(0.5 * (m_n + 1), n_l, zeta).coeffs
         r = rng.uniform(0.0, 6.0, 200)
         p = rng.uniform(0, 2 * np.pi, 200)
@@ -142,8 +146,8 @@ class TestNcsSeries:
         norms = []
         for arg in (0.0, 1.1, 2.7):
             z = 0.35 * np.exp(1j * arg)
-            fn = lambda r, p: ncs_wavefunction_series(z, 1, 1, r, p)
-            norms.append(quadrature_inner_product(fn, fn).value.real)
+            coeffs = su11_ncs_coefficients(1.0, 1, z).coeffs
+            norms.append(quadrature_inner_product(coeffs, coeffs, 1).value.real)
         assert np.max(np.abs(np.array(norms) - 1.0)) <= 1e-8
 
 
@@ -190,49 +194,83 @@ class TestNcsClosedForm:
         assert a == b
 
 
+def _radial_norm(coeffs, m_n, n):
+    """pi sum_k W_k |sum_r c_r psi_{r,m_n}(sqrt x_k)|^2 on the n-node rule."""
+    x, w = wavefunc._laguerre_rule(n)
+    vals = wavefunc._radial_series(coeffs, m_n, np.sqrt(x), 0.0)
+    return float(np.pi * np.sum(w * np.abs(vals) ** 2))
+
+
 class TestQuadrature:
-    @pytest.mark.parametrize("n_rho, n_phi", [(1, 1), (96, 64), (170, 128)])
-    def test_polar_nodes_are_shared_read_only_rules(self, n_rho, n_phi):
-        nodes = wavefunc._polar_nodes(n_rho, n_phi)
-        assert wavefunc._polar_nodes(n_rho, n_phi) is nodes
-        x, wx = roots_genlaguerre(n_rho, 0.0)
-        t, wt = roots_legendre(n_phi)
-        fresh = (np.sqrt(x), 0.5 * wx * np.exp(x), np.pi * (t + 1.0), np.pi * wt)
-        for got, ref in zip(nodes, fresh):
-            assert not got.flags.writeable
-            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+    @pytest.mark.parametrize("n", [1, 2, 96, 170])
+    def test_laguerre_rules_are_shared_read_only(self, n):
+        rule = wavefunc._laguerre_rule(n)
+        assert wavefunc._laguerre_rule(n) is rule
+        x, wx = roots_genlaguerre(n, 0.0)
+        np.testing.assert_allclose(rule[0], x, rtol=1e-13, atol=0)
+        # scipy's own weights lose digits as they approach underflow (1e-280 at n = 170)
+        np.testing.assert_allclose(rule[1], wx * np.exp(x), rtol=2e-10, atol=0)
+        for arr in rule:
+            assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            nodes[0][0] = 1.0
+            rule[0][0] = 1.0
 
     def test_gaussian_integral(self):
-        # integr e^{-rho^2} rho drho dphi = pi
-        one = lambda r, p: np.exp(-0.5 * r**2) * np.ones_like(p)
-        res = quadrature_inner_product(one, one)
+        # sqrt(pi) psi_{0,0} = e^{-rho^2/2}: integr e^{-rho^2} rho drho dphi = pi
+        res = quadrature_inner_product([np.sqrt(np.pi)], [np.sqrt(np.pi)], 0)
         assert res.value == pytest.approx(np.pi, rel=1e-13)
 
-    def test_node_doubling_stability(self):
-        fn = lambda r, p: oscillator_wavefunction(2, 2, r, p)
-        a = quadrature_inner_product(fn, fn, n_rho=48, n_phi=32)
-        b = quadrature_inner_product(fn, fn, n_rho=96, n_phi=64)
-        assert abs(a.value - b.value) <= 1e-10
+    @pytest.mark.parametrize("n_l,m_n", [(0, 3), (2, 2), (3, 5), (40, 30)])
+    def test_rule_exact_from_its_degree(self, n_l, m_n):
+        # |psi_{n,m}|^2 = e^{-x} x^m (degree-n polynomial)^2: exact from
+        # n + 1 + floor(m/2) nodes on, and off one node below
+        e_n = np.eye(1, n_l + 1, n_l)[0]
+        size = n_l + 1 + m_n // 2
+        for n in (size, size + 1, 2 * size):
+            assert abs(_radial_norm(e_n, m_n, n) - 1.0) <= 1e-12, n
+        assert abs(_radial_norm(e_n, m_n, size - 1) - 1.0) > 1e-6
 
-    def test_tolerance_violation_raises(self):
-        # an integrand without Gaussian decay does not converge
-        bad = lambda r, p: np.ones_like(r) * np.ones_like(p)
-        with pytest.raises(QuadratureError):
-            quadrature_inner_product(bad, bad, n_rho=16, n_phi=8, tol=1e-10)
+    def test_node_doubling_agrees_to_roundoff(self):
+        coeffs = su11_ncs_coefficients(3.5, 4, 0.6 - 0.3j).coeffs
+        res = quadrature_inner_product(coeffs, coeffs, 6, tol=1e-12)
+        assert abs(res.value - 1.0) <= 1e-12
 
-    def test_integrand_evaluated_once_per_node_set_when_g_is_f(self):
-        calls = []
+    def test_tolerance_violation_raises(self, monkeypatch):
+        # node-dependent noise in the series: the two rules no longer agree
+        coeffs = [1.0, 0.5]
+        quadrature_inner_product(coeffs, coeffs, 2)  # build both rules unpatched
+        series = wavefunc._radial_series
+        monkeypatch.setattr(wavefunc, "_radial_series", lambda c, m, rho, phi: (
+            series(c, m, rho, phi) * (1.0 + 1e-3 * np.cos(rho.size * rho))))
+        with pytest.raises(QuadratureError, match="under node doubling"):
+            quadrature_inner_product(coeffs, coeffs, 2, tol=1e-10)
 
-        def fn(r, p):
-            calls.append(r.shape)
-            return oscillator_wavefunction(1, 1, r, p)
+    def test_node_cap_refused_before_any_rule_is_built(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("a rule above the cap was built")
 
-        quadrature_inner_product(fn, fn, n_rho=16, n_phi=8)
-        assert len(calls) == 2
+        monkeypatch.setattr(wavefunc, "_laguerre_rule", refuse)
+        half = wavefunc.MAX_NODES // 2
+        with pytest.raises(QuadratureError, match=f"exceeds the cap of {wavefunc.MAX_NODES}"):
+            quadrature_inner_product(np.ones(half - 4), [1.0], 10)
+        with pytest.raises(QuadratureError, match="nodes = 2000000002 exceeds"):
+            quadrature_inner_product([1.0], [1.0], 2 * 10**9)
+
+    @pytest.mark.parametrize("same, calls", [(True, 2), (False, 4)])
+    def test_series_evaluated_once_per_rule_when_b_is_a(self, monkeypatch, same, calls):
+        a = [1.0, 0.5]
+        quadrature_inner_product(a, a, 1)  # build both rules before counting
+        seen = []
+        series = wavefunc._radial_series
+
+        def counted(*args):
+            seen.append(args)
+            return series(*args)
+
+        monkeypatch.setattr(wavefunc, "_radial_series", counted)
+        quadrature_inner_product(a, a if same else list(a), 1)
+        assert len(seen) == calls
 
     def test_error_estimate_returned(self):
-        fn = lambda r, p: oscillator_wavefunction(1, 0, r, p)
-        res = quadrature_inner_product(fn, fn)
-        assert res.error_estimate >= 0.0
+        res = quadrature_inner_product([0.0, 1.0], [0.0, 1.0], 0)
+        assert 0.0 <= res.error_estimate <= 1e-13
