@@ -66,6 +66,10 @@ NCS_TAIL_MASS = 1e-24  # coefficient mass left out when the series is trimmed
 # su(1,1) max_index of 100 000.
 MAX_LADDER_LENGTH = 1 << 17
 _PIVMIN = np.finfo(float).tiny
+# An eigenvector of a cut su(1,1) ladder is pinned to the cut when more than
+# BOUNDARY_MASS_TOL of its mass lies in the top BOUNDARY_MARGIN rows.
+BOUNDARY_MASS_TOL = 1e-8
+BOUNDARY_MARGIN = 3
 
 
 @dataclass(frozen=True)
@@ -320,6 +324,13 @@ def _det_sign(lam: float, diag: np.ndarray, off: np.ndarray, p: int) -> int:
     return sign
 
 
+def boundary_free(v: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvector columns of a cut ladder that are not pinned to
+    the cut: at most BOUNDARY_MASS_TOL in the top BOUNDARY_MARGIN rows."""
+    margin = min(BOUNDARY_MARGIN, max(1, v.shape[0] - 1))
+    return np.sum(v[-margin:, :] ** 2, axis=0) <= BOUNDARY_MASS_TOL
+
+
 def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, length: int):
     """D(xi)|n> on the first ``length`` ladder states |m>, G0 = lowest + m
     (lowest = k or -j); None when every candidate is pinned to the cut.
@@ -330,9 +341,11 @@ def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, le
     signs su(1,1); the artanh/arctan round trip costs digits as |zeta| -> 1.
     It is tridiagonal on the ladder, real T in the gauge diag(u^m),
     u = c+/|c+| (as in ``displacement_direct``), and solved in the window
-    lowest + n ± 1/2. Gauge: c_0 is (-zeta*)^n times a positive number and
-    can underflow, so the sign of w is read at its peak p, where
-    w_p / w_0 = det(lam - T[:p, :p]) / (product of the subdiagonal).
+    lowest + n ± 1/2; an su(1,1) ladder is cut, so a candidate pinned to
+    the cut (``boundary_free``) is dropped. Gauge: c_0 is (-zeta*)^n times
+    a positive number and can underflow, so the sign of w is read at its
+    peak p, where w_p / w_0 = det(lam - T[:p, :p]) / (product of the
+    subdiagonal).
     """
     su11 = algebra is AlgebraKind.SU11
     z = abs(zeta)
@@ -344,7 +357,7 @@ def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, le
     target = lowest + n
     w, v = tridiag.eigh(diag, off, select="v", select_range=(target - 0.5, target + 0.5))
     if su11:
-        keep = tridiag.boundary_free(v)
+        keep = boundary_free(v)
         w, v = w[keep], v[:, keep]
     if not w.size:
         return None
@@ -384,20 +397,22 @@ def su11_ncs_coefficients(
         coeffs[n] = 1.0
         return CoherentStateCoeffs(zeta=zeta, coeffs=coeffs)
 
-    length, prev, change = max(16, 2 * (n + 1)), None, math.inf
+    length, prev = max(16, 2 * (n + 1)), None
     while True:
         length = min(length, top + 1)
         state = _tilted_state(AlgebraKind.SU11, k, n, zeta, length) if length > n else None
-        if state is not None and prev is not None:
+        compared = state is not None and prev is not None
+        if compared:
             tail = np.linalg.norm(state[prev.size :])
             change = max(np.max(np.abs(state[: prev.size] - prev)), tail)
             if change <= NCS_LADDER_TOL:
                 break
         if length == top + 1:
-            raise TailError(
-                f"coherent-state ladder not converged within max_index={top} "
-                f"(doubling change {change:.1e} > {NCS_LADDER_TOL:.0e})"
+            why = (
+                f"doubling change {change:.1e} > {NCS_LADDER_TOL:.0e}" if compared
+                else "no state free of the cut was found below it to compare with"
             )
+            raise TailError(f"coherent-state ladder not converged within max_index={top} ({why})")
         prev, length = state, 2 * length
     tail_mass = np.cumsum(np.abs(state[::-1]) ** 2)[::-1]
     coeffs = state[: np.count_nonzero(tail_mass >= NCS_TAIL_MASS)]

@@ -46,7 +46,8 @@ class DegenerateCouplingError(TwoModeJcxError):
 
 
 class NotConvergedError(TwoModeJcxError):
-    """Cutoff doubling changed the requested eigenvalues beyond tolerance."""
+    """Cutoff doubling moved the requested eigenvalues beyond tolerance (for
+    sector spectra, the move plus the bisection error bound)."""
 
 
 class SingularParameterError(TwoModeJcxError):

@@ -232,8 +232,9 @@ def sector_basis(cutoff: int, charge_kind: ChargeKind, charge_value: int) -> Sec
 
 def su2_irrep(n_s: int) -> SectorBasis:
     """The whole N_s = ``n_s`` sector: the n_s + 1 states of the spin-n_s/2
-    irrep of su(2), built at cutoff n_s + 1 so that no state reaches the
-    cutoff and no truncated a a† or b b† term touches them."""
+    irrep of su(2). Any cutoff >= n_s holds them all; it is built at
+    n_s + 1 so that no state reaches the cutoff, and the hard-truncated
+    coupling of a ``models.SectorPair`` on it raises every state."""
     if n_s < 0:
         raise ValueError(f"no sector with charge {n_s}: N_s is nonnegative")
     return sector_basis(n_s + 1, ChargeKind.SUM_NS, n_s)

@@ -16,14 +16,18 @@ difference N_d for JC_AJC and the total number N_s for JC_JC, which makes
 each charge sector an independent tridiagonal eigenproblem.
 
 On a charge sector both second-order operators are built directly as
-tridiagonal arrays from the closed ladder matrix elements, with hard
-truncation reproduced term by term (a a† = (n_a + 1)[n_a < cutoff], and so
-on), so they equal the projection of the products of the hard-truncated
-ladder matrices at finite cutoff, boundary rows included. An eigenspinor
-lives on one (upper sector, lower sector) pair joined by a bidiagonal block
-of X (``SectorPair``). The full-space products and Hamiltonian remain as
-the small-cutoff reference they are tested against; those helpers import
-scipy.sparse when called, so the sector code loads without it.
+tridiagonal arrays from the closed ladder matrix elements of the untruncated
+modes (a a† = n_a + 1 and b b† = n_b + 1 on every row): the sector's rows
+of the infinite operator, a principal block of it. A cut su(1,1) ladder is
+then the leading block of the same ladder at any larger cutoff, so by
+Cauchy interlacing its k-th eigenvalue bounds theirs from above, and no
+eigenpair is pinned to the cut. The full-space products
+(``build_kg_operator`` on a FockBasis), the full Hamiltonian and the
+``SectorPair`` coupling block keep hard truncation (raising past the cutoff
+gives zero), the finite-space reference they are tested against; the
+full-space helpers import scipy.sparse when called, so the sector code
+loads without it. An eigenspinor lives on one (upper sector, lower sector)
+pair joined by a bidiagonal block of X (``SectorPair``).
 """
 
 from __future__ import annotations
@@ -147,11 +151,6 @@ def build_full_hamiltonian(kind: ModelKind, p: ModelParams, basis: FockBasis) ->
     return sp.bmat([[p.mc2 * eye, hx], [hx.conj().T, -p.mc2 * eye]], format="csr")
 
 
-def _lowered_after_raise(n: np.ndarray, cutoff: int) -> np.ndarray:
-    """<n| a a† |n> under hard truncation: n + 1 below the cutoff, 0 at it."""
-    return np.where(n < cutoff, n + 1.0, 0.0)
-
-
 @np.errstate(over="raise")  # a band past float64: an error whatever the warning filter
 def sector_tridiagonal(
     kind: ModelKind, component: Component, p: ModelParams, sector: SectorBasis
@@ -161,9 +160,11 @@ def sector_tridiagonal(
     ``diag`` is real; ``offdiag[i]`` is the complex element between sector
     states i + 1 (row) and i (column), which are joined by a† b† (JC_AJC)
     or a† b (JC_JC). Expanding X X† and X† X, the number terms are
-    a† a = n and a a† = (n + 1)[n < cutoff]; the pair term is, in all four
-    cases, hbar² g f* times ``sector.pair_amplitudes``, and never meets the
-    cutoff, since both states of a pair lie inside the sector.
+    a† a = n and a a† = n + 1, untruncated on every row, so this is the
+    sector's principal block of the infinite operator (not the projection
+    of the hard-truncated products, which zero a a† at n = cutoff); the
+    pair term is, in all four cases, hbar² g f* times
+    ``sector.pair_amplitudes``, both states of a pair lying in the sector.
     SectorMismatchError when the sector charge is not the model's conserved
     quantity; FloatingPointError when a band element overflows float64.
     """
@@ -172,13 +173,12 @@ def sector_tridiagonal(
             f"{kind.value} conserves {conserved_charge(kind).value}, "
             f"got a {sector.charge_kind.value} sector"
         )
-    cutoff = sector.parent_cutoff
     na, nb = sector.occupations
     upper = component is Component.UPPER
-    a_term = na if upper else _lowered_after_raise(na, cutoff)
+    a_term = na if upper else na + 1.0
     # b b† appears in X X† for JC_AJC (X holds b) and in X† X for JC_JC.
     b_raised_first = upper == (kind is ModelKind.JC_AJC)
-    b_term = _lowered_after_raise(nb, cutoff) if b_raised_first else nb
+    b_term = nb + 1.0 if b_raised_first else nb
     h2 = p.hbar**2
     diag = h2 * (abs(p.g) ** 2 * a_term + abs(p.f) ** 2 * b_term)
     offdiag = h2 * p.g * np.conj(p.f) * sector.pair_amplitudes
@@ -195,8 +195,10 @@ def build_kg_operator(
 
     Upper component: hbar² X X†; lower component: hbar² X† X. Passing a
     SectorBasis gives the sector block assembled from
-    ``sector_tridiagonal``; passing a FockBasis forms the full-space ladder
-    products, the small-cutoff reference.
+    ``sector_tridiagonal``, a principal block of the untruncated operator;
+    passing a FockBasis forms the full-space products of the hard-truncated
+    ladder matrices, the small-cutoff reference. The two differ only where
+    a a† or b b† meets the cutoff.
     """
     import scipy.sparse as sp
 
@@ -221,7 +223,9 @@ class SectorPair:
     with g sqrt(n_a + 1) on one band and f sqrt(n_b) (JC_AJC) or
     f sqrt(n_b + 1) (JC_JC) on the other, and zero where raising passes the
     cutoff. It is the pair's block of ``coupling_block``, hard truncation
-    included.
+    included, so ``hamiltonian`` is the pair's block of the finite-space
+    Hamiltonian that ``eigen_residual`` checks spinors against (unlike
+    ``sector_tridiagonal``, which is untruncated).
     """
 
     params: ModelParams

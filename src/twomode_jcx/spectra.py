@@ -291,81 +291,90 @@ def numeric_spectrum(
     truncated term), by one eigenvalue-only solve of indices
     0..count - 1, so ``count`` may reach N_s + 1.
 
-    An N_d sector is a cut su(1,1) ladder, certified against the same
-    ladder cut at twice the cutoff: its lowest ``count`` eigenpairs not
-    pinned to the cut must move by less than ``convergence_tol`` (relative,
-    with scale floor m²c⁴) under doubling. The low levels' eigenvectors
-    decay geometrically up the ladder, so the shortcut
+    An N_d sector is a cut su(1,1) ladder: the leading block of the
+    untruncated ladder, so by Cauchy interlacing each of its eigenvalues
+    bounds the doubled ladder's and the infinite ladder's from above. It is
+    certified against the same ladder cut at twice the cutoff: for each of
+    the lowest ``count`` levels, the move under doubling plus the error
+    bounds of both bisections (``tridiag.bisection_bound``), relative with
+    scale floor m²c⁴, must not exceed ``convergence_tol``. The low levels'
+    eigenvectors decay geometrically up the ladder, so the shortcut
     (``_seeded_doubling``) certifies them from their support: seeded from a
-    leading block both ladders share, it counts eigenvalues in a narrow
-    window around each seed value (``tridiag.seeded_eigenvalues``). When a
-    check of the shortcut fails (slow decay, clustered or pinned levels
-    between windows, a small cutoff), the general path
-    (``_doubled_interior``) solves both ladders by index and compares them;
-    it alone raises NotConvergedError, when doubling moves a level too far
-    or fewer than ``count`` interior eigenvalues exist. Where the shortcut
-    certifies, the general path certifies the same levels, and both return
-    the doubled ladder's values to roundoff.
+    leading block both ladders share, it bisects each level in a narrow
+    window around its seed value (``tridiag.seeded_eigenvalues``). When a
+    check of the shortcut fails (slow decay, clustered levels, a small
+    cutoff), the general path (``_doubled_lowest``) solves both ladders by
+    index and compares them; it alone raises NotConvergedError. Where the
+    shortcut certifies, the general path certifies the same levels, and
+    both return the doubled ladder's values to roundoff.
     """
     if sector.charge_kind is ChargeKind.SUM_NS:
         sector = su2_irrep(sector.charge_value)
     if not 1 <= count <= sector.dim:
         raise ValueError(f"requested {count} levels from a dim-{sector.dim} sector")
-    diag, off = sector_tridiagonal(kind, component, p, sector)
+    bands = sector_tridiagonal(kind, component, p, sector)
     if sector.charge_kind is ChargeKind.SUM_NS:
-        vals = tridiag.eigh(
-            diag, np.abs(off), eigvals_only=True, select="i", select_range=(0, count - 1)
-        )
-        return vals + p.mc2**2
+        return _lowest(bands, count) + p.mc2**2
 
     doubled = sector_basis(2 * sector.parent_cutoff, sector.charge_kind, sector.charge_value)
-    args = (kind, component, p, (diag, off), doubled, count, convergence_tol)
+    args = (bands, sector_tridiagonal(kind, component, p, doubled), count, convergence_tol, p.mc2**2)
     vals2 = _seeded_doubling(*args)
     if vals2 is None:
-        vals2 = _doubled_interior(*args)
+        vals2 = _doubled_lowest(*args)
     return vals2 + p.mc2**2
 
 
-def _seeded_doubling(kind, component, p, bands, doubled, count, tol):
-    """The doubled ladder's lowest ``count`` interior levels (E² - m²c⁴) when
-    one leading-block seed certifies both ladders and bounds how far
-    doubling moves each level within ``tol``; None otherwise.
+def _lowest(bands, count):
+    """The lowest ``count`` eigenvalues of the tridiagonal ``bands`` =
+    (diag, off), by one eigenvalue-only index solve on (diag, |off|)."""
+    diag, off = bands
+    return tridiag.eigh(diag, np.abs(off), eigvals_only=True, select="i", select_range=(0, count - 1))
 
-    The cut ladder (``bands``) and the ``doubled`` one differ only from the
-    cut's top row up, so both begin with the seed's block. Any bisection of
-    a level of either ladder lies within its window's half-width of the
-    seed value, so the general path's measured move is at most the sum of
-    the two half-widths over its scale.
+
+def _seeded_doubling(bands, bands2, count, tol, floor):
+    """The lowest ``count`` levels of the doubled ladder ``bands2`` when one
+    leading-block seed certifies both it and the cut ladder ``bands``
+    within ``tol``; None otherwise.
+
+    The cut ladder is the doubled one's leading block, so both begin with
+    the seed's block. Any bisection of a level of either ladder lies within
+    its window's half-width (residual plus bisection bound) of the seed
+    value, so the sum of the two half-widths bounds the doubling move that
+    the general path would measure; the two bisection bounds are added, as
+    there, and the sum is taken over a scale that the doubled level cannot
+    undercut, floored at ``floor`` (m²c⁴). So the general path certifies
+    whatever this certifies.
     """
     seed = tridiag.leading_block_seed(*bands, count)
     cut = None if seed is None else tridiag.seeded_eigenvalues(*bands, seed)
     if cut is None:
         return None
-    cut2 = tridiag.seeded_eigenvalues(*sector_tridiagonal(kind, component, p, doubled), seed)
+    cut2 = tridiag.seeded_eigenvalues(*bands2, seed)
     if cut2 is None:
         return None
     (_, width), (vals2, width2) = cut, cut2
-    scale = np.maximum(np.abs(vals2) - 2 * width2, p.mc2**2)
-    return vals2 if np.max((width + width2) / scale) <= tol else None
+    bound = tridiag.bisection_bound(*bands) + tridiag.bisection_bound(*bands2)
+    scale = np.maximum(np.abs(vals2) - 2 * width2, floor)
+    return vals2 if np.max((width + width2 + bound) / scale) <= tol else None
 
 
-def _doubled_interior(kind, component, p, bands, doubled, count, tol):
-    """The general path: the lowest ``count`` interior levels (E² - m²c⁴) of
-    the cut ladder (``bands``) and of the ``doubled`` one, each solved by
-    index (``tridiag.interior_eigenvalues``); the doubled ones, when no level
-    moved by more than ``tol``. The doubled solve starts with as many
-    indices as the cut one needed, since the artifacts it rejected are
-    invariant under doubling."""
-    lowest, rejected = tridiag.interior_eigenvalues(*bands, count)
-    vals2, _ = tridiag.interior_eigenvalues(
-        *sector_tridiagonal(kind, component, p, doubled), count, first=count + rejected
-    )
-    scale = np.maximum(np.abs(vals2), p.mc2**2)
-    change = np.max(np.abs(lowest - vals2) / scale)
-    if change > tol:
+def _doubled_lowest(bands, bands2, count, tol, floor):
+    """The general path: the lowest ``count`` levels of the cut ladder
+    ``bands`` and of the doubled one ``bands2``, each by one index solve;
+    the doubled ones, when at every level the doubling move plus the two
+    bisection bounds, over max(|level|, ``floor``), is at most ``tol``.
+    NotConvergedError otherwise, reporting the move and the bound of the
+    worst level apart."""
+    vals, vals2 = _lowest(bands, count), _lowest(bands2, count)
+    scale = np.maximum(np.abs(vals2), floor)
+    move = np.abs(vals - vals2) / scale
+    bound = (tridiag.bisection_bound(*bands) + tridiag.bisection_bound(*bands2)) / scale
+    worst = int(np.argmax(move + bound))
+    if not move[worst] + bound[worst] <= tol:
         raise NotConvergedError(
-            f"cutoff doubling moved eigenvalues by {change:.3e} "
-            f"(> {tol:.1e}); raise the cutoff"
+            f"cutoff doubling moved eigenvalues by {move[worst]:.3e}, with a bisection "
+            f"error bound of {bound[worst]:.3e} (sum > {tol:.1e}); raise the cutoff "
+            "when the move dominates"
         )
     return vals2
 

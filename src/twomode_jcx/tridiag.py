@@ -1,5 +1,5 @@
-"""Every tridiagonal eigensolve of the package, and the boundary rule of
-hard-truncated ladders.
+"""Every tridiagonal eigensolve of the package, and the accuracy bound of
+its bisections.
 
 ``eigh`` is ``scipy.linalg.eigh_tridiagonal`` with its default tolerance and
 driver, restricted to what the package asks of it: real 1-D (diag, off),
@@ -25,33 +25,27 @@ result is bit-identical either way. When no such file exists (another
 scipy layout), they are imported from ``scipy.linalg.lapack``.
 ``LinAlgError`` is numpy's, the class scipy re-exports.
 
-``interior_eigenvalues`` is the index-order solve of a cut su(1,1) ladder
-(an N_d sector; an N_s sector is a finite su(2) irrep, solved whole):
-eigenpairs pinned to the cut (``boundary_free``) are rejected, the rest
-kept in ascending order.
-
 ``leading_block_seed`` and ``seeded_eigenvalues`` are a certified shortcut
-in front of it, for ladders whose low eigenvectors decay up the ladder. The
-seed is the lowest eigenpairs (theta_k, y_k) of a leading block that stops
-BOUNDARY_MARGIN rows short of the cut, accepted once every residual of
-(theta_k, [y_k; 0]) on the whole ladder is at roundoff; its tail part is
-|off[m-1]|·|y_k[m-1]|. By the symmetric residual bound any ladder beginning
-with that block has an eigenvalue within the residual of each theta_k.
-``seeded_eigenvalues`` then makes three checks with value-range ``dstebz``
-counts:
+for the lowest levels of a ladder whose low eigenvectors decay up the
+ladder, such as an su(1,1) sector of ``models.sector_tridiagonal``. The
+seed is the lowest eigenpairs (theta_k, y_k) of a leading block, accepted
+once every residual of (theta_k, [y_k; 0]) on the whole ladder is at
+roundoff; its tail part is |off[m-1]|·|y_k[m-1]|. By the symmetric residual
+bound any ladder beginning with that block has an eigenvalue within the
+residual of each theta_k. ``seeded_eigenvalues`` widens each residual by
+the bisection error bound (``bisection_bound``) into a window and checks,
+with value-range ``dstebz`` counts, that the windows are disjoint, that
+the ladder holds exactly as many eigenvalues up to the top of the last
+window as there are windows, and that each window bisects to exactly one
+value: the windowed values are then the ladder's lowest. When a check
+fails (slow decay, clustered levels, a ladder too short for the block) the
+shortcut returns None and the caller solves by index.
 
-1. exactly one eigenvalue in each window theta_k ± delta_k, none between
-   windows and none up to a gap G above the last;
-2. every eigenpair below the first window pinned to the cut;
-3. those pinned levels and the windows at least G + 2 max(delta) apart.
-
-The windowed levels then have the indices right after the pinned ones, and
-by Davis-Kahan (SIAM J. Numer. Anal. 7, 1970: sin∠ ≤ residual/gap) their
-eigenvectors lie within SEED_MAX_SIN of their seeds, which vanish on the top
-BOUNDARY_MARGIN rows: ``interior_eigenvalues`` would keep exactly these
-levels, to roundoff. When a check fails (slow decay, clustered levels, a
-level pinned between windows, a ladder too short for the block) the
-shortcut returns None and the caller runs the index-order solve.
+``bisection_bound`` is WINDOW_EPS·eps·‖T‖, with ‖T‖ the Gershgorin bound:
+it covers both ``dstebz``'s default stopping tolerance (eps·‖T‖₁) and the
+rounding of its Sturm counts (Demmel & Kahan, SIAM J. Sci. Stat. Comput.
+11, 1990), so any value ``eigh`` bisects lies within it of an exact
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -64,8 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-
-from .errors import NotConvergedError
 
 
 def _compiled_lapack():
@@ -94,14 +86,11 @@ if _flapack is None:
 else:
     dstebz, dstein, dstevd = _flapack.dstebz, _flapack.dstein, _flapack.dstevd
 
-BOUNDARY_MASS_TOL = 1e-8
-BOUNDARY_MARGIN = 3
 # The leading-block shortcut (``leading_block_seed``, ``seeded_eigenvalues``):
 SEED_START = 48  # rows of the first leading block tried; doubled up to the cap
 SEED_RESID_EPS = 4.0  # a seed is accepted once every residual is below this many eps·‖T‖
 SEED_REFINE = 1e-2  # a larger block refines the seed when residual/spacing is below this
-WINDOW_EPS = 8.0  # window half-width beyond a seed pair's residual, in eps·‖T‖
-SEED_MAX_SIN = 1e-6  # largest certified sin∠ between a kept level's eigenvector and its seed
+WINDOW_EPS = 8.0  # bisection error bound, in eps·‖T‖; widens each seed window
 SEED_NORM_MAX = 1e150  # beyond this ‖T‖ the shortcut declines, so no square in it overflows
 EPS = np.finfo(float).eps
 _SELECT = {"a": 0, "v": 1, "i": 2}  # LAPACK's RANGE codes: all, value, index
@@ -172,52 +161,6 @@ def eigh(diag, off, eigvals_only: bool = False, select: str = "a", select_range=
     return w[order], v[:, order]
 
 
-def boundary_free(v: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvector columns of a hard-truncated ladder that are not
-    pinned to the cut: at most BOUNDARY_MASS_TOL in the top BOUNDARY_MARGIN rows."""
-    margin = min(BOUNDARY_MARGIN, max(1, v.shape[0] - 1))
-    return np.sum(v[-margin:, :] ** 2, axis=0) <= BOUNDARY_MASS_TOL
-
-
-def interior_eigenvalues(
-    diag: np.ndarray, off: np.ndarray, count: int, first: int | None = None
-) -> tuple:
-    """(lowest ``count`` eigenvalues whose eigenvectors carry no boundary
-    mass, number of boundary-pinned eigenpairs below the last of them) of
-    the tridiagonal (diag, |off|).
-
-    Hard truncation can manufacture exact eigenpairs pinned to the top of a
-    sector (e.g. a kernel vector of the coupling with |amplitude| growing up
-    the ladder becomes normalizable once cut). Such artifacts are invariant
-    under cutoff doubling and must be rejected by eigenvector support
-    (``boundary_free``).
-
-    Eigenpairs are computed in index order: indices [0, ``first``) (default
-    ``count``), then, while fewer than ``count`` interior ones are found and
-    the sector has more, only the next shortfall of indices; no index is
-    solved twice. A kept eigenvalue above the computed indices lies above
-    all of those below them, so the result is that of the full
-    eigendecomposition. NotConvergedError when the sector holds fewer than
-    ``count`` interior eigenpairs.
-    """
-    dim, b = diag.size, np.abs(off)
-    w, keep = np.empty(0), np.empty(0, dtype=bool)
-    lo, hi = 0, min(dim, count if first is None else first)
-    while True:
-        w_new, v_new = eigh(diag, b, select="i", select_range=(lo, hi - 1))
-        w, keep = np.concatenate([w, w_new]), np.concatenate([keep, boundary_free(v_new)])
-        found = int(np.count_nonzero(keep))
-        if found >= count or hi == dim:
-            break
-        lo, hi = hi, min(dim, hi + count - found)
-    if found < count:
-        raise NotConvergedError(
-            f"only {found} interior-supported eigenvalues available; raise the cutoff"
-        )
-    interior = np.flatnonzero(keep)[:count]
-    return w[interior], int(interior[-1]) + 1 - count
-
-
 @dataclass(frozen=True)
 class LadderSeed:
     """Approximate lowest eigenpairs (values ``theta``, ascending) of a
@@ -233,34 +176,39 @@ class LadderSeed:
 
 
 def _norm(d: np.ndarray, b: np.ndarray) -> float:
-    """Gershgorin bound on ‖T‖; inf above SEED_NORM_MAX or when it overflows."""
+    """Gershgorin bound on ‖T‖; inf when it overflows."""
     with np.errstate(over="ignore"):
         rows = np.abs(d)
         rows[:-1] += b
         rows[1:] += b
-    norm = float(rows.max())
-    return norm if norm <= SEED_NORM_MAX else np.inf
+    return float(rows.max())
+
+
+def bisection_bound(diag: np.ndarray, off: np.ndarray) -> float:
+    """WINDOW_EPS·eps·‖T‖: how far a value ``eigh`` bisects on the
+    tridiagonal (diag, |off|) may lie from its exact eigenvalue."""
+    return WINDOW_EPS * EPS * _norm(np.asarray(diag, dtype=float), np.abs(off))
 
 
 def leading_block_seed(diag: np.ndarray, off: np.ndarray, count: int) -> LadderSeed | None:
     """Seed of the lowest ``count`` levels of the ladder (diag, |off|) from
     its leading block, or None.
 
-    The block has SEED_START rows, doubled up to dim - BOUNDARY_MARGIN, so it
-    never holds the cut's top rows. Its lowest ``count`` eigenpairs are
+    The block has SEED_START rows, doubled up to dim - 1, so that the
+    ladder's off[m-1] exists. Its lowest ``count`` eigenpairs are
     bisected (``eigh``), or, once the previous block's residuals are below
     SEED_REFINE of the spacing of its values, refined from those values by
     inverse iteration (``dstein``) and Rayleigh quotients. The seed is
     accepted once every residual |off[m-1]|·|y_k[m-1]| + ‖T_m y_k -
     theta_k y_k‖ is at roundoff (SEED_RESID_EPS·eps·‖T‖): the levels then live
-    inside the block. None when no block up to the cap is, or LAPACK fails
-    on one.
+    inside the block. None when no block up to the cap is, when ‖T‖ exceeds
+    SEED_NORM_MAX, or when LAPACK fails on a block.
     """
     d, b = np.asarray(diag, dtype=float), np.abs(off)
-    cap = d.size - BOUNDARY_MARGIN
+    cap = d.size - 1
     norm = _norm(d, b)
     m, w, resid = min(SEED_START, cap), None, None
-    while np.isfinite(norm) and m > count:
+    while norm <= SEED_NORM_MAX and m > count:
         e = b[: m - 1]
         try:
             if w is not None and np.all(resid <= SEED_REFINE * np.diff(w).min(initial=np.inf)):
@@ -286,61 +234,41 @@ def leading_block_seed(diag: np.ndarray, off: np.ndarray, count: int) -> LadderS
 
 
 def seeded_eigenvalues(diag: np.ndarray, off: np.ndarray, seed: LadderSeed) -> tuple | None:
-    """(values, half-widths) of the ladder (diag, |off|)'s lowest interior
-    levels, certified from ``seed``; None when a check fails.
+    """(values, half-widths) of the lowest len(seed.theta) eigenvalues of the
+    ladder (diag, |off|), certified from ``seed``; None when a check fails.
 
-    The ladder must begin with the seed's rows and extend BOUNDARY_MARGIN
-    rows past them. Each level is bisected only inside its window
-    theta_k ± delta_k, delta_k = resid_k + WINDOW_EPS·eps·‖T‖, which holds an
-    eigenvalue by the symmetric residual bound. LAPACK's value-range
-    ``dstebz`` counts at the window ends and certifies:
+    The ladder must begin with the seed's rows and extend at least one row
+    past them. Each level is bisected only inside its window theta_k ±
+    delta_k, delta_k = resid_k + ``bisection_bound``, which holds an
+    eigenvalue by the symmetric residual bound, and any bisection of it.
+    LAPACK's value-range ``dstebz`` counts certify:
 
-    - exactly one eigenvalue in each window, none between windows, and none
-      above the last one up to a gap G = max(delta)/SEED_MAX_SIN;
-    - every eigenpair below the first window pinned to the cut
-      (``boundary_free`` fails on its ``dstein`` vector);
-    - those pinned levels and the windows apart by at least G + 2 max(delta).
-
-    Then the windowed levels have indices r..r + count - 1 (r pinned
-    below), and by Davis-Kahan each eigenvector is within sin ≤
-    resid_k / G ≤ SEED_MAX_SIN of its seed, which is zero on the top
-    BOUNDARY_MARGIN rows: its boundary mass is at most SEED_MAX_SIN², far
-    below BOUNDARY_MASS_TOL. So ``interior_eigenvalues`` keeps exactly these
-    levels, and any bisection of one lies within its half-width of theta_k.
-    The values returned are bisected inside the windows.
+    - the windows are disjoint, so they hold distinct eigenvalues;
+    - the ladder has exactly as many eigenvalues up to the top of the last
+      window as there are windows, so those are its lowest, one per window;
+    - each window bisects to exactly one value, the one returned.
     """
     d, b = np.asarray(diag, dtype=float), np.abs(off)
     m = seed.diag.size
-    if d.size - m < BOUNDARY_MARGIN or not (
+    if d.size <= m or not (
         np.array_equal(d[:m], seed.diag) and np.array_equal(b[:m], seed.off)
     ):
         return None
     norm = _norm(d, b)
-    if not np.isfinite(norm):
+    if not norm <= SEED_NORM_MAX:
         return None
     theta = seed.theta
-    delta = seed.resid + WINDOW_EPS * EPS * norm
-    gap = np.max(delta) / SEED_MAX_SIN
-    lo, top = theta - delta, theta[-1] + gap
-    # Counted only (the tolerance spans the range): the eigenvalues up to G
-    # above the last window are the windowed ones and those below the first.
-    found, _, _, _, info = dstebz(d, b, 1, -np.inf, top, 1, 1, 2 * (abs(top) + norm), "E")
-    below = found - theta.size
-    if info or below < 0:
+    delta = seed.resid + bisection_bound(d, b)
+    lo, hi = theta - delta, theta + delta
+    if np.any(lo[1:] <= hi[:-1]):
         return None
-    pinned = np.empty(0)
-    if below:
-        try:
-            pinned, v = eigh(d, b, select="v", select_range=(-np.inf, lo[0]))
-        except LinAlgError:
-            return None
-        if pinned.size != below or np.any(boundary_free(v)):
-            return None
-    if np.any(np.diff(np.append(pinned, theta)) < gap + 2 * np.max(delta)):
+    # Counted only: the tolerance spans the range, so nothing is bisected.
+    found, _, _, _, info = dstebz(d, b, 1, -np.inf, hi[-1], 1, 1, 2 * (abs(hi[-1]) + norm), "E")
+    if info or found != theta.size:
         return None
     values = np.empty(theta.size)
     for k in range(theta.size):
-        found, w, _, _, info = dstebz(d, b, 1, lo[k], theta[k] + delta[k], 1, 1, 0.0, "E")
+        found, w, _, _, info = dstebz(d, b, 1, lo[k], hi[k], 1, 1, 0.0, "E")
         if info or found != 1:
             return None
         values[k] = w[0]

@@ -235,6 +235,17 @@ class TestSu11Ncs:
         with pytest.raises(TailError):
             su11_ncs_coefficients(0.5, 1, 0.6, max_index=5)
 
+    def test_tail_error_names_a_ladder_with_no_state_free_of_the_cut(self):
+        # Every candidate up to the cap is pinned to the cut, so no doubling
+        # change was ever measured; the message must not report one.
+        with pytest.raises(TailError, match="no state free of the cut") as err:
+            su11_ncs_coefficients(0.5, 400, 0.99, max_index=2000)
+        assert "doubling change" not in str(err.value)
+
+    def test_tail_error_reports_the_last_doubling_change(self):
+        with pytest.raises(TailError, match=r"doubling change \d\.\de-\d+ > 1e-12"):
+            su11_ncs_coefficients(0.5, 1, 0.9, max_index=200)
+
     def test_invalid_zeta(self):
         with pytest.raises(ValueError):
             su11_ncs_coefficients(0.5, 0, 1.2)

@@ -100,10 +100,10 @@ class TestKgOperator:
         p = ModelParams(g=1.0, f=2.0)
         sec = get_sector(basis, ChargeKind.DIFFERENCE_ND, 0)
         block = build_kg_operator(ModelKind.JC_AJC, Component.UPPER, p, sec).toarray()
-        interior = sec.dim - 1  # hard truncation bends the last row
-        for n in range(interior):
+        # untruncated: the cut's row too
+        for n in range(sec.dim):
             assert block[n, n].real == pytest.approx(5 * n + 4, abs=1e-13)
-        for n in range(interior - 1):
+        for n in range(sec.dim - 1):
             assert block[n + 1, n].real == pytest.approx(2 * (n + 1), abs=1e-13)
 
     def test_lower_includes_reduction_constant(self):
@@ -115,10 +115,7 @@ class TestKgOperator:
         sec = get_sector(basis, ChargeKind.DIFFERENCE_ND, 0)
         up = build_kg_operator(ModelKind.JC_AJC, Component.UPPER, p, sec).toarray()
         lo = build_kg_operator(ModelKind.JC_AJC, Component.LOWER, p, sec).toarray()
-        interior = slice(0, sec.dim - 1)
-        np.testing.assert_allclose(
-            np.diag(lo)[interior], np.diag(up)[interior] - 3.0, atol=1e-13
-        )
+        np.testing.assert_allclose(np.diag(lo), np.diag(up) - 3.0, atol=1e-13)
 
     def test_sector_mismatch(self):
         basis = build_basis(6)

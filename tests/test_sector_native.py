@@ -2,7 +2,9 @@
 
 The production path builds each charge sector in closed form; the full
 (cutoff+1)² basis with products of hard-truncated ladder matrices, projected
-onto the sector, is the reference it must reproduce.
+onto the sector, is the reference it must reproduce. The second-order
+operators are untruncated, so their reference is taken one cutoff up, where
+no product on the sector's states meets the cut.
 """
 
 import cmath
@@ -64,7 +66,6 @@ from twomode_jcx.spectra import (
     NondegenerateParametricAmplifier,
     numeric_spectrum,
 )
-from twomode_jcx.tridiag import BOUNDARY_MARGIN, BOUNDARY_MASS_TOL
 
 OPERATOR_TOL = 1e-13  # relative to the block's largest entry
 SPECTRUM_TOL = 1e-12  # relative, per eigenvalue
@@ -127,10 +128,8 @@ class TestSectorTridiagonal:
     @pytest.mark.parametrize("component", list(Component))
     @pytest.mark.parametrize("p", [F_DOMINANT, G_DOMINANT], ids=["f>g", "g>f"])
     def test_equals_projected_ladder_products(self, cutoff, kind, component, p):
-        basis = build_basis(cutoff)
-        full = build_kg_operator(kind, component, p, basis)
-        for sec in sector_decompose(basis, conserved_charge(kind)):
-            ref = project_operator(full, sec).toarray()
+        for sec in sector_decompose(build_basis(cutoff), conserved_charge(kind)):
+            ref = _untruncated_block(kind, component, p, sec)
             block = build_kg_operator(kind, component, p, sec).toarray()
             diag, off = sector_tridiagonal(kind, component, p, sec)
             scale = max(1.0, float(np.max(np.abs(ref))))
@@ -142,34 +141,36 @@ class TestSectorTridiagonal:
                 assert np.max(np.abs(np.triu(ref, 2))) == 0.0
 
 
-def _reference_interior(kind, component, p, cutoff, charge):
-    """All eigenvalues and the boundary-free ones, by dense eigh of the projection."""
-    basis = build_basis(cutoff)
-    sec = get_sector(basis, conserved_charge(kind), charge)
-    kg = project_operator(build_kg_operator(kind, component, p, basis), sec).toarray()
-    w, v = np.linalg.eigh(kg)
-    margin = min(BOUNDARY_MARGIN, max(1, len(w) - 1))
-    keep = np.sum(np.abs(v[-margin:, :]) ** 2, axis=0) <= BOUNDARY_MASS_TOL
-    return w, w[keep]
+def _untruncated_block(kind, component, p, sec):
+    """The KG operator on the states of ``sec``: the block, on those states,
+    of the projected hard-truncated products at cutoff + 1, where a a† and
+    b b† on every state of ``sec`` are n + 1."""
+    above = sector_basis(sec.parent_cutoff + 1, sec.charge_kind, sec.charge_value)
+    full = build_kg_operator(kind, component, p, build_basis(above.parent_cutoff))
+    rows = [above.states.index(state) for state in sec.states]
+    return project_operator(full, above).toarray()[np.ix_(rows, rows)]
+
+
+def _reference_eigenvalues(kind, component, p, cutoff, charge):
+    """All eigenvalues of the sector's KG operator, by dense eigh."""
+    sec = sector_basis(cutoff, conserved_charge(kind), charge)
+    return np.linalg.eigvalsh(_untruncated_block(kind, component, p, sec))
 
 
 def _reference_spectrum(kind, component, p, cutoff, charge, count, tol=1e-9):
     """The numeric_spectrum contract, from full-space dense diagonalization.
 
-    An N_s sector is a finite su(2) irrep: its reference is the projection
-    at a cutoff above N_s, where no truncated term touches it.
+    An N_s sector is a finite su(2) irrep: its reference is the whole irrep.
     """
     if kind is ModelKind.JC_JC:
-        w, _ = _reference_interior(kind, component, p, max(cutoff, charge + 1), charge)
+        w = _reference_eigenvalues(kind, component, p, max(cutoff, charge), charge)
         return w[:count] + p.mc2**2
-    _, kept = _reference_interior(kind, component, p, cutoff, charge)
-    _, kept2 = _reference_interior(kind, component, p, 2 * cutoff, charge)
-    if min(len(kept), len(kept2)) < count:
-        raise NotConvergedError("too few interior eigenvalues")
-    scale = np.maximum(np.abs(kept2[:count]), p.mc2**2)
-    if np.max(np.abs(kept[:count] - kept2[:count]) / scale) > tol:
+    w = _reference_eigenvalues(kind, component, p, cutoff, charge)[:count]
+    w2 = _reference_eigenvalues(kind, component, p, 2 * cutoff, charge)[:count]
+    scale = np.maximum(np.abs(w2), p.mc2**2)
+    if np.max(np.abs(w - w2) / scale) > tol:
         raise NotConvergedError("cutoff doubling moved eigenvalues")
-    return kept2[:count] + p.mc2**2
+    return w2 + p.mc2**2
 
 
 class TestNumericSpectrumOracle:
@@ -188,20 +189,27 @@ class TestNumericSpectrumOracle:
             ref = _reference_spectrum(kind, component, p, cutoff, q, count)
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= SPECTRUM_TOL
 
-    @pytest.mark.parametrize("kind, p, cutoff, charge, count, match", [
-        # Doubling the cutoff still moves the levels by ~3e-9.
-        (ModelKind.JC_AJC, ModelParams(g=1.0, f=2.0), 30, 0, 4, "doubling"),
+    def test_certifies_the_closed_form_at_a_small_cutoff(self):
+        # Hard truncation pinned an eigenpair to this cut, and its neighbours
+        # moved by ~3e-9 under doubling; the leading block certifies 4, 7, 10, 13.
+        p = ModelParams(g=1.0, f=2.0)
+        sec = sector_basis(30, ChargeKind.DIFFERENCE_ND, 0)
+        got = numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 4)
+        ref = _reference_spectrum(ModelKind.JC_AJC, Component.UPPER, p, 30, 0, 4)
+        np.testing.assert_allclose(got, [4.0, 7.0, 10.0, 13.0], rtol=0, atol=1e-12)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= SPECTRUM_TOL
+
+    @pytest.mark.parametrize("kind, p, cutoff, charge, count", [
         # Strong tilt: the low eigenvectors reach the top of the sector.
-        (ModelKind.JC_AJC, ModelParams(g=1.6, f=2.0), 20, 0, 4, "interior"),
-        # |g| > |f| leaves boundary-pinned artifacts: a full sector has
-        # fewer interior eigenpairs than states.
-        (ModelKind.JC_AJC, ModelParams(g=2.0, f=0.5), 6, 0, 7, "interior"),
+        (ModelKind.JC_AJC, ModelParams(g=1.6, f=2.0), 20, 0, 4),
+        # A whole small sector: its top levels are far from the ladder's.
+        (ModelKind.JC_AJC, ModelParams(g=2.0, f=0.5), 6, 0, 7),
     ])
-    def test_not_converged_where_the_reference_is_not(self, kind, p, cutoff, charge, count, match):
+    def test_not_converged_where_the_reference_is_not(self, kind, p, cutoff, charge, count):
         with pytest.raises(NotConvergedError):
             _reference_spectrum(kind, Component.UPPER, p, cutoff, charge, count)
         sec = sector_basis(cutoff, conserved_charge(kind), charge)
-        with pytest.raises(NotConvergedError, match=match):
+        with pytest.raises(NotConvergedError, match="doubling"):
             numeric_spectrum(kind, Component.UPPER, p, sec, count)
 
     @pytest.mark.parametrize("count", [0, -2, 32])

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg as la
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twomode_jcx import spectra, tridiag
@@ -284,15 +284,6 @@ class TestNumericSpectrum:
             numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 10)
 
 
-def _full_interior_prefix(diag, off, count):
-    """(boundary-free prefix, artifacts below its last pair) of the full
-    eigendecomposition of the tridiagonal (diag, |off|)."""
-    w, v = la.eigh_tridiagonal(diag, np.abs(off))
-    keep = tridiag.boundary_free(v)
-    last = int(np.flatnonzero(keep)[count - 1])
-    return w[keep][:count], last + 1 - count, float(np.max(np.abs(w)))
-
-
 _EIGH = tridiag.eigh
 
 
@@ -309,86 +300,68 @@ def _record_solves(monkeypatch):
     return calls
 
 
-class TestIncrementalInteriorSolve:
-    """``tridiag.interior_eigenvalues`` solves indices in order, each at
-    most once, and equals the boundary-free prefix of the full
-    eigendecomposition."""
+def _bands(p, component, cutoff, charge):
+    """(diag, off) of the JC_AJC N_d = ``charge`` ladder cut at ``cutoff``."""
+    sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, charge)
+    return sector_tridiagonal(ModelKind.JC_AJC, component, p, sec)
 
-    @pytest.mark.parametrize("component", list(Component))
-    @pytest.mark.parametrize("p", [ModelParams(g=0.5j, f=2.0), ModelParams(g=2.0, f=0.5 - 0.2j)],
-                             ids=["f>g", "g>f"])
-    def test_equals_full_solve_prefix(self, p, component):
-        rejected_seen = set()
-        for cutoff in (40, 120):
-            for q in range(-3, 4):
-                sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, q)
-                diag, off = sector_tridiagonal(ModelKind.JC_AJC, component, p, sec)
-                for count in (1, 3, 8):
-                    vals, rejected = tridiag.interior_eigenvalues(diag, off, count)
-                    ref, ref_rejected, norm = _full_interior_prefix(diag, off, count)
-                    np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-13 * norm)
-                    assert rejected == ref_rejected
-                    rejected_seen.add(rejected)
-        # The upper component at |f| > |g| (sectors N_d >= 0) and the lower
-        # one at |g| > |f| (N_d <= 0) carry an artifact at index 0.
-        pinned = (abs(p.f) > abs(p.g)) == (component is Component.UPPER)
-        assert rejected_seen == ({0, 1} if pinned else {0})
 
-    @pytest.mark.parametrize("count", range(1, 8))
-    def test_equals_full_solve_prefix_with_several_pinned_pairs(self, count, pinned_tridiagonal):
-        diag, off = pinned_tridiagonal
-        vals, rejected = tridiag.interior_eigenvalues(diag, off, count)
-        ref, ref_rejected, norm = _full_interior_prefix(diag, off, count)
-        np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-13 * norm)
-        assert rejected == ref_rejected
-
-    def test_growth_requests_only_the_shortfall(self, monkeypatch, pinned_tridiagonal):
-        # Levels: 0 P, 10 I, 10.5 P, 11 I | 12 I, 12.5 P | 13 I (P pinned).
-        calls = _record_solves(monkeypatch)
-        vals, rejected = tridiag.interior_eigenvalues(*pinned_tridiagonal, 4)
-        assert calls == [(40, (0, 3)), (40, (4, 5)), (40, (6, 6))]
-        assert rejected == 3 and len(vals) == 4
-
-    def test_first_sets_the_initial_window(self, monkeypatch, pinned_tridiagonal):
-        calls = _record_solves(monkeypatch)
-        tridiag.interior_eigenvalues(*pinned_tridiagonal, 4, first=7)
-        assert calls == [(40, (0, 6))]
-
-    def test_exhausted_sector_raises(self, pinned_tridiagonal):
-        diag, off = pinned_tridiagonal
-        with pytest.raises(NotConvergedError, match="only 37 interior-supported"):
-            tridiag.interior_eigenvalues(diag, off, 38)
+class TestIndexSolves:
+    """Each exact su(2) sector is one index solve, and the general path of
+    an su(1,1) sector two: the lowest ``count`` levels of the cut ladder and
+    of the doubled one."""
 
     @pytest.mark.parametrize("component", list(Component))
     @pytest.mark.parametrize("p", [ModelParams(g=1.0, f=2.0), ModelParams(g=2.0, f=1.0)],
                              ids=["f>g", "g>f"])
-    def test_numeric_spectrum_solves_each_index_once(self, monkeypatch, p, component):
+    def test_general_path_is_two_index_solves(self, monkeypatch, p, component):
         # numeric_spectrum's general path, called directly: these sectors
         # take the leading-block shortcut through numeric_spectrum itself.
         cutoff, count = 120, 8
         for q in range(-3, 4):
-            sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, q)
-            doubled = sector_basis(2 * cutoff, ChargeKind.DIFFERENCE_ND, q)
-            bands = sector_tridiagonal(ModelKind.JC_AJC, component, p, sec)
-            _, r, _ = _full_interior_prefix(*bands, count)
-            _, r2, _ = _full_interior_prefix(
-                *sector_tridiagonal(ModelKind.JC_AJC, component, p, doubled), count)
+            args = (_bands(p, component, cutoff, q), _bands(p, component, 2 * cutoff, q))
             calls = _record_solves(monkeypatch)
-            spectra._doubled_interior(ModelKind.JC_AJC, component, p, bands, doubled, count, 1e-9)
+            vals2 = spectra._doubled_lowest(*args, count, 1e-9, p.mc2**2)
             monkeypatch.undo()
-            for dim, needed in ((sec.dim, count + r), (doubled.dim, count + max(r, r2))):
-                ranges = [rng for d, rng in calls if d == dim]
-                indices = [i for lo, hi in ranges for i in range(lo, hi + 1)]
-                assert indices == list(range(needed)), (q, dim, ranges)
-            assert {d for d, _ in calls} == {sec.dim, doubled.dim}
+            dims = [b[0].size for b in args]
+            assert calls == [(dim, (0, count - 1)) for dim in dims], q
+            full = la.eigh_tridiagonal(args[1][0], np.abs(args[1][1]), eigvals_only=True)
+            np.testing.assert_allclose(vals2, full[:count], rtol=0, atol=1e-13 * np.max(np.abs(full)))
+
+    @pytest.mark.parametrize("component", list(Component))
+    @pytest.mark.parametrize("p", [ModelParams(g=1.6, f=2.0), ModelParams(g=2.0, f=1.6),
+                                   ModelParams(g=0.5, f=0.4j)], ids=["f>g", "g>f", "complex"])
+    def test_interlacing_bounds_the_doubled_levels(self, p, component):
+        # The cut ladder is the doubled one's leading block: no cut level
+        # lies below the doubled ladder's level of the same index.
+        for q in (-2, 0, 3):
+            diag, off = _bands(p, component, 20, q)
+            diag2, off2 = _bands(p, component, 40, q)
+            assert np.array_equal(diag2[: diag.size], diag)
+            assert np.array_equal(off2[: off.size], off)
+            vals = la.eigh_tridiagonal(diag, np.abs(off), eigvals_only=True)
+            vals2 = la.eigh_tridiagonal(diag2, np.abs(off2), eigvals_only=True)
+            slack = 8 * np.finfo(float).eps * np.max(np.abs(vals2))
+            assert np.all(vals >= vals2[: vals.size] - slack)
+
+    def test_refusal_reports_the_move_and_the_bound_apart(self):
+        # |g| >> |f|: level 0 is exactly 0, and bisection on a ladder of norm
+        # ~3e6 x cutoff cannot resolve it to 1e-9 of the scale m²c⁴ = 1.
+        p = ModelParams(f=8.534914926026937, g=1765.5664673413253)
+        args = (_bands(p, Component.UPPER, 80, 1), _bands(p, Component.UPPER, 160, 1))
+        with pytest.raises(NotConvergedError) as err:
+            spectra._doubled_lowest(*args, 6, 1e-9, p.mc2**2)
+        move, bound = map(float, re.findall(r"\d\.\d{3}e[-+]\d+", str(err.value))[:2])
+        bounds = sum(tridiag.bisection_bound(*b) for b in args)
+        assert bound == pytest.approx(bounds, rel=1e-3)
+        assert move < bound
 
     @pytest.mark.parametrize("component", list(Component))
     @pytest.mark.parametrize("n_s, count", [(6, 7), (20, 3), (30, 31), (40, 5)])
     def test_exact_su2_sector_is_one_solve(self, monkeypatch, n_s, count, component):
         # Below, at and above the cutoff 20: one eigenvalue-only solve of the
-        # N_s + 1 states, never the interior solve or cutoff doubling.
+        # N_s + 1 states, never cutoff doubling.
         calls = _record_solves(monkeypatch)
-        monkeypatch.setattr(tridiag, "interior_eigenvalues", None)
         sec = sector_basis(20, ChargeKind.SUM_NS, n_s)
         vals = numeric_spectrum(ModelKind.JC_JC, component, ModelParams(g=1.0, f=2.0), sec, count)
         assert calls == [(n_s + 1, (0, count - 1))]
@@ -412,16 +385,13 @@ def _both_paths(p, component, cutoff, charge, count):
     """(the shortcut's levels or None, the general path's levels or the
     NotConvergedError it raised) of one N_d sector, both E² - m²c⁴, and
     the doubled ladder's Gershgorin bound on its norm."""
-    kind = ModelKind.JC_AJC
-    sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, charge)
-    doubled = sector_basis(2 * cutoff, ChargeKind.DIFFERENCE_ND, charge)
-    args = (kind, component, p, sector_tridiagonal(kind, component, p, sec), doubled, count, 1e-9)
+    bands2 = _bands(p, component, 2 * cutoff, charge)
+    args = (_bands(p, component, cutoff, charge), bands2, count, 1e-9, p.mc2**2)
     try:
-        general = spectra._doubled_interior(*args)
+        general = spectra._doubled_lowest(*args)
     except NotConvergedError as exc:
         general = exc
-    diag2, off2 = sector_tridiagonal(kind, component, p, doubled)
-    norm2 = np.max(np.abs(diag2)) + 2 * np.max(np.abs(off2))
+    norm2 = np.max(np.abs(bands2[0])) + 2 * np.max(np.abs(bands2[1]))
     return spectra._seeded_doubling(*args), general, norm2
 
 
@@ -431,10 +401,18 @@ def _index_solve_dims(calls):
     return [dim for dim, rng in calls if rng is not None and isinstance(rng[0], int)]
 
 
+def _seed(theta, resid, diag, off):
+    """A hand-made seed of the ladder (diag, off) on its first 40 rows."""
+    return tridiag.LadderSeed(diag[:40], np.abs(off[:40]), np.asarray(theta, dtype=float),
+                              np.full(len(theta), resid))
+
+
 class TestLeadingBlockShortcut:
     """Where the leading-block shortcut certifies an N_d sector, the general
     path certifies the same levels to roundoff; everywhere else
-    ``numeric_spectrum`` is the general path, errors included."""
+    ``numeric_spectrum`` is the general path, errors included. The
+    shortcut's three checks: disjoint windows, the count up to the last
+    window, one value per window."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -454,31 +432,30 @@ class TestLeadingBlockShortcut:
         p = _tilted(tilt, magnitude, f_dominant, phases, mc2)
         seeded, general, norm2 = _both_paths(p, component, cutoff, charge, count)
         sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, charge)
-        if isinstance(general, NotConvergedError):
-            assert seeded is None
+        if seeded is not None:
+            np.testing.assert_array_equal(
+                numeric_spectrum(ModelKind.JC_AJC, component, p, sec, count), seeded + p.mc2**2
+            )
+            assert not isinstance(general, NotConvergedError)
+            assert np.max(np.abs(seeded - general)) <= 4 * np.finfo(float).eps * norm2
+        elif isinstance(general, NotConvergedError):
             with pytest.raises(NotConvergedError, match=f"^{re.escape(str(general))}$"):
                 numeric_spectrum(ModelKind.JC_AJC, component, p, sec, count)
-            return
-        numeric = numeric_spectrum(ModelKind.JC_AJC, component, p, sec, count)
-        if seeded is None:
-            np.testing.assert_array_equal(numeric, general + p.mc2**2)
         else:
-            np.testing.assert_array_equal(numeric, seeded + p.mc2**2)
-            assert np.max(np.abs(seeded - general)) <= 4 * np.finfo(float).eps * norm2
+            np.testing.assert_array_equal(
+                numeric_spectrum(ModelKind.JC_AJC, component, p, sec, count), general + p.mc2**2
+            )
 
-    def test_seed_block_stops_short_of_the_cut(self):
-        # A seed block reaching into the top BOUNDARY_MARGIN rows would
-        # certify five levels here; the general path finds four interior ones.
+    def test_general_path_certifies_a_whole_small_sector(self):
+        # Hard truncation pinned one of these five levels to the cut; the
+        # leading block holds all five, too close to the cut for a seed.
         p = ModelParams(f=0.93, g=0.016)
         seeded, general, _ = _both_paths(p, Component.UPPER, 12, -3, 5)
         assert seeded is None
-        assert "only 4 interior-supported eigenvalues" in str(general)
         sec = sector_basis(12, ChargeKind.DIFFERENCE_ND, -3)
-        diag, off = sector_tridiagonal(ModelKind.JC_AJC, Component.UPPER, p, sec)
-        seed = tridiag.leading_block_seed(diag, off, 5)
-        assert seed is None or seed.diag.size <= sec.dim - tridiag.BOUNDARY_MARGIN
-        with pytest.raises(NotConvergedError, match="only 4 interior-supported eigenvalues"):
-            numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 5)
+        got = numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 5)
+        np.testing.assert_array_equal(got, general + p.mc2**2)
+        np.testing.assert_allclose(got, su11_sector_energy_sq(p, -3, np.arange(5)), rtol=1e-12)
 
     @pytest.mark.parametrize("p", [ModelParams(g=cmath.rect(1.0, 0.3), f=2.0),
                                    ModelParams(g=2.0, f=cmath.rect(1.0, 1.0))],
@@ -490,7 +467,7 @@ class TestLeadingBlockShortcut:
         sec = sector_basis(280, ChargeKind.DIFFERENCE_ND, 0)
         numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 8)
         index_solves = _index_solve_dims(calls)
-        assert index_solves and max(index_solves) <= 280 - tridiag.BOUNDARY_MARGIN
+        assert index_solves and max(index_solves) < sec.dim
 
     def test_strong_tilt_takes_the_general_path(self, monkeypatch):
         # tilt 0.97: the levels' eigenvectors reach past any block the cut allows
@@ -500,19 +477,95 @@ class TestLeadingBlockShortcut:
         numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 8)
         assert {201, 401} <= set(_index_solve_dims(calls))
 
-    def test_pinned_pair_between_levels_takes_the_general_path(self):
-        # two rows cut off the top of a ladder whose levels are 0, 3, 6, ...:
-        # pinned eigenpairs at 10 and 11, between the levels 9 and 12
+    def test_seed_block_may_reach_the_row_below_the_cut(self):
+        # tilt 0.3 at cutoff 24: only the 24-row block, dim - 1, holds the
+        # lowest three levels to roundoff; a 22-row one does not
+        p = _tilted(0.3, 1.0)
+        diag, off = _bands(p, Component.UPPER, 24, 0)
+        seed = tridiag.leading_block_seed(diag, off, 3)
+        assert seed.diag.size == diag.size - 1
+        assert tridiag.leading_block_seed(diag[:23], off[:22], 3) is None
+        vals, _ = tridiag.seeded_eigenvalues(diag, off, seed)
+        np.testing.assert_allclose(vals, su11_sector_energy_sq(p, 0, np.arange(3)) - 1.0,
+                                   rtol=1e-13)
+
+    def test_overlapping_windows_are_declined(self):
         p = ModelParams(g=2.0, f=1.0)
-        sec = sector_basis(120, ChargeKind.DIFFERENCE_ND, 0)
-        diag, off = sector_tridiagonal(ModelKind.JC_AJC, Component.UPPER, p, sec)
+        diag, off = _bands(p, Component.UPPER, 120, 0)
+        # levels 0, 3, 6: windows of half-width 1.6 overlap
+        assert tridiag.seeded_eigenvalues(diag, off, _seed([0.0, 3.0, 6.0], 1.5, diag, off)) is None
+        got, _ = tridiag.seeded_eigenvalues(diag, off, _seed([0.0, 3.0, 6.0], 1.4, diag, off))
+        np.testing.assert_allclose(got, [0.0, 3.0, 6.0], rtol=0, atol=1e-12)
+
+    def test_eigenvalue_between_windows_is_declined(self):
+        # two rows cut off the top of a ladder whose levels are 0, 3, 6, ...:
+        # decoupled eigenvalues 10 and 11 between the levels 9 and 12
+        p = ModelParams(g=2.0, f=1.0)
+        diag, off = _bands(p, Component.UPPER, 120, 0)
         diag[-2:], off[-2:] = (10.0, 11.0), 0.0
         seed = tridiag.leading_block_seed(diag, off, 8)
         np.testing.assert_allclose(seed.theta, 3.0 * np.arange(8), rtol=0, atol=1e-12)
         assert tridiag.seeded_eigenvalues(diag, off, seed) is None
-        vals, rejected = tridiag.interior_eigenvalues(diag, off, 8)
-        np.testing.assert_allclose(vals, seed.theta, rtol=0, atol=1e-12)
-        assert rejected == 2
+        vals = tridiag.eigh(diag, np.abs(off), eigvals_only=True, select="i", select_range=(0, 7))
+        np.testing.assert_allclose(vals, [0, 3, 6, 9, 10, 11, 12, 15], rtol=0, atol=1e-12)
+
+    def test_empty_window_is_declined(self):
+        # levels 0, 3, 6, 9: a seed value 6.5 with a dishonest residual
+        # passes the count up to its window's top, 6.6, but its window holds
+        # no eigenvalue
+        p = ModelParams(g=2.0, f=1.0)
+        diag, off = _bands(p, Component.UPPER, 120, 0)
+        assert tridiag.seeded_eigenvalues(diag, off, _seed([0.0, 3.0, 6.5], 0.1, diag, off)) is None
+
+    def test_ladder_not_extending_the_seed_is_declined(self):
+        # the seed's own block, a ladder one row off its diagonal, and one
+        # beginning with another block: the windows prove nothing about them
+        p = ModelParams(g=2.0, f=1.0)
+        diag, off = _bands(p, Component.UPPER, 120, 0)
+        seed = _seed([0.0, 3.0, 6.0], 1e-6, diag, off)
+        assert tridiag.seeded_eigenvalues(diag[:40], off[:39], seed) is None
+        bent = diag.copy()
+        bent[17] += 1e-12
+        assert tridiag.seeded_eigenvalues(bent, off, seed) is None
+        assert tridiag.seeded_eigenvalues(diag[1:], off[1:], seed) is None
+        got, _ = tridiag.seeded_eigenvalues(diag, off, seed)
+        np.testing.assert_allclose(got, [0.0, 3.0, 6.0], rtol=0, atol=1e-12)
+
+
+_LOG_COUPLING = st.floats(math.log(1e-4), math.log(1e8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_f=_LOG_COUPLING,
+    log_g=_LOG_COUPLING,
+    phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+    cutoff=st.integers(2, 400),
+    charge=st.integers(-6, 6),
+    count=st.integers(1, 8),
+    component=st.sampled_from(list(Component)),
+)
+# diagonalize --f-re 8.534914926026937 --g-re 1765.5664673413253 --cutoff 80
+# --sector 1 --count 6: level 0 is exactly m²c⁴, and bisection on this
+# ladder cannot resolve it to the doubling tolerance
+@example(log_f=math.log(8.534914926026937), log_g=math.log(1765.5664673413253),
+         phases=(0.0, 0.0), cutoff=80, charge=1, count=6, component=Component.UPPER)
+def test_certified_levels_match_the_closed_form(log_f, log_g, phases, cutoff, charge, count, component):
+    # Couplings across twelve decades, each dominance and phase: every level
+    # numeric_spectrum certifies is the closed form's to 1e-8 of E² (which
+    # is at least m²c⁴); NotConvergedError is the only other outcome.
+    p = ModelParams(f=cmath.rect(math.exp(log_f), phases[0]), g=cmath.rect(math.exp(log_g), phases[1]))
+    sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, max(-cutoff, min(cutoff, charge)))
+    count = min(count, sec.dim)
+    try:
+        got = numeric_spectrum(ModelKind.JC_AJC, component, p, sec, count)
+    except NotConvergedError:
+        return
+    want = su11_sector_energy_sq(p, sec.charge_value, np.arange(count))
+    if component is Component.LOWER:
+        want = want - p.hbar**2 * (abs(p.f) ** 2 - abs(p.g) ** 2)
+    scale = np.maximum(np.abs(want), p.mc2**2)
+    assert np.max(np.abs(got - want) / scale) <= 1e-8, (got, want)
 
 
 class TestPartnerShift:

@@ -1,5 +1,6 @@
 """``tridiag.eigh`` returns what ``scipy.linalg.eigh_tridiagonal`` returns on
-the same arguments, bit for bit, and rejects what it rejects."""
+the same arguments, bit for bit, and rejects what it rejects; its bisected
+values lie within ``tridiag.bisection_bound`` of the exact eigenvalues."""
 
 import numpy as np
 import pytest
@@ -59,6 +60,20 @@ def test_equals_scipy_bit_for_bit(name, eigvals_only, pinned_tridiagonal):
         for g, r in zip(got, want):
             assert g.dtype == r.dtype and g.shape == r.shape, kwargs
             assert np.array_equal(g, r), kwargs
+
+
+@pytest.mark.parametrize("a, b, n", [(0.0, 1.0, 200), (1e6, 3e5, 561), (-5.0, 1e-3, 40), (7.0, 2.0, 2)])
+def test_bisection_bound_covers_every_bisected_value(a, b, n):
+    # the Toeplitz ladder (a, b) has eigenvalues a + 2b cos(kπ/(n + 1)),
+    # k = 1..n, known to a few ulps of its norm
+    diag, off = np.full(n, a), np.full(n - 1, b)
+    exact = np.sort(a + 2 * b * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+    bound = tridiag.bisection_bound(diag, off)
+    assert bound > 0
+    for rng in {(0, min(n, 8) - 1), (n // 2, n - 1), (n - 1, n - 1)}:
+        got = tridiag.eigh(diag, off, eigvals_only=True, select="i", select_range=rng)
+        want = exact[rng[0]: rng[1] + 1]
+        assert np.max(np.abs(got - want)) <= bound, rng
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
