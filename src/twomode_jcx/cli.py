@@ -332,6 +332,8 @@ def diagonalize(**params):
 def verify(**params):
     """Run the full self-verification suite; exit 0 iff every record passes."""
     _check_cap(params["cutoff"], MAX_CUTOFF, "--cutoff")
+    if params["tol"] is not None and math.isnan(params["tol"]):
+        raise click.UsageError("--tol must be a number, got nan")
     p, kind = _resolve_model(params)
     report = run_verification_suite(p, cutoff=params["cutoff"], seed=params["seed"])
     records = report.records

@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ BOUNDARY_MASS_TOL = 1e-8
 BOUNDARY_MARGIN = 3
 
 
-@dataclass(frozen=True)
-class TiltingParams:
+class TiltingParams(NamedTuple):
     """Displacement parameters (theta, phi) and everything derived from them."""
 
     algebra: AlgebraKind
@@ -216,8 +215,7 @@ def _raising_exp(c: complex, sub: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SimilarityCoefficients:
+class SimilarityCoefficients(NamedTuple):
     """Nine scalars expressing D† G_i D in the (G0, G+, G-) basis.
 
     Each triple is ordered (c0, c_plus, c_minus).
@@ -252,8 +250,7 @@ def similarity_coefficients(algebra: AlgebraKind, xi: complex) -> SimilarityCoef
     )
 
 
-@dataclass(frozen=True)
-class SimilarityReport:
+class SimilarityReport(NamedTuple):
     algebra: AlgebraKind
     xi: complex
     residuals: dict
@@ -297,8 +294,7 @@ def verify_similarity(xi: complex, sector: SectorBasis, keep: int | None = None)
     return SimilarityReport(algebra=algebra, xi=xi, residuals=residuals)
 
 
-@dataclass(frozen=True)
-class CoherentStateCoeffs:
+class CoherentStateCoeffs(NamedTuple):
     """Expansion of D(xi)|k, n> or D(xi)|j, mu> over the representation ladder.
 
     ``coeffs[r]`` multiplies the state with excitation number r above the
@@ -306,7 +302,7 @@ class CoherentStateCoeffs:
     """
 
     zeta: complex
-    coeffs: np.ndarray = field(repr=False)
+    coeffs: np.ndarray
 
     @property
     def norm_sq(self) -> float:

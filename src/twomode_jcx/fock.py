@@ -15,9 +15,8 @@ elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -50,8 +49,7 @@ def _absmax(mat) -> float:
     return float(abs(mat).max()) if mat.nnz else 0.0
 
 
-@dataclass(frozen=True)
-class FockBasis:
+class FockBasis(NamedTuple):
     """Two-mode number basis |n_a, n_b> with 0 <= n_a, n_b <= cutoff.
 
     States are ordered lexicographically in (n_a, n_b): the index of
@@ -93,8 +91,7 @@ class FockBasis:
         return np.flatnonzero((na <= top) & (nb <= top))
 
 
-@dataclass(frozen=True)
-class SectorBasis:
+class SectorBasis(NamedTuple):
     """Ordered subset of a FockBasis with fixed conserved charge.
 
     For ``DIFFERENCE_ND`` every state satisfies n_b - n_a = charge_value;
@@ -107,7 +104,7 @@ class SectorBasis:
     charge_kind: ChargeKind
     charge_value: int
     parent_cutoff: int
-    indices: np.ndarray = field(repr=False)
+    indices: np.ndarray
 
     @property
     def dim(self) -> int:

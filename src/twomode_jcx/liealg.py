@@ -19,9 +19,8 @@ import scipy.sparse when called; this module never imports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -45,8 +44,7 @@ class AlgebraKind(Enum):
     SU2 = "su2"
 
 
-@dataclass(frozen=True)
-class Su11Generators:
+class Su11Generators(NamedTuple):
     k0: sp.csr_matrix
     k_plus: sp.csr_matrix
     k_minus: sp.csr_matrix
@@ -57,8 +55,7 @@ class Su11Generators:
         return AlgebraKind.SU11
 
 
-@dataclass(frozen=True)
-class Su2Generators:
+class Su2Generators(NamedTuple):
     j0: sp.csr_matrix
     j_plus: sp.csr_matrix
     j_minus: sp.csr_matrix
@@ -127,8 +124,7 @@ def casimir(gens) -> sp.csr_matrix:
     return g0 @ g0 + cross
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
+class AlgebraReport(NamedTuple):
     """Max interior residual per commutation identity.
 
     ``residuals`` holds the closure relations, adjointness and charge
@@ -209,6 +205,21 @@ def _interior_max(band: np.ndarray, columns: np.ndarray) -> float:
     return float(np.max(np.abs(band[columns]), initial=0.0))
 
 
+def _charge_ordered_bands(cutoff: int, algebra: AlgebraKind) -> tuple:
+    """(G0, G+, n_a, n_b, charge) over the (cutoff + 1)² states ordered by
+    charge, then n_a: every sector's ``sector_generators`` and occupations,
+    in ``fock.sector_basis`` order, with a zero G+ amplitude joining each
+    sector to the next. One sort, O((cutoff + 1)² log cutoff)."""
+    su11 = algebra is AlgebraKind.SU11
+    na, nb = np.divmod(np.arange((cutoff + 1) ** 2), cutoff + 1)
+    charge = nb - na if su11 else na + nb
+    order = np.lexsort((na, charge))
+    na, nb, charge = na[order], nb[order], charge[order]
+    sub = np.sqrt(na[1:] * (nb[1:] if su11 else nb[:-1]).astype(float))  # pair_amplitudes
+    sub[charge[1:] != charge[:-1]] = 0.0
+    return 0.5 * (na + nb + 1 if su11 else na - nb), sub, na, nb, charge
+
+
 def verify_sector_algebra(
     cutoff: int, algebra: AlgebraKind, interior_margin: int = 1
 ) -> AlgebraReport:
@@ -216,9 +227,10 @@ def verify_sector_algebra(
 
     Ordered by charge, the full space is block tridiagonal: each sector
     contributes its ``sector_generators`` (G0 diagonal, G+ subdiagonal) and
-    neighbouring sectors join with zero amplitude. So every commutator and
-    the Casimir are banded, and each residual is read off one band over the
-    same interior columns, with the same Casimir scale, in O((cutoff + 1)²).
+    neighbouring sectors join with zero amplitude (``_charge_ordered_bands``,
+    all sectors at once). So every commutator and the Casimir are banded,
+    and each residual is read off one band over the same interior columns,
+    with the same Casimir scale, in O((cutoff + 1)² log cutoff).
     The charge is read from each state's occupations. The sector form
     stores G- as the transpose of G+'s real amplitudes, so the adjointness
     residual is zero by construction; it is kept so both reports carry the
@@ -227,20 +239,8 @@ def verify_sector_algebra(
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     su11 = algebra is AlgebraKind.SU11
-    kind = ChargeKind.DIFFERENCE_ND if su11 else ChargeKind.SUM_NS
-    diag, sub, occ_a, occ_b = [], [], [], []
-    for q in fock.sector_charges(cutoff, kind):
-        sec = fock.sector_basis(cutoff, kind, q)
-        g0, amp = sector_generators(sec)
-        na, nb = sec.occupations
-        diag.append(g0)
-        sub.append(np.append(amp, 0.0))  # zero join to the next sector
-        occ_a.append(na)
-        occ_b.append(nb)
-    d = np.concatenate(diag)
-    s = np.concatenate(sub)[:-1]
-    na, nb = np.concatenate(occ_a), np.concatenate(occ_b)
-    charge = (nb - na if su11 else na + nb).astype(float)
+    d, s, na, nb, charge = _charge_ordered_bands(cutoff, algebra)
+    charge = charge.astype(float)
 
     def columns(margin):
         # diagonal, lower-band and upper-band entries in interior columns
@@ -284,8 +284,7 @@ def verify_sector_algebra(
     )
 
 
-@dataclass(frozen=True)
-class GroupLabels:
+class GroupLabels(NamedTuple):
     """Group quantum numbers attached to a physical state (n_l, m_n).
 
     su(1,1): n = n_l and k = (m_n + 1)/2 (Bargmann index).

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -63,6 +62,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 EDGE_REL_TOL = 1e-12
+_TINY = np.finfo(float).tiny  # smallest normal float64
 
 
 class ModelKind(Enum):
@@ -84,30 +84,37 @@ def conserved_charge(kind: ModelKind) -> ChargeKind:
     return ChargeKind.DIFFERENCE_ND if kind is ModelKind.JC_AJC else ChargeKind.SUM_NS
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Complex couplings (angular-frequency units), rest energy, hbar."""
-
+class _ModelParamsFields(NamedTuple):
     g: complex
     f: complex
-    mc2: float = 1.0
-    hbar: float = 1.0
+    mc2: float
+    hbar: float
 
-    def __post_init__(self):
-        for name in ("g", "f", "mc2", "hbar"):
-            value = getattr(self, name)
+
+class ModelParams(_ModelParamsFields):
+    """Complex couplings (angular-frequency units), rest energy, hbar.
+
+    Validated on construction; ``_replace`` skips the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, g: complex, f: complex, mc2: float = 1.0, hbar: float = 1.0):
+        for name, value in (("g", g), ("f", f), ("mc2", mc2), ("hbar", hbar)):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             if math.isinf(abs(value) * abs(value)):  # every model squares each parameter
                 raise OverflowError(f"{name}² overflows float64")
-        if self.mc2 <= 0:
+        if mc2 <= 0:
             raise ValueError("mc2 must be positive")
-        if self.hbar <= 0:
+        if hbar <= 0:
             raise ValueError("hbar must be positive")
+        if mc2 * mc2 < _TINY:  # m²c⁴ scales every relative check
+            raise ValueError(f"mc2² underflows float64 (below {_TINY:.6g})")
+        return tuple.__new__(cls, (g, f, mc2, hbar))
 
 
-@dataclass(frozen=True)
-class SpinorState:
+class SpinorState(NamedTuple):
     """Normalized two-component eigenstate over a FockBasis or a ``SectorPair``.
 
     ``edge`` marks one-component states whose partner component vanishes
@@ -212,8 +219,7 @@ def build_kg_operator(
     return (p.hbar**2) * kg
 
 
-@dataclass(frozen=True)
-class SectorPair:
+class SectorPair(NamedTuple):
     """The charge sectors of a spinor's two components and the coupling block between them.
 
     X† moves one charge quantum (N_d up for JC_AJC, N_s down for JC_JC), so
@@ -231,7 +237,7 @@ class SectorPair:
     params: ModelParams
     upper: SectorBasis
     lower: SectorBasis
-    coupling: np.ndarray = field(repr=False)
+    coupling: np.ndarray
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -409,8 +415,7 @@ def build_spinor(
     eigenvector with these labels and raises EdgeStateError.
     """
     spinor, pair = sector_spinor(kind, p, n_l, m_n, branch, basis.cutoff, inner_sign)
-    return replace(
-        spinor,
+    return spinor._replace(
         upper=pair.upper.embed(spinor.upper, basis.dim),
         lower=pair.lower.embed(spinor.lower, basis.dim),
     )

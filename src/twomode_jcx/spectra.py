@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,8 +197,7 @@ def tilting_parameters(kind: ModelKind, p: ModelParams) -> TiltingParams:
     return TiltingParams(algebra=algebra, theta=theta, phi=-chi)
 
 
-@dataclass(frozen=True)
-class TiltingReport:
+class TiltingReport(NamedTuple):
     max_offdiag: float
     max_diag_dev: float
     diag_scale: float
@@ -383,52 +382,58 @@ def _doubled_lowest(bands, bands2, count, tol, floor):
 # Special-case presets
 
 
-@dataclass(frozen=True)
-class Dirac1p1:
+# Each preset is a NamedTuple subclass whose ``__new__`` validates; presets
+# are told apart by type (``special_case_params``), never by value.
+class _OneModeFields(NamedTuple):
+    omega: float
+
+
+class _OneModePreset(_OneModeFields):
+    __slots__ = ()
+
+    def __new__(cls, omega: float):
+        if omega < 0:
+            raise ValueError("omega must be nonnegative")
+        return tuple.__new__(cls, (omega,))
+
+
+class Dirac1p1(_OneModePreset):
     """1+1 oscillator limit of the JC_AJC model: g = 0, f = sqrt(omega mc²/hbar)."""
 
-    omega: float
-
-    def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("omega must be nonnegative")
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Dirac2p1:
+class Dirac2p1(_OneModePreset):
     """2+1 oscillator limit of the JC_JC model: f = g = sqrt(2 mc² omega/hbar)."""
 
-    omega: float
-
-    def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("omega must be nonnegative")
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NondegenerateParametricAmplifier:
+class _TwoModeFields(NamedTuple):
+    omega1: float
+    omega2: float
+    phase: float
+
+
+class _TwoModePreset(_TwoModeFields):
+    __slots__ = ()
+
+    def __new__(cls, omega1: float, omega2: float, phase: float = 0.0):
+        if omega1 < 0 or omega2 < 0:
+            raise ValueError("frequencies must be nonnegative")
+        return tuple.__new__(cls, (omega1, omega2, phase))
+
+
+class NondegenerateParametricAmplifier(_TwoModePreset):
     """g = i sqrt(2 mc² w1/hbar) e^{-i phase}, f = sqrt(2 mc² w2/hbar) e^{+i phase}."""
 
-    omega1: float
-    omega2: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.omega1 < 0 or self.omega2 < 0:
-            raise ValueError("frequencies must be nonnegative")
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoupledOscillators:
+class CoupledOscillators(_TwoModePreset):
     """g = sqrt(2 mc² w1/hbar) e^{-i phase}, f = sqrt(2 mc² w2/hbar) e^{+i phase}."""
 
-    omega1: float
-    omega2: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.omega1 < 0 or self.omega2 < 0:
-            raise ValueError("frequencies must be nonnegative")
+    __slots__ = ()
 
 
 def special_case_params(case, mc2: float = 1.0, hbar: float = 1.0):
@@ -513,8 +518,7 @@ def coupled_osc_energy(
 LIMIT_DOUBLING_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     case: str
     scale: float
     charge: int

@@ -54,7 +54,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -161,8 +161,7 @@ def eigh(diag, off, eigvals_only: bool = False, select: str = "a", select_range=
     return w[order], v[:, order]
 
 
-@dataclass(frozen=True)
-class LadderSeed:
+class LadderSeed(NamedTuple):
     """Approximate lowest eigenpairs (values ``theta``, ascending) of a
     ladder's leading block (``diag``, ``off[:-1]``), and ``resid``, the
     computed residual norm of each seed pair (theta_k, [y_k; 0]) on any

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,20 +114,23 @@ def ncs_wavefunction_series(
     return _radial_series(coeffs, m_n, rho, phi)
 
 
-@dataclass(frozen=True)
-class ClosedFormParams:
-    """zeta and the derived ratio sigma = (1-|zeta|^2)/((1-zeta)(-zeta*))."""
-
+class _ClosedFormFields(NamedTuple):
     zeta: complex
 
-    def __post_init__(self):
-        z = self.zeta
-        if z == 0 or abs(1.0 - z) < 1e-12 or abs(1.0 + z) < 1e-12:
+
+class ClosedFormParams(_ClosedFormFields):
+    """zeta and the derived ratio sigma = (1-|zeta|^2)/((1-zeta)(-zeta*))."""
+
+    __slots__ = ()
+
+    def __new__(cls, zeta: complex):
+        if zeta == 0 or abs(1.0 - zeta) < 1e-12 or abs(1.0 + zeta) < 1e-12:
             raise SingularParameterError(
                 "closed form is singular at zeta in {0, 1, -1}"
             )
-        if abs(z) >= 1.0:
+        if abs(zeta) >= 1.0:
             raise SingularParameterError("closed form requires |zeta| < 1")
+        return tuple.__new__(cls, (zeta,))
 
     @property
     def sigma(self) -> complex:
@@ -203,8 +206,7 @@ def ncs_wavefunction_closed(
     return val if np.ndim(val) else complex(val)
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(NamedTuple):
     """Reproducible comparison of the closed-form variants against the series."""
 
     zeta: complex
@@ -269,8 +271,7 @@ def closed_form_comparison(
     )
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: complex
     error_estimate: float
 

@@ -14,11 +14,13 @@ must carry a norm within 1e-7 of 1. Sizes above their caps are drawn too:
 coherent-state ladders longer than ``MAX_LADDER_LENGTH``, ``spectrum`` and
 ``wavefunction`` tables longer than ``MAX_ROWS`` and ``diagonalize`` and
 ``verify`` cutoffs above ``MAX_CUTOFF``; they must exit 2 before anything of
-that size is allocated.
+that size is allocated. An ``--mc2`` whose square underflows and a NaN
+``--tol`` must exit 2 up front, with no RuntimeWarning on the way.
 """
 
 import json
 import math
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -218,6 +220,23 @@ def test_spectrum_overflow_exits_2(model, flags, error):
     # a parameter whose square overflows is refused by name
     result = _run(["spectrum", "--model", model, *flags, "--nmax", "3", "--mmax", "3",
                    "--format", "json"])
+    assert result.exit_code == 2, result.output
+    assert error in result.output, result.output
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--mc2", "1e-170"], "Error: mc2² underflows float64"),
+    (["verify", "--mc2", "1e-300"], "Error: mc2² underflows float64"),
+    (["diagonalize", "--mc2", "1e-300", "--f-re", "0", "--g-re", "0"],
+     "Error: mc2² underflows float64"),
+    (["verify", "--tol", "nan"], "Error: --tol must be a number, got nan"),
+])
+def test_refused_up_front_without_a_warning(argv, error):
+    # an m²c⁴ below the smallest normal double reached 0/0 in the relative
+    # checks, and a NaN --tol reached the encoder as a NaN cell
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = _run([*argv, "--format", "json"])
     assert result.exit_code == 2, result.output
     assert error in result.output, result.output
 

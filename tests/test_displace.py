@@ -157,6 +157,20 @@ class TestDisplacementNormal:
         dd = displacement_direct(tp.xi, sec)
         assert np.max(np.abs((dn - dd)[:15, :15])) <= 1e-8
 
+    @pytest.mark.parametrize("xi", [-0.4, 0.3 + 0.2j, 1.1j])
+    @pytest.mark.parametrize("charge", [-3, 0, 4])
+    def test_su11_leading_block_is_the_normal_form_on_the_first_states(self, xi, charge):
+        # exp(zeta G+) is lower and exp(-zeta* G-) upper triangular, so the
+        # leading k x k block of their product involves the first k states
+        # alone; the two products differ only in the rounding of their sums
+        tp = TiltingParams.from_xi(AlgebraKind.SU11, xi)
+        full = displacement_normal(tp, sector_basis(60, ChargeKind.DIFFERENCE_ND, charge))
+        for k in (1, 2, 15):
+            first = sector_basis(k - 1 + abs(charge), ChargeKind.DIFFERENCE_ND, charge)
+            block = displacement_normal(tp, first)
+            assert block.shape == (k, k)
+            np.testing.assert_allclose(block, full[:k, :k], rtol=0, atol=1e-11)
+
 
 class TestSimilarityCoefficients:
     def test_xi_zero_identity_coeffs(self):

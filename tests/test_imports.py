@@ -1,5 +1,6 @@
 """Start-up: every command loads numpy, click and scipy's compiled LAPACK
-module alone, and ``tridiag``'s routines are the very objects
+module alone, never ``dataclasses`` (each of its classes compiles generated
+code at import), and ``tridiag``'s routines are the very objects
 ``scipy.linalg.lapack`` exports, however scipy is reached.
 
 Each check runs in a fresh interpreter, since this test process has long
@@ -17,7 +18,7 @@ import twomode_jcx
 SRC = str(Path(twomode_jcx.__file__).resolve().parent.parent)
 
 # modules no command may load
-HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.special", "concurrent.futures")
+HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.special", "concurrent.futures", "dataclasses")
 
 
 def _run(*blocks: str) -> str:

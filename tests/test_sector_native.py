@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from twomode_jcx import displace, fock, spectra, tridiag
+from twomode_jcx import displace, fock, liealg, spectra, tridiag
 from twomode_jcx.displace import (
     TiltingParams,
     displacement_direct,
@@ -371,6 +371,27 @@ def test_sector_algebra_report_equals_full_space(cutoff, algebra, margin):
         assert list(got) == list(ref)
         for key, value in ref.items():
             assert abs(got[key] - value) <= ALGEBRA_TOL * max(1.0, value), (key, got[key], value)
+
+
+@pytest.mark.parametrize("cutoff", range(25))
+@pytest.mark.parametrize("algebra", list(AlgebraKind))
+def test_charge_ordered_bands_are_the_sectors_in_turn(cutoff, algebra):
+    # the one-sort build against the sector-by-sector concatenation, bit for bit
+    kind = ChargeKind.DIFFERENCE_ND if algebra is AlgebraKind.SU11 else ChargeKind.SUM_NS
+    sectors = [sector_basis(cutoff, kind, q) for q in fock.sector_charges(cutoff, kind)]
+    gens = [sector_generators(sec) for sec in sectors]
+    occupations = [np.concatenate(occ) for occ in zip(*(sec.occupations for sec in sectors))]
+    ref = (
+        np.concatenate([g0 for g0, _ in gens]),
+        np.concatenate([np.append(amp, 0.0) for _, amp in gens])[:-1],
+        *occupations,
+        np.concatenate([np.full(sec.dim, sec.charge_value) for sec in sectors]),
+    )
+    got = liealg._charge_ordered_bands(cutoff, algebra)
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 5, 12, 24])
