@@ -324,8 +324,8 @@ def diagonalize(**params):
 @model_options
 @output_options
 @click.option("--cutoff", type=int, default=120, show_default=True)
-@click.option("--seed", type=int, default=2024, show_default=True)
-@click.option("--tol", type=float, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=2024, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0.0), default=None,
               help="Tighten every tolerance to at most this value.")
 @click.option("--timing", is_flag=True, default=False,
               help="Include wall-clock runtimes (breaks byte-identical output).")

@@ -154,10 +154,11 @@ def displacement_direct(xi: complex, sector: SectorBasis, columns=slice(None)) -
 
         D[:, columns] = Phi V0 e^{-i|xi| w0} V0ᵀ Phi† E_columns,
 
-    O(dim² k) for k columns. ConvergenceError unless the returned columns C
-    are orthonormal to UNITARITY_TOL: max|C†C - I|, with I the Gram matrix
-    of the unit columns asked for (a repeated index repeats a column). For
-    the whole D this is the full unitarity check.
+    O(dim² k) for k columns, V0 never cast to complex. ConvergenceError
+    unless the returned columns C are orthonormal to UNITARITY_TOL:
+    max|C†C - I|, with I the Gram matrix of the unit columns asked for (a
+    repeated index repeats a column). For the whole D this is the full
+    unitarity check.
     """
     dim = sector.dim
     idx = np.arange(dim)[columns]
@@ -168,7 +169,8 @@ def displacement_direct(xi: complex, sector: SectorBasis, columns=slice(None)) -
         w, v = _generator_eigenbasis(sector.parent_cutoff, sector.charge_kind, sector.charge_value)
         phase = np.exp(1j * cmath.phase(1j * xi) * np.arange(dim))
         right = np.exp(-1j * abs(xi) * w)[:, None] * (v[cols].T * phase[cols].conj())
-        out = phase[:, None] * (v @ right)
+        # V0 real: one real product on (re, im) pairs, which need ``right`` C-ordered
+        out = phase[:, None] * (v @ np.ascontiguousarray(right).view(float)).view(complex)
     # D unitary: the Gram matrix of its columns is that of the unit vectors
     gram = cols[:, None] == cols[None, :]
     unit_dev = np.max(np.abs(out.conj().T @ out - gram), initial=0.0)

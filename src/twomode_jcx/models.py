@@ -229,9 +229,9 @@ class SectorPair(NamedTuple):
     with g sqrt(n_a + 1) on one band and f sqrt(n_b) (JC_AJC) or
     f sqrt(n_b + 1) (JC_JC) on the other, and zero where raising passes the
     cutoff. It is the pair's block of ``coupling_block``, hard truncation
-    included, so ``hamiltonian`` is the pair's block of the finite-space
-    Hamiltonian that ``eigen_residual`` checks spinors against (unlike
-    ``sector_tridiagonal``, which is untruncated).
+    included, so ``residual`` checks a spinor against the pair's block of
+    the finite-space Hamiltonian, as ``eigen_residual`` does on the full
+    basis (unlike ``sector_tridiagonal``, which is untruncated).
     """
 
     params: ModelParams
@@ -239,15 +239,13 @@ class SectorPair(NamedTuple):
     lower: SectorBasis
     coupling: np.ndarray
 
-    @property
-    def hamiltonian(self) -> np.ndarray:
-        """H on the pair, dense: its block of ``build_full_hamiltonian``."""
-        p = self.params
-        hx = p.hbar * self.coupling
-        return np.block([
-            [p.mc2 * np.eye(self.upper.dim), hx],
-            [hx.conj().T, -p.mc2 * np.eye(self.lower.dim)],
-        ])
+    def residual(self, state: SpinorState) -> float:
+        """|| H psi - E psi || for a spinor (u, l) over the pair, from the blocks
+        of H = [[mc², hbar X], [hbar X†, -mc²]], with no matrix of H formed."""
+        p, x, u, l, e = self.params, self.coupling, state.upper, state.lower, state.energy
+        top = (p.mc2 - e) * u + p.hbar * (x @ l)
+        bottom = p.hbar * (x.T @ u.conj()).conj() - (p.mc2 + e) * l
+        return float(np.linalg.norm(np.concatenate([top, bottom])))
 
 
 def sector_pair(kind: ModelKind, p: ModelParams, upper: SectorBasis) -> SectorPair:
@@ -326,8 +324,8 @@ def sector_spinor(
     """(spinor, pair): the eigenspinor of ``build_spinor`` on its ``SectorPair``.
 
     ``spinor.upper`` and ``spinor.lower`` are vectors over ``pair.upper``
-    and ``pair.lower``, so ``eigen_residual(pair.hamiltonian, spinor)`` is
-    the full-space residual at a sector pair's cost.
+    and ``pair.lower``, so ``pair.residual(spinor)`` is the full-space
+    residual at a sector pair's cost.
     """
     from . import spectra
     from .displace import displacement_direct

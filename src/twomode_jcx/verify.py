@@ -19,7 +19,7 @@ from . import displace, liealg, spectra, wavefunc
 from .errors import EdgeStateError
 from .fock import ChargeKind, sector_basis, su2_irrep
 from .liealg import AlgebraKind
-from .models import Branch, Component, ModelKind, ModelParams, eigen_residual, sector_spinor
+from .models import Branch, Component, ModelKind, ModelParams, sector_spinor
 
 
 class ReportRecord(NamedTuple):
@@ -378,30 +378,34 @@ def _wavefunction_checks():
     return recs
 
 
+def _coupling_magnitudes_sq(seed: int, n_samples: int) -> tuple:
+    """(|f|², |g|²) of random couplings, magnitudes in [0.1, 3), kept where
+    ||f|² - |g|²| >= 0.05 (|f|² + |g|²). Each phase is drawn, keeping the
+    generator's stream, but dropped: neither radicand identity reads it."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        r = rng.uniform(0.1, 3.0, 2 * n_samples)
+        rng.uniform(0, 2 * np.pi, 2 * n_samples)  # the phase
+        return r * r
+
+    fa2, ga2, have = np.empty(n_samples), np.empty(n_samples), 0
+    while have < n_samples:
+        cf2, cg2 = draw(), draw()
+        ok = np.abs(cf2 - cg2) >= 0.05 * (cf2 + cg2)
+        take = min(n_samples - have, int(np.sum(ok)))
+        fa2[have : have + take] = cf2[ok][:take]
+        ga2[have : have + take] = cg2[ok][:take]
+        have += take
+    return fa2, ga2
+
+
 def _structural_identity_checks(seed: int, n_samples: int = 10_000):
     # Relative gap guard: near the excluded |f| = |g| ray the first radical
     # cancels catastrophically (conditioning eps * S / gap) and no float
     # evaluation can certify 1e-13; the identities are checked over the
-    # validated non-degenerate domain.
-    rng = np.random.default_rng(seed)
-    f = np.empty(n_samples, dtype=complex)
-    g = np.empty(n_samples, dtype=complex)
-    have = 0
-    while have < n_samples:
-        cf = rng.uniform(0.1, 3.0, 2 * n_samples) * np.exp(
-            1j * rng.uniform(0, 2 * np.pi, 2 * n_samples)
-        )
-        cg = rng.uniform(0.1, 3.0, 2 * n_samples) * np.exp(
-            1j * rng.uniform(0, 2 * np.pi, 2 * n_samples)
-        )
-        ok = np.abs(np.abs(cf) ** 2 - np.abs(cg) ** 2) >= 0.05 * (
-            np.abs(cf) ** 2 + np.abs(cg) ** 2
-        )
-        take = min(n_samples - have, int(np.sum(ok)))
-        f[have : have + take] = cf[ok][:take]
-        g[have : have + take] = cg[ok][:take]
-        have += take
-    fa2, ga2 = np.abs(f) ** 2, np.abs(g) ** 2
+    # validated non-degenerate domain, on squared magnitudes alone.
+    fa2, ga2 = _coupling_magnitudes_sq(seed, n_samples)
     rad_a = np.sqrt((ga2 + fa2) ** 2 - 4 * ga2 * fa2)
     dev_a = np.max(np.abs(rad_a - np.abs(fa2 - ga2)) / (fa2 + ga2))
     rad_b = np.sqrt((ga2 - fa2) ** 2 + 4 * ga2 * fa2)
@@ -429,14 +433,14 @@ def _special_case_checks():
     # half of that at this preset, and the factor is pinned as part of the
     # record so the mismatch between the two printed forms stays documented.
     worst, worst_factor = 0.0, 0.0
+    n_l = np.arange(6)
     for omega in (0.1, 0.5):
         pre, _ = spectra.special_case_params(spectra.Dirac1p1(omega))
-        for n_l in range(6):
-            target = 2.0 * pre.hbar * omega * pre.mc2 * (n_l + 1)
-            rewritten = spectra.su11_energy_sq_rewritten(pre, n_l) - pre.mc2**2
-            general = spectra.su11_energy_sq(pre, n_l, 0) - pre.mc2**2
-            worst = max(worst, abs(rewritten - target) / target)
-            worst_factor = max(worst_factor, abs(rewritten - 2.0 * general) / target)
+        target = 2.0 * pre.hbar * omega * pre.mc2 * (n_l + 1)
+        rewritten = spectra.su11_energy_sq_rewritten(pre, n_l) - pre.mc2**2
+        general = spectra.su11_energy_sq(pre, n_l, 0) - pre.mc2**2
+        worst = max(worst, float(np.max(np.abs(rewritten - target) / target)))
+        worst_factor = max(worst_factor, float(np.max(np.abs(rewritten - 2.0 * general) / target)))
     recs.append(
         ReportRecord.check(
             "1+1 oscillator preset: rewritten form gives 2 hbar w mc^2 (n+1)",
@@ -456,12 +460,12 @@ def _special_case_checks():
     )
     # 2+1 oscillator: inner-minus branch reproduces mc^2 sqrt(1 + 4 xi n)
     worst = 0.0
+    n_l = np.arange(11)
     for xi in (0.05, 0.1, 0.25):
-        pre, kind = spectra.special_case_params(spectra.Dirac2p1(xi))
-        for n_l in range(11):
-            e = spectra.analytic_energy_su2(pre, n_l, 3, Branch.PLUS, inner_sign=-1)
-            ref = pre.mc2 * np.sqrt(1.0 + 4.0 * xi * n_l)
-            worst = max(worst, abs(e - ref) / ref)
+        pre, _ = spectra.special_case_params(spectra.Dirac2p1(xi))
+        e = spectra.analytic_energy_su2(pre, n_l, 3, Branch.PLUS, inner_sign=-1)
+        ref = pre.mc2 * np.sqrt(1.0 + 4.0 * xi * n_l)
+        worst = max(worst, float(np.max(np.abs(e - ref) / ref)))
     recs.append(
         ReportRecord.check(
             "2+1 oscillator preset: E = mc^2 sqrt(1 + 4 xi n)",
@@ -472,21 +476,17 @@ def _special_case_checks():
     )
     # amplifier / coupled-oscillator presets equal the general formulas
     worst = 0.0
+    pre, _ = spectra.special_case_params(spectra.NondegenerateParametricAmplifier(1.0, 2.0))
     for n_l in range(4):
         for m in range(4):
             e = spectra.ndpa_energy(1.0, 2.0, n_l, m)
-            pre, _ = spectra.special_case_params(
-                spectra.NondegenerateParametricAmplifier(1.0, 2.0)
-            )
             ref = spectra.su11_energy_sq(pre, n_l, m)
             worst = max(worst, abs(e**2 - ref) / ref)
+    pre, _ = spectra.special_case_params(spectra.CoupledOscillators(1.0, 2.0))
     for j2 in range(0, 7):
         for mu2 in range(-j2, j2 + 1, 2):
             e = spectra.coupled_osc_energy(1.0, 2.0, j2 / 2, mu2 / 2)
-            pre, _ = spectra.special_case_params(spectra.CoupledOscillators(1.0, 2.0))
-            ref = spectra.su2_energy_sq(
-                pre, int((j2 - abs(mu2)) // 2), abs(mu2), 1 if mu2 >= 0 else -1
-            )
+            ref = spectra.su2_energy_sq(pre, (j2 - abs(mu2)) // 2, abs(mu2), 1 if mu2 >= 0 else -1)
             worst = max(worst, abs(e**2 - ref) / max(ref, 1.0))
     recs.append(
         ReportRecord.check(
@@ -574,7 +574,7 @@ def _spinor_checks(p: ModelParams):
                         )
                     )
                     continue
-                worst = max(worst, eigen_residual(pair.hamiltonian, s))
+                worst = max(worst, pair.residual(s))
         recs.append(
             ReportRecord.check(
                 "su11 eigenspinor residuals",
@@ -587,7 +587,7 @@ def _spinor_checks(p: ModelParams):
     worst = 0.0
     for n_l, m_n in ((1, 0), (1, 2), (0, 3)):
         s, pair = sector_spinor(ModelKind.JC_JC, p, n_l, m_n, Branch.PLUS, cutoff)
-        worst = max(worst, eigen_residual(pair.hamiltonian, s))
+        worst = max(worst, pair.residual(s))
     recs.append(
         ReportRecord.check(
             "su2 eigenspinor residuals",

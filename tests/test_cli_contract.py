@@ -230,10 +230,13 @@ def test_spectrum_overflow_exits_2(model, flags, error):
     (["diagonalize", "--mc2", "1e-300", "--f-re", "0", "--g-re", "0"],
      "Error: mc2² underflows float64"),
     (["verify", "--tol", "nan"], "Error: --tol must be a number, got nan"),
+    (["verify", "--tol", "-1"], "Error: Invalid value for '--tol'"),
+    (["verify", "--seed", "-1"], "Error: Invalid value for '--seed'"),
 ])
 def test_refused_up_front_without_a_warning(argv, error):
     # an m²c⁴ below the smallest normal double reached 0/0 in the relative
-    # checks, and a NaN --tol reached the encoder as a NaN cell
+    # checks, a NaN --tol reached the encoder as a NaN cell, a negative --tol
+    # failed every record and a negative --seed met numpy's unnamed refusal
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         result = _run([*argv, "--format", "json"])
