@@ -331,6 +331,9 @@ def diagonalize(**params):
               help="Include wall-clock runtimes (breaks byte-identical output).")
 def verify(**params):
     """Run the full self-verification suite; exit 0 iff every record passes."""
+    if params["cutoff"] < 10:
+        # the suite asks the N_d = -3 sector, of cutoff - 2 states, for 8 levels
+        raise click.UsageError("--cutoff must be at least 10")
     _check_cap(params["cutoff"], MAX_CUTOFF, "--cutoff")
     if params["tol"] is not None and math.isnan(params["tol"]):
         raise click.UsageError("--tol must be a number, got nan")

@@ -293,14 +293,15 @@ def numeric_spectrum(
     An N_d sector is a cut su(1,1) ladder: the leading block of the
     untruncated ladder, so by Cauchy interlacing each of its eigenvalues
     bounds the doubled ladder's and the infinite ladder's from above. It is
-    certified against the same ladder cut at twice the cutoff: for each of
-    the lowest ``count`` levels, the move under doubling plus the error
-    bounds of both bisections (``tridiag.bisection_bound``), relative with
-    scale floor m²c⁴, must not exceed ``convergence_tol``. The low levels'
-    eigenvectors decay geometrically up the ladder, so the shortcut
-    (``_seeded_doubling``) certifies them from their support: seeded from a
-    leading block both ladders share, it bisects each level in a narrow
-    window around its seed value (``tridiag.seeded_eigenvalues``). When a
+    certified against the same ladder cut at twice the cutoff, built alone
+    (the cut ladder is its leading rows): for each of the lowest ``count``
+    levels, the move under doubling plus the error bounds of both
+    bisections (``tridiag.bisection_bound``), relative with scale floor
+    m²c⁴, must not exceed ``convergence_tol``. The low levels' eigenvectors
+    decay geometrically up the ladder, so the shortcut (``_seeded_doubling``)
+    certifies them from their support: it counts the doubled ladder's
+    eigenvalues in a narrow window around each value of a seed of the cut
+    ladder (``tridiag.seeded_eigenvalues``) and bisects nothing. When a
     check of the shortcut fails (slow decay, clustered levels, a small
     cutoff), the general path (``_doubled_lowest``) solves both ladders by
     index and compares them; it alone raises NotConvergedError. Where the
@@ -311,12 +312,13 @@ def numeric_spectrum(
         sector = su2_irrep(sector.charge_value)
     if not 1 <= count <= sector.dim:
         raise ValueError(f"requested {count} levels from a dim-{sector.dim} sector")
-    bands = sector_tridiagonal(kind, component, p, sector)
     if sector.charge_kind is ChargeKind.SUM_NS:
-        return _lowest(bands, count) + p.mc2**2
+        return _lowest(sector_tridiagonal(kind, component, p, sector), count) + p.mc2**2
 
     doubled = sector_basis(2 * sector.parent_cutoff, sector.charge_kind, sector.charge_value)
-    args = (bands, sector_tridiagonal(kind, component, p, doubled), count, convergence_tol, p.mc2**2)
+    diag2, off2 = sector_tridiagonal(kind, component, p, doubled)
+    bands = (diag2[: sector.dim], off2[: sector.dim - 1])
+    args = (bands, (diag2, off2), count, convergence_tol, p.mc2**2)
     vals2 = _seeded_doubling(*args)
     if vals2 is None:
         vals2 = _doubled_lowest(*args)
@@ -331,29 +333,29 @@ def _lowest(bands, count):
 
 
 def _seeded_doubling(bands, bands2, count, tol, floor):
-    """The lowest ``count`` levels of the doubled ladder ``bands2`` when one
-    leading-block seed certifies both it and the cut ladder ``bands``
+    """The lowest ``count`` levels of the doubled ladder ``bands2`` when a
+    seed of the cut ladder ``bands``, its leading block, certifies both
     within ``tol``; None otherwise.
 
-    The cut ladder is the doubled one's leading block, so both begin with
-    the seed's block. Any bisection of a level of either ladder lies within
-    its window's half-width (residual plus bisection bound) of the seed
-    value, so the sum of the two half-widths bounds the doubling move that
-    the general path would measure; the two bisection bounds are added, as
-    there, and the sum is taken over a scale that the doubled level cannot
-    undercut, floored at ``floor`` (m²c⁴). So the general path certifies
-    whatever this certifies.
+    The counts on the doubled ladder put its k-th level within resid_k of
+    theta_k; the cut ladder's is no lower (Cauchy interlacing) and, with an
+    eigenvalue in each disjoint window, no higher than theta_k + resid_k.
+    So a bisection of either lies within its half-width (residual plus its
+    bisection bound) of theta_k, and their sum bounds the doubling move of
+    the general path. With both bisection bounds added, as there, over a
+    scale the doubled level cannot undercut, floored at ``floor`` (m²c⁴),
+    the general path certifies whatever this certifies.
     """
-    seed = tridiag.leading_block_seed(*bands, count)
-    cut = None if seed is None else tridiag.seeded_eigenvalues(*bands, seed)
-    if cut is None:
-        return None
-    cut2 = tridiag.seeded_eigenvalues(*bands2, seed)
+    d, b, norm = tridiag.ladder(*bands)
+    d2, b2, norm2 = tridiag.ladder(*bands2)
+    seed = tridiag.leading_block_seed(d, b, count, norm)
+    cut2 = None if seed is None else tridiag.seeded_eigenvalues(d2, b2, seed, norm2)
     if cut2 is None:
         return None
-    (_, width), (vals2, width2) = cut, cut2
-    bound = tridiag.bisection_bound(*bands) + tridiag.bisection_bound(*bands2)
+    (vals2, width2), bound = cut2, tridiag.bisection_bound(d, b, norm)
+    width = seed.resid + bound  # the cut ladder's half-width
     scale = np.maximum(np.abs(vals2) - 2 * width2, floor)
+    bound += tridiag.bisection_bound(d2, b2, norm2)
     return vals2 if np.max((width + width2 + bound) / scale) <= tol else None
 
 

@@ -12,34 +12,36 @@ reorder of ``dstein``'s block-ordered eigenvectors. So it returns the same
 bits, without the argument handling around that function (20-50 µs a call
 at sector dims 7-561 on an Intel Xeon core).
 
-The three routines come from scipy's compiled LAPACK module,
+The routines come from scipy's compiled LAPACK module,
 ``scipy.linalg._flapack``, loaded from its file next to scipy's sources:
 importing it through ``scipy.linalg`` would first run that package's
 ``__init__``, whose Python layer (``scipy._lib``'s array-API shims,
 ``numpy.f2py``, ``numpy.testing``) costs about half of a command's
 start-up, while the compiled module loads in milliseconds. It is registered
 in ``sys.modules`` under its own name, so a later ``import scipy.linalg``
-reuses it, and one already loaded is reused here: ``dstebz``, ``dstein`` and
-``dstevd`` are the very objects ``scipy.linalg.lapack`` exports, and every
-result is bit-identical either way. When no such file exists (another
-scipy layout), they are imported from ``scipy.linalg.lapack``.
-``LinAlgError`` is numpy's, the class scipy re-exports.
+reuses it, and one already loaded is reused here: ``dstebz``, ``dstein``,
+``dsterf`` (root-free QR, eigenvalues only) and ``dstevd`` are the very
+objects ``scipy.linalg.lapack`` exports, and every result is bit-identical
+either way. When no such file exists (another scipy layout), they are
+imported from ``scipy.linalg.lapack``. ``LinAlgError`` is numpy's, the
+class scipy re-exports.
 
 ``leading_block_seed`` and ``seeded_eigenvalues`` are a certified shortcut
 for the lowest levels of a ladder whose low eigenvectors decay up the
 ladder, such as an su(1,1) sector of ``models.sector_tridiagonal``. The
-seed is the lowest eigenpairs (theta_k, y_k) of a leading block, accepted
-once every residual of (theta_k, [y_k; 0]) on the whole ladder is at
-roundoff; its tail part is |off[m-1]|·|y_k[m-1]|. By the symmetric residual
+seed is the lowest eigenpairs (theta_k, y_k) of a leading block (on a long
+ladder, ``dsterf`` values of 48 rows refined by ``dstein`` on 96), accepted
+once every residual of (theta_k, [y_k; 0]) on the whole ladder, tail
+|off[m-1]|·|y_k[m-1]| included, is at roundoff. By the symmetric residual
 bound any ladder beginning with that block has an eigenvalue within the
 residual of each theta_k. ``seeded_eigenvalues`` widens each residual by
 the bisection error bound (``bisection_bound``) into a window and checks,
-with value-range ``dstebz`` counts, that the windows are disjoint, that
-the ladder holds exactly as many eigenvalues up to the top of the last
-window as there are windows, and that each window bisects to exactly one
-value: the windowed values are then the ladder's lowest. When a check
-fails (slow decay, clustered levels, a ladder too short for the block) the
-shortcut returns None and the caller solves by index.
+with value-range ``dstebz`` counts that bisect nothing, that the windows
+are disjoint, that the ladder holds exactly as many eigenvalues up to the
+top of the last window as there are windows, and that each holds one: the
+theta_k are then its lowest levels, each within its window of any bisection
+of them. When a check fails (slow decay, clustered levels, a short ladder)
+the shortcut returns None and the caller solves by index.
 
 ``bisection_bound`` is WINDOW_EPS·eps·‖T‖, with ‖T‖ the Gershgorin bound:
 it covers both ``dstebz``'s default stopping tolerance (eps·‖T‖₁) and the
@@ -82,9 +84,10 @@ def _compiled_lapack():
 
 _flapack = _compiled_lapack()
 if _flapack is None:
-    from scipy.linalg.lapack import dstebz, dstein, dstevd
+    from scipy.linalg.lapack import dstebz, dstein, dsterf, dstevd
 else:
     dstebz, dstein, dstevd = _flapack.dstebz, _flapack.dstein, _flapack.dstevd
+    dsterf = _flapack.dsterf
 
 # The leading-block shortcut (``leading_block_seed``, ``seeded_eigenvalues``):
 SEED_START = 48  # rows of the first leading block tried; doubled up to the cap
@@ -174,43 +177,50 @@ class LadderSeed(NamedTuple):
     resid: np.ndarray
 
 
-def _norm(d: np.ndarray, b: np.ndarray) -> float:
-    """Gershgorin bound on ‖T‖; inf when it overflows."""
+def ladder(diag, off) -> tuple:
+    """(diag, |off|, Gershgorin bound on ‖T‖ or inf) as floats, formed once per ladder."""
+    d, b = np.asarray(diag, dtype=float), np.abs(off)
     with np.errstate(over="ignore"):
         rows = np.abs(d)
         rows[:-1] += b
         rows[1:] += b
-    return float(rows.max())
+    return d, b, float(rows.max())
 
 
-def bisection_bound(diag: np.ndarray, off: np.ndarray) -> float:
+def bisection_bound(diag: np.ndarray, off: np.ndarray, norm: float | None = None) -> float:
     """WINDOW_EPS·eps·‖T‖: how far a value ``eigh`` bisects on the
     tridiagonal (diag, |off|) may lie from its exact eigenvalue."""
-    return WINDOW_EPS * EPS * _norm(np.asarray(diag, dtype=float), np.abs(off))
+    return WINDOW_EPS * EPS * (ladder(diag, off)[2] if norm is None else norm)
 
 
-def leading_block_seed(diag: np.ndarray, off: np.ndarray, count: int) -> LadderSeed | None:
+def leading_block_seed(diag: np.ndarray, off: np.ndarray, count: int,
+                       norm: float | None = None) -> LadderSeed | None:
     """Seed of the lowest ``count`` levels of the ladder (diag, |off|) from
-    its leading block, or None.
+    its leading block, or None; with ``norm``, (diag, off, norm) is a ``ladder``.
 
     The block has SEED_START rows, doubled up to dim - 1, so that the
-    ladder's off[m-1] exists. Its lowest ``count`` eigenpairs are
-    bisected (``eigh``), or, once the previous block's residuals are below
-    SEED_REFINE of the spacing of its values, refined from those values by
-    inverse iteration (``dstein``) and Rayleigh quotients. The seed is
-    accepted once every residual |off[m-1]|·|y_k[m-1]| + ‖T_m y_k -
-    theta_k y_k‖ is at roundoff (SEED_RESID_EPS·eps·‖T‖): the levels then live
+    ladder's off[m-1] exists. Its lowest ``count`` eigenpairs are bisected
+    (``eigh``) or refined by inverse iteration (``dstein``) and Rayleigh
+    quotients from earlier values: the first block's by root-free QR
+    (``dsterf``) when the cap allows its double, or the previous block's
+    once their residuals are below SEED_REFINE of their spacing. The seed is
+    accepted once every residual |off[m-1]|·|y_k[m-1]| + ‖T_m y_k - theta_k
+    y_k‖ is at roundoff (SEED_RESID_EPS·eps·‖T‖): the levels then live
     inside the block. None when no block up to the cap is, when ‖T‖ exceeds
     SEED_NORM_MAX, or when LAPACK fails on a block.
     """
-    d, b = np.asarray(diag, dtype=float), np.abs(off)
+    d, b, norm = ladder(diag, off) if norm is None else (diag, off, norm)
     cap = d.size - 1
-    norm = _norm(d, b)
-    m, w, resid = min(SEED_START, cap), None, None
+    m, w, refine = min(SEED_START, cap), None, False
+    if norm <= SEED_NORM_MAX and count < m and 2 * m <= cap:
+        w, info = dsterf(d[:m], b[: m - 1])  # ascending
+        if info:
+            return None
+        w, m, refine = w[:count], 2 * m, True
     while norm <= SEED_NORM_MAX and m > count:
         e = b[: m - 1]
         try:
-            if w is not None and np.all(resid <= SEED_REFINE * np.diff(w).min(initial=np.inf)):
+            if refine:
                 # one unsplit block: every iblock entry 1, its last row m
                 iblock, isplit = np.ones(m, dtype=np.int32), np.full(m, m, dtype=np.int32)
                 v, info = dstein(d[:m], e, w, iblock, isplit)
@@ -228,47 +238,42 @@ def leading_block_seed(diag: np.ndarray, off: np.ndarray, count: int) -> LadderS
             return LadderSeed(d[:m], b[:m], w, resid)
         if m == cap:
             break
+        refine = np.all(resid <= SEED_REFINE * np.diff(w).min(initial=np.inf))
         m = min(2 * m, cap)
     return None
 
 
-def seeded_eigenvalues(diag: np.ndarray, off: np.ndarray, seed: LadderSeed) -> tuple | None:
+def seeded_eigenvalues(diag: np.ndarray, off: np.ndarray, seed: LadderSeed,
+                       norm: float | None = None) -> tuple | None:
     """(values, half-widths) of the lowest len(seed.theta) eigenvalues of the
     ladder (diag, |off|), certified from ``seed``; None when a check fails.
+    With ``norm``, (diag, off, norm) is a ``ladder``.
 
     The ladder must begin with the seed's rows and extend at least one row
-    past them. Each level is bisected only inside its window theta_k ±
-    delta_k, delta_k = resid_k + ``bisection_bound``, which holds an
-    eigenvalue by the symmetric residual bound, and any bisection of it.
-    LAPACK's value-range ``dstebz`` counts certify:
+    past them. Each level lies within resid_k of the seed value theta_k, so
+    in its window theta_k ± delta_k, delta_k = resid_k + ``bisection_bound``,
+    with any bisection of it. LAPACK's value-range ``dstebz`` counts, which
+    bisect nothing, certify:
 
     - the windows are disjoint, so they hold distinct eigenvalues;
     - the ladder has exactly as many eigenvalues up to the top of the last
       window as there are windows, so those are its lowest, one per window;
-    - each window bisects to exactly one value, the one returned.
+    - each window holds exactly one eigenvalue, whose value returned is theta_k.
     """
-    d, b = np.asarray(diag, dtype=float), np.abs(off)
+    d, b, norm = ladder(diag, off) if norm is None else (diag, off, norm)
     m = seed.diag.size
-    if d.size <= m or not (
+    if d.size <= m or not norm <= SEED_NORM_MAX or not (
         np.array_equal(d[:m], seed.diag) and np.array_equal(b[:m], seed.off)
     ):
         return None
-    norm = _norm(d, b)
-    if not norm <= SEED_NORM_MAX:
-        return None
     theta = seed.theta
-    delta = seed.resid + bisection_bound(d, b)
+    delta = seed.resid + bisection_bound(d, b, norm)
     lo, hi = theta - delta, theta + delta
     if np.any(lo[1:] <= hi[:-1]):
         return None
-    # Counted only: the tolerance spans the range, so nothing is bisected.
-    found, _, _, _, info = dstebz(d, b, 1, -np.inf, hi[-1], 1, 1, 2 * (abs(hi[-1]) + norm), "E")
-    if info or found != theta.size:
-        return None
-    values = np.empty(theta.size)
-    for k in range(theta.size):
-        found, w, _, _, info = dstebz(d, b, 1, lo[k], hi[k], 1, 1, 0.0, "E")
-        if info or found != 1:
+    # each tolerance spans its range, so dstebz counts and bisects nothing
+    for vl, vu, want in [(-np.inf, hi[-1], theta.size), *((a, z, 1) for a, z in zip(lo, hi))]:
+        found, _, _, _, info = dstebz(d, b, 1, vl, vu, 1, 1, 2 * (abs(vu) + norm), "E")
+        if info or found != want:
             return None
-        values[k] = w[0]
-    return values, delta
+    return theta, delta

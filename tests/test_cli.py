@@ -312,9 +312,9 @@ class TestDomainErrorExitCodes:
         (["wavefunction", "--n-l", "3", "--m-n", "-2"], "n_l and m_n must be nonnegative"),
         (["wavefunction", "--n-rho", "-1"], "-1"),
         (["wavefunction", "--zeta-re", "0.5", "--n-l", "-1"], "n must be nonnegative"),
-        (["verify", "--cutoff", "5"], "requested 8 levels from a dim-3 sector"),
-        (["verify", "--cutoff", "0"], "no sector with charge -3 at cutoff 0"),
-        (["verify", "--cutoff", "-3"], "cutoff must be nonnegative"),
+        (["verify", "--cutoff", "5"], "--cutoff must be at least 10"),
+        (["verify", "--cutoff", "0"], "--cutoff must be at least 10"),
+        (["verify", "--cutoff", "-3"], "--cutoff must be at least 10"),
         (["verify", "--seed", "-1"], ""),
         (["spectrum", "--case", "dirac2p1", "--hbar", "0"], "hbar must be positive"),
         (["diagonalize", "--case", "ndpa", "--hbar", "0"], "hbar must be positive"),

@@ -14,8 +14,9 @@ must carry a norm within 1e-7 of 1. Sizes above their caps are drawn too:
 coherent-state ladders longer than ``MAX_LADDER_LENGTH``, ``spectrum`` and
 ``wavefunction`` tables longer than ``MAX_ROWS`` and ``diagonalize`` and
 ``verify`` cutoffs above ``MAX_CUTOFF``; they must exit 2 before anything of
-that size is allocated. An ``--mc2`` whose square underflows and a NaN
-``--tol`` must exit 2 up front, with no RuntimeWarning on the way.
+that size is allocated. An ``--mc2`` whose square underflows, a NaN
+``--tol`` and a ``verify --cutoff`` below 10 must exit 2 up front, with no
+RuntimeWarning on the way.
 """
 
 import json
@@ -232,11 +233,15 @@ def test_spectrum_overflow_exits_2(model, flags, error):
     (["verify", "--tol", "nan"], "Error: --tol must be a number, got nan"),
     (["verify", "--tol", "-1"], "Error: Invalid value for '--tol'"),
     (["verify", "--seed", "-1"], "Error: Invalid value for '--seed'"),
+    (["verify", "--cutoff", "9"], "Error: --cutoff must be at least 10"),
+    (["verify", "--cutoff", "0"], "Error: --cutoff must be at least 10"),
+    (["verify", "--cutoff", "-1"], "Error: --cutoff must be at least 10"),
 ])
 def test_refused_up_front_without_a_warning(argv, error):
     # an m²c⁴ below the smallest normal double reached 0/0 in the relative
     # checks, a NaN --tol reached the encoder as a NaN cell, a negative --tol
-    # failed every record and a negative --seed met numpy's unnamed refusal
+    # failed every record, a negative --seed met numpy's unnamed refusal and
+    # a --cutoff below 10 met the sector code's refusals, none naming it
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         result = _run([*argv, "--format", "json"])

@@ -66,7 +66,7 @@ IDENTITY = """
     import scipy.linalg.lapack as lapack
     from twomode_jcx import tridiag
 
-    for name in ("dstebz", "dstein", "dstevd"):
+    for name in ("dstebz", "dstein", "dsterf", "dstevd"):
         assert getattr(tridiag, name) is getattr(lapack, name), name
     assert tridiag.LinAlgError is scipy.linalg.LinAlgError
 """

@@ -401,6 +401,34 @@ def _index_solve_dims(calls):
     return [dim for dim, rng in calls if rng is not None and isinstance(rng[0], int)]
 
 
+def _bisecting_windows(diag, off, seed):
+    """The window check that bisected each level: (values, half-widths) when
+    the seed's windows theta_k ± (resid_k + bisection bound) on the ladder
+    (diag, |off|) are disjoint, the ladder holds as many eigenvalues up to
+    the top of the last window as there are windows, and each window
+    bisects (dstebz, abstol 0) to exactly one value; None otherwise."""
+    d, b, norm = tridiag.ladder(diag, off)
+    m = seed.diag.size
+    if d.size <= m or not (np.array_equal(d[:m], seed.diag) and np.array_equal(b[:m], seed.off)):
+        return None
+    if not norm <= tridiag.SEED_NORM_MAX:
+        return None
+    delta = seed.resid + tridiag.bisection_bound(d, b)
+    lo, hi = seed.theta - delta, seed.theta + delta
+    if np.any(lo[1:] <= hi[:-1]):
+        return None
+    found, _, _, _, info = tridiag.dstebz(d, b, 1, -np.inf, hi[-1], 1, 1, 2 * (abs(hi[-1]) + norm), "E")
+    if info or found != seed.theta.size:
+        return None
+    values = np.empty(seed.theta.size)
+    for k in range(seed.theta.size):
+        found, w, _, _, info = tridiag.dstebz(d, b, 1, lo[k], hi[k], 1, 1, 0.0, "E")
+        if info or found != 1:
+            return None
+        values[k] = w[0]
+    return values, delta
+
+
 def _seed(theta, resid, diag, off):
     """A hand-made seed of the ladder (diag, off) on its first 40 rows."""
     return tridiag.LadderSeed(diag[:40], np.abs(off[:40]), np.asarray(theta, dtype=float),
@@ -461,13 +489,14 @@ class TestLeadingBlockShortcut:
                                    ModelParams(g=2.0, f=cmath.rect(1.0, 1.0))],
                              ids=["f>g", "g>f"])
     def test_benchmark_sector_takes_the_shortcut(self, monkeypatch, p):
-        # cutoff 280, N_d = 0, tilt 0.8: no index-range solve at dim 281 or
-        # 561, only the seed's at the leading blocks
+        # cutoff 280, N_d = 0, tilt 0.8: no index-range solve at or above
+        # the seed block's size, so none at dim 281 or 561
         calls = _record_solves(monkeypatch)
         sec = sector_basis(280, ChargeKind.DIFFERENCE_ND, 0)
         numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 8)
-        index_solves = _index_solve_dims(calls)
-        assert index_solves and max(index_solves) < sec.dim
+        seed = tridiag.leading_block_seed(*_bands(p, Component.UPPER, 280, 0), 8)
+        assert seed is not None
+        assert all(dim < seed.diag.size for dim in _index_solve_dims(calls))
 
     def test_strong_tilt_takes_the_general_path(self, monkeypatch):
         # tilt 0.97: the levels' eigenvectors reach past any block the cut allows
@@ -531,6 +560,67 @@ class TestLeadingBlockShortcut:
         got, _ = tridiag.seeded_eigenvalues(diag, off, seed)
         np.testing.assert_allclose(got, [0.0, 3.0, 6.0], rtol=0, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tilt=st.floats(0.0, 0.97),
+        magnitude=st.floats(0.3, 3.0),
+        f_dominant=st.booleans(),
+        phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+        mc2=st.sampled_from([0.3, 1.0, 5.0]),
+        cutoff=st.integers(12, 400),
+        charge=st.integers(-3, 3),
+        count=st.integers(1, 8),
+        component=st.sampled_from(list(Component)),
+    )
+    def test_bisecting_windows_pass_where_the_counts_certify(
+        self, tilt, magnitude, f_dominant, phases, mc2, cutoff, charge, count, component
+    ):
+        # The domain of test_certifies_what_the_general_path_certifies: where
+        # the counts on the doubled ladder certify, the bisecting window check
+        # passes on both ladders, and each level returned lies within the
+        # doubled half-width of that ladder's bisected value.
+        p = _tilted(tilt, magnitude, f_dominant, phases, mc2)
+        bands, bands2 = _bands(p, component, cutoff, charge), _bands(p, component, 2 * cutoff, charge)
+        vals2 = spectra._seeded_doubling(bands, bands2, count, 1e-9, p.mc2**2)
+        if vals2 is None:
+            return
+        seed = tridiag.leading_block_seed(*bands, count)
+        assert _bisecting_windows(*bands, seed) is not None
+        bisected2, width2 = _bisecting_windows(*bands2, seed)
+        assert np.all(np.abs(vals2 - bisected2) <= width2)
+
+    @pytest.mark.parametrize("component", list(Component))
+    @pytest.mark.parametrize("f_dominant", [True, False], ids=["f>g", "g>f"])
+    def test_certified_sector_work_is_pinned(self, monkeypatch, f_dominant, component):
+        # The benchmark's sizes at tilt 0.8: per sector one QR seed, at most
+        # two inverse iterations and nine value-range counts on the doubled
+        # ladder; nothing bisected, no index solve, no general path.
+        log = []
+        for name in ("dstebz", "dstein", "dsterf", "dstevd"):
+            def logged(*args, _name=name, _routine=getattr(tridiag, name), **kwargs):
+                log.append((_name, args))
+                return _routine(*args, **kwargs)
+            monkeypatch.setattr(tridiag, name, logged)
+
+        def general_path(*args):
+            raise AssertionError("the general path ran")
+
+        monkeypatch.setattr(spectra, "_doubled_lowest", general_path)
+        p = _tilted(0.8, 1.0, f_dominant, phases=(0.3, 1.1))
+        for cutoff, charge in [(280, 0), *((160, q) for q in range(-3, 4))]:
+            log.clear()
+            sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, charge)
+            numeric_spectrum(ModelKind.JC_AJC, component, p, sec, 8)
+            names = [name for name, _ in log]
+            assert names.count("dsterf") <= 1 and names.count("dstein") <= 2, names
+            assert "dstevd" not in names, names
+            # dstebz(d, e, range, vl, vu, il, iu, abstol, order): 1 is a value range
+            counts = [args for name, args in log if name == "dstebz"]
+            assert len(counts) == 9, names
+            for d, _, select, *_, abstol, _ in counts:
+                assert (select, d.size) == (1, 2 * cutoff + 1 - abs(charge))
+                assert abstol > 0
+
 
 _LOG_COUPLING = st.floats(math.log(1e-4), math.log(1e8))
 
@@ -566,6 +656,30 @@ def test_certified_levels_match_the_closed_form(log_f, log_g, phases, cutoff, ch
         want = want - p.hbar**2 * (abs(p.f) ** 2 - abs(p.g) ** 2)
     scale = np.maximum(np.abs(want), p.mc2**2)
     assert np.max(np.abs(got - want) / scale) <= 1e-8, (got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_f=_LOG_COUPLING,
+    log_g=_LOG_COUPLING,
+    phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+    log_mc2=st.floats(math.log(1e-3), math.log(1e3)),
+    log_hbar=st.floats(math.log(1e-3), math.log(1e3)),
+    cutoff=st.integers(4, 400),
+    charge=st.integers(-3, 3),
+    component=st.sampled_from(list(Component)),
+)
+def test_cut_ladder_is_the_doubled_ladders_leading_block(
+    log_f, log_g, phases, log_mc2, log_hbar, cutoff, charge, component
+):
+    # numeric_spectrum builds only the doubled ladder and takes the cut one
+    # as its leading rows: bit for bit the cut ladder's own bands.
+    p = ModelParams(f=cmath.rect(math.exp(log_f), phases[0]), g=cmath.rect(math.exp(log_g), phases[1]),
+                    mc2=math.exp(log_mc2), hbar=math.exp(log_hbar))
+    diag, off = _bands(p, component, cutoff, charge)
+    diag2, off2 = _bands(p, component, 2 * cutoff, charge)
+    assert np.array_equal(diag2[: diag.size], diag)
+    assert np.array_equal(off2[: off.size], off)
 
 
 class TestPartnerShift:
