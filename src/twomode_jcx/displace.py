@@ -26,7 +26,8 @@ Conjugation moves generators inside the algebra:
 with alpha = sinh 2|xi|, beta = (cosh 2|xi| - 1)/2, and the su(2) analogues
 carry delta = sin 2|xi|, eps = (cos 2|xi| - 1)/2 and a minus sign on the G0
 transfer of G±. Number coherent states D(xi)|n> are eigenvectors of the
-tilted generator D G0 D†, which is tridiagonal on the irrep ladder.
+tilted generator D G0 D†, tridiagonal on the irrep ladder: that of the top
+level in the window lowest + n ± 1/2, certified on a cut ladder by doubling.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ NCS_TAIL_MASS = 1e-24  # coefficient mass left out when the series is trimmed
 # su(1,1) max_index of 100 000.
 MAX_LADDER_LENGTH = 1 << 17
 _PIVMIN = np.finfo(float).tiny
-# An eigenvector of a cut su(1,1) ladder is pinned to the cut when more than
-# BOUNDARY_MASS_TOL of its mass lies in the top BOUNDARY_MARGIN rows.
-BOUNDARY_MASS_TOL = 1e-8
-BOUNDARY_MARGIN = 3
 
 
 class TiltingParams(NamedTuple):
@@ -322,16 +319,9 @@ def _det_sign(lam: float, diag: np.ndarray, off: np.ndarray, p: int) -> int:
     return sign
 
 
-def boundary_free(v: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvector columns of a cut ladder that are not pinned to
-    the cut: at most BOUNDARY_MASS_TOL in the top BOUNDARY_MARGIN rows."""
-    margin = min(BOUNDARY_MARGIN, max(1, v.shape[0] - 1))
-    return np.sum(v[-margin:, :] ** 2, axis=0) <= BOUNDARY_MASS_TOL
-
-
 def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, length: int):
     """D(xi)|n> on the first ``length`` ladder states |m>, G0 = lowest + m
-    (lowest = k or -j); None when every candidate is pinned to the cut.
+    (lowest = k or -j); None when no level lies in the window.
 
     D|n> is the eigenvector, eigenvalue lowest + n, of D G0 D† = c0 G0 +
     c+ G+ + c- G- (``similarity_coefficients(algebra, -xi).zero``), here in
@@ -339,11 +329,13 @@ def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, le
     signs su(1,1); the artanh/arctan round trip costs digits as |zeta| -> 1.
     It is tridiagonal on the ladder, real T in the gauge diag(u^m),
     u = c+/|c+| (as in ``displacement_direct``), and solved in the window
-    lowest + n ± 1/2; an su(1,1) ladder is cut, so a candidate pinned to
-    the cut (``boundary_free``) is dropped. Gauge: c_0 is (-zeta*)^n times
-    a positive number and can underflow, so the sign of w is read at its
-    peak p, where w_p / w_0 = det(lam - T[:p, :p]) / (product of the
-    subdiagonal).
+    lowest + n ± 1/2. A cut su(1,1) ladder is a leading block, so by
+    min-max its level j is at least lowest + j: no level above n enters
+    the window, and its top level is taken (a short ladder may push level n
+    out and a lower one in; the caller's doubling rejects that). Gauge: c_0
+    is (-zeta*)^n times a positive number and can underflow, so the sign of
+    w is read at its peak p, where w_p / w_0 = det(lam - T[:p, :p]) /
+    (product of the subdiagonal).
     """
     su11 = algebra is AlgebraKind.SU11
     z = abs(zeta)
@@ -354,15 +346,11 @@ def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, le
     off = (z / den) * np.sqrt(m[1:] * span)
     target = lowest + n
     w, v = tridiag.eigh(diag, off, select="v", select_range=(target - 0.5, target + 0.5))
-    if su11:
-        keep = boundary_free(v)
-        w, v = w[keep], v[:, keep]
     if not w.size:
         return None
-    i = int(np.argmin(np.abs(w - target)))
-    vec = v[:, i]
+    vec = v[:, -1]
     p = int(np.argmax(np.abs(vec)))
-    sign = np.sign(vec[p]) * _det_sign(w[i], diag, off, p)
+    sign = np.sign(vec[p]) * _det_sign(w[-1], diag, off, p)
     # u^m (-zeta*)^n / |zeta|^n = e^{i arg(-zeta) (m - n)}
     return sign * np.exp(1j * cmath.phase(-zeta) * (m - n)) * vec
 
@@ -378,8 +366,9 @@ def su11_ncs_coefficients(
     ``_tilted_state``, with the ladder doubled until it agrees with its
     double to NCS_LADDER_TOL, then trimmed where the tail mass falls below
     NCS_TAIL_MASS. TailError when that needs states above ``max_index``
-    (default 100 000); ValueError unless 0 < k < inf and |zeta| < 1, and
-    when ``max_index`` + 1 or n + 1 exceeds MAX_LADDER_LENGTH.
+    (default 100 000); ValueError unless 0 < k < inf, |zeta| < 1 and
+    n <= ``max_index``, and when ``max_index`` + 1 or n + 1 exceeds
+    MAX_LADDER_LENGTH.
     """
     if not 0 < k < math.inf:
         raise ValueError(f"Bargmann index k must be positive and finite, got {k}")
@@ -390,6 +379,8 @@ def su11_ncs_coefficients(
     top = 100_000 if max_index is None else max_index
     _check_ladder_length(top + 1, "max_index + 1")
     _check_ladder_length(n + 1, "n + 1")
+    if top < n:
+        raise ValueError(f"max_index = {top} is below n = {n}")
     if zeta == 0:
         coeffs = np.zeros(n + 1, dtype=complex)
         coeffs[n] = 1.0
@@ -398,7 +389,7 @@ def su11_ncs_coefficients(
     length, prev = max(16, 2 * (n + 1)), None
     while True:
         length = min(length, top + 1)
-        state = _tilted_state(AlgebraKind.SU11, k, n, zeta, length) if length > n else None
+        state = _tilted_state(AlgebraKind.SU11, k, n, zeta, length)
         compared = state is not None and prev is not None
         if compared:
             tail = np.linalg.norm(state[prev.size :])
@@ -408,7 +399,8 @@ def su11_ncs_coefficients(
         if length == top + 1:
             why = (
                 f"doubling change {change:.1e} > {NCS_LADDER_TOL:.0e}" if compared
-                else "no state free of the cut was found below it to compare with"
+                else "no level in the window around k + n" if state is None
+                else "no shorter ladder with a level in the window to compare with"
             )
             raise TailError(f"coherent-state ladder not converged within max_index={top} ({why})")
         prev, length = state, 2 * length

@@ -26,6 +26,7 @@ than assumed.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
@@ -145,13 +146,18 @@ def analytic_energy_su11(p: ModelParams, n_l, m_n, branch: Branch = Branch.PLUS)
 
 
 @_FLOAT_SEMANTICS
-def su2_energy_sq(p: ModelParams, n_l, m_n, inner_sign=1):
-    """General closed form for E² of the JC_JC model (inner sign = sign of mu).
+def _su2_coupling_term(p: ModelParams, n_l, m_n, inner_sign=1):
+    """hbar² S (n_l + m_n/2 ± m_n/2): E² - m²c⁴ of the JC_JC model.
 
     The radical sqrt((|g|² - |f|²)² + 4|g|²|f|²) is S, written so it cannot cancel."""
     s = abs(p.f) ** 2 + abs(p.g) ** 2
-    val = p.hbar**2 * s * (n_l + m_n / 2.0 + inner_sign * 0.5 * m_n)
-    return val + p.mc2**2
+    return p.hbar**2 * s * (n_l + m_n / 2.0 + inner_sign * 0.5 * m_n)
+
+
+@_FLOAT_SEMANTICS
+def su2_energy_sq(p: ModelParams, n_l, m_n, inner_sign=1):
+    """General closed form for E² of the JC_JC model (inner sign = sign of mu)."""
+    return _su2_coupling_term(p, n_l, m_n, inner_sign) + p.mc2**2
 
 
 def su2_energy_sq_rewritten(p: ModelParams, n_l: int, m_n: int, inner_sign: int = 1) -> float:
@@ -283,7 +289,16 @@ def numeric_spectrum(
     solved on (diag, |offdiag|) by ``tridiag``, the package's one LAPACK
     tridiagonal eigensolver; that phase gauge is a diagonal unitary
     similarity, so it leaves the eigenvalues and |eigenvector| entries
-    unchanged.
+    unchanged. ``_certified_lowest`` certifies the levels to
+    ``convergence_tol``, relative with scale floor m²c⁴.
+    """
+    bands_of = functools.partial(sector_tridiagonal, kind, component, p)
+    return _certified_lowest(bands_of, sector, count, convergence_tol, p.mc2**2) + p.mc2**2
+
+
+def _certified_lowest(bands_of, sector: SectorBasis, count: int, tol: float, floor: float):
+    """The lowest ``count`` eigenvalues, ascending and certified, of the
+    tridiagonal (diag, offdiag) = ``bands_of(sector)``.
 
     An N_s sector is a finite su(2) irrep whatever the cutoff of
     ``sector``: it is solved whole (``fock.su2_irrep``, N_s + 1 states, no
@@ -297,8 +312,8 @@ def numeric_spectrum(
     (the cut ladder is its leading rows): for each of the lowest ``count``
     levels, the move under doubling plus the error bounds of both
     bisections (``tridiag.bisection_bound``), relative with scale floor
-    m²c⁴, must not exceed ``convergence_tol``. The low levels' eigenvectors
-    decay geometrically up the ladder, so the shortcut (``_seeded_doubling``)
+    ``floor``, must not exceed ``tol``. The low levels' eigenvectors decay
+    geometrically up the ladder, so the shortcut (``_seeded_doubling``)
     certifies them from their support: it counts the doubled ladder's
     eigenvalues in a narrow window around each value of a seed of the cut
     ladder (``tridiag.seeded_eigenvalues``) and bisects nothing. When a
@@ -313,16 +328,14 @@ def numeric_spectrum(
     if not 1 <= count <= sector.dim:
         raise ValueError(f"requested {count} levels from a dim-{sector.dim} sector")
     if sector.charge_kind is ChargeKind.SUM_NS:
-        return _lowest(sector_tridiagonal(kind, component, p, sector), count) + p.mc2**2
+        return _lowest(bands_of(sector), count)
 
     doubled = sector_basis(2 * sector.parent_cutoff, sector.charge_kind, sector.charge_value)
-    diag2, off2 = sector_tridiagonal(kind, component, p, doubled)
+    diag2, off2 = bands_of(doubled)
     bands = (diag2[: sector.dim], off2[: sector.dim - 1])
-    args = (bands, (diag2, off2), count, convergence_tol, p.mc2**2)
+    args = (bands, (diag2, off2), count, tol, floor)
     vals2 = _seeded_doubling(*args)
-    if vals2 is None:
-        vals2 = _doubled_lowest(*args)
-    return vals2 + p.mc2**2
+    return _doubled_lowest(*args) if vals2 is None else vals2
 
 
 def _lowest(bands, count):
@@ -551,35 +564,6 @@ def _nonrel_tridiagonal(case, sector: SectorBasis) -> tuple:
     return diag, chi * sector.pair_amplitudes
 
 
-def _nonrel_level(case, sector: SectorBasis, index: int) -> float:
-    """Eigenvalue ``index`` (ascending) of the limit Hamiltonian on ``sector``."""
-    diag, off = _nonrel_tridiagonal(case, sector)
-    level = tridiag.eigh(
-        diag, np.abs(off), eigvals_only=True, select="i", select_range=(index, index)
-    )
-    return float(level[0])
-
-
-def _certified_limit_level(case, sector: SectorBasis, index: int) -> float:
-    """``_nonrel_level`` on ``sector``; an N_d (amplifier) sector is cut, so
-    its level is solved again at twice the cutoff, and NotConvergedError is
-    raised when the two differ by more than LIMIT_DOUBLING_TOL·max(|level|,
-    w1 + w2)."""
-    level = _nonrel_level(case, sector, index)
-    if sector.charge_kind is ChargeKind.DIFFERENCE_ND:
-        cutoff = sector.parent_cutoff
-        doubled = sector_basis(2 * cutoff, sector.charge_kind, sector.charge_value)
-        change = abs(_nonrel_level(case, doubled, index) - level)
-        level_scale = max(abs(level), case.omega1 + case.omega2)
-        if change > LIMIT_DOUBLING_TOL * level_scale:
-            raise NotConvergedError(
-                f"cutoff doubling moved amplifier limit level {index} by "
-                f"{change / level_scale:.3e} (> {LIMIT_DOUBLING_TOL:.1e}); "
-                f"it is not converged at cutoff {cutoff}"
-            )
-    return level
-
-
 def nonrelativistic_limit_check(
     case,
     charge: int,
@@ -596,14 +580,11 @@ def nonrelativistic_limit_check(
     (hbar w2 for the amplifier; zero for the coupled oscillators). The
     relative error decays like 1/scale.
 
-    ``cutoff`` decides which sectors exist (ValueError otherwise). The
-    coupled oscillators' N_s sector is then solved whole, as its su(2)
-    irrep (``fock.su2_irrep``), so any N_s <= 2 cutoff and index <= N_s is
-    exact. The amplifier's N_d sector is the su(1,1) ladder cut at
-    ``cutoff``; its level is solved again at twice the cutoff, and
-    NotConvergedError is raised when the two differ by more than
-    LIMIT_DOUBLING_TOL·max(|level|, w1 + w2) (the floor: level 1 sits at
-    roundoff of 0). The value at ``cutoff`` is the one reported.
+    ``cutoff`` decides which sectors exist (ValueError otherwise). The level
+    is certified by ``_certified_lowest`` to LIMIT_DOUBLING_TOL, relative
+    with scale floor w1 + w2 (or 1 when both vanish; the amplifier's level
+    1 sits at roundoff of 0). ``eps_model`` is Lam/(E + mc²), with
+    Lam = E² - m²c⁴ the closed form's coupling term, so it cannot cancel.
     """
     return nonrelativistic_limit_checks(case, charge, index, [scale], cutoff)[0]
 
@@ -640,15 +621,18 @@ def nonrelativistic_limit_checks(
             raise ValueError(f"index {index} outside the dim-{sector.dim} sector")
 
         if kind is ModelKind.JC_AJC:
-            e_sq = su11_sector_energy_sq(p, charge, index)
+            lam = _su11_sector_coupling(p, charge, index)
             offset = hbar * case.omega2
         else:
-            e_sq = su2_energy_sq(p, index, 0)
+            lam = _su2_coupling_term(p, index, 0)
             offset = 0.0
-        eps_model = math.sqrt(e_sq) - mc2
+        eps_model = lam / (math.sqrt(lam + mc2**2) + mc2)
 
         if level is None:
-            level = _certified_limit_level(case, sector, index)
+            bands_of = functools.partial(_nonrel_tridiagonal, case)
+            floor = case.omega1 + case.omega2 if wbar > 0 else 1.0
+            levels = _certified_lowest(bands_of, sector, index + 1, LIMIT_DOUBLING_TOL, floor)
+            level = float(levels[index])
         reports.append(LimitReport(
             case=type(case).__name__,
             scale=scale,

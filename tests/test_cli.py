@@ -324,6 +324,10 @@ class TestDomainErrorExitCodes:
         (["limits", "--scales", "0"], "limit scale must be positive and finite, got 0.0"),
         (["coherent-state", "--k", "inf"], "Bargmann index k must be positive and finite"),
         (["wavefunction", "--zeta-re", "nan"], "|zeta| < 1"),
+        (["coherent-state", "--n", "10", "--max-index", "5"], "max_index = 5 is below n = 10"),
+        (["coherent-state", "--max-index", "-1"], "max_index = -1 is below n = 0"),
+        (["coherent-state", "--n", "3", "--max-index", "3"], "(no level in the window"),
+        (["limits", "--case", "ndpa", "--omega1", "0", "--omega2", "0"], "decay exponent undefined"),
     ])
     def test_library_errors_end_at_the_group_boundary(self, runner, argv, fragment):
         _one_line_usage_error(runner.invoke(main, argv), fragment)
@@ -643,7 +647,7 @@ class TestLimitsCommand:
         # The cut N_d ladder misplaces these levels (level 100 is 253.6 at
         # cutoff 160, 132.4 at 320 and 99.0 at 640): doubling refuses them.
         result = runner.invoke(main, ["limits", "--case", "ndpa", "--index", index])
-        _one_line_usage_error(result, f"cutoff doubling moved amplifier limit level {index}")
+        _one_line_usage_error(result, "cutoff doubling moved eigenvalues")
 
 
 class TestConfigPrecedence:

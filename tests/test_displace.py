@@ -1,6 +1,10 @@
+import cmath
+
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twomode_jcx import displace, tridiag
 from twomode_jcx.displace import (
@@ -250,11 +254,16 @@ class TestSu11Ncs:
             su11_ncs_coefficients(0.5, 1, 0.6, max_index=5)
 
     def test_tail_error_names_a_ladder_with_no_state_free_of_the_cut(self):
-        # Every candidate up to the cap is pinned to the cut, so no doubling
-        # change was ever measured; the message must not report one.
-        with pytest.raises(TailError, match="no state free of the cut") as err:
+        # Up to the cap the cut ladder pushes level n out of its window, so
+        # no doubling change was ever measured; the message must not report one.
+        with pytest.raises(TailError, match="no level in the window") as err:
             su11_ncs_coefficients(0.5, 400, 0.99, max_index=2000)
         assert "doubling change" not in str(err.value)
+
+    @pytest.mark.parametrize("n, max_index", [(10, 5), (1, 0), (0, -1)])
+    def test_max_index_below_n_refused_by_name(self, n, max_index):
+        with pytest.raises(ValueError, match=f"max_index = {max_index} is below n = {n}"):
+            su11_ncs_coefficients(0.5, n, 0.3, max_index=max_index)
 
     def test_tail_error_reports_the_last_doubling_change(self):
         with pytest.raises(TailError, match=r"doubling change \d\.\de-\d+ > 1e-12"):
@@ -277,6 +286,75 @@ class TestSu11Ncs:
     def test_non_finite_inputs_rejected_up_front(self, k, zeta, match):
         with pytest.raises(ValueError, match=match):
             su11_ncs_coefficients(k, 0, zeta)
+
+
+def _boundary_mass_pick(algebra, k, n, zeta, length):
+    """The earlier su(1,1) pick of ``displace._tilted_state``: drop each level
+    of the window k + n ± 1/2 with more than 1e-8 of its mass in the top 3
+    rows of the cut ladder, then take the level nearest k + n."""
+    assert algebra is AlgebraKind.SU11
+    z = abs(zeta)
+    den = 1.0 - z * z
+    m = np.arange(length, dtype=float)
+    diag = ((1.0 + z * z) / den) * (k + m)
+    off = (z / den) * np.sqrt(m[1:] * (m[:-1] + 2 * k))
+    target = k + n
+    w, v = tridiag.eigh(diag, off, select="v", select_range=(target - 0.5, target + 0.5))
+    margin = min(3, max(1, length - 1))
+    keep = np.sum(v[-margin:, :] ** 2, axis=0) <= 1e-8
+    w, v = w[keep], v[:, keep]
+    if not w.size:
+        return None
+    i = int(np.argmin(np.abs(w - target)))
+    vec = v[:, i]
+    p = int(np.argmax(np.abs(vec)))
+    sign = np.sign(vec[p]) * displace._det_sign(w[i], diag, off, p)
+    return sign * np.exp(1j * cmath.phase(-zeta) * (m - n)) * vec
+
+
+def _coeffs_or_error(k, n, zeta):
+    try:
+        return su11_ncs_coefficients(k, n, zeta).coeffs
+    except Exception as exc:  # compared by class with the other pick's
+        return type(exc)
+
+
+BARGMANN_K = st.one_of(st.integers(1, 40).map(lambda t: t / 2), st.floats(0.5, 20.0))
+
+
+class TestTopOfWindow:
+    """The top level of the window is the level the boundary-mass filter picked."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=BARGMANN_K, n=st.integers(0, 200), z=st.floats(0.05, 0.95),
+           phase=st.floats(0.0, 2 * np.pi))
+    @example(k=0.5, n=200, z=0.95, phase=0.0)
+    @example(k=20.0, n=200, z=0.95, phase=2.0)
+    def test_equals_the_boundary_mass_pick(self, k, n, z, phase):
+        zeta = z * cmath.exp(1j * phase)
+        got = _coeffs_or_error(k, n, zeta)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(displace, "_tilted_state", _boundary_mass_pick)
+            want = _coeffs_or_error(k, n, zeta)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert not isinstance(got, type), got
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=BARGMANN_K, z=st.floats(0.0, 0.999), length=st.integers(1, 400))
+    def test_cut_ladder_levels_sit_above_the_infinite_ladders(self, k, z, length):
+        # the tilted generator D K0 D† on the first ``length`` ladder states
+        # is a leading block of the infinite one, whose level j is k + j;
+        # bisected, as ``_tilted_state`` solves its window
+        den = 1.0 - z * z
+        m = np.arange(length, dtype=float)
+        diag = ((1.0 + z * z) / den) * (k + m)
+        off = (z / den) * np.sqrt(m[1:] * (m[:-1] + 2 * k))
+        w = tridiag.eigh(diag, off, eigvals_only=True, select="i", select_range=(0, length - 1))
+        norm = tridiag.ladder(diag, off)[2]
+        assert np.all(w >= k + m - 4 * np.finfo(float).eps * norm)
 
 
 class TestSu2Ncs:

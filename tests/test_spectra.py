@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -862,25 +863,37 @@ class TestNonRelativisticLimits:
             assert rep.offset == pytest.approx(2.0)  # hbar * omega2
 
     def test_ndpa_level_reported_at_the_cutoff(self):
-        # certified by doubling, reported as solved at the cutoff 160
+        # the level reported is the certified one, the doubled ladder's: the
+        # cut ladder at cutoff 160 bisects to within its certificate of it
+        # (the doubling tolerance over max(|level|, w1 + w2), bisection
+        # bounds included) and, by interlacing, to no less than it minus the
+        # two bisection bounds
         case = NondegenerateParametricAmplifier(1.0, 2.0)
+        diag, off = spectra._nonrel_tridiagonal(case, sector_basis(160, ChargeKind.DIFFERENCE_ND, 0))
+        bound = sum(tridiag.bisection_bound(*spectra._nonrel_tridiagonal(
+            case, sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, 0))) for cutoff in (160, 320))
         for idx in (0, 1, 2):
             rep = nonrelativistic_limit_check(case, 0, idx, 1e6)
             assert rep.scale == 1e6
-            sec = sector_basis(160, ChargeKind.DIFFERENCE_ND, 0)
-            diag, off = spectra._nonrel_tridiagonal(case, sec)
-            level = tridiag.eigh(diag, np.abs(off), eigvals_only=True, select="i",
-                                 select_range=(idx, idx))
-            assert rep.eps_analytic == float(level[0]) + rep.offset
+            certified = rep.eps_analytic - rep.offset
+            level = float(tridiag.eigh(diag, np.abs(off), eigvals_only=True, select="i",
+                                       select_range=(idx, idx))[0])
+            assert -bound <= level - certified <= spectra.LIMIT_DOUBLING_TOL * max(abs(certified), 3.0)
+            if idx == 1:  # exactly w2 = 2: level 0 of the limit Hamiltonian is 0
+                assert abs(rep.eps_analytic - 2.0) <= bound
 
     @pytest.mark.parametrize("idx", [30, 100])
     def test_ndpa_unconverged_level_refused(self, idx):
-        with pytest.raises(NotConvergedError,
-                           match=f"cutoff doubling moved amplifier limit level {idx} by"):
+        with pytest.raises(NotConvergedError, match="cutoff doubling moved eigenvalues by"):
             nonrelativistic_limit_check(NondegenerateParametricAmplifier(1.0, 2.0), 0, idx, 1e6)
 
-    def test_zero_frequency_amplifier(self):
-        rep = nonrelativistic_limit_check(NondegenerateParametricAmplifier(0.0, 0.0), 0, 0, 1e5)
+    @pytest.mark.parametrize("idx", [0, 1, 2])
+    def test_zero_frequency_amplifier(self, idx):
+        # every level of the limit Hamiltonian is 0, so the scale floor of
+        # its certificate falls back to 1, as the case's mc² does: no 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = nonrelativistic_limit_check(NondegenerateParametricAmplifier(0.0, 0.0), 0, idx, 1e5)
         assert rep.eps_analytic == 0.0
 
     def test_scale_doubling_halves_error(self):
@@ -897,26 +910,36 @@ class TestNonRelativisticLimits:
     @staticmethod
     def _count_solves(monkeypatch):
         calls = []
-        eigh = tridiag.eigh
-        monkeypatch.setattr(tridiag, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        certified = spectra._certified_lowest
+        monkeypatch.setattr(spectra, "_certified_lowest",
+                            lambda *a, **k: calls.append(1) or certified(*a, **k))
         return calls
 
-    @pytest.mark.parametrize("case, solves", [("ndpa", 2), ("coupled-osc", 1)])
-    def test_limits_command_solves_the_level_once(self, monkeypatch, tmp_path, case, solves):
-        # the level does not depend on the scale: the amplifier's is solved
-        # at the cutoff and at twice it, the oscillators' whole, once a call
+    @pytest.mark.parametrize("case", ["ndpa", "coupled-osc"])
+    def test_limits_command_solves_the_level_once(self, monkeypatch, tmp_path, case):
+        # the level does not depend on the scale: it is certified once a
+        # call, by the path ``numeric_spectrum`` takes
         from twomode_jcx.cli import main
 
         calls = self._count_solves(monkeypatch)
         main(["limits", "--case", case, "--out", str(tmp_path / "limits.json")],
              standalone_mode=False)
-        assert len(calls) == solves
+        assert len(calls) == 1
 
     def test_decay_exponent_solves_the_level_once(self, monkeypatch):
         calls = self._count_solves(monkeypatch)
         spectra.limit_decay_exponent(NondegenerateParametricAmplifier(1.0, 2.0), 0, 1,
                                      [1e4, 1e5, 1e6])
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case, charge", [(NondegenerateParametricAmplifier(1.0, 2.0), 0),
+                                              (CoupledOscillators(1.0, 2.0), 2)])
+    def test_first_order_decay_up_to_scale_1e12(self, case, charge):
+        # E - mc² is formed as Lam/(E + mc²): no cancellation at large mc²
+        scales = [1e2, 1e4, 1e6, 1e8, 1e10, 1e12]
+        reports = spectra.nonrelativistic_limit_checks(case, charge, 1, scales)
+        assert all(r.rel_error > 0 for r in reports)
+        assert spectra.decay_exponent(reports) == pytest.approx(-1.0, abs=0.15)
 
     @pytest.mark.parametrize("case, charge", [(NondegenerateParametricAmplifier(1.0, 2.0), 0),
                                               (CoupledOscillators(1.0, 2.0), 2)])
