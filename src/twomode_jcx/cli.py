@@ -182,8 +182,7 @@ def model_options(fn):
         click.option("--f-im", "f_im", type=float, default=0.0, show_default=True),
         click.option("--g-re", "g_re", type=float, default=1.0, show_default=True),
         click.option("--g-im", "g_im", type=float, default=0.0, show_default=True),
-        click.option("--omega", "omega1", type=float, default=0.1, show_default=True, help="Preset frequency (alias of --omega1)."),
-        click.option("--omega1", "omega1", type=float, default=0.1),
+        click.option("--omega1", "--omega", "omega1", type=float, default=0.1, show_default=True, help="Preset frequency."),
         click.option("--omega2", type=float, default=0.2, show_default=True),
         click.option("--phase", type=float, default=0.0, show_default=True),
         click.option("--mc2", type=float, default=1.0, show_default=True),

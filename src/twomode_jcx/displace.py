@@ -365,8 +365,11 @@ def su11_ncs_coefficients(
 
     ``_tilted_state``, with the ladder doubled until it agrees with its
     double to NCS_LADDER_TOL, then trimmed where the tail mass falls below
-    NCS_TAIL_MASS. TailError when that needs states above ``max_index``
-    (default 100 000); ValueError unless 0 < k < inf, |zeta| < 1 and
+    NCS_TAIL_MASS. ``max_index`` (default 100 000) bounds the trimmed state,
+    not the ladders solved, so a state within it is the same bits at any
+    ``max_index``. TailError when no ladder up to MAX_LADDER_LENGTH states
+    agrees with its half, or when the trimmed state reaches an index above
+    ``max_index``; ValueError unless 0 < k < inf, |zeta| < 1 and
     n <= ``max_index``, and when ``max_index`` + 1 or n + 1 exceeds
     MAX_LADDER_LENGTH.
     """
@@ -388,7 +391,7 @@ def su11_ncs_coefficients(
 
     length, prev = max(16, 2 * (n + 1)), None
     while True:
-        length = min(length, top + 1)
+        length = min(length, MAX_LADDER_LENGTH)
         state = _tilted_state(AlgebraKind.SU11, k, n, zeta, length)
         compared = state is not None and prev is not None
         if compared:
@@ -396,16 +399,18 @@ def su11_ncs_coefficients(
             change = max(np.max(np.abs(state[: prev.size] - prev)), tail)
             if change <= NCS_LADDER_TOL:
                 break
-        if length == top + 1:
+        if length == MAX_LADDER_LENGTH:
             why = (
                 f"doubling change {change:.1e} > {NCS_LADDER_TOL:.0e}" if compared
                 else "no level in the window around k + n" if state is None
                 else "no shorter ladder with a level in the window to compare with"
             )
-            raise TailError(f"coherent-state ladder not converged within max_index={top} ({why})")
+            raise TailError(f"coherent-state ladder not converged within {length} states ({why})")
         prev, length = state, 2 * length
     tail_mass = np.cumsum(np.abs(state[::-1]) ** 2)[::-1]
     coeffs = state[: np.count_nonzero(tail_mass >= NCS_TAIL_MASS)]
+    if coeffs.size > top + 1:
+        raise TailError(f"coherent state reaches index {coeffs.size - 1} above max_index={top}")
     return _norm_checked(CoherentStateCoeffs(zeta=zeta, coeffs=coeffs))
 
 

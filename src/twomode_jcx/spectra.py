@@ -314,9 +314,9 @@ def _certified_lowest(bands_of, sector: SectorBasis, count: int, tol: float, flo
     bisections (``tridiag.bisection_bound``), relative with scale floor
     ``floor``, must not exceed ``tol``. The low levels' eigenvectors decay
     geometrically up the ladder, so the shortcut (``_seeded_doubling``)
-    certifies them from their support: it counts the doubled ladder's
-    eigenvalues in a narrow window around each value of a seed of the cut
-    ladder (``tridiag.seeded_eigenvalues``) and bisects nothing. When a
+    certifies them from their support: one count of the doubled ladder's
+    eigenvalues up to the top of narrow disjoint windows around a seed of
+    the cut ladder (``tridiag.seeded_eigenvalues``), bisecting nothing. When a
     check of the shortcut fails (slow decay, clustered levels, a small
     cutoff), the general path (``_doubled_lowest``) solves both ladders by
     index and compares them; it alone raises NotConvergedError. Where the
@@ -350,7 +350,7 @@ def _seeded_doubling(bands, bands2, count, tol, floor):
     seed of the cut ladder ``bands``, its leading block, certifies both
     within ``tol``; None otherwise.
 
-    The counts on the doubled ladder put its k-th level within resid_k of
+    The count on the doubled ladder puts its k-th level within resid_k of
     theta_k; the cut ladder's is no lower (Cauchy interlacing) and, with an
     eigenvalue in each disjoint window, no higher than theta_k + resid_k.
     So a bisection of either lies within its half-width (residual plus its

@@ -31,17 +31,20 @@ for the lowest levels of a ladder whose low eigenvectors decay up the
 ladder, such as an su(1,1) sector of ``models.sector_tridiagonal``. The
 seed is the lowest eigenpairs (theta_k, y_k) of a leading block (on a long
 ladder, ``dsterf`` values of 48 rows refined by ``dstein`` on 96), accepted
-once every residual of (theta_k, [y_k; 0]) on the whole ladder, tail
-|off[m-1]|·|y_k[m-1]| included, is at roundoff. By the symmetric residual
-bound any ladder beginning with that block has an eigenvalue within the
-residual of each theta_k. ``seeded_eigenvalues`` widens each residual by
-the bisection error bound (``bisection_bound``) into a window and checks,
-with value-range ``dstebz`` counts that bisect nothing, that the windows
-are disjoint, that the ladder holds exactly as many eigenvalues up to the
-top of the last window as there are windows, and that each holds one: the
-theta_k are then its lowest levels, each within its window of any bisection
-of them. When a check fails (slow decay, clustered levels, a short ladder)
-the shortcut returns None and the caller solves by index.
+once every residual resid_k of (theta_k, [y_k; 0]) on the whole ladder,
+tail |off[m-1]|·|y_k[m-1]| included, is at roundoff. By the symmetric
+residual bound (Parlett, The Symmetric Eigenvalue Problem) any ladder
+beginning with that block then has an eigenvalue in each window theta_k ±
+(resid_k + ``bisection_bound``), the bound covering the rounding of resid_k
+and of a Sturm count. ``seeded_eigenvalues`` checks that the windows are
+disjoint, so they hold distinct eigenvalues, and with one value-range
+``dstebz`` count, which bisects nothing, that the ladder holds exactly as
+many eigenvalues up to the top of the last window as there are windows:
+then each window holds one and none lies below, so the theta_k are its
+lowest levels, each within its window of any bisection of them. This rests
+on resid_k being the residual ``leading_block_seed`` computed; when a check
+fails (slow decay, clustered levels, a short ladder) the shortcut returns
+None and the caller solves by index.
 
 ``bisection_bound`` is WINDOW_EPS·eps·‖T‖, with ‖T‖ the Gershgorin bound:
 it covers both ``dstebz``'s default stopping tolerance (eps·‖T‖₁) and the
@@ -169,7 +172,8 @@ class LadderSeed(NamedTuple):
     ladder's leading block (``diag``, ``off[:-1]``), and ``resid``, the
     computed residual norm of each seed pair (theta_k, [y_k; 0]) on any
     tridiagonal that begins with these rows and couples the last of them
-    upward by ``off[-1]``."""
+    upward by ``off[-1]``. ``seeded_eigenvalues`` trusts ``resid`` as that
+    residual, so a seed is made by ``leading_block_seed`` alone."""
 
     diag: np.ndarray
     off: np.ndarray
@@ -250,15 +254,13 @@ def seeded_eigenvalues(diag: np.ndarray, off: np.ndarray, seed: LadderSeed,
     With ``norm``, (diag, off, norm) is a ``ladder``.
 
     The ladder must begin with the seed's rows and extend at least one row
-    past them. Each level lies within resid_k of the seed value theta_k, so
-    in its window theta_k ± delta_k, delta_k = resid_k + ``bisection_bound``,
-    with any bisection of it. LAPACK's value-range ``dstebz`` counts, which
-    bisect nothing, certify:
-
-    - the windows are disjoint, so they hold distinct eigenvalues;
-    - the ladder has exactly as many eigenvalues up to the top of the last
-      window as there are windows, so those are its lowest, one per window;
-    - each window holds exactly one eigenvalue, whose value returned is theta_k.
+    past them, and seed.resid must be the residuals ``leading_block_seed``
+    computed: then each window theta_k ± delta_k, delta_k = resid_k +
+    ``bisection_bound``, holds an eigenvalue (the residual bound, rounding
+    covered by the bisection bound). When the windows are disjoint and one
+    value-range ``dstebz`` count, which bisects nothing, finds exactly
+    len(theta) eigenvalues up to the top of the last window, each window
+    holds one and none lies below: theta_k stands for the k-th level.
     """
     d, b, norm = ladder(diag, off) if norm is None else (diag, off, norm)
     m = seed.diag.size
@@ -271,9 +273,6 @@ def seeded_eigenvalues(diag: np.ndarray, off: np.ndarray, seed: LadderSeed,
     lo, hi = theta - delta, theta + delta
     if np.any(lo[1:] <= hi[:-1]):
         return None
-    # each tolerance spans its range, so dstebz counts and bisects nothing
-    for vl, vu, want in [(-np.inf, hi[-1], theta.size), *((a, z, 1) for a, z in zip(lo, hi))]:
-        found, _, _, _, info = dstebz(d, b, 1, vl, vu, 1, 1, 2 * (abs(vu) + norm), "E")
-        if info or found != want:
-            return None
-    return theta, delta
+    # the tolerance spans the range, so dstebz counts and bisects nothing
+    found, _, _, _, info = dstebz(d, b, 1, -np.inf, hi[-1], 1, 1, 2 * (abs(hi[-1]) + norm), "E")
+    return (theta, delta) if not info and found == theta.size else None

@@ -227,11 +227,14 @@ def closed_form_comparison(
 ) -> ClosedFormReport:
     """Evaluate both closed-form variants against the series on random points.
 
-    ``max_dev_sigma_mirror`` checks the diagnosis of the sigma variant: with
-    the Laguerre argument denominator flipped to (1 + sigma) and the sqrt(2)
-    removed, the sigma form evaluated at -zeta reproduces the series at
-    +zeta. A small value pins the mismatch to that sign and the mirrored
-    argument rather than to a loose tolerance.
+    ``max_dev_sigma_mirror`` checks the diagnosis of the sigma variant,
+    |sigma(-zeta) - w(zeta)| / |w(zeta)| with w the resummed form's ratio.
+    Evaluated at -zeta, with the Laguerre argument denominator flipped to
+    (1 + sigma) and the sqrt(2) removed, the sigma variant is then the
+    resummed form at +zeta term by term: (-1)^n (zeta*)^n = (-zeta*)^n,
+    1 - (-zeta) = 1 + zeta and sigma(-zeta) = w(zeta). A small value pins
+    the mismatch to that sign and the mirrored argument rather than to a
+    loose tolerance.
     """
     rng = np.random.default_rng(seed)
     rho = rng.uniform(0.05, 3.0, n_points)
@@ -242,23 +245,7 @@ def closed_form_comparison(
     p = ClosedFormParams(zeta=zeta)
     resummed = ncs_wavefunction_closed(p, n_l, m_n, rho, phi, variant="resummed")
     sigma = ncs_wavefunction_closed(p, n_l, m_n, rho, phi, variant="sigma")
-
-    p_mirror = ClosedFormParams(zeta=-zeta)
-    sig_m = p_mirror.sigma
-    x = rho**2
-    log_norm = 0.5 * (math.lgamma(n_l + 1) - math.lgamma(n_l + m_n + 1))
-    pref = math.exp(log_norm) * ((-1) ** n_l) / _SQRT_PI
-    mirror = (
-        pref
-        * np.exp(1j * m_n * phi)
-        * rho**m_n
-        * (np.conj(zeta)) ** n_l
-        * (1.0 - abs(zeta) ** 2) ** (0.5 * m_n + 0.5)
-        * (1.0 + sig_m) ** n_l
-        * (1.0 + zeta) ** (-(m_n + 1))
-        * np.exp(-x * (1.0 - zeta) / (2.0 * (1.0 + zeta)))
-        * laguerre(n_l, m_n, x * sig_m / ((1.0 + zeta) * (1.0 + sig_m)))
-    )
+    w = (1.0 - abs(zeta) ** 2) / (np.conj(zeta) * (1.0 + zeta))
 
     return ClosedFormReport(
         zeta=zeta,
@@ -266,7 +253,7 @@ def closed_form_comparison(
         m_n=m_n,
         max_dev_resummed=float(np.max(np.abs(resummed - series)) / scale),
         max_dev_sigma=float(np.max(np.abs(sigma - series)) / scale),
-        max_dev_sigma_mirror=float(np.max(np.abs(mirror - series)) / scale),
+        max_dev_sigma_mirror=float(abs(ClosedFormParams(zeta=-zeta).sigma - w) / abs(w)),
         n_points=n_points,
     )
 

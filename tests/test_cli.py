@@ -97,6 +97,16 @@ class TestSpectrumCommand:
             ref = np.sqrt(1 + 0.4 * n_l)
             assert any(abs(r["energy"] - ref) < 1e-12 for r in plus_rows)
 
+    def test_omega_is_a_second_name_of_omega1(self, runner):
+        # one option in --help; whichever name is given last wins
+        help_lines = runner.invoke(main, ["spectrum", "--help"]).output.splitlines()
+        assert [ln.split()[:2] for ln in help_lines if "--omega" in ln and "--omega2" not in ln] \
+            == [["--omega1,", "--omega"]]
+        base = ["spectrum", "--case", "dirac2p1", "--nmax", "2", "--mmax", "1"]
+        outputs = {argv: runner.invoke(main, [*base, *argv.split()]).output for argv in (
+            "--omega1 0.3", "--omega 0.3", "--omega 0.1 --omega1 0.3", "--omega1 0.1 --omega 0.3")}
+        assert len(set(outputs.values())) == 1, outputs
+
     def test_empty_grid(self, runner):
         result = runner.invoke(
             main, ["spectrum", "--nmax", "-1", "--mmax", "3", "--format", "json"]
@@ -326,8 +336,9 @@ class TestDomainErrorExitCodes:
         (["wavefunction", "--zeta-re", "nan"], "|zeta| < 1"),
         (["coherent-state", "--n", "10", "--max-index", "5"], "max_index = 5 is below n = 10"),
         (["coherent-state", "--max-index", "-1"], "max_index = -1 is below n = 0"),
-        (["coherent-state", "--n", "3", "--max-index", "3"], "(no level in the window"),
+        (["coherent-state", "--n", "100000", "--zeta-re", "0.99"], "(no level in the window"),
         (["limits", "--case", "ndpa", "--omega1", "0", "--omega2", "0"], "decay exponent undefined"),
+        (["coherent-state", "--n", "3", "--max-index", "3"], "reaches index 32 above max_index=3"),
     ])
     def test_library_errors_end_at_the_group_boundary(self, runner, argv, fragment):
         _one_line_usage_error(runner.invoke(main, argv), fragment)

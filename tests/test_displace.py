@@ -209,6 +209,9 @@ class TestSimilarityCoefficients:
         assert rep.max_residual <= 1e-14
 
 
+BARGMANN_K = st.one_of(st.integers(1, 40).map(lambda t: t / 2), st.floats(0.5, 20.0))
+
+
 class TestSu11Ncs:
     def test_zeta_zero_unit_vector(self):
         c = su11_ncs_coefficients(1.5, 3, 0.0)
@@ -250,15 +253,20 @@ class TestSu11Ncs:
         assert np.sum(np.abs(col[size:]) ** 2) < 1e-24 <= np.sum(np.abs(col[size - 1 :]) ** 2)
 
     def test_tail_error_when_capped(self):
-        with pytest.raises(TailError):
+        with pytest.raises(TailError, match="reaches index 62 above max_index=5"):
             su11_ncs_coefficients(0.5, 1, 0.6, max_index=5)
 
     def test_tail_error_names_a_ladder_with_no_state_free_of_the_cut(self):
-        # Up to the cap the cut ladder pushes level n out of its window, so
-        # no doubling change was ever measured; the message must not report one.
+        # n + 1 > MAX_LADDER_LENGTH / 2: the first ladder is already at the
+        # cap, and it pushes level n out of its window, so no doubling change
+        # was ever measured; the message must not report one.
         with pytest.raises(TailError, match="no level in the window") as err:
-            su11_ncs_coefficients(0.5, 400, 0.99, max_index=2000)
+            su11_ncs_coefficients(0.5, 100_000, 0.99)
         assert "doubling change" not in str(err.value)
+
+    def test_tail_error_names_a_first_ladder_at_the_cap(self):
+        with pytest.raises(TailError, match="no shorter ladder with a level in the window"):
+            su11_ncs_coefficients(0.5, 70_000, 0.01)
 
     @pytest.mark.parametrize("n, max_index", [(10, 5), (1, 0), (0, -1)])
     def test_max_index_below_n_refused_by_name(self, n, max_index):
@@ -266,8 +274,28 @@ class TestSu11Ncs:
             su11_ncs_coefficients(0.5, n, 0.3, max_index=max_index)
 
     def test_tail_error_reports_the_last_doubling_change(self):
+        # |zeta| = 0.9999: the state's tail outlasts MAX_LADDER_LENGTH states
         with pytest.raises(TailError, match=r"doubling change \d\.\de-\d+ > 1e-12"):
-            su11_ncs_coefficients(0.5, 1, 0.9, max_index=200)
+            su11_ncs_coefficients(0.5, 1, 0.9999, max_index=200)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=BARGMANN_K, n=st.integers(0, 200), z=st.floats(0.0, 0.95),
+           phase=st.floats(0.0, 2 * np.pi),
+           extra=st.one_of(st.integers(0, 400), st.integers(0, 99_800)))
+    @example(k=0.5, n=1, z=0.01, phase=0.0, extra=14)
+    def test_max_index_bounds_the_state_not_the_ladder(self, k, n, z, phase, extra):
+        # any max_index >= n (up to the default) either refuses a state that
+        # reaches past it or returns the default's bits
+        zeta = z * cmath.exp(1j * phase)
+        want = _coeffs_or_error(k, n, zeta)
+        got = _coeffs_or_error(k, n, zeta, max_index=n + extra)
+        if isinstance(want, type):
+            assert got is want
+        elif got is TailError:
+            assert want.size > n + extra + 1
+        else:
+            assert not isinstance(got, type), got
+            assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_invalid_zeta(self):
         with pytest.raises(ValueError):
@@ -312,14 +340,11 @@ def _boundary_mass_pick(algebra, k, n, zeta, length):
     return sign * np.exp(1j * cmath.phase(-zeta) * (m - n)) * vec
 
 
-def _coeffs_or_error(k, n, zeta):
+def _coeffs_or_error(k, n, zeta, **kwargs):
     try:
-        return su11_ncs_coefficients(k, n, zeta).coeffs
+        return su11_ncs_coefficients(k, n, zeta, **kwargs).coeffs
     except Exception as exc:  # compared by class with the other pick's
         return type(exc)
-
-
-BARGMANN_K = st.one_of(st.integers(1, 40).map(lambda t: t / 2), st.floats(0.5, 20.0))
 
 
 class TestTopOfWindow:
