@@ -42,7 +42,8 @@ MAX_ROWS = MAX_LADDER_LENGTH
 # Largest diagonalize and verify cutoff. Cutoff doubling solves each N_d
 # sector again on up to 2 cutoff + 1 states; with --count near the sector size
 # it keeps every eigenvector of that ladder, 4095² doubles (134 MB) at the cap.
-# An N_s sector (N_s <= 2 cutoff) is one eigenvalue-only solve of N_s + 1 states.
+# An N_s sector (N_s <= 2 cutoff) of N_s + 1 states is one eigenvalue-only solve,
+# or a seed of at most tridiag.WHOLE_COUNT_LIMIT of its eigenvectors (1.6 MB at the cap).
 # verify's su(2) spectrum stage grows roughly as cutoff³ (0.4 s at the cap).
 MAX_CUTOFF = 2047
 

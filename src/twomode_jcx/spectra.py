@@ -302,8 +302,13 @@ def _certified_lowest(bands_of, sector: SectorBasis, count: int, tol: float, flo
 
     An N_s sector is a finite su(2) irrep whatever the cutoff of
     ``sector``: it is solved whole (``fock.su2_irrep``, N_s + 1 states, no
-    truncated term), by one eigenvalue-only solve of indices
-    0..count - 1, so ``count`` may reach N_s + 1.
+    truncated term), so ``count`` may reach N_s + 1. Its low eigenvectors
+    spread over the whole irrep, so its levels are certified from a seed of
+    the whole irrep: a coarse bisection, inverse iteration and one count,
+    each level within twice the bisection bound of its exact value
+    (``tridiag.whole_ladder_eigenvalues``). Small irreps, many levels, zero
+    couplings and failed checks take one eigenvalue-only index solve
+    (``_lowest``) instead.
 
     An N_d sector is a cut su(1,1) ladder: the leading block of the
     untruncated ladder, so by Cauchy interlacing each of its eigenvalues
@@ -328,7 +333,9 @@ def _certified_lowest(bands_of, sector: SectorBasis, count: int, tol: float, flo
     if not 1 <= count <= sector.dim:
         raise ValueError(f"requested {count} levels from a dim-{sector.dim} sector")
     if sector.charge_kind is ChargeKind.SUM_NS:
-        return _lowest(bands_of(sector), count)
+        bands = bands_of(sector)
+        cut = tridiag.whole_ladder_eigenvalues(*bands, count)
+        return _lowest(bands, count) if cut is None else cut[0]
 
     doubled = sector_basis(2 * sector.parent_cutoff, sector.charge_kind, sector.charge_value)
     diag2, off2 = bands_of(doubled)

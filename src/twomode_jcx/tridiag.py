@@ -46,6 +46,20 @@ on resid_k being the residual ``leading_block_seed`` computed; when a check
 fails (slow decay, clustered levels, a short ladder) the shortcut returns
 None and the caller solves by index.
 
+``whole_ladder_eigenvalues`` makes the same two checks for a ladder whose
+low eigenvectors spread over all of it, such as a finite su(2) irrep. Its
+seed spans the whole ladder (no tail row) and holds one level more than it
+certifies: a coarse index bisection (to SEED_COARSE of the mean level
+spacing ‖T‖/dim), ``dstein``'s vectors there and their Rayleigh quotients
+theta_k. Their residuals are far above roundoff, so each window is then
+narrowed by the Kato–Temple bound (Kato, J. Phys. Soc. Japan 4, 1949):
+once the disjoint windows and the count prove the gap between the windows
+below and above level k eigenvalue-free, that level lies within
+resid_k²/gap_k of theta_k, gap_k its distance to the nearer of them; the
+extra level bounds the gap above the top one. A window still wider than
+twice the bisection bound declines the ladder, so a certified level is as
+accurate as a bisection of it.
+
 ``bisection_bound`` is WINDOW_EPS·eps·‖T‖, with ‖T‖ the Gershgorin bound:
 it covers both ``dstebz``'s default stopping tolerance (eps·‖T‖₁) and the
 rounding of its Sturm counts (Demmel & Kahan, SIAM J. Sci. Stat. Comput.
@@ -92,12 +106,18 @@ else:
     dstebz, dstein, dstevd = _flapack.dstebz, _flapack.dstein, _flapack.dstevd
     dsterf = _flapack.dsterf
 
-# The leading-block shortcut (``leading_block_seed``, ``seeded_eigenvalues``):
+# The seeded shortcuts (``leading_block_seed`` and ``seeded_eigenvalues``; ``whole_ladder_eigenvalues``):
 SEED_START = 48  # rows of the first leading block tried; doubled up to the cap
 SEED_RESID_EPS = 4.0  # a seed is accepted once every residual is below this many eps·‖T‖
 SEED_REFINE = 1e-2  # a larger block refines the seed when residual/spacing is below this
 WINDOW_EPS = 8.0  # bisection error bound, in eps·‖T‖; widens each seed window
 SEED_NORM_MAX = 1e150  # beyond this ‖T‖ the shortcut declines, so no square in it overflows
+SEED_COARSE = 1e-3  # a whole-ladder seed's bisection tolerance, in mean level spacings ‖T‖/dim
+# A whole ladder is certified only from WHOLE_MIN_ROWS rows and for fewer than
+# WHOLE_COUNT_LIMIT levels: measured on su(2) irreps, a smaller ladder bisects
+# faster than the seed's fixed cost, and dstein's reorthogonalization grows as count².
+WHOLE_MIN_ROWS = 96
+WHOLE_COUNT_LIMIT = 48
 EPS = np.finfo(float).eps
 _SELECT = {"a": 0, "v": 1, "i": 2}  # LAPACK's RANGE codes: all, value, index
 
@@ -197,6 +217,34 @@ def bisection_bound(diag: np.ndarray, off: np.ndarray, norm: float | None = None
     return WINDOW_EPS * EPS * (ladder(diag, off)[2] if norm is None else norm)
 
 
+def _rayleigh(d: np.ndarray, e: np.ndarray, v: np.ndarray, tail: float) -> tuple:
+    """Rayleigh quotients of the columns of ``v`` on the tridiagonal (d, e),
+    and the residual norm of each pair on a ladder that continues past
+    these rows through the coupling ``tail`` (0 for the whole ladder)."""
+    tv = d[:, None] * v
+    tv[:-1] += e[:, None] * v[1:]
+    tv[1:] += e[:, None] * v[:-1]
+    w = np.sum(v * tv, axis=0)
+    return w, tail * np.abs(v[-1]) + np.linalg.norm(tv - w * v, axis=0)
+
+
+def _windows(theta: np.ndarray, resid: np.ndarray, bound: float) -> np.ndarray | None:
+    """Half-widths resid_k + ``bound`` of the windows theta_k ± that much,
+    each holding an eigenvalue, or None when two of them overlap (or the
+    theta_k are not ascending)."""
+    delta = resid + bound
+    lo, hi = theta - delta, theta + delta
+    return None if np.any(lo[1:] <= hi[:-1]) else delta
+
+
+def _count_up_to(d: np.ndarray, b: np.ndarray, norm: float, top: float) -> int:
+    """How many eigenvalues of the ladder (d, b, norm) lie at or below
+    ``top``, by one value-range ``dstebz`` whose tolerance spans the range,
+    so that it counts and bisects nothing; -1 when LAPACK fails."""
+    found, _, _, _, info = dstebz(d, b, 1, -np.inf, top, 1, 1, 2 * (abs(top) + norm), "E")
+    return -1 if info else found
+
+
 def leading_block_seed(diag: np.ndarray, off: np.ndarray, count: int,
                        norm: float | None = None) -> LadderSeed | None:
     """Seed of the lowest ``count`` levels of the ladder (diag, |off|) from
@@ -233,11 +281,7 @@ def leading_block_seed(diag: np.ndarray, off: np.ndarray, count: int,
                 w, v = eigh(d[:m], e, select="i", select_range=(0, count - 1))
         except LinAlgError:
             return None
-        tv = d[:m, None] * v
-        tv[:-1] += e[:, None] * v[1:]
-        tv[1:] += e[:, None] * v[:-1]
-        w = np.sum(v * tv, axis=0)  # Rayleigh quotients
-        resid = b[m - 1] * np.abs(v[-1]) + np.linalg.norm(tv - w * v, axis=0)
+        w, resid = _rayleigh(d[:m], e, v, b[m - 1])
         if np.all(resid <= SEED_RESID_EPS * EPS * norm):
             return LadderSeed(d[:m], b[:m], w, resid)
         if m == cap:
@@ -269,10 +313,59 @@ def seeded_eigenvalues(diag: np.ndarray, off: np.ndarray, seed: LadderSeed,
     ):
         return None
     theta = seed.theta
-    delta = seed.resid + bisection_bound(d, b, norm)
-    lo, hi = theta - delta, theta + delta
-    if np.any(lo[1:] <= hi[:-1]):
+    delta = _windows(theta, seed.resid, bisection_bound(d, b, norm))
+    if delta is None or _count_up_to(d, b, norm, theta[-1] + delta[-1]) != theta.size:
         return None
-    # the tolerance spans the range, so dstebz counts and bisects nothing
-    found, _, _, _, info = dstebz(d, b, 1, -np.inf, hi[-1], 1, 1, 2 * (abs(hi[-1]) + norm), "E")
-    return (theta, delta) if not info and found == theta.size else None
+    return theta, delta
+
+
+def whole_ladder_eigenvalues(diag: np.ndarray, off: np.ndarray, count: int) -> tuple | None:
+    """(values, half-widths) of the lowest ``count`` eigenvalues of the
+    ladder (diag, |off|), certified from a seed spanning all of it; None
+    when a gate or a check declines the ladder.
+
+    The seed is the lowest count + 1 eigenvalues, bisected by index to
+    SEED_COARSE of the mean level spacing ‖T‖/dim (close enough for
+    ``dstein`` to converge within its iterations), and the Rayleigh
+    quotients theta_k and residuals resid_k of their ``dstein`` vectors.
+    Its windows theta_k ± (resid_k + ``bisection_bound``) are checked as
+    ``seeded_eigenvalues`` checks a leading block's: disjoint, and holding
+    exactly count + 1 eigenvalues up to the top of the last. Each of the
+    lowest ``count`` is then narrowed by Kato–Temple to
+    min(resid_k, resid_k²/gap_k) + ``bisection_bound``, gap_k the distance
+    from theta_k to the nearer neighbouring window (below the lowest, none),
+    and must not be wider than twice the bisection bound.
+
+    The gates come before any work, where the seed cannot be cheaper than
+    bisecting the levels outright: fewer than WHOLE_MIN_ROWS rows, ``count``
+    at least WHOLE_COUNT_LIMIT, a zero off-diagonal (the ladder splits, and
+    its blocks bisect quickly) and ‖T‖ above SEED_NORM_MAX.
+    """
+    if not (count < WHOLE_COUNT_LIMIT and WHOLE_MIN_ROWS <= len(diag) and off.all()):
+        return None
+    d, b, norm = ladder(diag, off)
+    if not norm <= SEED_NORM_MAX:
+        return None
+    try:
+        # block order ("B") for dstein; should the ladder split, unsorted
+        # values give overlapping windows, and the ladder is declined
+        m, w, iblock, isplit, info = dstebz(
+            d, b, 2, 0.0, 1.0, 1, count + 1, SEED_COARSE * norm / d.size, "B"
+        )
+        _check_info(info, "dstebz")
+        v, info = dstein(d, b, w[:m], iblock, isplit)
+        _check_info(info, "dstein")
+    except LinAlgError:
+        return None
+    theta, resid = _rayleigh(d, b, v, 0.0)
+    bound = bisection_bound(d, b, norm)
+    delta = _windows(theta, resid, bound)
+    if delta is None:
+        return None
+    t, r = theta[:-1], resid[:-1]
+    hi = theta + delta
+    gap = np.minimum(t - np.concatenate(([-np.inf], hi[:-2])), theta[1:] - delta[1:] - t)
+    width = np.minimum(r, r * r / gap) + bound
+    if np.any(width > 2 * bound) or _count_up_to(d, b, norm, hi[-1]) != count + 1:
+        return None
+    return t, width

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from twomode_jcx import spectra, tridiag
 from twomode_jcx.errors import DegenerateCouplingError, DomainError, NotConvergedError
-from twomode_jcx.fock import ChargeKind, build_basis, get_sector, sector_basis
+from twomode_jcx.fock import ChargeKind, build_basis, get_sector, sector_basis, su2_irrep
 from twomode_jcx.models import Branch, Component, ModelKind, ModelParams, sector_tridiagonal
 from twomode_jcx.spectra import (
     CoupledOscillators,
@@ -430,6 +430,17 @@ def _bisecting_windows(diag, off, seed):
     return values, delta
 
 
+def _log_lapack(monkeypatch):
+    """Log (name, args) of every LAPACK call ``tridiag`` makes; returns the log."""
+    log = []
+    for name in ("dstebz", "dstein", "dsterf", "dstevd"):
+        def logged(*args, _name=name, _routine=getattr(tridiag, name), **kwargs):
+            log.append((_name, args))
+            return _routine(*args, **kwargs)
+        monkeypatch.setattr(tridiag, name, logged)
+    return log
+
+
 def _seed(theta, resid, diag, off):
     """A hand-made seed of the ladder (diag, off) on its first 40 rows."""
     return tridiag.LadderSeed(diag[:40], np.abs(off[:40]), np.asarray(theta, dtype=float),
@@ -621,12 +632,7 @@ class TestLeadingBlockShortcut:
         # The benchmark's sizes at tilt 0.8: per sector one QR seed, at most
         # two inverse iterations and one value-range count on the doubled
         # ladder; nothing bisected, no index solve, no general path.
-        log = []
-        for name in ("dstebz", "dstein", "dsterf", "dstevd"):
-            def logged(*args, _name=name, _routine=getattr(tridiag, name), **kwargs):
-                log.append((_name, args))
-                return _routine(*args, **kwargs)
-            monkeypatch.setattr(tridiag, name, logged)
+        log = _log_lapack(monkeypatch)
 
         def general_path(*args):
             raise AssertionError("the general path ran")
@@ -646,6 +652,123 @@ class TestLeadingBlockShortcut:
             for d, _, select, *_, abstol, _ in counts:
                 assert (select, d.size) == (1, 2 * cutoff + 1 - abs(charge))
                 assert abstol > 0
+
+
+def _irrep_bands(p, component, n_s):
+    """(diag, off) of the JC_JC su(2) irrep N_s = ``n_s``."""
+    return sector_tridiagonal(ModelKind.JC_JC, component, p, su2_irrep(n_s))
+
+
+def _su2_levels(p, n_s, count, component):
+    """The closed form's lowest ``count`` E² of the irrep N_s: the irrep's
+    states (n_a, N_s - n_a) give m_n = |n_a - n_b| and the inner sign of
+    n_a - n_b, as in verify's su(2) spectrum check; the lower component is
+    shifted by hbar²(|f|² + |g|²)."""
+    diff = 2 * np.arange(n_s + 1) - n_s
+    m_n = np.abs(diff)
+    levels = np.sort(su2_energy_sq(p, (n_s - m_n) // 2, m_n, np.where(diff < 0, -1, 1)))[:count]
+    return levels if component is Component.UPPER else levels + p.hbar**2 * (abs(p.f) ** 2 + abs(p.g) ** 2)
+
+
+class TestWholeIrrepSeed:
+    """An su(2) irrep of WHOLE_MIN_ROWS rows or more, asked for fewer than
+    WHOLE_COUNT_LIMIT levels, is certified from a seed spanning the whole
+    irrep: a coarse index bisection, inverse iteration, Kato–Temple windows
+    and one count. Its levels are bisection's, within twice the bisection
+    bound; every other irrep is one index solve, bit for bit."""
+
+    @pytest.mark.parametrize("component", list(Component))
+    @pytest.mark.parametrize("n_s", [398, 399])
+    def test_certified_irrep_work_is_pinned(self, monkeypatch, n_s, component):
+        # The benchmark's sizes at tilt 0.6: one coarse index bisection and
+        # one inverse iteration of 9 levels, one value-range count; no
+        # full-precision bisection of the irrep, no second dstein.
+        p = _tilted(0.6, 1.0, phases=(0.3, 1.1))
+        bands = _irrep_bands(p, component, n_s)
+        log = _log_lapack(monkeypatch)
+        residuals = []
+
+        def rayleigh(*args, _routine=tridiag._rayleigh):
+            theta, resid = _routine(*args)
+            residuals.append(resid)
+            return theta, resid
+
+        monkeypatch.setattr(tridiag, "_rayleigh", rayleigh)
+        got = numeric_spectrum(ModelKind.JC_JC, component, p, su2_irrep(n_s), 8)
+        names = [name for name, _ in log]
+        assert names == ["dstebz", "dstein", "dstebz"], names
+        # dstebz(d, e, range, vl, vu, il, iu, abstol, order): 1 is a value range, 2 an index range
+        (d, _, select, *_, abstol, _), _ = (args for name, args in log if name == "dstebz")
+        assert (select, d.size) == (2, n_s + 1) and abstol > 0
+        counts = [args for name, args in log if name == "dstebz" and args[2] == 1]
+        assert len(counts) == 1 and counts[0][7] > 0
+        # the residual bound alone is far wider: Kato–Temple certifies
+        (resid,) = residuals
+        assert np.max(resid) > 2 * tridiag.bisection_bound(*bands)
+        np.testing.assert_allclose(got, _su2_levels(p, n_s, 8, component), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n_s, count, g", [
+        (tridiag.WHOLE_MIN_ROWS - 2, 8, 0.5),  # one row short
+        (400, tridiag.WHOLE_COUNT_LIMIT, 0.5),
+        (400, 8, 0.0),  # zero off-diagonals
+    ])
+    def test_gates_decline_before_any_lapack_call(self, monkeypatch, n_s, count, g):
+        bands = _irrep_bands(ModelParams(f=1.0, g=g), Component.UPPER, n_s)
+        log = _log_lapack(monkeypatch)
+        assert tridiag.whole_ladder_eigenvalues(*bands, count) is None
+        assert log == []
+
+    def test_smallest_certified_irrep(self):
+        bands = _irrep_bands(ModelParams(f=1.0, g=0.5j), Component.UPPER, tridiag.WHOLE_MIN_ROWS - 1)
+        count = tridiag.WHOLE_COUNT_LIMIT - 1
+        vals, width = tridiag.whole_ladder_eigenvalues(*bands, count)
+        bound = tridiag.bisection_bound(*bands)
+        assert vals.size == count and np.all(width <= 2 * bound)
+        assert np.all(np.abs(vals - spectra._lowest(bands, count)) <= width + bound)
+
+    def test_too_coarse_a_seed_declines_to_the_index_solve(self, monkeypatch):
+        # A seed bisected to a tenth of the spectrum: its windows overlap or
+        # stay too wide (or dstein fails), and the irrep is solved by index.
+        p = _tilted(0.6)
+        bands = _irrep_bands(p, Component.UPPER, 300)
+        monkeypatch.setattr(tridiag, "SEED_COARSE", 30.0)
+        assert tridiag.whole_ladder_eigenvalues(*bands, 8) is None
+        got = numeric_spectrum(ModelKind.JC_JC, Component.UPPER, p, su2_irrep(300), 8)
+        np.testing.assert_array_equal(got, spectra._lowest(bands, 8) + p.mc2**2)
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(
+        log_f=st.floats(math.log(1e-3), math.log(1e4)),
+        log_g=st.floats(math.log(1e-3), math.log(1e4)),
+        phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+        case=st.sampled_from(["free", "free", "free", "g=0", "f=0", "|f|=|g|"]),
+        log_mc2=st.floats(math.log(1e-3), math.log(1e3)),
+        n_s=st.integers(48, 1200),
+        count=st.integers(1, 24),
+        component=st.sampled_from(list(Component)),
+    )
+    def test_certified_levels_are_bisections(
+        self, log_f, log_g, phases, case, log_mc2, n_s, count, component
+    ):
+        # Couplings across seven decades and both dominances: a certified
+        # level lies within its half-width plus the bisection bound of the
+        # index solve's, each half-width at most twice the bound; a declined
+        # irrep (zero couplings among them) is the index solve, bit for bit.
+        fa, ga = math.exp(log_f), math.exp(log_g)
+        fa, ga = {"g=0": (fa, 0.0), "f=0": (0.0, ga), "|f|=|g|": (fa, fa)}.get(case, (fa, ga))
+        p = ModelParams(f=cmath.rect(fa, phases[0]), g=cmath.rect(ga, phases[1]), mc2=math.exp(log_mc2))
+        bands = _irrep_bands(p, component, n_s)
+        lowest = spectra._lowest(bands, count)
+        got = numeric_spectrum(ModelKind.JC_JC, component, p, su2_irrep(n_s), count)
+        cut = tridiag.whole_ladder_eigenvalues(*bands, count)
+        if cut is None:
+            np.testing.assert_array_equal(got, lowest + p.mc2**2)
+            return
+        vals, width = cut
+        bound = tridiag.bisection_bound(*bands)
+        np.testing.assert_array_equal(got, vals + p.mc2**2)
+        assert np.all(width <= 2 * bound), width / bound
+        assert np.all(np.abs(vals - lowest) <= width + bound), (vals - lowest) / bound
 
 
 _LOG_COUPLING = st.floats(math.log(1e-4), math.log(1e8))
