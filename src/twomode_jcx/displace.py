@@ -27,7 +27,8 @@ with alpha = sinh 2|xi|, beta = (cosh 2|xi| - 1)/2, and the su(2) analogues
 carry delta = sin 2|xi|, eps = (cos 2|xi| - 1)/2 and a minus sign on the G0
 transfer of G±. Number coherent states D(xi)|n> are eigenvectors of the
 tilted generator D G0 D†, tridiagonal on the irrep ladder: that of the top
-level in the window lowest + n ± 1/2, certified on a cut ladder by doubling.
+level in the window lowest + n ± 1/2, certified on a cut su(1,1) ladder by
+the tail residual of the same solve.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def __getattr__(name):
 
 UNITARITY_TOL = 1e-10
 NCS_NORM_TOL = 1e-10
-NCS_LADDER_TOL = 1e-12  # coefficient change allowed under ladder doubling
+NCS_LADDER_TOL = 1e-12  # truncation error allowed per coefficient; roundoff is not covered
 NCS_TAIL_MASS = 1e-24  # coefficient mass left out when the series is trimmed
 # Longest irrep ladder a coherent state may request (su(1,1) max_index + 1,
 # su(2) 2j + 1). The solve holds about 110 bytes per ladder state (the
@@ -320,8 +321,9 @@ def _det_sign(lam: float, diag: np.ndarray, off: np.ndarray, p: int) -> int:
 
 
 def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, length: int):
-    """D(xi)|n> on the first ``length`` ladder states |m>, G0 = lowest + m
-    (lowest = k or -j); None when no level lies in the window.
+    """(D(xi)|n> on the first ``length`` ladder states |m>, its tail
+    residual), G0 = lowest + m (lowest = k or -j); (None, inf) when no
+    level lies in the window.
 
     D|n> is the eigenvector, eigenvalue lowest + n, of D G0 D† = c0 G0 +
     c+ G+ + c- G- (``similarity_coefficients(algebra, -xi).zero``), here in
@@ -331,28 +333,30 @@ def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, le
     u = c+/|c+| (as in ``displacement_direct``), and solved in the window
     lowest + n ± 1/2. A cut su(1,1) ladder is a leading block, so by
     min-max its level j is at least lowest + j: no level above n enters
-    the window, and its top level is taken (a short ladder may push level n
-    out and a lower one in; the caller's doubling rejects that). Gauge: c_0
-    is (-zeta*)^n times a positive number and can underflow, so the sign of
-    w is read at its peak p, where w_p / w_0 = det(lam - T[:p, :p]) /
-    (product of the subdiagonal).
+    the window, and its top level y is taken (a short ladder may push level
+    n out and a lower one in; its residual shows that). The tail residual
+    |off_L|·|y[L-1]|, off_L coupling the last state to the first one cut
+    off, is that of [y; 0] on the uncut ladder (0 on a whole su(2) irrep).
+    Gauge: c_0 is (-zeta*)^n times a positive number and can underflow, so
+    the sign of y is read at its peak p, where y_p / y_0 = det(lam -
+    T[:p, :p]) / (product of the subdiagonal).
     """
     su11 = algebra is AlgebraKind.SU11
     z = abs(zeta)
     num, den = (1.0 + z * z, 1.0 - z * z) if su11 else (1.0 - z * z, 1.0 + z * z)
-    m = np.arange(length, dtype=float)
+    m = np.arange(length + 1, dtype=float)  # the ladder states and the first one cut off
     span = m[:-1] + 2 * lowest if su11 else -2 * lowest - m[:-1]
-    diag = (num / den) * (lowest + m)
+    diag = (num / den) * (lowest + m[:-1])
     off = (z / den) * np.sqrt(m[1:] * span)
     target = lowest + n
-    w, v = tridiag.eigh(diag, off, select="v", select_range=(target - 0.5, target + 0.5))
+    w, v = tridiag.eigh(diag, off[:-1], select="v", select_range=(target - 0.5, target + 0.5))
     if not w.size:
-        return None
+        return None, math.inf
     vec = v[:, -1]
     p = int(np.argmax(np.abs(vec)))
     sign = np.sign(vec[p]) * _det_sign(w[-1], diag, off, p)
     # u^m (-zeta*)^n / |zeta|^n = e^{i arg(-zeta) (m - n)}
-    return sign * np.exp(1j * cmath.phase(-zeta) * (m - n)) * vec
+    return sign * np.exp(1j * cmath.phase(-zeta) * (m[:-1] - n)) * vec, abs(off[-1] * vec[-1])
 
 
 def su11_ncs_coefficients(
@@ -363,13 +367,19 @@ def su11_ncs_coefficients(
 ) -> CoherentStateCoeffs:
     """Number coherent state |zeta, k, n> = D(xi)|k, n> in the discrete-series ladder.
 
-    ``_tilted_state``, with the ladder doubled until it agrees with its
-    double to NCS_LADDER_TOL, then trimmed where the tail mass falls below
-    NCS_TAIL_MASS. ``max_index`` (default 100 000) bounds the trimmed state,
-    not the ladders solved, so a state within it is the same bits at any
-    ``max_index``. TailError when no ladder up to MAX_LADDER_LENGTH states
-    agrees with its half, or when the trimmed state reaches an index above
-    ``max_index``; ValueError unless 0 < k < inf, |zeta| < 1 and
+    ``_tilted_state`` on ladders of max(16, 2(n + 1)) states doubled up to
+    MAX_LADDER_LENGTH, the first with tail residual r ≤ NCS_LADDER_TOL/2,
+    trimmed where the tail mass falls below NCS_TAIL_MASS. D G0 D† has the
+    exact spectrum k + ℕ, so by the sin θ theorem (Davis & Kahan, SIAM J.
+    Numer. Anal. 7, 1970; Parlett, The Symmetric Eigenvalue Problem, §11)
+    the angle φ to D|k, n> has sin φ ≤ r/(1 - r), and each coefficient lies
+    within √2·r/(1 - r) < NCS_LADDER_TOL of its exact value. That bounds
+    truncation only: the roundoff of the solve, growing as |zeta| -> 1, is
+    not certified. ``max_index`` (default 100 000) bounds the trimmed
+    state, not the ladders solved, so a state within it is the same bits at
+    any ``max_index``. TailError when no ladder up to MAX_LADDER_LENGTH
+    states meets the residual bound, or when the trimmed state reaches an
+    index above ``max_index``; ValueError unless 0 < k < inf, |zeta| < 1 and
     n <= ``max_index``, and when ``max_index`` + 1 or n + 1 exceeds
     MAX_LADDER_LENGTH.
     """
@@ -389,24 +399,19 @@ def su11_ncs_coefficients(
         coeffs[n] = 1.0
         return CoherentStateCoeffs(zeta=zeta, coeffs=coeffs)
 
-    length, prev = max(16, 2 * (n + 1)), None
+    length = max(16, 2 * (n + 1))
     while True:
         length = min(length, MAX_LADDER_LENGTH)
-        state = _tilted_state(AlgebraKind.SU11, k, n, zeta, length)
-        compared = state is not None and prev is not None
-        if compared:
-            tail = np.linalg.norm(state[prev.size :])
-            change = max(np.max(np.abs(state[: prev.size] - prev)), tail)
-            if change <= NCS_LADDER_TOL:
-                break
+        state, resid = _tilted_state(AlgebraKind.SU11, k, n, zeta, length)
+        if resid <= NCS_LADDER_TOL / 2:
+            break
         if length == MAX_LADDER_LENGTH:
             why = (
-                f"doubling change {change:.1e} > {NCS_LADDER_TOL:.0e}" if compared
-                else "no level in the window around k + n" if state is None
-                else "no shorter ladder with a level in the window to compare with"
+                "no level in the window around k + n" if state is None
+                else f"tail residual {resid:.1e} > {NCS_LADDER_TOL / 2:.0e}"
             )
             raise TailError(f"coherent-state ladder not converged within {length} states ({why})")
-        prev, length = state, 2 * length
+        length *= 2
     tail_mass = np.cumsum(np.abs(state[::-1]) ** 2)[::-1]
     coeffs = state[: np.count_nonzero(tail_mass >= NCS_TAIL_MASS)]
     if coeffs.size > top + 1:
@@ -450,7 +455,7 @@ def su2_ncs_coefficients(j: float, mu: float, zeta: complex) -> CoherentStateCoe
         coeffs = np.zeros(jp + jm + 1, dtype=complex)
         coeffs[jp] = 1.0
         return CoherentStateCoeffs(zeta=zeta, coeffs=coeffs)
-    coeffs = _tilted_state(AlgebraKind.SU2, -0.5 * (jp + jm), jp, zeta, jp + jm + 1)
+    coeffs, _ = _tilted_state(AlgebraKind.SU2, -0.5 * (jp + jm), jp, zeta, jp + jm + 1)
     return _norm_checked(CoherentStateCoeffs(zeta=zeta, coeffs=coeffs))
 
 

@@ -280,7 +280,6 @@ def numeric_spectrum(
     p: ModelParams,
     sector: SectorBasis,
     count: int,
-    convergence_tol: float = 1e-9,
 ) -> np.ndarray:
     """Lowest ``count`` E² values of the sector KG operator, ascending.
 
@@ -290,10 +289,10 @@ def numeric_spectrum(
     tridiagonal eigensolver; that phase gauge is a diagonal unitary
     similarity, so it leaves the eigenvalues and |eigenvector| entries
     unchanged. ``_certified_lowest`` certifies the levels to
-    ``convergence_tol``, relative with scale floor m²c⁴.
+    SPECTRUM_DOUBLING_TOL, relative with scale floor m²c⁴.
     """
     bands_of = functools.partial(sector_tridiagonal, kind, component, p)
-    return _certified_lowest(bands_of, sector, count, convergence_tol, p.mc2**2) + p.mc2**2
+    return _certified_lowest(bands_of, sector, count, SPECTRUM_DOUBLING_TOL, p.mc2**2) + p.mc2**2
 
 
 def _certified_lowest(bands_of, sector: SectorBasis, count: int, tol: float, floor: float):
@@ -321,12 +320,13 @@ def _certified_lowest(bands_of, sector: SectorBasis, count: int, tol: float, flo
     geometrically up the ladder, so the shortcut (``_seeded_doubling``)
     certifies them from their support: one count of the doubled ladder's
     eigenvalues up to the top of narrow disjoint windows around a seed of
-    the cut ladder (``tridiag.seeded_eigenvalues``), bisecting nothing. When a
-    check of the shortcut fails (slow decay, clustered levels, a small
-    cutoff), the general path (``_doubled_lowest``) solves both ladders by
-    index and compares them; it alone raises NotConvergedError. Where the
-    shortcut certifies, the general path certifies the same levels, and
-    both return the doubled ladder's values to roundoff.
+    the cut ladder (``tridiag.leading_block_eigenvalues``), bisecting
+    nothing. When a check of the shortcut fails (slow decay, clustered
+    levels, a small cutoff), the general path (``_doubled_lowest``) solves
+    both ladders by index and compares them; it alone raises
+    NotConvergedError. Where the shortcut certifies, the general path
+    certifies the same levels, and both return the doubled ladder's values
+    to roundoff.
     """
     if sector.charge_kind is ChargeKind.SUM_NS:
         sector = su2_irrep(sector.charge_value)
@@ -339,10 +339,9 @@ def _certified_lowest(bands_of, sector: SectorBasis, count: int, tol: float, flo
 
     doubled = sector_basis(2 * sector.parent_cutoff, sector.charge_kind, sector.charge_value)
     diag2, off2 = bands_of(doubled)
+    vals2 = _seeded_doubling((diag2, off2), sector.dim, count, tol, floor)
     bands = (diag2[: sector.dim], off2[: sector.dim - 1])
-    args = (bands, (diag2, off2), count, tol, floor)
-    vals2 = _seeded_doubling(*args)
-    return _doubled_lowest(*args) if vals2 is None else vals2
+    return _doubled_lowest(bands, (diag2, off2), count, tol, floor) if vals2 is None else vals2
 
 
 def _lowest(bands, count):
@@ -352,10 +351,10 @@ def _lowest(bands, count):
     return tridiag.eigh(diag, np.abs(off), eigvals_only=True, select="i", select_range=(0, count - 1))
 
 
-def _seeded_doubling(bands, bands2, count, tol, floor):
+def _seeded_doubling(bands2, cut, count, tol, floor):
     """The lowest ``count`` levels of the doubled ladder ``bands2`` when a
-    seed of the cut ladder ``bands``, its leading block, certifies both
-    within ``tol``; None otherwise.
+    seed of its leading ``cut`` rows, the cut ladder, certifies both within
+    ``tol`` (``tridiag.leading_block_eigenvalues``); None otherwise.
 
     The count on the doubled ladder puts its k-th level within resid_k of
     theta_k; the cut ladder's is no lower (Cauchy interlacing) and, with an
@@ -366,17 +365,12 @@ def _seeded_doubling(bands, bands2, count, tol, floor):
     scale the doubled level cannot undercut, floored at ``floor`` (m²c⁴),
     the general path certifies whatever this certifies.
     """
-    d, b, norm = tridiag.ladder(*bands)
-    d2, b2, norm2 = tridiag.ladder(*bands2)
-    seed = tridiag.leading_block_seed(d, b, count, norm)
-    cut2 = None if seed is None else tridiag.seeded_eigenvalues(d2, b2, seed, norm2)
-    if cut2 is None:
+    seeded = tridiag.leading_block_eigenvalues(*bands2, count, cut)
+    if seeded is None:
         return None
-    (vals2, width2), bound = cut2, tridiag.bisection_bound(d, b, norm)
-    width = seed.resid + bound  # the cut ladder's half-width
+    vals2, width, width2, bound, bound2 = seeded
     scale = np.maximum(np.abs(vals2) - 2 * width2, floor)
-    bound += tridiag.bisection_bound(d2, b2, norm2)
-    return vals2 if np.max((width + width2 + bound) / scale) <= tol else None
+    return vals2 if np.max((width + width2 + (bound + bound2)) / scale) <= tol else None
 
 
 def _doubled_lowest(bands, bands2, count, tol, floor):
@@ -537,6 +531,7 @@ def coupled_osc_energy(
 # Non-relativistic limits
 
 
+SPECTRUM_DOUBLING_TOL = 1e-9  # certifies numeric_spectrum, relative with scale floor m²c⁴
 LIMIT_DOUBLING_TOL = 1e-9
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from twomode_jcx import displace, tridiag
 from twomode_jcx.displace import (
+    NCS_LADDER_TOL,
     TiltingParams,
     displacement_direct,
     displacement_normal,
@@ -265,8 +266,11 @@ class TestSu11Ncs:
         assert "doubling change" not in str(err.value)
 
     def test_tail_error_names_a_first_ladder_at_the_cap(self):
-        with pytest.raises(TailError, match="no shorter ladder with a level in the window"):
-            su11_ncs_coefficients(0.5, 70_000, 0.01)
+        # the first ladder is already at the cap; its own tail residual
+        # certifies it, with no shorter ladder to compare
+        c = su11_ncs_coefficients(0.5, 70_000, 0.01)
+        assert c.coeffs.size == 71_513
+        assert abs(c.norm_sq - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("n, max_index", [(10, 5), (1, 0), (0, -1)])
     def test_max_index_below_n_refused_by_name(self, n, max_index):
@@ -275,7 +279,7 @@ class TestSu11Ncs:
 
     def test_tail_error_reports_the_last_doubling_change(self):
         # |zeta| = 0.9999: the state's tail outlasts MAX_LADDER_LENGTH states
-        with pytest.raises(TailError, match=r"doubling change \d\.\de-\d+ > 1e-12"):
+        with pytest.raises(TailError, match=r"tail residual \d\.\de[-+]\d+ > 5e-13"):
             su11_ncs_coefficients(0.5, 1, 0.9999, max_index=200)
 
     @settings(max_examples=200, deadline=None)
@@ -296,6 +300,25 @@ class TestSu11Ncs:
         else:
             assert not isinstance(got, type), got
             assert got.shape == want.shape and np.array_equal(got, want)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(k=st.floats(0.0, 20.0, exclude_min=True), n=st.integers(0, 300),
+           z=st.floats(0.0, 0.95), phase=st.floats(0.0, 2 * np.pi))
+    def test_certified_state_agrees_with_a_ladder_four_times_as_long(self, k, n, z, phase):
+        # the tail residual bounds the truncation error of the accepted
+        # ladder's state; a ladder four times as long cuts far less
+        zeta = z * cmath.exp(1j * phase)
+        solve, lengths = displace._tilted_state, []
+
+        def logged(algebra, lowest, n_, zeta_, length):
+            lengths.append(length)
+            return solve(algebra, lowest, n_, zeta_, length)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(displace, "_tilted_state", logged)
+            got = su11_ncs_coefficients(k, n, zeta).coeffs
+        longer, _ = solve(AlgebraKind.SU11, k, n, zeta, 4 * (lengths[-1] if lengths else n + 1))
+        assert np.max(np.abs(got - longer[: got.size])) <= NCS_LADDER_TOL
 
     def test_invalid_zeta(self):
         with pytest.raises(ValueError):
@@ -319,25 +342,27 @@ class TestSu11Ncs:
 def _boundary_mass_pick(algebra, k, n, zeta, length):
     """The earlier su(1,1) pick of ``displace._tilted_state``: drop each level
     of the window k + n ± 1/2 with more than 1e-8 of its mass in the top 3
-    rows of the cut ladder, then take the level nearest k + n."""
+    rows of the cut ladder, then take the level nearest k + n; with its
+    tail residual, as ``_tilted_state`` returns it."""
     assert algebra is AlgebraKind.SU11
     z = abs(zeta)
     den = 1.0 - z * z
-    m = np.arange(length, dtype=float)
-    diag = ((1.0 + z * z) / den) * (k + m)
+    m = np.arange(length + 1, dtype=float)
     off = (z / den) * np.sqrt(m[1:] * (m[:-1] + 2 * k))
+    m = m[:-1]
+    diag = ((1.0 + z * z) / den) * (k + m)
     target = k + n
-    w, v = tridiag.eigh(diag, off, select="v", select_range=(target - 0.5, target + 0.5))
+    w, v = tridiag.eigh(diag, off[:-1], select="v", select_range=(target - 0.5, target + 0.5))
     margin = min(3, max(1, length - 1))
     keep = np.sum(v[-margin:, :] ** 2, axis=0) <= 1e-8
     w, v = w[keep], v[:, keep]
     if not w.size:
-        return None
+        return None, np.inf
     i = int(np.argmin(np.abs(w - target)))
     vec = v[:, i]
     p = int(np.argmax(np.abs(vec)))
     sign = np.sign(vec[p]) * displace._det_sign(w[i], diag, off, p)
-    return sign * np.exp(1j * cmath.phase(-zeta) * (m - n)) * vec
+    return sign * np.exp(1j * cmath.phase(-zeta) * (m - n)) * vec, abs(off[-1] * vec[-1])
 
 
 def _coeffs_or_error(k, n, zeta, **kwargs):

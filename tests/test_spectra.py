@@ -386,14 +386,13 @@ def _both_paths(p, component, cutoff, charge, count):
     """(the shortcut's levels or None, the general path's levels or the
     NotConvergedError it raised) of one N_d sector, both E² - m²c⁴, and
     the doubled ladder's Gershgorin bound on its norm."""
-    bands2 = _bands(p, component, 2 * cutoff, charge)
-    args = (_bands(p, component, cutoff, charge), bands2, count, 1e-9, p.mc2**2)
+    bands, bands2 = _bands(p, component, cutoff, charge), _bands(p, component, 2 * cutoff, charge)
     try:
-        general = spectra._doubled_lowest(*args)
+        general = spectra._doubled_lowest(bands, bands2, count, 1e-9, p.mc2**2)
     except NotConvergedError as exc:
         general = exc
     norm2 = np.max(np.abs(bands2[0])) + 2 * np.max(np.abs(bands2[1]))
-    return spectra._seeded_doubling(*args), general, norm2
+    return spectra._seeded_doubling(bands2, bands[0].size, count, 1e-9, p.mc2**2), general, norm2
 
 
 def _index_solve_dims(calls):
@@ -402,32 +401,28 @@ def _index_solve_dims(calls):
     return [dim for dim, rng in calls if rng is not None and isinstance(rng[0], int)]
 
 
-def _bisecting_windows(diag, off, seed):
-    """The window check that bisected each level: (values, half-widths) when
-    the seed's windows theta_k ± (resid_k + bisection bound) on the ladder
-    (diag, |off|) are disjoint, the ladder holds as many eigenvalues up to
-    the top of the last window as there are windows, and each window
-    bisects (dstebz, abstol 0) to exactly one value; None otherwise."""
+def _bisecting_windows(diag, off, theta, delta):
+    """The window check that bisected each level: the bisected values when
+    the windows theta_k ± delta_k on the ladder (diag, |off|) are disjoint,
+    the ladder holds as many eigenvalues up to the top of the last window
+    as there are windows, and each window bisects (dstebz, abstol 0) to
+    exactly one value; None otherwise."""
     d, b, norm = tridiag.ladder(diag, off)
-    m = seed.diag.size
-    if d.size <= m or not (np.array_equal(d[:m], seed.diag) and np.array_equal(b[:m], seed.off)):
-        return None
     if not norm <= tridiag.SEED_NORM_MAX:
         return None
-    delta = seed.resid + tridiag.bisection_bound(d, b)
-    lo, hi = seed.theta - delta, seed.theta + delta
+    lo, hi = theta - delta, theta + delta
     if np.any(lo[1:] <= hi[:-1]):
         return None
     found, _, _, _, info = tridiag.dstebz(d, b, 1, -np.inf, hi[-1], 1, 1, 2 * (abs(hi[-1]) + norm), "E")
-    if info or found != seed.theta.size:
+    if info or found != theta.size:
         return None
-    values = np.empty(seed.theta.size)
-    for k in range(seed.theta.size):
+    values = np.empty(theta.size)
+    for k in range(theta.size):
         found, w, _, _, info = tridiag.dstebz(d, b, 1, lo[k], hi[k], 1, 1, 0.0, "E")
         if info or found != 1:
             return None
         values[k] = w[0]
-    return values, delta
+    return values
 
 
 def _log_lapack(monkeypatch):
@@ -441,10 +436,24 @@ def _log_lapack(monkeypatch):
     return log
 
 
-def _seed(theta, resid, diag, off):
-    """A hand-made seed of the ladder (diag, off) on its first 40 rows."""
-    return tridiag.LadderSeed(diag[:40], np.abs(off[:40]), np.asarray(theta, dtype=float),
-                              np.full(len(theta), resid))
+def _log_seeds(monkeypatch):
+    """Log the rows of every leading block whose Rayleigh quotients
+    ``tridiag`` forms, and (theta, resid) of every seed whose windows it
+    checks; returns the two logs."""
+    blocks, seeds = [], []
+    rayleigh, windows = tridiag._rayleigh, tridiag._windows
+
+    def logged_rayleigh(d, e, v, tail):
+        blocks.append(d.size)
+        return rayleigh(d, e, v, tail)
+
+    def logged_windows(theta, resid, bound):
+        seeds.append((theta, resid))
+        return windows(theta, resid, bound)
+
+    monkeypatch.setattr(tridiag, "_rayleigh", logged_rayleigh)
+    monkeypatch.setattr(tridiag, "_windows", logged_windows)
+    return blocks, seeds
 
 
 class TestLeadingBlockShortcut:
@@ -504,11 +513,12 @@ class TestLeadingBlockShortcut:
         # cutoff 280, N_d = 0, tilt 0.8: no index-range solve at or above
         # the seed block's size, so none at dim 281 or 561
         calls = _record_solves(monkeypatch)
+        blocks, seeds = _log_seeds(monkeypatch)
         sec = sector_basis(280, ChargeKind.DIFFERENCE_ND, 0)
         numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 8)
-        seed = tridiag.leading_block_seed(*_bands(p, Component.UPPER, 280, 0), 8)
-        assert seed is not None
-        assert all(dim < seed.diag.size for dim in _index_solve_dims(calls))
+        assert len(seeds) == 1  # the seed of the last block was accepted
+        assert tridiag.leading_block_eigenvalues(*_bands(p, Component.UPPER, 560, 0), 8, 281) is not None
+        assert all(dim < blocks[-1] for dim in _index_solve_dims(calls))
 
     def test_strong_tilt_takes_the_general_path(self, monkeypatch):
         # tilt 0.97: the levels' eigenvectors reach past any block the cut allows
@@ -518,25 +528,27 @@ class TestLeadingBlockShortcut:
         numeric_spectrum(ModelKind.JC_AJC, Component.UPPER, p, sec, 8)
         assert {201, 401} <= set(_index_solve_dims(calls))
 
-    def test_seed_block_may_reach_the_row_below_the_cut(self):
+    def test_seed_block_may_reach_the_row_below_the_cut(self, monkeypatch):
         # tilt 0.3 at cutoff 24: only the 24-row block, dim - 1, holds the
         # lowest three levels to roundoff; a 22-row one does not
         p = _tilted(0.3, 1.0)
         diag, off = _bands(p, Component.UPPER, 24, 0)
-        seed = tridiag.leading_block_seed(diag, off, 3)
-        assert seed.diag.size == diag.size - 1
-        assert tridiag.leading_block_seed(diag[:23], off[:22], 3) is None
-        vals, _ = tridiag.seeded_eigenvalues(diag, off, seed)
+        blocks, _ = _log_seeds(monkeypatch)
+        vals, *_ = tridiag.leading_block_eigenvalues(diag, off, 3, diag.size)
+        assert blocks[-1] == diag.size - 1
+        assert tridiag.leading_block_eigenvalues(diag[:23], off[:22], 3, 23) is None
         np.testing.assert_allclose(vals, su11_sector_energy_sq(p, 0, np.arange(3)) - 1.0,
                                    rtol=1e-13)
 
     def test_overlapping_windows_are_declined(self):
         p = ModelParams(g=2.0, f=1.0)
-        diag, off = _bands(p, Component.UPPER, 120, 0)
-        # levels 0, 3, 6: windows of half-width 1.6 overlap
-        assert tridiag.seeded_eigenvalues(diag, off, _seed([0.0, 3.0, 6.0], 1.5, diag, off)) is None
-        got, _ = tridiag.seeded_eigenvalues(diag, off, _seed([0.0, 3.0, 6.0], 1.4, diag, off))
-        np.testing.assert_allclose(got, [0.0, 3.0, 6.0], rtol=0, atol=1e-12)
+        d, b, norm = tridiag.ladder(*_bands(p, Component.UPPER, 120, 0))
+        theta, bound = np.array([0.0, 3.0, 6.0]), tridiag.bisection_bound(d, b, norm)
+        # levels 0, 3, 6: windows of half-width 1.5 + bound overlap
+        assert tridiag._windows(theta, np.full(3, 1.5), bound) is None
+        delta = tridiag._windows(theta, np.full(3, 1.4), bound)
+        np.testing.assert_array_equal(delta, 1.4 + bound)
+        assert tridiag._count_up_to(d, b, norm, theta[-1] + delta[-1]) == 3
 
     def test_eigenvalue_between_windows_is_declined(self):
         # two rows cut off the top of a ladder whose levels are 0, 3, 6, ...:
@@ -544,9 +556,13 @@ class TestLeadingBlockShortcut:
         p = ModelParams(g=2.0, f=1.0)
         diag, off = _bands(p, Component.UPPER, 120, 0)
         diag[-2:], off[-2:] = (10.0, 11.0), 0.0
-        seed = tridiag.leading_block_seed(diag, off, 8)
-        np.testing.assert_allclose(seed.theta, 3.0 * np.arange(8), rtol=0, atol=1e-12)
-        assert tridiag.seeded_eigenvalues(diag, off, seed) is None
+        # the rows above the two certify the seed's levels 0, 3, ..., 21
+        theta, _, width2, _, _ = tridiag.leading_block_eigenvalues(diag[:-2], off[:-2], 8, diag.size - 2)
+        np.testing.assert_allclose(theta, 3.0 * np.arange(8), rtol=0, atol=1e-12)
+        # on the whole ladder the count finds ten eigenvalues up to the last window
+        assert tridiag.leading_block_eigenvalues(diag, off, 8, diag.size) is None
+        d, b, norm = tridiag.ladder(diag, off)
+        assert tridiag._count_up_to(d, b, norm, theta[-1] + width2[-1]) == 10
         vals = tridiag.eigh(diag, np.abs(off), eigvals_only=True, select="i", select_range=(0, 7))
         np.testing.assert_allclose(vals, [0, 3, 6, 9, 10, 11, 12, 15], rtol=0, atol=1e-12)
 
@@ -566,36 +582,24 @@ class TestLeadingBlockShortcut:
         self, tilt, magnitude, f_dominant, phases, mc2, cutoff, charge, count, component
     ):
         # The precondition the single count rests on, over the domain of
-        # test_certifies_what_the_general_path_certifies: each seed value of
-        # leading_block_seed has an eigenvalue of the cut and of the doubled
-        # ladder within resid_k plus the bisection bound. The eigenvalues come
-        # from root-free QR on the whole ladder (dsterf), which bisects
-        # nothing: over 3,000 draws they lay within resid_k + 0.6 eps·‖T‖ of
-        # the seed values. MRRR (dstemr) cannot judge an 8 eps·‖T‖ bound: on
-        # the same ladders it erred by up to 35 eps·‖T‖.
+        # test_certifies_what_the_general_path_certifies: each value of a
+        # seed that leading_block_eigenvalues accepts has an eigenvalue of the
+        # cut and of the doubled ladder within resid_k plus the bisection
+        # bound. The eigenvalues come from root-free QR on the whole ladder
+        # (dsterf), which bisects nothing: over 3,000 draws they lay within
+        # resid_k + 0.6 eps·‖T‖ of the seed values. MRRR (dstemr) cannot
+        # judge an 8 eps·‖T‖ bound: on the same ladders it erred by up to
+        # 35 eps·‖T‖.
         p = _tilted(tilt, magnitude, f_dominant, phases, mc2)
-        bands = _bands(p, component, cutoff, charge)
-        seed = tridiag.leading_block_seed(*bands, count)
-        if seed is None:
-            return
-        for diag, off in (bands, _bands(p, component, 2 * cutoff, charge)):
-            exact = la.eigvalsh_tridiagonal(diag, np.abs(off), lapack_driver="sterf")
-            gap = np.min(np.abs(exact[:, None] - seed.theta), axis=0)
-            assert np.all(gap <= seed.resid + tridiag.bisection_bound(diag, off)), gap
-
-    def test_ladder_not_extending_the_seed_is_declined(self):
-        # the seed's own block, a ladder one row off its diagonal, and one
-        # beginning with another block: the windows prove nothing about them
-        p = ModelParams(g=2.0, f=1.0)
-        diag, off = _bands(p, Component.UPPER, 120, 0)
-        seed = _seed([0.0, 3.0, 6.0], 1e-6, diag, off)
-        assert tridiag.seeded_eigenvalues(diag[:40], off[:39], seed) is None
-        bent = diag.copy()
-        bent[17] += 1e-12
-        assert tridiag.seeded_eigenvalues(bent, off, seed) is None
-        assert tridiag.seeded_eigenvalues(diag[1:], off[1:], seed) is None
-        got, _ = tridiag.seeded_eigenvalues(diag, off, seed)
-        np.testing.assert_allclose(got, [0.0, 3.0, 6.0], rtol=0, atol=1e-12)
+        bands, bands2 = _bands(p, component, cutoff, charge), _bands(p, component, 2 * cutoff, charge)
+        with pytest.MonkeyPatch.context() as mp:
+            _, seeds = _log_seeds(mp)
+            tridiag.leading_block_eigenvalues(*bands2, count, bands[0].size)
+        for theta, resid in seeds:
+            for diag, off in (bands, bands2):
+                exact = la.eigvalsh_tridiagonal(diag, np.abs(off), lapack_driver="sterf")
+                gap = np.min(np.abs(exact[:, None] - theta), axis=0)
+                assert np.all(gap <= resid + tridiag.bisection_bound(diag, off)), gap
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -618,12 +622,12 @@ class TestLeadingBlockShortcut:
         # doubled half-width of that ladder's bisected value.
         p = _tilted(tilt, magnitude, f_dominant, phases, mc2)
         bands, bands2 = _bands(p, component, cutoff, charge), _bands(p, component, 2 * cutoff, charge)
-        vals2 = spectra._seeded_doubling(bands, bands2, count, 1e-9, p.mc2**2)
+        vals2 = spectra._seeded_doubling(bands2, bands[0].size, count, 1e-9, p.mc2**2)
         if vals2 is None:
             return
-        seed = tridiag.leading_block_seed(*bands, count)
-        assert _bisecting_windows(*bands, seed) is not None
-        bisected2, width2 = _bisecting_windows(*bands2, seed)
+        theta, width, width2, _, _ = tridiag.leading_block_eigenvalues(*bands2, count, bands[0].size)
+        assert _bisecting_windows(*bands, theta, width) is not None
+        bisected2 = _bisecting_windows(*bands2, theta, width2)
         assert np.all(np.abs(vals2 - bisected2) <= width2)
 
     @pytest.mark.parametrize("component", list(Component))
