@@ -17,7 +17,6 @@ from .errors import (
     NotConvergedError,
     QuadratureError,
     SectorMismatchError,
-    SingularBranchError,
     SingularParameterError,
     TailError,
     TwoModeJcxError,
@@ -71,7 +70,6 @@ from .models import (
     build_kg_operator,
     build_spinor,
     eigen_residual,
-    lower_from_upper,
     sector_pair,
     sector_spinor,
     sector_tridiagonal,

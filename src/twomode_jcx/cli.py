@@ -400,10 +400,8 @@ def wavefunction(**params):
     rho = np.linspace(0.0, params["rho_max"], params["n_rho"])
     phi = np.linspace(0.0, 2 * np.pi, params["n_phi"], endpoint=False)
     vals = wavefunc._radial_series(coeffs, m_n, rho[:, None], phi[None, :]).ravel()
-    # abs2 one value at a time, as np.abs(v) ** 2: numpy's vectorized square
-    # and abs() of a numpy complex each differ from it in some last digits
     rows = table(rho=np.repeat(rho, len(phi)), phi=np.tile(phi, len(rho)),
-                 re=vals.real, im=vals.imag, abs2=[np.abs(v) ** 2 for v in vals])
+                 re=vals.real, im=vals.imag, abs2=np.abs(vals) ** 2)
     emit_rows(
         rows,
         params["fmt"],
@@ -431,10 +429,8 @@ def coherent_state(**params):
     else:
         coeffs = su2_ncs_coefficients(params["j"], params["mu"], zeta)
     c = coeffs.coeffs
-    # abs2 one value at a time: numpy's vectorized square differs from ** 2
-    # in some last digits
     emit_rows(
-        table(index=np.arange(len(c)), re=c.real, im=c.imag, abs2=[abs(v) ** 2 for v in c]),
+        table(index=np.arange(len(c)), re=c.real, im=c.imag, abs2=np.abs(c) ** 2),
         params["fmt"],
         params["out_path"],
         meta={"algebra": params["algebra"], "norm_sq": coeffs.norm_sq,

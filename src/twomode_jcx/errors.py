@@ -29,10 +29,6 @@ class SectorMismatchError(TwoModeJcxError):
     """Sector charge kind is incompatible with the requested model."""
 
 
-class SingularBranchError(TwoModeJcxError):
-    """Lower spinor component is not reconstructible at E = -mc^2."""
-
-
 class EdgeStateError(TwoModeJcxError):
     """Requested quantum numbers have no partner component of this form."""
 

@@ -23,7 +23,7 @@ then the leading block of the same ladder at any larger cutoff, so by
 Cauchy interlacing its k-th eigenvalue bounds theirs from above, and no
 eigenpair is pinned to the cut. The full-space products
 (``build_kg_operator`` on a FockBasis), the full Hamiltonian and the
-``SectorPair`` coupling block keep hard truncation (raising past the cutoff
+``SectorPair`` bands keep hard truncation (raising past the cutoff
 gives zero), the finite-space reference they are tested against; the
 full-space helpers import scipy.sparse when called, so the sector code
 loads without it. An eigenspinor lives on one (upper sector, lower sector)
@@ -39,12 +39,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EdgeStateError,
-    SectorMismatchError,
-    SingularBranchError,
-)
+from .errors import DomainError, EdgeStateError, SectorMismatchError
 # get_sector stays bound here, unused: the benchmark's span tests (bench/)
 # name models.get_sector as a by-name import to trace and restore.
 from .fock import (  # noqa: F401
@@ -61,6 +56,8 @@ from .fock import (  # noqa: F401
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
+# Edge state test: |E² - m²c⁴| <= EDGE_REL_TOL hbar² (|f|² + |g|²)(n_l + m_n + 1),
+# relative to the coupling, not to the rest energy m²c⁴.
 EDGE_REL_TOL = 1e-12
 _TINY = np.finfo(float).tiny  # smallest normal float64
 
@@ -220,36 +217,57 @@ def build_kg_operator(
 
 
 class SectorPair(NamedTuple):
-    """The charge sectors of a spinor's two components and the coupling block between them.
+    """The charge sectors of a spinor's two components and the two bands of X between them.
 
     X† moves one charge quantum (N_d up for JC_AJC, N_s down for JC_JC), so
     an upper component on ``upper`` has its lower component on ``lower``,
-    which is empty when X† leaves the truncated space. ``coupling`` is X_s,
-    the block of X (without the hbar) from ``lower`` into ``upper``: dense,
-    with g sqrt(n_a + 1) on one band and f sqrt(n_b) (JC_AJC) or
-    f sqrt(n_b + 1) (JC_JC) on the other, and zero where raising passes the
-    cutoff. It is the pair's block of ``coupling_block``, hard truncation
-    included, so ``residual`` checks a spinor against the pair's block of
-    the finite-space Hamiltonian, as ``eigen_residual`` does on the full
-    basis (unlike ``sector_tridiagonal``, which is untruncated).
+    which is empty when X† leaves the truncated space. X_s, the block of X
+    (without the hbar) from ``lower`` into ``upper``, is bidiagonal: lower
+    state j (n_a, n_b) reaches upper row ``offset + j`` with ``f_band[j]``,
+    f sqrt(n_b) by f b (JC_AJC) or f sqrt(n_b + 1) by f b† (JC_JC), and row
+    ``offset + j + 1`` with ``g_band[j]`` = g sqrt(n_a + 1) by g a†. Each is
+    zero where raising passes the cutoff (or where b meets n_b = 0), and
+    only there does its row fall outside ``upper``; ``offset`` is -1 when
+    ``lower`` holds one state more than ``upper``, else 0. X_s is the pair's
+    block of ``coupling_block``, hard truncation included, so ``residual``
+    checks a spinor against the pair's block of the finite-space
+    Hamiltonian, as ``eigen_residual`` does on the full basis (unlike
+    ``sector_tridiagonal``, which is untruncated).
     """
 
     params: ModelParams
     upper: SectorBasis
     lower: SectorBasis
-    coupling: np.ndarray
+    offset: int
+    g_band: np.ndarray
+    f_band: np.ndarray
+
+    def apply_x(self, lower: np.ndarray) -> np.ndarray:
+        """X_s l over ``upper``, in O(dim)."""
+        out = np.zeros(self.upper.dim + 2, dtype=complex)  # rows -1 .. upper.dim
+        k, n = self.offset + 1, self.lower.dim
+        out[k:k + n] += self.f_band * lower
+        out[k + 1:k + 1 + n] += self.g_band * lower
+        return out[1:-1]
+
+    def apply_x_dagger(self, upper: np.ndarray) -> np.ndarray:
+        """X_s† u over ``lower``, in O(dim)."""
+        padded = np.zeros(self.upper.dim + 2, dtype=complex)  # rows -1 .. upper.dim
+        padded[1:-1] = upper
+        k, n = self.offset + 1, self.lower.dim
+        return np.conj(self.f_band) * padded[k:k + n] + np.conj(self.g_band) * padded[k + 1:k + 1 + n]
 
     def residual(self, state: SpinorState) -> float:
         """|| H psi - E psi || for a spinor (u, l) over the pair, from the blocks
         of H = [[mc², hbar X], [hbar X†, -mc²]], with no matrix of H formed."""
-        p, x, u, l, e = self.params, self.coupling, state.upper, state.lower, state.energy
-        top = (p.mc2 - e) * u + p.hbar * (x @ l)
-        bottom = p.hbar * (x.T @ u.conj()).conj() - (p.mc2 + e) * l
+        p, u, l, e = self.params, state.upper, state.lower, state.energy
+        top = (p.mc2 - e) * u + p.hbar * self.apply_x(l)
+        bottom = p.hbar * self.apply_x_dagger(u) - (p.mc2 + e) * l
         return float(np.linalg.norm(np.concatenate([top, bottom])))
 
 
 def sector_pair(kind: ModelKind, p: ModelParams, upper: SectorBasis) -> SectorPair:
-    """The ``SectorPair`` whose upper component lives on ``upper``, in O(dim²).
+    """The ``SectorPair`` whose upper component lives on ``upper``, in O(dim).
 
     SectorMismatchError when the sector charge is not the model's conserved
     quantity.
@@ -267,37 +285,14 @@ def sector_pair(kind: ModelKind, p: ModelParams, upper: SectorBasis) -> SectorPa
         lower = SectorBasis(upper.charge_kind, q, cutoff, np.empty(0, dtype=int))
     na, nb = lower.occupations
     # Both sectors run over consecutive n_a, so a target state's row is its
-    # n_a minus the first n_a of ``upper``; every target inside the
-    # truncated space lies in ``upper``.
-    first = int(upper.occupations[0][0])
-    col = np.arange(lower.dim)
-    x = np.zeros((upper.dim, lower.dim), dtype=complex)
-    raised = na < cutoff  # g a†: (n_a, n_b) -> (n_a + 1, n_b)
-    x[na[raised] + 1 - first, col[raised]] = p.g * np.sqrt(na[raised] + 1.0)
-    if kind is ModelKind.JC_AJC:  # f b: (n_a, n_b) -> (n_a, n_b - 1)
-        moved, amp = nb > 0, np.sqrt(nb.astype(float))
-    else:  # f b†: (n_a, n_b) -> (n_a, n_b + 1)
-        moved, amp = nb < cutoff, np.sqrt(nb + 1.0)
-    x[na[moved] - first, col[moved]] = p.f * amp[moved]
-    return SectorPair(params=p, upper=upper, lower=lower, coupling=x)
-
-
-def _lower_component(p: ModelParams, energy: float, x, upper: np.ndarray) -> np.ndarray:
-    """psi2 = hbar X† psi1 / (E + mc²) for the coupling (block) ``x``."""
-    if abs(energy + p.mc2) <= EDGE_REL_TOL * p.mc2:
-        raise SingularBranchError("lower component not reconstructible at E = -mc^2")
-    return p.hbar * (x.conj().T @ np.asarray(upper, dtype=complex)) / (energy + p.mc2)
-
-
-def lower_from_upper(
-    kind: ModelKind,
-    p: ModelParams,
-    energy: float,
-    upper: np.ndarray,
-    basis: FockBasis,
-) -> np.ndarray:
-    """psi2 = hbar X† psi1 / (E + mc²) over the full basis, unnormalized."""
-    return _lower_component(p, energy, coupling_block(kind, p, basis), upper)
+    # n_a minus the first n_a of ``upper``.
+    offset = int(na[0] - upper.occupations[0][0]) if lower.dim else 0
+    g_band = p.g * np.where(na < cutoff, np.sqrt(na + 1.0), 0.0)  # g a†
+    if kind is ModelKind.JC_AJC:  # f b
+        f_band = p.f * np.sqrt(nb.astype(float))
+    else:  # f b†
+        f_band = p.f * np.where(nb < cutoff, np.sqrt(nb + 1.0), 0.0)
+    return SectorPair(p, upper, lower, offset, g_band, f_band)
 
 
 def _tilted_state_position(kind: ModelKind, n_l: int, m_n: int, inner_sign: int):
@@ -325,7 +320,11 @@ def sector_spinor(
 
     ``spinor.upper`` and ``spinor.lower`` are vectors over ``pair.upper``
     and ``pair.lower``, so ``pair.residual(spinor)`` is the full-space
-    residual at a sector pair's cost.
+    residual at a sector pair's cost. The lower component is
+    hbar X_s† psi1 / (E + mc²), from the pair's bands. Lam = E² - m²c⁴ is
+    the closed form's coupling term: the level is an edge state when
+    |Lam| <= EDGE_REL_TOL hbar² (|f|² + |g|²)(n_l + m_n + 1), and on the
+    MINUS branch, where E + mc² cancels, it is formed as Lam / (E - mc²).
     """
     from . import spectra
     from .displace import displacement_direct
@@ -333,8 +332,12 @@ def sector_spinor(
     # the energy raises DomainError first for a negative n_l or m_n
     if kind is ModelKind.JC_AJC:
         energy = spectra.analytic_energy_su11(p, n_l, m_n, branch)
+        lam = spectra._su11_sector_coupling(p, -m_n, n_l)
+        partner = (n_l + 1, m_n - 2) if m_n >= 2 else None
     else:
         energy = spectra.analytic_energy_su2(p, n_l, m_n, branch, inner_sign)
+        lam = spectra._su2_coupling_term(p, n_l, m_n, inner_sign)
+        partner = (n_l - 1, m_n) if n_l >= 1 else None
 
     tilt = spectra.tilting_parameters(kind, p)
     charge, pos = _tilted_state_position(kind, n_l, m_n, inner_sign)
@@ -345,12 +348,8 @@ def sector_spinor(
         )
     upper = displacement_direct(tilt.xi, pair.upper, pos)
 
-    if kind is ModelKind.JC_AJC:
-        partner = (n_l + 1, m_n - 2) if m_n >= 2 else None
-    else:
-        partner = (n_l - 1, m_n) if n_l >= 1 else None
-
-    if abs(energy**2 - p.mc2**2) <= EDGE_REL_TOL * p.mc2**2:
+    scale = p.hbar**2 * (abs(p.f) ** 2 + abs(p.g) ** 2) * (n_l + m_n + 1)
+    if abs(lam) <= EDGE_REL_TOL * scale:
         if branch is Branch.MINUS:
             raise EdgeStateError(
                 f"(n_l={n_l}, m_n={m_n}) has no lower-branch eigenvector of this form"
@@ -367,14 +366,14 @@ def sector_spinor(
         )
         return edge, pair
 
-    lower_raw = _lower_component(p, energy, pair.coupling, upper)
-    amp = np.sqrt((energy + p.mc2) / (2.0 * energy))
-    vec_upper = amp * upper
-    vec_lower = amp * lower_raw
-    norm = np.sqrt(np.sum(np.abs(vec_upper) ** 2) + np.sum(np.abs(vec_lower) ** 2))
+    # psi2 = hbar X† psi1 / (E + mc²); on the MINUS branch the sum cancels,
+    # and E + mc² = Lam / (E - mc²) does not.
+    e_plus_mc2 = energy + p.mc2 if branch is Branch.PLUS else lam / (energy - p.mc2)
+    lower = p.hbar * pair.apply_x_dagger(upper) / e_plus_mc2
+    norm = np.sqrt(np.sum(np.abs(upper) ** 2) + np.sum(np.abs(lower) ** 2))
     spinor = SpinorState(
-        upper=vec_upper / norm,
-        lower=vec_lower / norm,
+        upper=upper / norm,
+        lower=lower / norm,
         energy=energy,
         branch=branch,
         qn=(n_l, m_n),

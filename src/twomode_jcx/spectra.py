@@ -533,6 +533,7 @@ def coupled_osc_energy(
 
 SPECTRUM_DOUBLING_TOL = 1e-9  # certifies numeric_spectrum, relative with scale floor m²c⁴
 LIMIT_DOUBLING_TOL = 1e-9
+LIMIT_CUTOFF = 160  # which limit sectors exist; an amplifier ladder is cut here
 
 
 class LimitReport(NamedTuple):
@@ -566,13 +567,7 @@ def _nonrel_tridiagonal(case, sector: SectorBasis) -> tuple:
     return diag, chi * sector.pair_amplitudes
 
 
-def nonrelativistic_limit_check(
-    case,
-    charge: int,
-    index: int,
-    scale: float,
-    cutoff: int = 160,
-) -> LimitReport:
+def nonrelativistic_limit_check(case, charge: int, index: int, scale: float) -> LimitReport:
     """Compare E - mc² against the weak-coupling spectrum at large mc²/(hbar w).
 
     ``eps_model`` is the exact relativistic E - mc² for the level ``index``
@@ -582,22 +577,16 @@ def nonrelativistic_limit_check(
     (hbar w2 for the amplifier; zero for the coupled oscillators). The
     relative error decays like 1/scale.
 
-    ``cutoff`` decides which sectors exist (ValueError otherwise). The level
+    LIMIT_CUTOFF decides which sectors exist (ValueError otherwise). The level
     is certified by ``_certified_lowest`` to LIMIT_DOUBLING_TOL, relative
     with scale floor w1 + w2 (or 1 when both vanish; the amplifier's level
     1 sits at roundoff of 0). ``eps_model`` is Lam/(E + mc²), with
     Lam = E² - m²c⁴ the closed form's coupling term, so it cannot cancel.
     """
-    return nonrelativistic_limit_checks(case, charge, index, [scale], cutoff)[0]
+    return nonrelativistic_limit_checks(case, charge, index, [scale])[0]
 
 
-def nonrelativistic_limit_checks(
-    case,
-    charge: int,
-    index: int,
-    scales,
-    cutoff: int = 160,
-) -> list:
+def nonrelativistic_limit_checks(case, charge: int, index: int, scales) -> list:
     """``nonrelativistic_limit_check`` at each of ``scales``, in order.
 
     The limit Hamiltonian (hbar = 1) does not depend on the scale, so its
@@ -616,7 +605,7 @@ def nonrelativistic_limit_checks(
         mc2 = scale * hbar * (wbar if wbar > 0 else 1.0)
         p, kind = special_case_params(case, mc2=mc2, hbar=hbar)
 
-        sector = sector_basis(cutoff, conserved_charge(kind), charge)
+        sector = sector_basis(LIMIT_CUTOFF, conserved_charge(kind), charge)
         if kind is ModelKind.JC_JC:
             sector = su2_irrep(charge)
         if not 0 <= index < sector.dim:

@@ -533,10 +533,10 @@ class TestWavefunctionCommand:
         assert abs(meta["norm_estimate"] - 1.0) <= 1e-7
         assert meta["norm_error_estimate"] <= 1e-7
 
-    def test_abs2_per_sample(self, runner):
-        # abs2 is np.abs(v) ** 2 one sample at a time, bit for bit. On this
-        # grid the vectorized np.abs(vals) ** 2 differs from it in 3 samples
-        # and abs(v) ** 2 in 100, so neither can replace it unnoticed.
+    def test_abs2_over_the_column(self, runner):
+        # abs2 is np.abs(vals) ** 2 over the whole column, bit for bit. On
+        # this grid np.abs(v) ** 2 one sample at a time differs from it in 3
+        # samples, so the form cannot change unnoticed.
         result = runner.invoke(main, ["wavefunction", "--n-l", "3", "--m-n", "2", "--zeta-re", "0.5",
                                       "--n-rho", "64", "--n-phi", "16", "--format", "json"])
         assert result.exit_code == 0, result.output
@@ -545,9 +545,9 @@ class TestWavefunctionCommand:
         vals = ncs_wavefunction_series(complex(0.5, 0.0), 3, 2, rho[:, None], phi[None, :]).ravel()
         rows = json.loads(result.stdout)["rows"]
         assert [complex(r["re"], r["im"]) for r in rows] == vals.tolist()
-        want = [float(np.abs(v) ** 2) for v in vals]
+        want = (np.abs(vals) ** 2).tolist()
         assert [r["abs2"] for r in rows] == want
-        assert (np.abs(vals) ** 2).tolist() != want != [float(abs(v) ** 2) for v in vals]
+        assert [float(np.abs(v) ** 2) for v in vals] != want
 
     def test_deterministic(self, runner):
         args = ["wavefunction", "--n-l", "1", "--m-n", "2", "--zeta-re", "0.2",
@@ -601,18 +601,18 @@ class TestCoherentStateCommand:
         assert abs(payload["meta"]["norm_sq"] - 1.0) <= 1e-10
         assert abs(1.0 - sum(r["abs2"] for r in payload["rows"])) <= 1e-10
 
-    def test_abs2_per_coefficient(self, runner):
-        # abs2 is abs(c) ** 2 one coefficient at a time, bit for bit; the
-        # vectorized np.abs(coeffs) ** 2 differs from it in 20 of these 68
+    def test_abs2_over_the_column(self, runner):
+        # abs2 is np.abs(coeffs) ** 2 over the whole column, bit for bit;
+        # abs(c) ** 2 one coefficient at a time differs from it in some of these 68
         result = runner.invoke(main, ["coherent-state", "--k", "1.5", "--n", "3", "--zeta-re", "0.5",
                                       "--zeta-im", "-0.2", "--format", "json"])
         assert result.exit_code == 0, result.output
         coeffs = su11_ncs_coefficients(1.5, 3, 0.5 - 0.2j).coeffs
         rows = json.loads(result.stdout)["rows"]
         assert [complex(r["re"], r["im"]) for r in rows] == coeffs.tolist()
-        want = [float(abs(c) ** 2) for c in coeffs]
+        want = (np.abs(coeffs) ** 2).tolist()
         assert [r["abs2"] for r in rows] == want
-        assert (np.abs(coeffs) ** 2).tolist() != want
+        assert [float(abs(c) ** 2) for c in coeffs] != want
 
     def test_bad_labels_exit_code(self, runner):
         result = runner.invoke(

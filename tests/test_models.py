@@ -3,12 +3,7 @@ import pytest
 import scipy.linalg as la
 
 from twomode_jcx import models, spectra
-from twomode_jcx.errors import (
-    DomainError,
-    EdgeStateError,
-    SectorMismatchError,
-    SingularBranchError,
-)
+from twomode_jcx.errors import DomainError, EdgeStateError, SectorMismatchError
 from twomode_jcx.fock import ChargeKind, build_basis, get_sector
 from twomode_jcx.models import (
     Branch,
@@ -19,7 +14,6 @@ from twomode_jcx.models import (
     build_kg_operator,
     build_spinor,
     eigen_residual,
-    lower_from_upper,
 )
 
 
@@ -154,28 +148,6 @@ class TestKgOperator:
         kg = build_kg_operator(kind, Component.UPPER, p, basis)
         q = charge_op(conserved_charge(kind), basis)
         assert abs(commutator(kg, q)).max() == 0.0
-
-
-class TestLowerFromUpper:
-    def test_annihilated_upper(self):
-        basis = build_basis(5)
-        p = ModelParams(g=1.0, f=1.0)
-        out = lower_from_upper(ModelKind.JC_JC, p, 1.0, basis.vector(0, 0), basis)
-        assert np.all(out == 0)
-
-    def test_single_mode_action(self):
-        # X† = g* a + f* b†; with f = 1, g = 0 and E + mc^2 = 2 the result
-        # is b†|0,0>/2
-        basis = build_basis(5)
-        p = ModelParams(g=0.0, f=1.0, mc2=1.0)
-        out = lower_from_upper(ModelKind.JC_AJC, p, 1.0, basis.vector(0, 0), basis)
-        np.testing.assert_allclose(out, 0.5 * basis.vector(0, 1), atol=0)
-
-    def test_singular_branch(self):
-        basis = build_basis(5)
-        p = ModelParams(g=0.0, f=1.0, mc2=1.0)
-        with pytest.raises(SingularBranchError):
-            lower_from_upper(ModelKind.JC_AJC, p, -1.0, basis.vector(0, 0), basis)
 
 
 class TestSpinors:
