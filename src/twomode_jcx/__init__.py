@@ -73,6 +73,7 @@ from .models import (
     sector_pair,
     sector_spinor,
     sector_tridiagonal,
+    tilted_number_state,
 )
 from .spectra import (
     CoupledOscillators,

@@ -67,7 +67,7 @@ NCS_TAIL_MASS = 1e-24  # coefficient mass left out when the series is trimmed
 # the phased result), about 15 MB here; the cap admits the default
 # su(1,1) max_index of 100 000.
 MAX_LADDER_LENGTH = 1 << 17
-_PIVMIN = np.finfo(float).tiny
+_PIVMIN = float(np.finfo(float).tiny)
 
 
 class TiltingParams(NamedTuple):
@@ -311,10 +311,16 @@ class CoherentStateCoeffs(NamedTuple):
 
 def _det_sign(lam: float, diag: np.ndarray, off: np.ndarray, p: int) -> int:
     """Sign of det(lam - T[:p, :p]) for the tridiagonal T = (diag, off): the
-    product of its LDLᵀ pivot signs, with a zero pivot taken as tiny negative."""
+    product of its LDLᵀ pivot signs. As in LAPACK's dstebz count, a pivot of
+    magnitude at most pivmin = tiny·max(1, max b²) is taken as -pivmin, which
+    keeps the sign of each pivot product and lets no b²/q overflow."""
+    b2s = [0.0] + (off[: max(p - 1, 0)] ** 2).tolist()
+    pivmin = _PIVMIN * max(1.0, *b2s)
     q, sign = 1.0, 1
-    for a, b2 in zip((lam - diag[:p]).tolist(), [0.0] + (off[: max(p - 1, 0)] ** 2).tolist()):
-        q = (a - b2 / q) or -_PIVMIN
+    for a, b2 in zip((lam - diag[:p]).tolist(), b2s):
+        q = a - b2 / q
+        if abs(q) <= pivmin:
+            q = -pivmin
         if q < 0:
             sign = -sign
     return sign

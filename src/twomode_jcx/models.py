@@ -27,7 +27,10 @@ eigenpair is pinned to the cut. The full-space products
 gives zero), the finite-space reference they are tested against; the
 full-space helpers import scipy.sparse when called, so the sector code
 loads without it. An eigenspinor lives on one (upper sector, lower sector)
-pair joined by a bidiagonal block of X (``SectorPair``).
+pair joined by a bidiagonal block of X (``SectorPair``); its upper
+component is the number coherent state D(xi)|n> that ``displace``
+certifies (``tilted_number_state``), and the pair runs past that state
+unless a cutoff is given.
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ class ModelParams(_ModelParamsFields):
 class SpinorState(NamedTuple):
     """Normalized two-component eigenstate over a FockBasis or a ``SectorPair``.
 
-    ``edge`` marks one-component states whose partner component vanishes
+    ``lam`` is Lam = E² - m²c⁴, the closed form's coupling term (0 at an
+    edge). ``edge`` marks one-component states whose partner component vanishes
     identically (|E| = mc²); ``partner_qn`` carries the relabeling of the
     lower component when it stays inside the (n_l >= 0, m_n >= 0) domain.
     """
@@ -122,6 +126,7 @@ class SpinorState(NamedTuple):
     upper: np.ndarray
     lower: np.ndarray
     energy: float
+    lam: float
     branch: Branch
     qn: tuple
     kind: ModelKind
@@ -259,10 +264,18 @@ class SectorPair(NamedTuple):
 
     def residual(self, state: SpinorState) -> float:
         """|| H psi - E psi || for a spinor (u, l) over the pair, from the blocks
-        of H = [[mc², hbar X], [hbar X†, -mc²]], with no matrix of H formed."""
+        of H = [[mc², hbar X], [hbar X†, -mc²]], with no matrix of H formed.
+
+        The factor that cancels on the spinor's branch, mc² - E on PLUS and
+        mc² + E on MINUS, is formed from ``state.lam`` as -Lam/(E + mc²) and
+        Lam/(E - mc²), so no eps·mc² rounding enters at large mc²."""
         p, u, l, e = self.params, state.upper, state.lower, state.energy
-        top = (p.mc2 - e) * u + p.hbar * self.apply_x(l)
-        bottom = p.hbar * self.apply_x_dagger(u) - (p.mc2 + e) * l
+        if state.branch is Branch.PLUS:
+            mc2_minus_e, mc2_plus_e = -state.lam / (e + p.mc2), p.mc2 + e
+        else:
+            mc2_minus_e, mc2_plus_e = p.mc2 - e, state.lam / (e - p.mc2)
+        top = mc2_minus_e * u + p.hbar * self.apply_x(l)
+        bottom = p.hbar * self.apply_x_dagger(u) - mc2_plus_e * l
         return float(np.linalg.norm(np.concatenate([top, bottom])))
 
 
@@ -295,16 +308,61 @@ def sector_pair(kind: ModelKind, p: ModelParams, upper: SectorBasis) -> SectorPa
     return SectorPair(p, upper, lower, offset, g_band, f_band)
 
 
-def _tilted_state_position(kind: ModelKind, n_l: int, m_n: int, inner_sign: int):
-    """(sector charge, position of the tilted number state inside it)."""
+def tilted_number_state(
+    kind: ModelKind,
+    p: ModelParams,
+    n_l: int,
+    m_n: int,
+    cutoff: int | None = None,
+    inner_sign: int = 1,
+) -> tuple:
+    """(pair, psi1): the upper component D(xi)|n> of the (n_l, m_n) level on its ``SectorPair``.
+
+    psi1 is the Perelomov number coherent state with zeta =
+    ``spectra.tilting_parameters(kind, p).zeta``, certified by ``displace``:
+    ``su11_ncs_coefficients((m_n + 1)/2, n_l, zeta)`` on the N_d = -m_n
+    ladder, coefficient r on the state (r + m_n, r), or
+    ``su2_ncs_coefficients(N_s/2, r0 - N_s/2, zeta)`` on the whole
+    N_s = 2 n_l + m_n irrep, coefficient r on (r, N_s - r), where r0 is
+    n_l + m_n (inner sign +1) or n_l. With ``cutoff`` None the pair holds
+    the whole state and its images under X† and X: the cutoff is the
+    certified su(1,1) state's length + m_n, or the su(2) irrep is whole, so
+    no raising meets the cut. An explicit ``cutoff`` places the state on
+    that cutoff's sectors, cut at the sector's end. DomainError for a
+    negative label, or when the tilted number state lies outside the
+    cutoff's sector.
+    """
+    from . import spectra
+    from .displace import su2_ncs_coefficients, su11_ncs_coefficients
+
+    if n_l < 0 or m_n < 0:
+        raise DomainError("n_l and m_n must be nonnegative")
+    # the ladder index r of a sector state is its n_b (JC_AJC) or n_a (JC_JC)
     if kind is ModelKind.JC_AJC:
-        # Sector N_d = -m_n holds states (n + m_n, n); position = n_l.
-        return -m_n, n_l
-    if inner_sign >= 0:
-        # mu = +m_n/2: state (n_l + m_n, n_l), position = n_a.
-        return 2 * n_l + m_n, n_l + m_n
-    # mu = -m_n/2: state (n_l, n_l + m_n).
-    return 2 * n_l + m_n, n_l
+        charge, occupation, row = -m_n, 1, n_l
+    else:
+        charge, occupation = 2 * n_l + m_n, 0
+        row = n_l + m_n if inner_sign >= 0 else n_l
+    first = 0  # r of the sector's first state
+    if cutoff is not None:
+        upper = sector_basis(cutoff, conserved_charge(kind), charge)
+        first = int(upper.occupations[occupation][0])
+        if not first <= row < first + upper.dim:
+            raise DomainError(
+                f"state (n_l={n_l}, m_n={m_n}) exceeds the cutoff-{cutoff} sector"
+            )
+    zeta = spectra.tilting_parameters(kind, p).zeta
+    if kind is ModelKind.JC_AJC:
+        state = su11_ncs_coefficients((m_n + 1) / 2.0, n_l, zeta).coeffs
+    else:
+        state = su2_ncs_coefficients(charge / 2.0, row - charge / 2.0, zeta).coeffs
+    if cutoff is None:  # the state, and a row past it that X† and X raise into
+        cutoff = state.size + m_n if kind is ModelKind.JC_AJC else charge + 1
+        upper = sector_basis(cutoff, conserved_charge(kind), charge)
+    state = state[first:first + upper.dim]
+    psi1 = np.zeros(upper.dim, dtype=complex)
+    psi1[:state.size] = state
+    return sector_pair(kind, p, upper), psi1
 
 
 def sector_spinor(
@@ -313,11 +371,15 @@ def sector_spinor(
     n_l: int,
     m_n: int,
     branch: Branch,
-    cutoff: int,
+    cutoff: int | None = None,
     inner_sign: int = 1,
+    tilted: tuple | None = None,
 ) -> tuple:
     """(spinor, pair): the eigenspinor of ``build_spinor`` on its ``SectorPair``.
 
+    The upper component is ``tilted_number_state(kind, p, n_l, m_n, cutoff,
+    inner_sign)``; a caller that builds both branches of a level passes that
+    (pair, psi1) once as ``tilted``, and ``cutoff`` is then not read.
     ``spinor.upper`` and ``spinor.lower`` are vectors over ``pair.upper``
     and ``pair.lower``, so ``pair.residual(spinor)`` is the full-space
     residual at a sector pair's cost. The lower component is
@@ -327,7 +389,6 @@ def sector_spinor(
     MINUS branch, where E + mc² cancels, it is formed as Lam / (E - mc²).
     """
     from . import spectra
-    from .displace import displacement_direct
 
     # the energy raises DomainError first for a negative n_l or m_n
     if kind is ModelKind.JC_AJC:
@@ -338,15 +399,9 @@ def sector_spinor(
         energy = spectra.analytic_energy_su2(p, n_l, m_n, branch, inner_sign)
         lam = spectra._su2_coupling_term(p, n_l, m_n, inner_sign)
         partner = (n_l - 1, m_n) if n_l >= 1 else None
-
-    tilt = spectra.tilting_parameters(kind, p)
-    charge, pos = _tilted_state_position(kind, n_l, m_n, inner_sign)
-    pair = sector_pair(kind, p, sector_basis(cutoff, conserved_charge(kind), charge))
-    if pos >= pair.upper.dim:
-        raise DomainError(
-            f"state (n_l={n_l}, m_n={m_n}) exceeds the cutoff-{cutoff} sector"
-        )
-    upper = displacement_direct(tilt.xi, pair.upper, pos)
+    if tilted is None:
+        tilted = tilted_number_state(kind, p, n_l, m_n, cutoff, inner_sign)
+    pair, upper = tilted
 
     scale = p.hbar**2 * (abs(p.f) ** 2 + abs(p.g) ** 2) * (n_l + m_n + 1)
     if abs(lam) <= EDGE_REL_TOL * scale:
@@ -358,6 +413,7 @@ def sector_spinor(
             upper=upper / np.linalg.norm(upper),
             lower=np.zeros(pair.lower.dim, dtype=complex),
             energy=p.mc2,
+            lam=0.0,
             branch=branch,
             qn=(n_l, m_n),
             kind=kind,
@@ -375,6 +431,7 @@ def sector_spinor(
         upper=upper / norm,
         lower=lower / norm,
         energy=energy,
+        lam=lam,
         branch=branch,
         qn=(n_l, m_n),
         kind=kind,
@@ -396,9 +453,10 @@ def build_spinor(
     """Eigenspinor with the analytic energy of the (n_l, m_n) level, over ``basis``.
 
     The upper component is the tilted number state mapped back by the
-    displacement operator; the lower component follows exactly from the
-    coupled first-order equation, which fixes its phase and gives the
-    amplitude split |upper|² = (E + mc²)/2E, |lower|² = (E - mc²)/2E.
+    displacement operator: the certified number coherent state
+    (``tilted_number_state``), cut at the end of the basis's sector. The
+    lower component follows exactly from the coupled first-order equation,
+    which fixes its phase and gives the amplitude split |upper|² = (E + mc²)/2E, |lower|² = (E - mc²)/2E.
     Both are built on their ``SectorPair`` (``sector_spinor``) and embedded.
 
     The coupling moves one charge quantum, so the lower component is the

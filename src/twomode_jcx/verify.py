@@ -19,7 +19,14 @@ from . import displace, liealg, spectra, wavefunc
 from .errors import EdgeStateError
 from .fock import ChargeKind, sector_basis, su2_irrep
 from .liealg import AlgebraKind
-from .models import Branch, Component, ModelKind, ModelParams, sector_spinor
+from .models import (
+    Branch,
+    Component,
+    ModelKind,
+    ModelParams,
+    sector_spinor,
+    tilted_number_state,
+)
 
 
 class ReportRecord(NamedTuple):
@@ -380,13 +387,14 @@ def _wavefunction_checks():
 
 def _coupling_magnitudes_sq(seed: int, n_samples: int) -> tuple:
     """(|f|², |g|²) of random couplings, magnitudes in [0.1, 3), kept where
-    ||f|² - |g|²| >= 0.05 (|f|² + |g|²). Each phase is drawn, keeping the
-    generator's stream, but dropped: neither radicand identity reads it."""
+    ||f|² - |g|²| >= 0.05 (|f|² + |g|²). Neither radicand identity reads a
+    phase, so the phases are skipped, not drawn: advancing the bit generator
+    past one 64-bit draw per phase keeps the stream of complex couplings."""
     rng = np.random.default_rng(seed)
 
     def draw():
         r = rng.uniform(0.1, 3.0, 2 * n_samples)
-        rng.uniform(0, 2 * np.pi, 2 * n_samples)  # the phase
+        rng.bit_generator.advance(2 * n_samples)  # the phases
         return r * r
 
     fa2, ga2, have = np.empty(n_samples), np.empty(n_samples), 0
@@ -544,9 +552,9 @@ def _limit_checks():
 
 
 def _spinor_checks(p: ModelParams):
-    # Residuals on each spinor's (upper, lower) sector pair, which hold every
-    # nonzero entry of H psi - E psi at this cutoff.
-    cutoff = 70
+    # Residuals on each spinor's (upper, lower) sector pair, which runs past
+    # the certified upper component, so no entry of H psi - E psi is cut; the
+    # two branches of a level share its pair and upper component.
     recs = []
     if abs(abs(p.f) - abs(p.g)) < 1e-12:
         recs.append(
@@ -560,9 +568,10 @@ def _spinor_checks(p: ModelParams):
         worst = 0.0
         edge_skips = []
         for n_l, m_n in ((0, 0), (2, 1), (1, 4)):
+            tilted = tilted_number_state(ModelKind.JC_AJC, p, n_l, m_n)
             for br in (Branch.PLUS, Branch.MINUS):
                 try:
-                    s, pair = sector_spinor(ModelKind.JC_AJC, p, n_l, m_n, br, cutoff)
+                    s, pair = sector_spinor(ModelKind.JC_AJC, p, n_l, m_n, br, tilted=tilted)
                 except EdgeStateError as exc:
                     # |E| = mc²: the flagged one-component PLUS spinor is
                     # still checked; the MINUS branch has no eigenvector.
@@ -586,7 +595,7 @@ def _spinor_checks(p: ModelParams):
         recs += edge_skips
     worst = 0.0
     for n_l, m_n in ((1, 0), (1, 2), (0, 3)):
-        s, pair = sector_spinor(ModelKind.JC_JC, p, n_l, m_n, Branch.PLUS, cutoff)
+        s, pair = sector_spinor(ModelKind.JC_JC, p, n_l, m_n, Branch.PLUS)
         worst = max(worst, pair.residual(s))
     recs.append(
         ReportRecord.check(

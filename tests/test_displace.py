@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from twomode_jcx.displace import (
     zeta_to_xi,
 )
 from twomode_jcx.errors import ConvergenceError, TailError
-from twomode_jcx.fock import ChargeKind, build_basis, get_sector, sector_basis, sector_charges
+from twomode_jcx.fock import ChargeKind, build_basis, get_sector, sector_basis, sector_charges, su2_irrep
 from twomode_jcx.liealg import AlgebraKind, sector_generators
 
 
@@ -433,6 +434,17 @@ class TestSu2Ncs:
         c = su2_ncs_coefficients(2.0, 0.0, zeta)
         sec = get_sector(basis16, ChargeKind.SUM_NS, 4)
         col = ncs_from_displacement(zeta_to_xi(AlgebraKind.SU2, zeta), sec, 2)
+        assert np.max(np.abs(c.coeffs - col)) <= 1e-10
+
+    @pytest.mark.parametrize("j2, mu2", [(9, 3), (9, 5), (12, -6)])
+    def test_zero_pivot_of_the_sign_recurrence(self, j2, mu2):
+        # At |zeta| = 1 - eps a pivot of the LDLᵀ sign recurrence is zero;
+        # it is taken as -pivmin, and the next b²/q stays finite.
+        zeta = -0.9999999999999999
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = su2_ncs_coefficients(j2 / 2, mu2 / 2, zeta)
+        col = ncs_from_displacement(zeta_to_xi(AlgebraKind.SU2, zeta), su2_irrep(j2), (j2 + mu2) // 2)
         assert np.max(np.abs(c.coeffs - col)) <= 1e-10
 
     def test_normalization(self):

@@ -63,6 +63,7 @@ from twomode_jcx.models import (
     sector_pair,
     sector_spinor,
     sector_tridiagonal,
+    tilted_number_state,
 )
 from twomode_jcx.spectra import (
     CoupledOscillators,
@@ -482,6 +483,48 @@ def test_sector_pair_residual_equals_full_space_residual(cutoff, kind, p):
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("p", [
+    F_DOMINANT, G_DOMINANT, ModelParams(g=0.0, f=1.5), ModelParams(g=1.5, f=0.0),
+    ModelParams(g=0.75 * cmath.exp(0.4j), f=cmath.exp(-1.1j), mc2=3.0),
+])
+def test_tilted_number_state_is_the_displacement_column(kind, p):
+    # The certified number coherent state is the column D(xi)|n> of the
+    # exponential on a sector four times as long, to NCS_LADDER_TOL, and
+    # nothing of that column lies past it; g = 0 tilts the su(2) irreps by pi.
+    tilt = spectra.tilting_parameters(kind, p)
+    for n_l, m_n, inner in ((0, 0, 1), (2, 1, 1), (1, 4, 1), (1, 2, -1), (3, 0, -1)):
+        if kind is ModelKind.JC_AJC and inner < 0:
+            continue
+        pair, psi1 = tilted_number_state(kind, p, n_l, m_n, inner_sign=inner)
+        if kind is ModelKind.JC_AJC:
+            sec, pos = sector_basis(4 * pair.upper.parent_cutoff, ChargeKind.DIFFERENCE_ND, -m_n), n_l
+            assert psi1[-1] == 0  # a row past the state, so no raising meets the cut
+        else:
+            sec, pos = pair.upper, n_l + m_n if inner > 0 else n_l
+            assert pair.upper.dim == 2 * n_l + m_n + 1  # the whole irrep
+        col = displacement_direct(tilt.xi, sec, pos)
+        assert np.max(np.abs(col[:psi1.size] - psi1)) <= displace.NCS_LADDER_TOL, (n_l, m_n, inner)
+        assert np.linalg.norm(col[psi1.size:]) <= displace.NCS_LADDER_TOL, (n_l, m_n, inner)
+
+
+def test_explicit_cutoff_places_the_state_by_its_occupations():
+    # JC+JC N_s = 5 at cutoff 4 holds n_a = 1..4: the sector carries the irrep
+    # state's coefficients 1..4, and the tilted state (n_a = 3) sits at row 2.
+    whole = tilted_number_state(ModelKind.JC_JC, F_DOMINANT, 2, 1)[1]
+    pair, cut = tilted_number_state(ModelKind.JC_JC, F_DOMINANT, 2, 1, cutoff=4)
+    assert pair.upper.occupations[0].tolist() == [1, 2, 3, 4]
+    np.testing.assert_array_equal(cut, whole[1:5])
+    # JC+AJC N_d = -2 at cutoff 6 holds n_b = 0..4, the state's first five rows
+    whole = tilted_number_state(ModelKind.JC_AJC, F_DOMINANT, 1, 2)[1]
+    _, cut = tilted_number_state(ModelKind.JC_AJC, F_DOMINANT, 1, 2, cutoff=6)
+    np.testing.assert_array_equal(cut, whole[:5])
+    # N_s = 4 at cutoff 3 holds n_a = 1..3, neither n_a = 4 nor n_a = 0
+    for inner in (1, -1):
+        with pytest.raises(DomainError, match="exceeds the cutoff-3 sector"):
+            tilted_number_state(ModelKind.JC_JC, F_DOMINANT, 0, 4, cutoff=3, inner_sign=inner)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
 def test_sector_pair_is_linear_in_the_sector(kind):
     # Two bands and an offset: a cutoff-20,000 pair and its band products
     # stay in O(dim) memory, where one dense block would take 6.4 GB.
@@ -534,11 +577,13 @@ def test_edge_labels(log_f, log_g, phases, log_mc2):
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(log_f=_LOG_WEAK, log_g=_LOG_WEAK, phases=_PHASES,
-       log_mc2=st.floats(math.log(1e-3), math.log(1e6)))
+       log_mc2=st.floats(math.log(1e-3), math.log(1e12)))
 def test_spinor_checks_pass_at_weak_coupling_and_large_mc2(log_f, log_g, phases, log_mc2):
-    # Couplings down to 1e-8 and rest energies up to 1e6: E + mc² cancels on
-    # the MINUS branch there, and Lam/(E - mc²) does not, so every spinor
-    # record passes; the only SKIP is an edge label's.
-    p = _drawn_params(log_f, log_g, phases, log_mc2, 0.6)
+    # Couplings down to 1e-8, rest energies up to 1e12 and coupling ratios up
+    # to 0.9. E + mc² and mc² - E cancel on one branch each, and are formed
+    # from Lam instead; each pair runs past its certified upper component,
+    # so no truncation enters. Every spinor record passes; the only SKIP is
+    # an edge label's.
+    p = _drawn_params(log_f, log_g, phases, log_mc2, 0.9)
     for rec in verify._spinor_checks(p):
         assert rec.status == "PASS" or (rec.status == "SKIP" and rec.anchor == "spinor-edge-su11"), rec

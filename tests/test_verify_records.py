@@ -43,6 +43,17 @@ def test_cli_defaults_give_the_pinned_record_set():
     assert got == RECORDS[_key(2.0, 1.0)]
 
 
+@pytest.mark.parametrize("f, g", [
+    (0.65, 1.0), (1.0, 0.65), (0.7, 1.0), (1.0, 0.7), (0.75, 1.0), (1.0, 0.75), (0.7 + 0.2j, 1.0),
+])
+def test_suite_passes_up_to_coupling_ratio_075(f, g):
+    # Each spinor pair runs past its certified upper component, so no
+    # truncation enters the spinor records; on a fixed cutoff-70 pair these
+    # couplings fail spinor-residual-su11 at 1.6e-7 to 2.2e-3.
+    report = run_verification_suite(ModelParams(g=g, f=f), seed=7)
+    assert report.all_passed, [(r.anchor, r.residual) for r in report.failed]
+
+
 def _complex_sample_residuals(seed, n_samples=10_000):
     """The identity check on complex couplings r e^{i theta}, |f|² = |f|**2:
     the formula the magnitude-only check replaced, kept as its oracle."""
