@@ -26,9 +26,9 @@ Conjugation moves generators inside the algebra:
 with alpha = sinh 2|xi|, beta = (cosh 2|xi| - 1)/2, and the su(2) analogues
 carry delta = sin 2|xi|, eps = (cos 2|xi| - 1)/2 and a minus sign on the G0
 transfer of G±. Number coherent states D(xi)|n> are eigenvectors of the
-tilted generator D G0 D†, tridiagonal on the irrep ladder: that of the top
-level in the window lowest + n ± 1/2, certified on a cut su(1,1) ladder by
-the tail residual of the same solve.
+tilted generator D G0 D†, tridiagonal on the irrep ladder, at its known
+level lowest + n: one inverse iteration there, certified on a cut su(1,1)
+ladder by the tail residual of the vector it finds.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ NCS_NORM_TOL = 1e-10
 NCS_LADDER_TOL = 1e-12  # truncation error allowed per coefficient; roundoff is not covered
 NCS_TAIL_MASS = 1e-24  # coefficient mass left out when the series is trimmed
 # Longest irrep ladder a coherent state may request (su(1,1) max_index + 1,
-# su(2) 2j + 1). The solve holds about 110 bytes per ladder state (the
-# tridiagonal, its eigenvector window, LAPACK's stebz/stein workspace and
-# the phased result), about 15 MB here; the cap admits the default
+# su(2) 2j + 1). The solve peaks at about 100 bytes per ladder state (the
+# tridiagonal, LAPACK's dstein workspace and vector, and the phased result;
+# measured with tracemalloc), about 13 MB here; the cap admits the default
 # su(1,1) max_index of 100 000.
 MAX_LADDER_LENGTH = 1 << 17
 _PIVMIN = float(np.finfo(float).tiny)
@@ -328,24 +328,27 @@ def _det_sign(lam: float, diag: np.ndarray, off: np.ndarray, p: int) -> int:
 
 def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, length: int):
     """(D(xi)|n> on the first ``length`` ladder states |m>, its tail
-    residual), G0 = lowest + m (lowest = k or -j); (None, inf) when no
-    level lies in the window.
+    residual), G0 = lowest + m (lowest = k or -j); (None, inf) when the
+    vector found is not that of a level within 1/2 of lowest + n.
 
-    D|n> is the eigenvector, eigenvalue lowest + n, of D G0 D† = c0 G0 +
+    D|n> is the eigenvector, eigenvalue lam = lowest + n, of D G0 D† = c0 G0 +
     c+ G+ + c- G- (``similarity_coefficients(algebra, -xi).zero``), here in
     zeta: c0 = (1 ± |zeta|²)/(1 ∓ |zeta|²), c+ = -zeta/(1 ∓ |zeta|²), upper
     signs su(1,1); the artanh/arctan round trip costs digits as |zeta| -> 1.
     It is tridiagonal on the ladder, real T in the gauge diag(u^m),
-    u = c+/|c+| (as in ``displacement_direct``), and solved in the window
-    lowest + n ± 1/2. A cut su(1,1) ladder is a leading block, so by
-    min-max its level j is at least lowest + j: no level above n enters
-    the window, and its top level y is taken (a short ladder may push level
-    n out and a lower one in; its residual shows that). The tail residual
-    |off_L|·|y[L-1]|, off_L coupling the last state to the first one cut
-    off, is that of [y; 0] on the uncut ladder (0 on a whole su(2) irrep).
-    Gauge: c_0 is (-zeta*)^n times a positive number and can underflow, so
-    the sign of y is read at its peak p, where y_p / y_0 = det(lam -
-    T[:p, :p]) / (product of the subdiagonal).
+    u = c+/|c+| (as in ``displacement_direct``), and solved by one inverse
+    iteration at lam (``tridiag._inverse_iteration``), which finds the
+    vector y of the level nearest lam; ConvergenceError when it does not
+    converge. A coupling is dropped first where ``dstebz`` would split the
+    ladder (off_i² < eps²|d_i d_i+1| + tiny), a change within the solve's
+    roundoff. The tail residual r = |off_L|·|y[L-1]|, off_L coupling the
+    last state to the first one cut off, is that of [y; 0] on the uncut
+    ladder (0 on a whole su(2) irrep), so a level of its exact spectrum
+    lowest + ℕ lies within r of y's Rayleigh quotient rho. y is kept only
+    when |rho - lam| < 1/2: then, once r < 1/2, that level is lam and no
+    other. Gauge: c_0 is (-zeta*)^n times a positive number and can
+    underflow, so the sign of y is read at its peak p, where y_p / y_0 =
+    det(lam - T[:p, :p]) / (product of the subdiagonal).
     """
     su11 = algebra is AlgebraKind.SU11
     z = abs(zeta)
@@ -354,15 +357,40 @@ def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, le
     span = m[:-1] + 2 * lowest if su11 else -2 * lowest - m[:-1]
     diag = (num / den) * (lowest + m[:-1])
     off = (z / den) * np.sqrt(m[1:] * span)
-    target = lowest + n
-    w, v = tridiag.eigh(diag, off[:-1], select="v", select_range=(target - 0.5, target + 0.5))
-    if not w.size:
+    lam, e = lowest + n, off[:-1]
+    # dropped where dstebz's test splits the ladder: dstein's pivots there
+    # lose the vector (errors to 0.15 at |zeta| = 1e-304)
+    e = np.where(e * e < tridiag.EPS**2 * np.abs(diag[:-1] * diag[1:]) + _PIVMIN, 0.0, e)
+    vec = tridiag._inverse_iteration(diag, e, np.array([lam]), ConvergenceError)[:, 0]
+    if not abs(diag @ vec**2 + 2 * (e * vec[:-1]) @ vec[1:] - lam) < 0.5:
         return None, math.inf
-    vec = v[:, -1]
     p = int(np.argmax(np.abs(vec)))
-    sign = np.sign(vec[p]) * _det_sign(w[-1], diag, off, p)
+    sign = np.sign(vec[p]) * _det_sign(lam, diag, off, p)
     # u^m (-zeta*)^n / |zeta|^n = e^{i arg(-zeta) (m - n)}
     return sign * np.exp(1j * cmath.phase(-zeta) * (m[:-1] - n)) * vec, abs(off[-1] * vec[-1])
+
+
+def _su11_ladder_state(k: float, n: int, zeta: complex) -> np.ndarray:
+    """D(xi)|k, n> on the first ladder it is certified on, untrimmed: the
+    ``_tilted_state`` of ladders of max(16, 2(n + 1)) states doubled up to
+    MAX_LADDER_LENGTH, the first with tail residual r ≤ NCS_LADDER_TOL/2
+    (the unit vector e_n at zeta = 0). TailError when none up to
+    MAX_LADDER_LENGTH states meets the bound."""
+    if zeta == 0:
+        return (np.arange(n + 1) == n).astype(complex)
+    length = max(16, 2 * (n + 1))
+    while True:
+        length = min(length, MAX_LADDER_LENGTH)
+        state, resid = _tilted_state(AlgebraKind.SU11, k, n, zeta, length)
+        if resid <= NCS_LADDER_TOL / 2:
+            return state
+        if length == MAX_LADDER_LENGTH:
+            why = (
+                "no level in the window around k + n" if state is None
+                else f"tail residual {resid:.1e} > {NCS_LADDER_TOL / 2:.0e}"
+            )
+            raise TailError(f"coherent-state ladder not converged within {length} states ({why})")
+        length *= 2
 
 
 def su11_ncs_coefficients(
@@ -373,19 +401,19 @@ def su11_ncs_coefficients(
 ) -> CoherentStateCoeffs:
     """Number coherent state |zeta, k, n> = D(xi)|k, n> in the discrete-series ladder.
 
-    ``_tilted_state`` on ladders of max(16, 2(n + 1)) states doubled up to
-    MAX_LADDER_LENGTH, the first with tail residual r ≤ NCS_LADDER_TOL/2,
-    trimmed where the tail mass falls below NCS_TAIL_MASS. D G0 D† has the
-    exact spectrum k + ℕ, so by the sin θ theorem (Davis & Kahan, SIAM J.
-    Numer. Anal. 7, 1970; Parlett, The Symmetric Eigenvalue Problem, §11)
-    the angle φ to D|k, n> has sin φ ≤ r/(1 - r), and each coefficient lies
-    within √2·r/(1 - r) < NCS_LADDER_TOL of its exact value. That bounds
-    truncation only: the roundoff of the solve, growing as |zeta| -> 1, is
-    not certified. ``max_index`` (default 100 000) bounds the trimmed
-    state, not the ladders solved, so a state within it is the same bits at
-    any ``max_index``. TailError when no ladder up to MAX_LADDER_LENGTH
-    states meets the residual bound, or when the trimmed state reaches an
-    index above ``max_index``; ValueError unless 0 < k < inf, |zeta| < 1 and
+    The certified ladder vector of ``_su11_ladder_state``, trimmed where its
+    tail mass falls below NCS_TAIL_MASS. D G0 D† has the exact spectrum
+    k + ℕ, so by the sin θ theorem (Davis & Kahan, SIAM J. Numer. Anal. 7,
+    1970; Parlett, The Symmetric Eigenvalue Problem, §11) the angle φ of
+    the ladder vector to D|k, n> has sin φ ≤ r/(1 - r), r its tail
+    residual, and each coefficient lies within √2·r/(1 - r) <
+    NCS_LADDER_TOL of its exact value. That bounds truncation only: the
+    roundoff of the solve, growing as |zeta| -> 1, is not certified.
+    ``max_index`` (default 100 000) bounds the trimmed state, not the
+    ladders solved, so a state within it is the same bits at any
+    ``max_index``. TailError when no ladder up to MAX_LADDER_LENGTH states
+    meets the residual bound, or when the trimmed state reaches an index
+    above ``max_index``; ValueError unless 0 < k < inf, |zeta| < 1 and
     n <= ``max_index``, and when ``max_index`` + 1 or n + 1 exceeds
     MAX_LADDER_LENGTH.
     """
@@ -400,24 +428,7 @@ def su11_ncs_coefficients(
     _check_ladder_length(n + 1, "n + 1")
     if top < n:
         raise ValueError(f"max_index = {top} is below n = {n}")
-    if zeta == 0:
-        coeffs = np.zeros(n + 1, dtype=complex)
-        coeffs[n] = 1.0
-        return CoherentStateCoeffs(zeta=zeta, coeffs=coeffs)
-
-    length = max(16, 2 * (n + 1))
-    while True:
-        length = min(length, MAX_LADDER_LENGTH)
-        state, resid = _tilted_state(AlgebraKind.SU11, k, n, zeta, length)
-        if resid <= NCS_LADDER_TOL / 2:
-            break
-        if length == MAX_LADDER_LENGTH:
-            why = (
-                "no level in the window around k + n" if state is None
-                else f"tail residual {resid:.1e} > {NCS_LADDER_TOL / 2:.0e}"
-            )
-            raise TailError(f"coherent-state ladder not converged within {length} states ({why})")
-        length *= 2
+    state = _su11_ladder_state(k, n, zeta)
     tail_mass = np.cumsum(np.abs(state[::-1]) ** 2)[::-1]
     coeffs = state[: np.count_nonzero(tail_mass >= NCS_TAIL_MASS)]
     if coeffs.size > top + 1:
@@ -462,6 +473,8 @@ def su2_ncs_coefficients(j: float, mu: float, zeta: complex) -> CoherentStateCoe
         coeffs[jp] = 1.0
         return CoherentStateCoeffs(zeta=zeta, coeffs=coeffs)
     coeffs, _ = _tilted_state(AlgebraKind.SU2, -0.5 * (jp + jm), jp, zeta, jp + jm + 1)
+    if coeffs is None:
+        raise ConvergenceError(f"inverse iteration missed the level mu = {mu} of the irrep")
     return _norm_checked(CoherentStateCoeffs(zeta=zeta, coeffs=coeffs))
 
 

@@ -29,8 +29,8 @@ full-space helpers import scipy.sparse when called, so the sector code
 loads without it. An eigenspinor lives on one (upper sector, lower sector)
 pair joined by a bidiagonal block of X (``SectorPair``); its upper
 component is the number coherent state D(xi)|n> that ``displace``
-certifies (``tilted_number_state``), and the pair runs past that state
-unless a cutoff is given.
+certifies (``tilted_number_state``), on its certified ladder untrimmed, and
+the pair runs past that state unless a cutoff is given.
 """
 
 from __future__ import annotations
@@ -320,20 +320,22 @@ def tilted_number_state(
 
     psi1 is the Perelomov number coherent state with zeta =
     ``spectra.tilting_parameters(kind, p).zeta``, certified by ``displace``:
-    ``su11_ncs_coefficients((m_n + 1)/2, n_l, zeta)`` on the N_d = -m_n
-    ladder, coefficient r on the state (r + m_n, r), or
+    the ladder vector of ``su11_ncs_coefficients((m_n + 1)/2, n_l, zeta)``
+    before its output trim (``displace._su11_ladder_state``), on the
+    N_d = -m_n ladder, coefficient r on the state (r + m_n, r), or
     ``su2_ncs_coefficients(N_s/2, r0 - N_s/2, zeta)`` on the whole
     N_s = 2 n_l + m_n irrep, coefficient r on (r, N_s - r), where r0 is
     n_l + m_n (inner sign +1) or n_l. With ``cutoff`` None the pair holds
     the whole state and its images under X† and X: the cutoff is the
-    certified su(1,1) state's length + m_n, or the su(2) irrep is whole, so
-    no raising meets the cut. An explicit ``cutoff`` places the state on
+    certified su(1,1) ladder's length + m_n, or the su(2) irrep is whole, so
+    no raising meets the cut, and no trimmed amplitude of about the ladder
+    tolerance meets it either. An explicit ``cutoff`` places the state on
     that cutoff's sectors, cut at the sector's end. DomainError for a
     negative label, or when the tilted number state lies outside the
     cutoff's sector.
     """
     from . import spectra
-    from .displace import su2_ncs_coefficients, su11_ncs_coefficients
+    from .displace import _su11_ladder_state, su2_ncs_coefficients
 
     if n_l < 0 or m_n < 0:
         raise DomainError("n_l and m_n must be nonnegative")
@@ -353,7 +355,7 @@ def tilted_number_state(
             )
     zeta = spectra.tilting_parameters(kind, p).zeta
     if kind is ModelKind.JC_AJC:
-        state = su11_ncs_coefficients((m_n + 1) / 2.0, n_l, zeta).coeffs
+        state = _su11_ladder_state((m_n + 1) / 2.0, n_l, zeta)
     else:
         state = su2_ncs_coefficients(charge / 2.0, row - charge / 2.0, zeta).coeffs
     if cutoff is None:  # the state, and a row past it that X† and X raise into

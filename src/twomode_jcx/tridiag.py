@@ -3,9 +3,9 @@ its bisections.
 
 ``eigh`` is ``scipy.linalg.eigh_tridiagonal`` with its default tolerance and
 driver, restricted to what the package asks of it: real 1-D (diag, off),
-eigenpairs selected by index, by value window or all, with or without
-eigenvectors. It calls LAPACK directly (``dstebz``, then ``dstein`` for the
-eigenvectors of a selection; ``dstevd`` for all of them) and keeps
+eigenpairs selected by index or all, with or without eigenvectors. It
+calls LAPACK directly (``dstebz``, then ``dstein`` for the eigenvectors of
+a selection; ``dstevd`` for all of them) and keeps
 everything else that function does: its finiteness, shape and
 ``select_range`` checks, its 1x1 shortcut, its ``info`` checks and its
 reorder of ``dstein``'s block-ordered eigenvectors. So it returns the same
@@ -122,14 +122,14 @@ SEED_COARSE = 1e-3  # a whole-ladder seed's bisection tolerance, in mean level s
 WHOLE_MIN_ROWS = 96
 WHOLE_COUNT_LIMIT = 48
 EPS = np.finfo(float).eps
-_SELECT = {"a": 0, "v": 1, "i": 2}  # LAPACK's RANGE codes: all, value, index
+_SELECT = {"a": 0, "i": 2}  # LAPACK's RANGE codes: all, index
 
 
-def _check_info(info: int, routine: str) -> None:
+def _check_info(info: int, routine: str, error: type = LinAlgError) -> None:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
     if info > 0:
-        raise LinAlgError(f"LAPACK {routine} did not converge (info={info})")
+        raise error(f"LAPACK {routine} did not converge (info={info})")
 
 
 def eigh(diag, off, eigvals_only: bool = False, select: str = "a", select_range=None):
@@ -137,11 +137,11 @@ def eigh(diag, off, eigvals_only: bool = False, select: str = "a", select_range=
     eigenvectors ``v`` (columns) of the real symmetric tridiagonal with
     diagonal ``diag`` and off-diagonal ``off``.
 
-    ``select`` is "a" (all), "v" (eigenvalues in the half-open window
-    (lo, hi]) or "i" (indices lo..hi), with ``select_range`` = (lo, hi).
-    Bit for bit ``scipy.linalg.eigh_tridiagonal`` on these arguments.
-    ValueError on non-finite input, a malformed range or a negative LAPACK
-    ``info``; LinAlgError (a ValueError) when LAPACK does not converge.
+    ``select`` is "a" (all) or "i" (indices lo..hi, with ``select_range``
+    = (lo, hi)). Bit for bit ``scipy.linalg.eigh_tridiagonal`` on these
+    arguments. ValueError on non-finite input, a malformed range or a
+    negative LAPACK ``info``; LinAlgError (a ValueError) when LAPACK does
+    not converge.
     """
     d, e = np.asarray_chkfinite(diag), np.asarray_chkfinite(off)
     for a in (d, e):
@@ -152,24 +152,17 @@ def eigh(diag, off, eigvals_only: bool = False, select: str = "a", select_range=
     if d.size != e.size + 1:
         raise ValueError(f"diag ({d.size}) must have one more element than off ({e.size})")
     mode = _SELECT[select]
-    vl, vu, il, iu = 0.0, 1.0, 1, 1
     if mode:
         sr = np.asarray(select_range)
         if sr.ndim != 1 or sr.size != 2 or sr[1] < sr[0]:
             raise ValueError("select_range must be a 2-element array-like in nondecreasing order")
-        if mode == 1:
-            vl, vu = sr
-        else:
-            if sr.dtype.char.lower() not in "hilqp":
-                raise ValueError(f'select="i" needs an integer select_range, got dtype {sr.dtype}')
-            il, iu = sr + 1  # LAPACK counts from 1
-            if il < 1 or iu > d.size:
-                raise ValueError("select_range out of bounds")
+        if sr.dtype.char.lower() not in "hilqp":
+            raise ValueError(f'select="i" needs an integer select_range, got dtype {sr.dtype}')
+        il, iu = sr + 1  # LAPACK counts from 1
+        if il < 1 or iu > d.size:
+            raise ValueError("select_range out of bounds")
     if d.size == 1:
-        if mode == 1 and not vl < d[0] <= vu:
-            w, v = np.array([]), np.empty((1, 0), dtype=d.dtype)
-        else:
-            w, v = np.array([d[0]], dtype=d.dtype), np.array([[1.0]], dtype=d.dtype)
+        w, v = np.array([d[0]], dtype=d.dtype), np.array([[1.0]], dtype=d.dtype)
         return w if eigvals_only else (w, v)
     if mode == 0:
         w, v, info = dstevd(d, e, compute_v=not eigvals_only)
@@ -178,7 +171,7 @@ def eigh(diag, off, eigvals_only: bool = False, select: str = "a", select_range=
     # abstol 0 is LAPACK's default, eps·‖T‖₁. Eigenvectors need dstebz's
     # block order ("B"); they are sorted below.
     m, w, iblock, isplit, info = dstebz(
-        d, e, mode, vl, vu, il, iu, 0.0, "E" if eigvals_only else "B"
+        d, e, mode, 0.0, 1.0, il, iu, 0.0, "E" if eigvals_only else "B"
     )
     _check_info(info, "dstebz")
     w = w[:m]
@@ -188,6 +181,19 @@ def eigh(diag, off, eigvals_only: bool = False, select: str = "a", select_range=
     _check_info(info, "dstein")
     order = np.argsort(w)
     return w[order], v[:, order]
+
+
+def _inverse_iteration(d: np.ndarray, e: np.ndarray, w: np.ndarray, error: type = LinAlgError):
+    """``dstein``'s unit vectors (columns) of the tridiagonal (d, e) at the
+    ascending values ``w``, the ladder taken as one unsplit block: every
+    ``iblock`` entry 1, its last row d.size. Inverse iteration at w_k finds
+    the vector of the level nearest it. ``error`` (LinAlgError by default)
+    when LAPACK does not converge."""
+    rows = d.size
+    e = e if rows > 1 else np.zeros(1)  # scipy's wrapper wants an entry, unread on one row
+    v, info = dstein(d, e, w, np.ones(rows, dtype=np.int32), np.full(rows, rows, dtype=np.int32))
+    _check_info(info, "dstein", error)
+    return v
 
 
 def _row_sums(d: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -280,10 +286,7 @@ def leading_block_eigenvalues(diag: np.ndarray, off: np.ndarray, count: int, cut
         e = b[: m - 1]
         try:
             if refine:
-                # one unsplit block: every iblock entry 1, its last row m
-                iblock, isplit = np.ones(m, dtype=np.int32), np.full(m, m, dtype=np.int32)
-                v, info = dstein(d[:m], e, w, iblock, isplit)
-                _check_info(info, "dstein")
+                v = _inverse_iteration(d[:m], e, w)
             else:
                 w, v = eigh(d[:m], e, select="i", select_range=(0, count - 1))
         except LinAlgError:

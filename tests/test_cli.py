@@ -535,14 +535,15 @@ class TestWavefunctionCommand:
 
     def test_abs2_over_the_column(self, runner):
         # abs2 is np.abs(vals) ** 2 over the whole column, bit for bit. On
-        # this grid np.abs(v) ** 2 one sample at a time differs from it in 3
-        # samples, so the form cannot change unnoticed.
-        result = runner.invoke(main, ["wavefunction", "--n-l", "3", "--m-n", "2", "--zeta-re", "0.5",
+        # this grid np.abs(v) ** 2 one sample at a time differs from it in 14
+        # samples, so the form cannot change unnoticed. (Which grids show a
+        # difference depends on the last bits of the coefficients.)
+        result = runner.invoke(main, ["wavefunction", "--n-l", "3", "--m-n", "3", "--zeta-re", "0.5",
                                       "--n-rho", "64", "--n-phi", "16", "--format", "json"])
         assert result.exit_code == 0, result.output
         rho = np.linspace(0.0, 4.0, 64)
         phi = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-        vals = ncs_wavefunction_series(complex(0.5, 0.0), 3, 2, rho[:, None], phi[None, :]).ravel()
+        vals = ncs_wavefunction_series(complex(0.5, 0.0), 3, 3, rho[:, None], phi[None, :]).ravel()
         rows = json.loads(result.stdout)["rows"]
         assert [complex(r["re"], r["im"]) for r in rows] == vals.tolist()
         want = (np.abs(vals) ** 2).tolist()

@@ -580,10 +580,10 @@ def test_edge_labels(log_f, log_g, phases, log_mc2):
        log_mc2=st.floats(math.log(1e-3), math.log(1e12)))
 def test_spinor_checks_pass_at_weak_coupling_and_large_mc2(log_f, log_g, phases, log_mc2):
     # Couplings down to 1e-8, rest energies up to 1e12 and coupling ratios up
-    # to 0.9. E + mc² and mc² - E cancel on one branch each, and are formed
+    # to 0.99. E + mc² and mc² - E cancel on one branch each, and are formed
     # from Lam instead; each pair runs past its certified upper component,
-    # so no truncation enters. Every spinor record passes; the only SKIP is
-    # an edge label's.
-    p = _drawn_params(log_f, log_g, phases, log_mc2, 0.9)
+    # untrimmed, so no truncation enters. Every spinor record passes; the
+    # only SKIP is an edge label's.
+    p = _drawn_params(log_f, log_g, phases, log_mc2, 0.99)
     for rec in verify._spinor_checks(p):
         assert rec.status == "PASS" or (rec.status == "SKIP" and rec.anchor == "spinor-edge-su11"), rec

@@ -35,15 +35,11 @@ SECTORS = {
 
 
 def _selections(diag, off):
-    """Keyword sets for every mode: all, index ranges and value windows."""
+    """Keyword sets for every mode: all and index ranges."""
     dim = diag.size
-    w = la.eigh_tridiagonal(diag, off, eigvals_only=True)
     out = [{}]
     for lo, hi in {(0, 0), (0, min(dim, 8) - 1), (dim // 2, dim - 1), (dim - 1, dim - 1)}:
         out.append({"select": "i", "select_range": (lo, hi)})
-    for lo, hi in [(w[0] - 0.5, w[0] + 0.5), (w[-1] - 0.5, w[-1] + 0.5),
-                   (w[0] - 2.0, w[0] - 1.0), (w[0], w[dim // 2])]:
-        out.append({"select": "v", "select_range": (lo, hi)})
     return out
 
 
@@ -80,8 +76,7 @@ def test_bisection_bound_covers_every_bisected_value(a, b, n):
 @pytest.mark.parametrize("where", ["diag", "off"])
 @pytest.mark.parametrize("kwargs", [
     {}, {"eigvals_only": True}, {"select": "i", "select_range": (0, 2)},
-    {"select": "v", "select_range": (0.0, 20.0)},
-], ids=["all", "values", "index", "window"])
+], ids=["all", "values", "index"])
 def test_non_finite_input_raises_value_error(bad, where, kwargs, pinned_tridiagonal):
     diag, off = pinned_tridiagonal
     (diag if where == "diag" else off)[5] = bad
@@ -97,8 +92,6 @@ def test_non_finite_input_raises_value_error(bad, where, kwargs, pinned_tridiago
     ((np.zeros(3), np.ones(2)), {"select": "i", "select_range": (-1, 1)}, ValueError),
     ((np.zeros(3), np.ones(2)), {"select": "i", "select_range": (2, 1)}, ValueError),
     ((np.zeros(3), np.ones(2)), {"select": "i", "select_range": (0.0, 1.0)}, ValueError),
-    ((np.zeros(3), np.ones(2)), {"select": "v", "select_range": (1.0, 0.0)}, ValueError),
-    ((np.zeros(3), np.ones(2)), {"select": "v", "select_range": (1.0,)}, ValueError),
 ])
 def test_malformed_arguments_rejected_as_scipy_does(args, kwargs, error):
     for solve in (tridiag.eigh, la.eigh_tridiagonal):
