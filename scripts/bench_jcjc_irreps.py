@@ -14,7 +14,12 @@ cell calls the two trees in turn, one call each, the first tree
 alternating from cell to cell and from run to run, until each side has
 spent CELL_S of CPU time (``time.process_time``) and made at least three
 calls after one warm-up call; a side's time is its CPU time over its
-calls. A cell's figure is each side's median over the runs.
+calls. A cell's figure is each side's median over the runs. Each cell
+also records whether each side certified the irrep from its seed
+(``tridiag.whole_ladder_eigenvalues``) or declined it to the index solve,
+and the largest gap between the two sides' levels over the sum of their
+half-widths (a declined side's half-width is its bisection bound): at
+most 1 when the two agree within their widths.
 """
 
 from __future__ import annotations
@@ -58,6 +63,20 @@ def _solve(package, n_s: int, ratio: float, component: str):
     return lambda: package.spectra.numeric_spectrum(kind, comp, p, sector, COUNT)
 
 
+def _levels(package, n_s: int, ratio: float, component: str) -> tuple:
+    """(levels, half-widths, certified) of ``package`` on one grid cell: the
+    seed's certified levels, or the index solve's within its bisection
+    bound when the seed declines the irrep."""
+    p = package.ModelParams(f=1.0, g=cmath.rect(ratio, 0.7))
+    kind, comp = package.ModelKind.JC_JC, package.Component(component)
+    bands = package.models.sector_tridiagonal(kind, comp, p, package.fock.su2_irrep(n_s))
+    cut = package.tridiag.whole_ladder_eigenvalues(*bands, COUNT)
+    if cut is not None:
+        return cut[0], cut[1], True
+    levels = package.spectra._lowest(bands, COUNT)
+    return levels, np.full(COUNT, package.tridiag.bisection_bound(*bands)), False
+
+
 def _per_call(first, second) -> tuple:
     """CPU seconds per call of ``first`` and of ``second``, called in turn."""
     first(), second()
@@ -93,8 +112,11 @@ def main() -> None:
     for n_s, ratio, component in keys:
         parent = statistics.median(times["parent"][n_s, ratio, component])
         change = statistics.median(times["change"][n_s, ratio, component])
+        (v0, w0, c0), (v1, w1, c1) = (_levels(package, n_s, ratio, component) for package in trees.values())
         cells.append({"n_s": n_s, "g_over_f": ratio, "component": component,
-                      "parent_s": parent, "change_s": change, "change_over_parent": change / parent})
+                      "parent_s": parent, "change_s": change, "change_over_parent": change / parent,
+                      "certified": {"parent": c0, "change": c1},
+                      "level_gap_over_widths": float(np.max(np.abs(v1 - v0) / (w0 + w1)))})
     mid = [c["change_over_parent"] for c in cells if 300 <= c["n_s"] <= 1000 and 0 < c["g_over_f"] <= 1]
     report = {
         "what": f"per-solve CPU time of numeric_spectrum(JC_JC, component, p, su2_irrep(N_s), {COUNT}), "
@@ -104,7 +126,8 @@ def main() -> None:
         "machine": {"python": platform.python_version(), "processor": platform.processor() or platform.machine(),
                     "cpus": os.cpu_count(), "numpy": np.__version__, "scipy": scipy.__version__},
         "summary": {"max_change_over_parent": max(c["change_over_parent"] for c in cells),
-                    "median_change_over_parent_n_s_300_1000_g_over_f_0_1": statistics.median(mid)},
+                    "median_change_over_parent_n_s_300_1000_g_over_f_0_1": statistics.median(mid),
+                    "max_level_gap_over_widths": max(c["level_gap_over_widths"] for c in cells)},
         "cells": cells,
     }
     with open(args.out, "w") as fh:

@@ -302,12 +302,12 @@ def _certified_lowest(bands_of, sector: SectorBasis, count: int, tol: float, flo
     An N_s sector is a finite su(2) irrep whatever the cutoff of
     ``sector``: it is solved whole (``fock.su2_irrep``, N_s + 1 states, no
     truncated term), so ``count`` may reach N_s + 1. Its low eigenvectors
-    spread over the whole irrep, so its levels are certified from a seed of
-    the whole irrep: a coarse bisection, inverse iteration and one count,
-    each level within twice the bisection bound of its exact value
-    (``tridiag.whole_ladder_eigenvalues``). Small irreps, many levels, zero
-    couplings and failed checks take one eigenvalue-only index solve
-    (``_lowest``) instead.
+    sit in a band of its rows, so its levels are certified from a seed on
+    a window of them: a coarse bisection and inverse iteration there, and
+    one count on the whole irrep, each level within twice the bisection
+    bound of its exact value (``tridiag.whole_ladder_eigenvalues``). Small
+    irreps, many levels, zero couplings and failed checks take one
+    eigenvalue-only index solve (``_lowest``) instead.
 
     An N_d sector is a cut su(1,1) ladder: the leading block of the
     untruncated ladder, so by Cauchy interlacing each of its eigenvalues

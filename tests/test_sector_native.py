@@ -587,3 +587,15 @@ def test_spinor_checks_pass_at_weak_coupling_and_large_mc2(log_f, log_g, phases,
     p = _drawn_params(log_f, log_g, phases, log_mc2, 0.99)
     for rec in verify._spinor_checks(p):
         assert rec.status == "PASS" or (rec.status == "SKIP" and rec.anchor == "spinor-edge-su11"), rec
+
+
+@pytest.mark.parametrize("f, g", [(2, 1), (1, 2), (1e6j, 1), (1e5, 3), (1e3, 300), (10, 9.9)])
+def test_spinor_residuals_pass_at_large_couplings(f, g):
+    # Couplings up to 1e6 and ratios up to 0.99, at the default mc²: the
+    # spinors' upper components are the certified ladder vectors untrimmed.
+    # Trimmed at the coherent-state output's tail mass, the su(1,1) residual
+    # reaches 1.6e-8 to 1.4e-6 at the last four, above its 1e-8 tolerance.
+    recs = [rec for rec in verify._spinor_checks(ModelParams(f=f, g=g)) if rec.anchor.startswith("spinor-residual-")]
+    assert {rec.anchor for rec in recs} == {"spinor-residual-su11", "spinor-residual-su2"}
+    for rec in recs:
+        assert rec.status == "PASS", rec

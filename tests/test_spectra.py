@@ -676,19 +676,23 @@ def _su2_levels(p, n_s, count, component):
 
 class TestWholeIrrepSeed:
     """An su(2) irrep of WHOLE_MIN_ROWS rows or more, asked for fewer than
-    WHOLE_COUNT_LIMIT levels, is certified from a seed spanning the whole
-    irrep: a coarse index bisection, inverse iteration, Kato–Temple windows
-    and one count. Its levels are bisection's, within twice the bisection
-    bound; every other irrep is one index solve, bit for bit."""
+    WHOLE_COUNT_LIMIT levels, is certified from a seed on a window of its
+    rows: a coarse index bisection, inverse iteration, the two cut couplings,
+    Kato–Temple windows and one count on the whole irrep. Its levels are
+    bisection's, within twice the bisection bound; every other irrep is one
+    index solve, bit for bit."""
 
     @pytest.mark.parametrize("component", list(Component))
     @pytest.mark.parametrize("n_s", [398, 399])
     def test_certified_irrep_work_is_pinned(self, monkeypatch, n_s, component):
         # The benchmark's sizes at tilt 0.6: one coarse index bisection and
-        # one inverse iteration of 9 levels, one value-range count; no
-        # full-precision bisection of the irrep, no second dstein.
+        # one inverse iteration of 9 levels on the rows ``_seed_rows`` sizes,
+        # fewer than the irrep's, and one value-range count on the whole
+        # irrep; no full-precision bisection, no second window or dstein.
         p = _tilted(0.6, 1.0, phases=(0.3, 1.1))
         bands = _irrep_bands(p, component, n_s)
+        lo, hi = tridiag._seed_rows(*tridiag.ladder(*bands), 8)
+        assert hi - lo < n_s + 1
         log = _log_lapack(monkeypatch)
         residuals = []
 
@@ -702,14 +706,107 @@ class TestWholeIrrepSeed:
         names = [name for name, _ in log]
         assert names == ["dstebz", "dstein", "dstebz"], names
         # dstebz(d, e, range, vl, vu, il, iu, abstol, order): 1 is a value range, 2 an index range
-        (d, _, select, *_, abstol, _), _ = (args for name, args in log if name == "dstebz")
-        assert (select, d.size) == (2, n_s + 1) and abstol > 0
-        counts = [args for name, args in log if name == "dstebz" and args[2] == 1]
-        assert len(counts) == 1 and counts[0][7] > 0
+        (_, seed), (_, stein), (_, count) = log
+        d, _, select, *_, abstol, _ = seed
+        assert select == 2 and abstol > 0 and np.array_equal(d, bands[0][lo:hi])
+        assert np.array_equal(stein[0], d)
+        assert (count[2], count[0].size) == (1, n_s + 1) and count[7] > 0
         # the residual bound alone is far wider: Kato–Temple certifies
         (resid,) = residuals
         assert np.max(resid) > 2 * tridiag.bisection_bound(*bands)
         np.testing.assert_allclose(got, _su2_levels(p, n_s, 8, component), rtol=1e-12, atol=0)
+
+    @staticmethod
+    def _rows_tried(monkeypatch):
+        """Log the rows [lo, hi) of every window the seed is tried on."""
+        tried = []
+
+        def logged(d, b, norm, count, lo, hi, _routine=tridiag._window_levels):
+            tried.append((lo, hi))
+            return _routine(d, b, norm, count, lo, hi)
+
+        monkeypatch.setattr(tridiag, "_window_levels", logged)
+        return tried
+
+    @pytest.mark.parametrize("n_s, ratio, count, where", [
+        (1000, 10.0, 8, "first"),  # |g| > |f|: the well at row 0
+        (1000, 0.1, 8, "last"),  # |g| < |f|: the well at the last row
+        (1000, 1.0, 8, "interior"),  # |g| = |f|: the well mid-irrep
+        (120, 1.0, 40, "whole"),  # 40 levels spread over all 121 rows
+    ])
+    def test_one_window_certifies(self, monkeypatch, n_s, ratio, count, where):
+        # One window, placed where the low eigenvectors sit; each level
+        # within its half-width of the index solve's.
+        bands = _irrep_bands(ModelParams(f=1.0, g=cmath.rect(ratio, 0.4)), Component.UPPER, n_s)
+        tried = self._rows_tried(monkeypatch)
+        vals, width = tridiag.whole_ladder_eigenvalues(*bands, count)
+        ((lo, hi),) = tried
+        n = n_s + 1
+        placed = {"first": lo == 0 < hi < n, "last": 0 < lo < hi == n,
+                  "interior": 0 < lo < hi < n, "whole": (lo, hi) == (0, n)}
+        assert placed[where], (lo, hi)
+        assert np.all(np.abs(vals - spectra._lowest(bands, count)) <= width)
+
+    def test_a_window_too_small_doubles_until_it_certifies(self, monkeypatch):
+        # 40 rows mid-irrep hold the core of the low eigenvectors but not
+        # their tails: the cut couplings keep the first windows from
+        # certifying, and the rows double about them until they do.
+        bands = _irrep_bands(ModelParams(f=1.0, g=cmath.rect(1.0, 0.4)), Component.UPPER, 1000)
+        monkeypatch.setattr(tridiag, "_seed_rows", lambda d, b, norm, count: (480, 520))
+        tried = self._rows_tried(monkeypatch)
+        vals, width = tridiag.whole_ladder_eigenvalues(*bands, 8)
+        assert [hi - lo for lo, hi in tried] == [40 * 2**k for k in range(len(tried))], tried
+        assert len(tried) > 2 and 0 < tried[-1][0] and tried[-1][1] < 1001, tried
+        assert np.all(np.abs(vals - spectra._lowest(bands, 8)) <= width)
+
+    def test_a_second_well_grows_the_window_to_the_whole_ladder(self, monkeypatch):
+        # A parabolic well cut into the diagonal at row 200 holds the least
+        # Gershgorin bound, and its lowest level, 4.03, falls among the
+        # irrep's (0, 1.09, ..., 8.72 at its last rows). The first window,
+        # on the second well, misses the irrep's levels; the windows double
+        # about it until the whole ladder certifies all nine.
+        diag, off = _irrep_bands(ModelParams(f=1.0, g=0.3), Component.UPPER, 1000)
+        rows = np.arange(diag.size)
+        diag = diag - 600.0 * np.maximum(0.0, 1.0 - ((rows - 200) / 10.0) ** 2)
+        tried = self._rows_tried(monkeypatch)
+        vals, width = tridiag.whole_ladder_eigenvalues(diag, off, 8)
+        sizes = [hi - lo for lo, hi in tried]
+        assert tried[0][0] > 0 and tried[-1] == (0, diag.size) and len(tried) > 2
+        assert all(s2 == min(2 * s1, diag.size) for s1, s2 in zip(sizes, sizes[1:])), tried
+        assert all(lo2 <= lo1 and hi1 <= hi2 for (lo1, hi1), (lo2, hi2) in zip(tried, tried[1:])), tried
+        assert np.all(np.abs(vals - spectra._lowest((diag, off), 8)) <= width)
+
+    def test_a_failed_count_declines_to_the_index_solve(self, monkeypatch):
+        # A count that always finds one eigenvalue more than the windows
+        # hold: every window fails, they grow to the whole ladder, and the
+        # irrep is solved by index, bit for bit.
+        p = _tilted(0.6)
+        bands = _irrep_bands(p, Component.UPPER, 400)
+        tried = self._rows_tried(monkeypatch)
+        count_up_to = tridiag._count_up_to
+        monkeypatch.setattr(tridiag, "_count_up_to", lambda *args: count_up_to(*args) + 1)
+        assert tridiag.whole_ladder_eigenvalues(*bands, 8) is None
+        assert tried[0] != (0, 401) and tried[-1] == (0, 401), tried
+        got = numeric_spectrum(ModelKind.JC_JC, Component.UPPER, p, su2_irrep(400), 8)
+        np.testing.assert_array_equal(got, spectra._lowest(bands, 8) + p.mc2**2)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        n_s=st.integers(96, 3000),
+        log_ratio=st.one_of(st.just(0.0), st.floats(math.log(1e-2), math.log(1e2))),
+        phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+        count=st.integers(1, tridiag.WHOLE_COUNT_LIMIT - 1),
+        component=st.sampled_from(list(Component)),
+    )
+    def test_window_levels_are_index_bisections(self, n_s, log_ratio, phases, count, component):
+        # Irreps up to N_s = 3000, |g|/|f| across four decades and exactly 1,
+        # up to 47 levels: the seed's windows certify every irrep, each level
+        # within its half-width of the index solve's.
+        p = ModelParams(f=cmath.rect(1.0, phases[0]), g=cmath.rect(math.exp(log_ratio), phases[1]))
+        bands = _irrep_bands(p, component, n_s)
+        vals, width = tridiag.whole_ladder_eigenvalues(*bands, count)
+        assert np.all(width <= 2 * tridiag.bisection_bound(*bands))
+        assert np.all(np.abs(vals - spectra._lowest(bands, count)) <= width)
 
     @pytest.mark.parametrize("n_s, count, g", [
         (tridiag.WHOLE_MIN_ROWS - 2, 8, 0.5),  # one row short

@@ -99,6 +99,17 @@ def test_malformed_arguments_rejected_as_scipy_does(args, kwargs, error):
             solve(*args, **kwargs)
 
 
+@pytest.mark.parametrize("select", ["v", "x"])
+def test_unknown_select_rejected_as_scipy_does(select):
+    # "v" (a value range) is scipy's but not this function's; "x" is neither's
+    args, kwargs = (np.zeros(3), np.ones(2)), {"select": select, "select_range": (0.0, 1.0)}
+    with pytest.raises(ValueError, match="^invalid argument for select$"):
+        tridiag.eigh(*args, **kwargs)
+    if select == "x":
+        with pytest.raises(ValueError, match="^invalid argument for select$"):
+            la.eigh_tridiagonal(*args, **kwargs)
+
+
 @pytest.mark.parametrize("argv", [
     ["diagonalize", "--f-re", "1e154", "--sector", "0"],
     ["diagonalize", "--hbar", "1e154"],
