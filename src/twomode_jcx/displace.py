@@ -28,7 +28,8 @@ carry delta = sin 2|xi|, eps = (cos 2|xi| - 1)/2 and a minus sign on the G0
 transfer of G±. Number coherent states D(xi)|n> are eigenvectors of the
 tilted generator D G0 D†, tridiagonal on the irrep ladder, at its known
 level lowest + n: one inverse iteration there, certified on a cut su(1,1)
-ladder by the tail residual of the vector it finds.
+ladder by the tail residual of the vector it finds, its gauge fixed by one
+Sturm count made in ``tridiag``.
 """
 
 from __future__ import annotations
@@ -309,23 +310,6 @@ class CoherentStateCoeffs(NamedTuple):
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
-def _det_sign(lam: float, diag: np.ndarray, off: np.ndarray, p: int) -> int:
-    """Sign of det(lam - T[:p, :p]) for the tridiagonal T = (diag, off): the
-    product of its LDLᵀ pivot signs. As in LAPACK's dstebz count, a pivot of
-    magnitude at most pivmin = tiny·max(1, max b²) is taken as -pivmin, which
-    keeps the sign of each pivot product and lets no b²/q overflow."""
-    b2s = [0.0] + (off[: max(p - 1, 0)] ** 2).tolist()
-    pivmin = _PIVMIN * max(1.0, *b2s)
-    q, sign = 1.0, 1
-    for a, b2 in zip((lam - diag[:p]).tolist(), b2s):
-        q = a - b2 / q
-        if abs(q) <= pivmin:
-            q = -pivmin
-        if q < 0:
-            sign = -sign
-    return sign
-
-
 def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, length: int):
     """(D(xi)|n> on the first ``length`` ladder states |m>, its tail
     residual), G0 = lowest + m (lowest = k or -j); (None, inf) when the
@@ -348,7 +332,10 @@ def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, le
     when |rho - lam| < 1/2: then, once r < 1/2, that level is lam and no
     other. Gauge: c_0 is (-zeta*)^n times a positive number and can
     underflow, so the sign of y is read at its peak p, where y_p / y_0 =
-    det(lam - T[:p, :p]) / (product of the subdiagonal).
+    det(lam - T[:p, :p]) / (product of the subdiagonal), of sign
+    (-1)^(p - c): c is the count of the levels of T[:p, :p] at or below
+    lam (``tridiag._count_up_to``, one value-range ``dstebz``, which
+    bisects nothing); ConvergenceError when LAPACK fails it.
     """
     su11 = algebra is AlgebraKind.SU11
     z = abs(zeta)
@@ -365,7 +352,10 @@ def _tilted_state(algebra: AlgebraKind, lowest: float, n: int, zeta: complex, le
     if not abs(diag @ vec**2 + 2 * (e * vec[:-1]) @ vec[1:] - lam) < 0.5:
         return None, math.inf
     p = int(np.argmax(np.abs(vec)))
-    sign = np.sign(vec[p]) * _det_sign(lam, diag, off, p)
+    below = tridiag._count_up_to(*tridiag.ladder(diag[:p], e[: p - 1]), lam) if p else 0
+    if below < 0:
+        raise ConvergenceError("LAPACK dstebz failed to count the levels below the coherent state's")
+    sign = np.sign(vec[p]) * (-1) ** (p - below)
     # u^m (-zeta*)^n / |zeta|^n = e^{i arg(-zeta) (m - n)}
     return sign * np.exp(1j * cmath.phase(-zeta) * (m[:-1] - n)) * vec, abs(off[-1] * vec[-1])
 

@@ -175,6 +175,22 @@ def analytic_energy_su2(p: ModelParams, n_l, m_n, branch: Branch = Branch.PLUS, 
     return _signed_energy(su2_energy_sq, p, n_l, m_n, branch, inner_sign)
 
 
+def on_excluded_ray(p: ModelParams) -> bool:
+    """Whether (f, g) lies on the JC_AJC model's excluded ray |f| = |g|:
+    tanh(theta) = 2|f||g|/S ≥ 1 - 1e-15, so |g|/|f| within about 4.5e-8 of
+    1, where the hyperbolic tilting angle diverges or (theta ≥ 17.6) spreads
+    the tilted states over more rows than any cut ladder holds. Never when
+    f g = 0, where the model needs no tilt."""
+    fa, ga = abs(p.f), abs(p.g)
+    return fa * ga != 0.0 and 2.0 * fa * ga / (fa**2 + ga**2) >= 1.0 - 1e-15
+
+
+def _refuse_excluded_ray(p: ModelParams) -> None:
+    """DegenerateCouplingError when ``on_excluded_ray(p)``."""
+    if on_excluded_ray(p):
+        raise DegenerateCouplingError(f"|f| = |g| (f={p.f}, g={p.g}): hyperbolic tilting angle diverges")
+
+
 def tilting_parameters(kind: ModelKind, p: ModelParams) -> TiltingParams:
     """Displacement parameters that cancel the ladder terms of the model.
 
@@ -184,7 +200,8 @@ def tilting_parameters(kind: ModelKind, p: ModelParams) -> TiltingParams:
     -(|g|²-|f|²) delta/2 + |f||g|(2 eps + 1) (su(2)), whose zeros give the
     angles in the module docstring. This branch also leaves the su(2)
     diagonal with a +S J0 coefficient. The su(2) angle is atan2 at every
-    coupling, pi at g = 0; the su(1,1) model needs no tilt when f g = 0.
+    coupling, pi at g = 0; the su(1,1) model needs no tilt when f g = 0,
+    and DegenerateCouplingError on its excluded ray (``on_excluded_ray``).
     """
     fa, ga = abs(p.f), abs(p.g)
     algebra = AlgebraKind.SU11 if kind is ModelKind.JC_AJC else AlgebraKind.SU2
@@ -192,12 +209,8 @@ def tilting_parameters(kind: ModelKind, p: ModelParams) -> TiltingParams:
     if kind is ModelKind.JC_AJC:
         if fa * ga == 0.0:
             return TiltingParams(algebra=algebra, theta=0.0, phi=0.0)
-        ratio = 2.0 * fa * ga / (fa**2 + ga**2)
-        if ratio >= 1.0 - 1e-15:
-            raise DegenerateCouplingError(
-                f"|f| = |g| (f={p.f}, g={p.g}): hyperbolic tilting angle diverges"
-            )
-        theta = math.atanh(ratio)
+        _refuse_excluded_ray(p)
+        theta = math.atanh(2.0 * fa * ga / (fa**2 + ga**2))
     else:
         theta = math.atan2(2.0 * fa * ga, ga**2 - fa**2)
     return TiltingParams(algebra=algebra, theta=theta, phi=-chi)
@@ -241,7 +254,6 @@ def verify_tilting(
     kind: ModelKind,
     p: ModelParams,
     sector: SectorBasis,
-    params: TiltingParams | None = None,
     component: Component = Component.UPPER,
     keep: int | None = None,
 ) -> TiltingReport:
@@ -252,12 +264,11 @@ def verify_tilting(
     ``keep`` states (entire sector when ``keep`` is None). That block is
     C† KG C with C = D[:, :keep], so only those displacement columns are
     formed, and KG C comes from the sector tridiagonal in three banded
-    products (the layout of ``build_kg_operator``).
+    products (the layout of ``build_kg_operator``). The displacement is
+    ``tilting_parameters(kind, p)``'s.
     """
-    if params is None:
-        params = tilting_parameters(kind, p)
     sl = slice(None) if keep is None else slice(0, keep)
-    c = displacement_direct(params.xi, sector, sl)
+    c = displacement_direct(tilting_parameters(kind, p).xi, sector, sl)
     kg_diag, kg_off = sector_tridiagonal(kind, component, p, sector)
     kg_c = kg_diag[:, None] * c
     kg_c[1:] += kg_off[:, None] * c[:-1]
@@ -289,10 +300,16 @@ def numeric_spectrum(
     tridiagonal eigensolver; that phase gauge is a diagonal unitary
     similarity, so it leaves the eigenvalues and |eigenvector| entries
     unchanged. ``_certified_lowest`` certifies the levels to
-    SPECTRUM_DOUBLING_TOL, relative with scale floor m²c⁴.
+    SPECTRUM_DOUBLING_TOL, relative with scale floor m²c⁴. When they fail
+    on the excluded ray (``on_excluded_ray``), no cutoff certifies them:
+    DegenerateCouplingError names the ray in place of NotConvergedError.
     """
     bands_of = functools.partial(sector_tridiagonal, kind, component, p)
-    return _certified_lowest(bands_of, sector, count, SPECTRUM_DOUBLING_TOL, p.mc2**2) + p.mc2**2
+    try:
+        return _certified_lowest(bands_of, sector, count, SPECTRUM_DOUBLING_TOL, p.mc2**2) + p.mc2**2
+    except NotConvergedError:
+        _refuse_excluded_ray(p)
+        raise
 
 
 def _certified_lowest(bands_of, sector: SectorBasis, count: int, tol: float, floor: float):
@@ -580,7 +597,11 @@ def nonrelativistic_limit_check(case, charge: int, index: int, scale: float) -> 
     LIMIT_CUTOFF decides which sectors exist (ValueError otherwise). The level
     is certified by ``_certified_lowest`` to LIMIT_DOUBLING_TOL, relative
     with scale floor w1 + w2 (or 1 when both vanish; the amplifier's level
-    1 sits at roundoff of 0). ``eps_model`` is Lam/(E + mc²), with
+    1 sits at roundoff of 0). DegenerateCouplingError, before any solve,
+    on the amplifier's excluded ray, w1 = w2 (``on_excluded_ray``): its
+    limit Hamiltonian does not depend on the scale of w1 and w2, nor does
+    the certificate, whose floor is w1 + w2, and no level within that ray's
+    band certifies. ``eps_model`` is Lam/(E + mc²), with
     Lam = E² - m²c⁴ the closed form's coupling term, so it cannot cancel.
     """
     return nonrelativistic_limit_checks(case, charge, index, [scale])[0]
@@ -604,6 +625,8 @@ def nonrelativistic_limit_checks(case, charge: int, index: int, scales) -> list:
         wbar = 0.5 * (case.omega1 + case.omega2)
         mc2 = scale * hbar * (wbar if wbar > 0 else 1.0)
         p, kind = special_case_params(case, mc2=mc2, hbar=hbar)
+        if kind is ModelKind.JC_AJC:
+            _refuse_excluded_ray(p)
 
         sector = sector_basis(LIMIT_CUTOFF, conserved_charge(kind), charge)
         if kind is ModelKind.JC_JC:

@@ -1,5 +1,5 @@
-"""Every tridiagonal eigensolve of the package, and the accuracy bound of
-its bisections.
+"""Every tridiagonal eigensolve and every Sturm count of the package, and
+the accuracy bound of its bisections.
 
 ``eigh`` is ``scipy.linalg.eigh_tridiagonal`` with its default tolerance and
 driver, restricted to what the package asks of it: real 1-D (diag, off),
@@ -76,6 +76,15 @@ their own certificates: a leading block's residuals are already at
 roundoff, and a prototype that certified it by Kato–Temple windows instead
 cost 1.08–1.15× the CPU time per JC+AJC solve at tilt ≤ 0.8 and up to 2.4×
 at tilt 0.94 (2-CPU Intel Xeon container).
+
+A Sturm count, how many eigenvalues lie at or below a value, is one
+value-range ``dstebz`` call whose tolerance spans the range, so it bisects
+nothing (``_count_up_to``), with LAPACK's pivot rules: a pivot within
+pivmin of zero is taken as -pivmin, so no b²/q overflows. It checks the
+windows of both shortcuts above, and it fixes the gauge of a number
+coherent state (``displace._tilted_state``), whose first coefficient can
+underflow: the sign of its peak entry y_p relative to y_0 is that of
+det(lam - T[:p, :p]), (-1)^(p - c) for c the count on the leading p rows.
 
 ``bisection_bound`` is WINDOW_EPS·eps·‖T‖, with ‖T‖ the Gershgorin bound:
 it covers both ``dstebz``'s default stopping tolerance (eps·‖T‖₁) and the
@@ -256,9 +265,11 @@ def _windows(theta: np.ndarray, resid: np.ndarray, bound: float) -> np.ndarray |
 
 
 def _count_up_to(d: np.ndarray, b: np.ndarray, norm: float, top: float) -> int:
-    """How many eigenvalues of the ladder (d, b, norm) lie at or below
-    ``top``, by one value-range ``dstebz`` whose tolerance spans the range,
-    so that it counts and bisects nothing; -1 when LAPACK fails."""
+    """How many eigenvalues of the ladder (d, b, norm), norm ≥ ‖T‖, lie at
+    or below ``top``, by one value-range ``dstebz`` whose tolerance spans
+    the range, so that it counts and bisects nothing; -1 when LAPACK
+    fails."""
+    b = b if d.size > 1 else np.zeros(1)  # scipy's wrapper wants an entry, unread on one row
     found, _, _, _, info = dstebz(d, b, 1, -np.inf, top, 1, 1, 2 * (abs(top) + norm), "E")
     return -1 if info else found
 

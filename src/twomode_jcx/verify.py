@@ -189,7 +189,7 @@ def _tilting_checks(p: ModelParams, seed: int, n_random: int = 5):
 
     for f, g, tag in pairs():
         pp = ModelParams(g=g, f=f, mc2=p.mc2, hbar=p.hbar)
-        if abs(abs(f) - abs(g)) < 1e-12:
+        if spectra.on_excluded_ray(pp):
             recs.append(
                 ReportRecord.skip(
                     f"su11 tilting ({tag})",
@@ -245,7 +245,7 @@ def _spectrum_checks(p: ModelParams, cutoff: int):
         )
     )
 
-    if abs(abs(p.f) - abs(p.g)) < 1e-12:
+    if spectra.on_excluded_ray(p):
         recs.append(
             ReportRecord.skip(
                 "su11 numeric == analytic spectrum",
@@ -556,7 +556,7 @@ def _spinor_checks(p: ModelParams):
     # the certified upper component, so no entry of H psi - E psi is cut; the
     # two branches of a level share its pair and upper component.
     recs = []
-    if abs(abs(p.f) - abs(p.g)) < 1e-12:
+    if spectra.on_excluded_ray(p):
         recs.append(
             ReportRecord.skip(
                 "su11 eigenspinor residuals",

@@ -269,6 +269,25 @@ class TestDiagonalizeCommand:
         )
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("argv", [
+        ["--f-re", "1", "--g-re", "1"],
+        ["--f-re", "1", "--g-re", "1", "--cutoff", "2047"],
+        ["--f-re", "1", "--g-re", "0.99999999"],
+    ], ids=["ray", "ray-cutoff-2047", "in-band"])
+    def test_levels_on_the_excluded_ray_name_the_ray(self, runner, argv):
+        # no cutoff certifies them: the error names |f| = |g|, not the cutoff
+        result = runner.invoke(main, ["diagonalize", *argv, "--sector", "0"])
+        _one_line_usage_error(result, "|f| = |g|")
+
+    def test_levels_certified_on_the_ray_stay_certified(self, runner):
+        # weak coupling against m²c⁴: the cut ladder's levels lie within the
+        # tolerance of m²c⁴ = 2500, the closed form's value on the ray
+        result = runner.invoke(main, ["diagonalize", "--f-re", "1e-3", "--g-re", "1e-3",
+                                      "--mc2", "50", "--sector", "0", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        got = [r["energy_sq"] for r in json.loads(result.output)["rows"]]
+        np.testing.assert_allclose(got, 2500.0, rtol=1e-9, atol=0)
+
 
 def _one_line_usage_error(result, fragment):
     """Exit 2 through click's usage error: one 'Error:' line, no traceback."""
@@ -660,6 +679,11 @@ class TestLimitsCommand:
         # cutoff 160, 132.4 at 320 and 99.0 at 640): doubling refuses them.
         result = runner.invoke(main, ["limits", "--case", "ndpa", "--index", index])
         _one_line_usage_error(result, "cutoff doubling moved eigenvalues")
+
+    def test_amplifier_on_the_excluded_ray_names_the_ray(self, runner):
+        # w1 = w2 puts the amplifier's couplings on |f| = |g|
+        result = runner.invoke(main, ["limits", "--case", "ndpa", "--omega1", "1", "--omega2", "1"])
+        _one_line_usage_error(result, "|f| = |g|")
 
 
 class TestConfigPrecedence:

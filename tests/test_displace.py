@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -365,7 +366,8 @@ def _boundary_mass_pick(algebra, k, n, zeta, length):
     i = int(np.argmin(np.abs(w - target)))
     vec = v[:, i]
     p = int(np.argmax(np.abs(vec)))
-    sign = np.sign(vec[p]) * displace._det_sign(w[i], diag, off, p)
+    below = tridiag._count_up_to(*tridiag.ladder(diag[:p], off[: p - 1]), w[i]) if p else 0
+    sign = np.sign(vec[p]) * (-1) ** (p - below)
     return sign * np.exp(1j * cmath.phase(-zeta) * (m - n)) * vec, abs(off[-1] * vec[-1])
 
 
@@ -382,25 +384,56 @@ class TestOneInverseIteration:
     quotient lies within 1/2 of that level, and a LAPACK failure is a
     ConvergenceError."""
 
-    def test_ncs_coefficients_make_no_dstebz_call(self, monkeypatch):
+    def test_ncs_coefficients_bisect_nothing(self, monkeypatch):
+        # per ladder: one dstein, then, when the peak lies past row 0, one
+        # value-range dstebz count of the rows above it, which bisects nothing
         log = _log_lapack(monkeypatch)
-        solve, lengths = displace._tilted_state, []
+        solve, peaks = displace._tilted_state, []
 
         def logged(algebra, lowest, n, zeta, length):
-            lengths.append(length)
-            return solve(algebra, lowest, n, zeta, length)
+            state, resid = solve(algebra, lowest, n, zeta, length)
+            # a vector refused by its Rayleigh quotient is not counted
+            peaks.append(0 if state is None else int(np.argmax(np.abs(state))))
+            return state, resid
+
+        def expected():
+            calls = []
+            for p in peaks:
+                calls += [("dstein", None)] + [("dstebz", p)] * (p > 0)
+            return calls
+
+        def made():
+            # (routine, rows counted): a count is RANGE 2, "V", with a tolerance spanning it
+            calls = []
+            for name, args in log:
+                if name == "dstebz":
+                    d, _, mode, vl, vu, _, _, tol, _ = args
+                    assert mode == 1 and vl == -np.inf and tol > 2 * abs(vu)
+                    calls.append((name, d.size))
+                else:
+                    calls.append((name, None))
+            return calls
 
         monkeypatch.setattr(displace, "_tilted_state", logged)
         for k, n, zeta in [(0.5, 0, 0.3), (1.5, 3, 0.5 - 0.2j), (3.0, 40, cmath.rect(0.9, 0.7))]:
             log.clear()
-            lengths.clear()
+            peaks.clear()
             su11_ncs_coefficients(k, n, zeta)
-            assert [name for name, _ in log] == ["dstein"] * len(lengths), (k, n, zeta)
-        assert len(lengths) > 1  # the last state doubled its ladder
-        for j2, mu2, zeta in [(4, 0, 0.5), (48, -6, 1.2j), (399, 1, 0.7)]:
+            assert made() == expected(), (k, n, zeta)
+        assert len(peaks) > 1 and 0 < peaks[-1]  # the last state doubled its ladder and counted
+        for j2, mu2, zeta in [(4, 0, 0.5), (48, -6, 1.2j), (399, 1, 0.7), (4, -4, 0.01)]:
             log.clear()
+            peaks.clear()
             su2_ncs_coefficients(j2 / 2, mu2 / 2, zeta)
-            assert [name for name, _ in log] == ["dstein"], (j2, mu2, zeta)
+            assert made() == expected(), (j2, mu2, zeta)
+        assert peaks == [0]  # the lowest weight at small |zeta| peaks at row 0: no count
+
+    def test_a_failed_count_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(tridiag, "_count_up_to", lambda *args: -1)
+        with pytest.raises(ConvergenceError, match="dstebz failed to count"):
+            su11_ncs_coefficients(0.5, 2, 0.3)
+        with pytest.raises(ConvergenceError, match="dstebz failed to count"):
+            su2_ncs_coefficients(2.0, 0.0, 0.5)
 
     def test_dstein_failure_is_a_convergence_error(self, monkeypatch):
         monkeypatch.setattr(tridiag, "dstein", lambda d, e, w, *blocks: (np.zeros((d.size, w.size)), 1))
@@ -518,15 +551,35 @@ class TestSu2Ncs:
         assert np.max(np.abs(c.coeffs - col)) <= 1e-10
 
     @pytest.mark.parametrize("j2, mu2", [(9, 3), (9, 5), (12, -6)])
-    def test_zero_pivot_of_the_sign_recurrence(self, j2, mu2):
-        # At |zeta| = 1 - eps a pivot of the LDLᵀ sign recurrence is zero;
-        # it is taken as -pivmin, and the next b²/q stays finite.
+    def test_zero_pivot_of_the_sign_count(self, j2, mu2):
+        # At |zeta| = 1 - eps the diagonal is roundoff (1e-16) against
+        # couplings of 1e8, so the Sturm pivots of the leading rows pass
+        # within roundoff of zero (1e-15, then -4e15). dstebz's count keeps
+        # their parity: it is that of the exact det(lam - T[:p, :p]) of the
+        # float entries, and the gauge is the displacement column's.
         zeta = -0.9999999999999999
-        with warnings.catch_warnings():
+        lowest, n = -j2 / 2, (j2 + mu2) // 2
+        counted = []
+        count = tridiag._count_up_to
+
+        def logged(d, b, norm, top):
+            counted.append((d.copy(), b.copy(), top, count(d, b, norm, top)))
+            return counted[-1][-1]
+
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
             warnings.simplefilter("error")
+            mp.setattr(tridiag, "_count_up_to", logged)
             c = su2_ncs_coefficients(j2 / 2, mu2 / 2, zeta)
-        col = ncs_from_displacement(zeta_to_xi(AlgebraKind.SU2, zeta), su2_irrep(j2), (j2 + mu2) // 2)
+        col = ncs_from_displacement(zeta_to_xi(AlgebraKind.SU2, zeta), su2_irrep(j2), n)
         assert np.max(np.abs(c.coeffs - col)) <= 1e-10
+        ((d, b, lam, below),) = counted
+        assert lam == lowest + n
+        # the continuant recurrence det_k = (lam - d_k) det_k-1 - b_k-1² det_k-2, exactly
+        prev, det = Fraction(0), Fraction(1)
+        for k in range(d.size):
+            step = (Fraction(lam) - Fraction(d[k])) * det
+            prev, det = det, step - (Fraction(b[k - 1]) ** 2 * prev if k else 0)
+        assert det != 0 and (det > 0) == ((d.size - below) % 2 == 0)
 
     def test_normalization(self):
         for zeta in (0.9, 1.7j, -0.4 + 1.1j):

@@ -150,6 +150,11 @@ SU11_GRID = [
     (0.75, 17, 0.7 * cmath.exp(-1.2j)),
     (1.5, 120, 0.5 * cmath.exp(2.1j)),
     (0.5, 200, 0.99 * cmath.exp(0.7j)),
+    # exact c_0 ~ 1e-450 (below the float range) and 1e-300: computed, each
+    # is roundoff of about 1e-50 with either sign, so only the count fixes
+    # the gauge
+    (0.5, 150, 1e-3),
+    (2.0, 120, 3e-3j),
 ]
 
 SU2_GRID = [

@@ -24,6 +24,7 @@ from twomode_jcx.spectra import (
     ndpa_energy,
     nonrelativistic_limit_check,
     numeric_spectrum,
+    on_excluded_ray,
     special_case_params,
     su2_energy_sq,
     su2_energy_sq_rewritten,
@@ -173,6 +174,21 @@ class TestTilting:
     def test_degenerate_coupling_raises(self):
         with pytest.raises(DegenerateCouplingError):
             tilting_parameters(ModelKind.JC_AJC, ModelParams(g=1.0, f=1.0))
+
+    @pytest.mark.parametrize("f, g, on_ray", [
+        (1.0, 1.0, True), (1.0, 1 - 4e-8, True), (1 - 4e-8, 1.0, True), (1.0, 1 - 5e-8, False),
+        (2.0, 1.0, False), (1e-13, 3e-14, False), (1e-13, 0.0, False), (0.0, 0.0, False),
+    ])
+    def test_the_tilt_refuses_exactly_on_the_excluded_ray(self, f, g, on_ray):
+        # one test, tanh(theta) >= 1 - 1e-15, so |g|/|f| within about
+        # 4.5e-8 of 1; f g = 0 needs no tilt and is not on the ray
+        p = ModelParams(g=g, f=f)
+        assert on_excluded_ray(p) is on_ray
+        if on_ray:
+            with pytest.raises(DegenerateCouplingError, match=r"\|f\| = \|g\|"):
+                tilting_parameters(ModelKind.JC_AJC, p)
+        else:
+            assert math.isfinite(tilting_parameters(ModelKind.JC_AJC, p).theta)
 
     def test_su2_balanced_angle(self):
         tp = tilting_parameters(ModelKind.JC_JC, ModelParams(g=1.0, f=1.0))
@@ -890,16 +906,23 @@ _LOG_COUPLING = st.floats(math.log(1e-4), math.log(1e8))
 # ladder cannot resolve it to the doubling tolerance
 @example(log_f=math.log(8.534914926026937), log_g=math.log(1765.5664673413253),
          phases=(0.0, 0.0), cutoff=80, charge=1, count=6, component=Component.UPPER)
+# |f| = |g|: no cutoff certifies a level, and the error names the ray
+@example(log_f=0.0, log_g=0.0, phases=(0.0, 0.0), cutoff=2, charge=0, count=1, component=Component.UPPER)
 def test_certified_levels_match_the_closed_form(log_f, log_g, phases, cutoff, charge, count, component):
     # Couplings across twelve decades, each dominance and phase: every level
     # numeric_spectrum certifies is the closed form's to 1e-8 of E² (which
-    # is at least m²c⁴); NotConvergedError is the only other outcome.
+    # is at least m²c⁴); NotConvergedError is the only other outcome, named
+    # DegenerateCouplingError on the excluded ray.
     p = ModelParams(f=cmath.rect(math.exp(log_f), phases[0]), g=cmath.rect(math.exp(log_g), phases[1]))
     sec = sector_basis(cutoff, ChargeKind.DIFFERENCE_ND, max(-cutoff, min(cutoff, charge)))
     count = min(count, sec.dim)
     try:
         got = numeric_spectrum(ModelKind.JC_AJC, component, p, sec, count)
     except NotConvergedError:
+        assert not on_excluded_ray(p)
+        return
+    except DegenerateCouplingError:
+        assert on_excluded_ray(p)
         return
     want = su11_sector_energy_sq(p, sec.charge_value, np.arange(count))
     if component is Component.LOWER:

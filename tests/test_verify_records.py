@@ -54,6 +54,30 @@ def test_suite_passes_up_to_coupling_ratio_075(f, g):
     assert report.all_passed, [(r.anchor, r.residual) for r in report.failed]
 
 
+_RAY_ANCHORS = ("tilting-su11", "spectrum-oracle-su11", "spinor-residual-su11")
+
+
+@pytest.mark.parametrize("f, g", [(1e-13, 3e-14), (5e-13, 1e-13), (1e-13, 0.0), (0.0, 0.0)])
+def test_tiny_couplings_run_the_su11_records(f, g):
+    # |g|/|f| = 0.3, 0.2 and 0, and no coupling: off the excluded ray, where
+    # the tilt is finite (or absent), so every su(1,1) record runs
+    report = run_verification_suite(ModelParams(g=g, f=f), seed=7)
+    assert report.all_passed, [(r.anchor, r.residual) for r in report.failed]
+    skipped = {r.anchor for r in report.records if r.status == "SKIP"}
+    assert skipped <= {"spinor-edge-su11"}, skipped
+    assert {r.anchor for r in report.records} >= set(_RAY_ANCHORS)
+
+
+@pytest.mark.parametrize("g", [1 - 1e-8, 1 - 1e-9])
+def test_near_ray_couplings_skip_exactly_the_su11_records(g):
+    # within the band where the tilt refuses (tanh theta >= 1 - 1e-15),
+    # verify skips the records that need it, as on the ray itself
+    report = run_verification_suite(ModelParams(g=g, f=1.0), seed=7)
+    assert report.all_passed, [(r.anchor, r.residual) for r in report.failed]
+    assert [r.anchor for r in report.records if r.status == "SKIP"] == list(_RAY_ANCHORS)
+    assert spectra.on_excluded_ray(ModelParams(g=g, f=1.0))
+
+
 def _complex_sample_residuals(seed, n_samples=10_000):
     """The identity check on complex couplings r e^{i theta}, |f|² = |f|**2:
     the formula the magnitude-only check replaced, kept as its oracle."""
