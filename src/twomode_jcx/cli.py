@@ -6,19 +6,30 @@ comma-separated, LF line endings, mandatory header row, floats printed with
 17 significant digits, a string raw unless it holds a comma, a double quote,
 CR or LF, in which case it is double-quoted with inner quotes doubled
 (RFC 4180), metadata appended as ``# key=value`` comment lines.
-Exit codes: 0 success, 1 verification failure, 2 usage or domain errors.
-The command group is the one place where a library exception becomes
-exit 2; commands translate none themselves.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain errors,
+each of which is one ``Error:`` line on stderr. ``main`` is the one place
+where a library exception becomes exit 2; commands translate none
+themselves.
+
+Arguments are parsed from one option table per command, built at import:
+each row (``Option``) holds an option's names, the key of its value, how
+its values read, its default and its help. ``main`` reads
+``[--config FILE] COMMAND [--opt VALUE | --opt=VALUE | --flag]...`` in one
+pass; the same rows write ``--help`` and check the ``--config`` defaults.
+A value is the next argument whatever it looks like, so ``--f-re -1e-05``
+and ``--g-im -inf`` reach the command.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import Callable, NamedTuple
 
-import click
 import numpy as np
 
 from . import spectra, wavefunc
@@ -55,10 +66,30 @@ _CASES = {
 }
 
 
+class UsageError(Exception):
+    """A usage or domain error: ``main`` writes it as one ``Error:`` line
+    and exits 2."""
+
+
+def _echo(text: str, stream) -> None:
+    """Write ``text`` to ``stream`` and flush. A stream whose encoding is
+    ASCII gets UTF-8 on its byte buffer instead, so that ``verify``'s CSV
+    details and errors such as ``hbar² overflows`` still write."""
+    encoding = getattr(stream, "encoding", None) or "ascii"
+    buffer = getattr(stream, "buffer", None)
+    if buffer is not None and codecs.lookup(encoding).name == "ascii":
+        stream.flush()
+        buffer.write(text.encode("utf-8", "replace"))
+        buffer.flush()
+    else:
+        stream.write(text)
+        stream.flush()
+
+
 def _check_cap(value: int, cap: int, what: str) -> None:
     """Exit 2 with one line, before anything is allocated, when ``value`` > ``cap``."""
     if value > cap:
-        raise click.UsageError(f"{what} = {value} exceeds the cap of {cap}")
+        raise UsageError(f"{what} = {value} exceeds the cap of {cap}")
 
 
 _NON_FINITE = "non-finite number in output; refusing to serialize"
@@ -104,7 +135,7 @@ def _cells(values: list, kind: str, fmt: str) -> list:
     """One column's Python values, ready for its format: a non-finite float
     exits 2, and a string is escaped for JSON or quoted for CSV."""
     if kind == "f" and not all(map(math.isfinite, values)):
-        raise click.UsageError(_NON_FINITE)
+        raise UsageError(_NON_FINITE)
     if kind == "O":
         return list(map(_json_str if fmt == "json" else _csv_str, values))
     return values
@@ -155,7 +186,7 @@ def emit_rows(rows: np.ndarray, fmt: str, out_path: str | None, meta: dict | Non
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        _echo(text, sys.stdout)
 
 
 def _model_params(ctx_params) -> ModelParams:
@@ -175,71 +206,147 @@ def _resolve_model(params):
     return _model_params(params), ModelKind(params["model"])
 
 
-def model_options(fn):
-    opts = [
-        click.option("--model", type=click.Choice(["jc-ajc", "jc-jc"]), default="jc-ajc", show_default=True),
-        click.option("--case", type=click.Choice(sorted(_CASES)), default=None, help="Named preset; overrides --model and the couplings."),
-        click.option("--f-re", "f_re", type=float, default=2.0, show_default=True),
-        click.option("--f-im", "f_im", type=float, default=0.0, show_default=True),
-        click.option("--g-re", "g_re", type=float, default=1.0, show_default=True),
-        click.option("--g-im", "g_im", type=float, default=0.0, show_default=True),
-        click.option("--omega1", "--omega", "omega1", type=float, default=0.1, show_default=True, help="Preset frequency."),
-        click.option("--omega2", type=float, default=0.2, show_default=True),
-        click.option("--phase", type=float, default=0.0, show_default=True),
-        click.option("--mc2", type=float, default=1.0, show_default=True),
-        click.option("--hbar", type=float, default=1.0, show_default=True),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+class OptionType(NamedTuple):
+    """How an option's values read: ``metavar`` names them in ``--help``, and
+    ``convert`` turns a command-line string or a ``--config`` value into one,
+    raising ValueError with the reason it cannot."""
+
+    metavar: str
+    convert: Callable[[object], object]
 
 
-def output_options(fn):
-    opts = [
-        click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True),
-        click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+class Option(NamedTuple):
+    """One row of a command's option table: the names it answers to, the
+    key of its value in the command's params and in ``--config``, how its
+    values read, its default and its help. A ``multiple`` option keeps every
+    value given, in order; any other keeps the last."""
+
+    names: tuple
+    dest: str
+    type: OptionType
+    default: object = None
+    help: str = ""
+    multiple: bool = False
 
 
-class _DomainErrorBoundary(click.Group):
-    """Turns every domain error raised below the group into exit 2.
+def _number(cast: type, name: str, minimum=None) -> OptionType:
+    """``cast`` (int or float) of a value, refused below ``minimum``."""
 
-    Package errors, ``ValueError``, ``ArithmeticError`` and ``OSError`` (an
-    unwritable ``--out``) end as one ``Error:`` line; overflow keeps a
-    ``numeric overflow:`` prefix. ``verify``'s exit 1 is a ``SystemExit``
-    and passes through.
-    """
-
-    def invoke(self, ctx):
+    def convert(value):
         try:
-            return super().invoke(ctx)
-        except (TwoModeJcxError, ValueError, ArithmeticError, OSError) as exc:
-            overflow = isinstance(exc, (OverflowError, FloatingPointError))
-            raise click.UsageError(f"numeric overflow: {exc}" if overflow else str(exc)) from exc
+            number = cast(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{value!r} is not a valid {name}.") from None
+        if minimum is not None and number < minimum:  # NaN passes: verify names a NaN --tol
+            raise ValueError(f"{number!r} is not in the range x>={minimum!r}.")
+        return number
+
+    return OptionType(name.upper(), convert)
 
 
-@click.group(cls=_DomainErrorBoundary)
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="JSON file with per-command defaults; CLI flags win.")
-@click.pass_context
-def main(ctx, config):
-    """Two-mode spin-boson models: spectra, verification, and state samples."""
-    if config:
-        with open(config, encoding="utf-8") as fh:
-            defaults = json.load(fh)
-        if not (isinstance(defaults, dict) and all(isinstance(v, dict) for v in defaults.values())):
-            raise click.UsageError("--config must hold a JSON object of per-command objects")
-        ctx.default_map = defaults
+def _choice(*choices: str) -> OptionType:
+    """One of ``choices``, exactly."""
+
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"{value!r} is not one of {', '.join(map(repr, choices))}.")
+        return value
+
+    return OptionType(f"[{'|'.join(choices)}]", convert)
 
 
-@main.command()
-@model_options
-@output_options
-@click.option("--nmax", type=int, default=5, show_default=True)
-@click.option("--mmax", type=int, default=5, show_default=True)
+def _file(must_exist: bool) -> OptionType:
+    """A file path; a directory is refused, and so is a missing file when
+    ``must_exist``."""
+
+    def convert(value):
+        if not isinstance(value, str):
+            raise ValueError(f"{value!r} is not a file path.")
+        if os.path.isdir(value):
+            raise ValueError(f"File '{value}' is a directory.")
+        if must_exist and not os.path.exists(value):
+            raise ValueError(f"File '{value}' does not exist.")
+        return value
+
+    return OptionType("FILE", convert)
+
+
+def _flag(value) -> bool:
+    """A flag's ``--config`` value; on the command line a flag takes none."""
+    word = str(value).strip().lower()
+    if word in ("1", "true", "t", "yes", "y", "on"):
+        return True
+    if word in ("0", "false", "f", "no", "n", "off"):
+        return False
+    raise ValueError(f"{value!r} is not a valid boolean.")
+
+
+INT = _number(int, "integer")
+FLOAT = _number(float, "float")
+TEXT = OptionType("TEXT", str)
+FLAG = OptionType("", _flag)
+
+
+def _opt(*names: str, type: OptionType, default=None, help: str = "", dest: str | None = None,
+         multiple: bool = False) -> Option:
+    """An ``Option`` whose key is its first name, dashes as underscores, unless given."""
+    return Option(names, dest or names[0][2:].replace("-", "_"), type, default, help, multiple)
+
+
+MODEL_OPTIONS = (
+    _opt("--model", type=_choice("jc-ajc", "jc-jc"), default="jc-ajc"),
+    _opt("--case", type=_choice(*sorted(_CASES)), help="Named preset; overrides --model and the couplings."),
+    _opt("--f-re", type=FLOAT, default=2.0),
+    _opt("--f-im", type=FLOAT, default=0.0),
+    _opt("--g-re", type=FLOAT, default=1.0),
+    _opt("--g-im", type=FLOAT, default=0.0),
+    _opt("--omega1", "--omega", type=FLOAT, default=0.1, help="Preset frequency."),
+    _opt("--omega2", type=FLOAT, default=0.2),
+    _opt("--phase", type=FLOAT, default=0.0),
+    _opt("--mc2", type=FLOAT, default=1.0),
+    _opt("--hbar", type=FLOAT, default=1.0),
+)
+OUTPUT_OPTIONS = (
+    _opt("--format", type=_choice("json", "csv"), default="json", dest="fmt"),
+    _opt("--out", type=_file(must_exist=False), dest="out_path"),
+)
+
+
+HELP = _opt("--help", type=FLAG, help="Show this message and exit.")
+
+
+class _Command(NamedTuple):
+    """A command: its function, called with one keyword per option, its
+    option table, and each name of each option (``--help`` too) mapped once
+    to its row."""
+
+    run: Callable
+    options: tuple
+    by_name: dict
+
+
+def _table(run: Callable, options: tuple) -> _Command:
+    return _Command(run, options, {name: opt for opt in (*options, HELP) for name in opt.names})
+
+
+COMMANDS: dict = {}
+
+
+def _command(*options: Option, name: str | None = None):
+    """Register the decorated function as the command ``name`` (default: its own)."""
+
+    def register(fn):
+        COMMANDS[name or fn.__name__] = _table(fn, options)
+        return fn
+
+    return register
+
+
+@_command(
+    *MODEL_OPTIONS, *OUTPUT_OPTIONS,
+    _opt("--nmax", type=INT, default=5),
+    _opt("--mmax", type=INT, default=5),
+)
 def spectrum(**params):
     """Closed-form energy table over the (n_l, m_n) grid, both branches."""
     # up to four rows per grid point: two branches, two inner signs
@@ -275,24 +382,24 @@ def _spectrum_table(p: ModelParams, kind: ModelKind, nmax: int, mmax: int) -> np
                  energy=np.where(minus, -energy, energy))
 
 
-@main.command()
-@model_options
-@output_options
-@click.option("--cutoff", type=int, default=120, show_default=True,
-              help="Fock cutoff per mode. It truncates the JC+AJC (N_d) ladders, which "
-                   "doubling it certifies; a JC+JC sector is solved whole, and the cutoff "
-                   "only admits N_s <= 2 cutoff.")
-@click.option("--sector", "sectors", type=int, multiple=True,
-              help="Charge values; repeatable. Default: small symmetric range.")
-@click.option("--count", type=int, default=8, show_default=True)
-@click.option("--component", type=click.Choice(["upper", "lower"]), default="upper", show_default=True)
+@_command(
+    *MODEL_OPTIONS, *OUTPUT_OPTIONS,
+    _opt("--cutoff", type=INT, default=120,
+         help="Fock cutoff per mode. It truncates the JC+AJC (N_d) ladders, which "
+              "doubling it certifies; a JC+JC sector is solved whole, and the cutoff "
+              "only admits N_s <= 2 cutoff."),
+    _opt("--sector", type=INT, dest="sectors", multiple=True, default=(),
+         help="Charge values; repeatable. Default: small symmetric range."),
+    _opt("--count", type=INT, default=8),
+    _opt("--component", type=_choice("upper", "lower"), default="upper"),
+)
 def diagonalize(**params):
     """Numeric sector spectra (E^2 values) with convergence certification."""
     if params["cutoff"] < 4:
-        raise click.UsageError("--cutoff must be at least 4")
+        raise UsageError("--cutoff must be at least 4")
     _check_cap(params["cutoff"], MAX_CUTOFF, "--cutoff")
     if params["count"] < 1:
-        raise click.UsageError("--count must be at least 1")
+        raise UsageError("--count must be at least 1")
     p, kind = _resolve_model(params)
     charge = conserved_charge(kind)
     charges = list(params["sectors"])
@@ -320,23 +427,23 @@ def diagonalize(**params):
     )
 
 
-@main.command()
-@model_options
-@output_options
-@click.option("--cutoff", type=int, default=120, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=2024, show_default=True)
-@click.option("--tol", type=click.FloatRange(min=0.0), default=None,
-              help="Tighten every tolerance to at most this value.")
-@click.option("--timing", is_flag=True, default=False,
-              help="Include wall-clock runtimes (breaks byte-identical output).")
+@_command(
+    *MODEL_OPTIONS, *OUTPUT_OPTIONS,
+    _opt("--cutoff", type=INT, default=120),
+    _opt("--seed", type=_number(int, "integer", minimum=0), default=2024),
+    _opt("--tol", type=_number(float, "float", minimum=0.0),
+         help="Tighten every tolerance to at most this value."),
+    _opt("--timing", type=FLAG, default=False,
+         help="Include wall-clock runtimes (breaks byte-identical output)."),
+)
 def verify(**params):
     """Run the full self-verification suite; exit 0 iff every record passes."""
     if params["cutoff"] < 10:
         # the suite asks the N_d = -3 sector, of cutoff - 2 states, for 8 levels
-        raise click.UsageError("--cutoff must be at least 10")
+        raise UsageError("--cutoff must be at least 10")
     _check_cap(params["cutoff"], MAX_CUTOFF, "--cutoff")
     if params["tol"] is not None and math.isnan(params["tol"]):
-        raise click.UsageError("--tol must be a number, got nan")
+        raise UsageError("--tol must be a number, got nan")
     p, kind = _resolve_model(params)
     report = run_verification_suite(p, cutoff=params["cutoff"], seed=params["seed"])
     records = report.records
@@ -367,19 +474,20 @@ def verify(**params):
     )
     n_fail = status.count("FAIL")
     if n_fail:
-        click.echo(f"{n_fail} verification record(s) failed", err=True)
+        _echo(f"{n_fail} verification record(s) failed\n", sys.stderr)
         sys.exit(1)
 
 
-@main.command()
-@output_options
-@click.option("--n-l", "n_l", type=int, default=0, show_default=True)
-@click.option("--m-n", "m_n", type=int, default=0, show_default=True)
-@click.option("--zeta-re", type=float, default=0.0, show_default=True)
-@click.option("--zeta-im", type=float, default=0.0, show_default=True)
-@click.option("--rho-max", type=float, default=4.0, show_default=True)
-@click.option("--n-rho", type=int, default=100, show_default=True)
-@click.option("--n-phi", type=int, default=64, show_default=True)
+@_command(
+    *OUTPUT_OPTIONS,
+    _opt("--n-l", type=INT, default=0),
+    _opt("--m-n", type=INT, default=0),
+    _opt("--zeta-re", type=FLOAT, default=0.0),
+    _opt("--zeta-im", type=FLOAT, default=0.0),
+    _opt("--rho-max", type=FLOAT, default=4.0),
+    _opt("--n-rho", type=INT, default=100),
+    _opt("--n-phi", type=INT, default=64),
+)
 @np.errstate(over="raise")  # rho**2 at a huge --rho-max: an error, not a warning
 def wavefunction(**params):
     """Sample the oscillator (zeta = 0) or coherent-state wavefunction on a
@@ -387,7 +495,7 @@ def wavefunction(**params):
     # each axis is allocated even when the other is empty
     _check_cap(max(params["n_rho"], 1) * max(params["n_phi"], 1), MAX_ROWS, "--n-rho * --n-phi")
     if not 0.0 <= params["rho_max"] < math.inf:
-        raise click.UsageError(f"--rho-max must be nonnegative and finite, got {params['rho_max']}")
+        raise UsageError(f"--rho-max must be nonnegative and finite, got {params['rho_max']}")
     zeta = complex(params["zeta_re"], params["zeta_im"])
     n_l, m_n = params["n_l"], params["m_n"]
     if n_l < 0 or m_n < 0:
@@ -411,16 +519,18 @@ def wavefunction(**params):
     )
 
 
-@main.command("coherent-state")
-@output_options
-@click.option("--algebra", type=click.Choice(["su11", "su2"]), default="su11", show_default=True)
-@click.option("--k", type=float, default=0.5, show_default=True, help="Bargmann index (su11).")
-@click.option("--n", type=int, default=0, show_default=True, help="Excitation (su11).")
-@click.option("--j", type=float, default=1.0, show_default=True, help="Spin length (su2).")
-@click.option("--mu", type=float, default=-1.0, show_default=True, help="Projection (su2).")
-@click.option("--zeta-re", type=float, default=0.3, show_default=True)
-@click.option("--zeta-im", type=float, default=0.0, show_default=True)
-@click.option("--max-index", type=int, default=None)
+@_command(
+    *OUTPUT_OPTIONS,
+    _opt("--algebra", type=_choice("su11", "su2"), default="su11"),
+    _opt("--k", type=FLOAT, default=0.5, help="Bargmann index (su11)."),
+    _opt("--n", type=INT, default=0, help="Excitation (su11)."),
+    _opt("--j", type=FLOAT, default=1.0, help="Spin length (su2)."),
+    _opt("--mu", type=FLOAT, default=-1.0, help="Projection (su2)."),
+    _opt("--zeta-re", type=FLOAT, default=0.3),
+    _opt("--zeta-im", type=FLOAT, default=0.0),
+    _opt("--max-index", type=INT),
+    name="coherent-state",
+)
 def coherent_state(**params):
     """Number-coherent-state expansion coefficients."""
     zeta = complex(params["zeta_re"], params["zeta_im"])
@@ -438,15 +548,16 @@ def coherent_state(**params):
     )
 
 
-@main.command()
-@output_options
-@click.option("--case", type=click.Choice(["ndpa", "coupled-osc"]), default="coupled-osc", show_default=True)
-@click.option("--omega1", type=float, default=1.0, show_default=True)
-@click.option("--omega2", type=float, default=2.0, show_default=True)
-@click.option("--phase", type=float, default=0.0, show_default=True)
-@click.option("--charge", type=int, default=None, help="Sector charge (default: 0 for ndpa, 2 for coupled-osc).")
-@click.option("--index", type=int, default=1, show_default=True)
-@click.option("--scales", default="1e4,1e5,1e6", show_default=True)
+@_command(
+    *OUTPUT_OPTIONS,
+    _opt("--case", type=_choice("ndpa", "coupled-osc"), default="coupled-osc"),
+    _opt("--omega1", type=FLOAT, default=1.0),
+    _opt("--omega2", type=FLOAT, default=2.0),
+    _opt("--phase", type=FLOAT, default=0.0),
+    _opt("--charge", type=INT, help="Sector charge (default: 0 for ndpa, 2 for coupled-osc)."),
+    _opt("--index", type=INT, default=1),
+    _opt("--scales", type=TEXT, default="1e4,1e5,1e6"),
+)
 def limits(**params):
     """Weak-coupling limit study across mass scales, with decay exponent."""
     case = _CASES[params["case"]](params["omega1"], params["omega2"], params["phase"])
@@ -456,7 +567,7 @@ def limits(**params):
     try:
         scales = [float(s) for s in params["scales"].split(",") if s]
     except ValueError as exc:
-        raise click.UsageError(f"bad --scales list: {params['scales']}") from exc
+        raise UsageError(f"bad --scales list: {params['scales']}") from exc
     # the limit level is solved once, for every scale and the exponent
     reports = spectra.nonrelativistic_limit_checks(case, charge, params["index"], scales)
     rows = table(
@@ -470,6 +581,204 @@ def limits(**params):
     if len(scales) >= 2:
         meta["decay_exponent"] = spectra.decay_exponent(reports)
     emit_rows(rows, params["fmt"], params["out_path"], meta=meta)
+
+
+_GROUP = _table(None, (_opt("--config", type=_file(must_exist=True),
+                            help="JSON file with per-command defaults; CLI flags win."),))
+
+
+def _no_such(what: str, name: str, known) -> str:
+    """The refusal of an unknown ``name``, with its close matches among ``known``."""
+    from difflib import get_close_matches  # loaded on this error alone
+
+    matches = sorted(get_close_matches(name, known))
+    hint = (f" Did you mean {matches[0]!r}?" if len(matches) == 1 else
+            f" (Did you mean one of: {', '.join(map(repr, matches))}?)" if matches else "")
+    return f"No such {what} {name!r}.{hint}"
+
+
+def _parse(command: _Command, args: list, interspersed: bool):
+    """One pass over ``args``: each given option's raw value (a list of them
+    for a ``multiple`` one) by key, ``help`` among them, and the positional
+    arguments; without ``interspersed`` the first positional argument ends
+    the options, and it and all after it are returned."""
+    given, positional = {}, []
+    i = 0
+    while i < len(args):
+        token = args[i]
+        i += 1
+        if token == "--":
+            positional += args[i:]
+            break
+        if token[:1] != "-" or token == "-":
+            if not interspersed:
+                positional += args[i - 1:]
+                break
+            positional.append(token)
+            continue
+        if token[:2] != "--":
+            raise UsageError(_no_such("option", token[:2], ()))
+        name, has_value, value = token.partition("=")
+        opt = command.by_name.get(name)
+        if opt is None:
+            raise UsageError(_no_such("option", name, command.by_name))
+        if opt.type is FLAG:
+            if has_value:
+                raise UsageError(f"Option {name!r} does not take a value.")
+            value = True
+        elif not has_value:
+            if i == len(args):
+                raise UsageError(f"Option {name!r} requires an argument.")
+            value = args[i]
+            i += 1
+        if opt.multiple:
+            given.setdefault(opt.dest, []).append(value)
+        else:
+            given[opt.dest] = value
+    return given, positional
+
+
+def _values(command: _Command, given: dict, defaults: dict) -> dict:
+    """Each option's value: from the command line, else from ``--config``
+    (where null stands for no value), else its default. Both sources pass
+    the same converter; a value it refuses exits 2 naming the option."""
+    params = {}
+    for opt in command.options:
+        raw = given.get(opt.dest, defaults.get(opt.dest))
+        try:
+            if raw is None:
+                value = opt.default
+            elif not opt.multiple:
+                value = opt.type.convert(raw)
+            elif isinstance(raw, list):
+                value = tuple(map(opt.type.convert, raw))
+            else:
+                raise ValueError(f"{raw!r} is not a list.")
+        except ValueError as exc:
+            names = " / ".join(f"'{name}'" for name in opt.names)
+            raise UsageError(f"Invalid value for {names}: {exc}") from None
+        params[opt.dest] = value
+    return params
+
+
+def _load_config(path: str) -> dict:
+    """The per-command defaults of a ``--config`` file, every command name
+    and option key in it checked."""
+    with open(path, encoding="utf-8") as fh:
+        defaults = json.load(fh)
+    if not (isinstance(defaults, dict) and all(isinstance(v, dict) for v in defaults.values())):
+        raise UsageError("--config must hold a JSON object of per-command objects")
+    for name, values in defaults.items():
+        if name not in COMMANDS:
+            raise UsageError("--config: " + _no_such("command", name, COMMANDS))
+        keys = [opt.dest for opt in COMMANDS[name].options]
+        for key in values:
+            if key not in keys:
+                raise UsageError("--config: " + _no_such(f"{name} option", key, keys))
+    return defaults
+
+
+def _about(fn) -> str:
+    """The first paragraph of ``fn``'s docstring, on one line."""
+    return " ".join(fn.__doc__.split("\n\n")[0].split())
+
+
+def _help(usage: str, about: str, sections) -> str:
+    """--help text: usage, ``about``, then each (title, rows) section in two
+    columns, the right one wrapped."""
+    import textwrap  # loaded by --help alone
+
+    lines = [f"Usage: {usage}", "", textwrap.fill(about, 78, initial_indent="  ", subsequent_indent="  ")]
+    for title, rows in sections:
+        width = min(max(len(left) for left, _ in rows), 30)
+        lines += ["", f"{title}:"]
+        for left, right in rows:
+            wrapped = textwrap.wrap(right, 74 - width, break_on_hyphens=False)
+            if len(left) > width:
+                lines.append(f"  {left}")
+            else:
+                lines.append(f"  {left:<{width}}  {wrapped.pop(0) if wrapped else ''}".rstrip())
+            lines += [" " * (width + 4) + line for line in wrapped]
+    return "\n".join(lines) + "\n"
+
+
+def _option_rows(options) -> list:
+    """(names and metavar, help and default) of each option and of --help."""
+    rows = []
+    for opt in (*options, HELP):
+        shown = f"[default: {opt.default}]" if opt.default is not None and not opt.multiple else ""
+        rows.append((" ".join(filter(None, [", ".join(opt.names), opt.type.metavar])),
+                     "  ".join(filter(None, [opt.help, shown]))))
+    return rows
+
+
+def _run(args: list, prog: str) -> None:
+    """Parse ``args`` and run the command they name, or write its help.
+
+    The one boundary where a domain error becomes exit 2: package errors,
+    ``ValueError``, ``ArithmeticError`` and ``OSError`` (an unwritable
+    ``--out``) become a ``UsageError``, an overflow keeping a ``numeric
+    overflow:`` prefix. ``verify``'s exit 1 is a ``SystemExit`` and passes
+    through.
+    """
+    given, rest = _parse(_GROUP, args, interspersed=False)
+    if given.pop("help", False):
+        commands = [(name, _about(command.run)) for name, command in COMMANDS.items()]
+        _echo(_help(f"{prog} [--config FILE] COMMAND [OPTIONS]", _about(main),
+                    [("Options", _option_rows(_GROUP.options)), ("Commands", commands)]), sys.stdout)
+        return
+    config = _values(_GROUP, given, {})["config"]
+    if not rest:
+        raise UsageError(f"Missing command, one of: {', '.join(COMMANDS)} (see --help).")
+    name, args = rest[0], rest[1:]
+    command = COMMANDS.get(name)
+    if command is None:
+        raise UsageError(_no_such("command", name, COMMANDS))
+    try:
+        defaults = _load_config(config).get(name, {}) if config else {}
+        given, extra = _parse(command, args, interspersed=True)
+        if given.pop("help", False):
+            _echo(_help(f"{prog} {name} [OPTIONS]", _about(command.run),
+                        [("Options", _option_rows(command.options))]), sys.stdout)
+            return
+        params = _values(command, given, defaults)
+        if extra:
+            raise UsageError(f"Got unexpected extra argument{'s' if len(extra) > 1 else ''} "
+                             f"({' '.join(extra)})")
+        command.run(**params)
+    except (TwoModeJcxError, ValueError, ArithmeticError, OSError) as exc:
+        overflow = isinstance(exc, (OverflowError, FloatingPointError))
+        raise UsageError(f"numeric overflow: {exc}" if overflow else str(exc)) from exc
+
+
+def main(args=None, prog_name: str | None = None, standalone_mode: bool = True):
+    """Two-mode spin-boson models: spectra, verification, and state samples.
+
+    Runs one command on ``args`` (default ``sys.argv[1:]``). Standalone, it
+    exits 0, 1 (a ``verify`` FAIL) or 2 after one ``Error:`` line; else it
+    returns, or raises ``UsageError``.
+    """
+    try:
+        _run(list(sys.argv[1:] if args is None else args), prog_name or main.name)
+    except UsageError as exc:
+        if not standalone_mode:
+            raise
+        _echo(f"Error: {exc}\n", sys.stderr)
+        sys.exit(2)
+    except KeyboardInterrupt:
+        if not standalone_mode:
+            raise
+        _echo("\nAborted!\n", sys.stderr)
+        sys.exit(1)
+    if standalone_mode:
+        sys.exit(0)
+
+
+# The calling convention of a click command, which click.testing.CliRunner
+# and the benchmark use: main.main(args=..., prog_name=..., standalone_mode=...)
+# and main.name.
+main.main = main
+main.name = "twomode-jcx"
 
 
 if __name__ == "__main__":

@@ -2,13 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import threading
 import warnings
 from types import SimpleNamespace
 
-import click
 import mpmath
 import numpy as np
 import pytest
@@ -290,7 +290,7 @@ class TestDiagonalizeCommand:
 
 
 def _one_line_usage_error(result, fragment):
-    """Exit 2 through click's usage error: one 'Error:' line, no traceback."""
+    """Exit 2 through the CLI's usage error: one 'Error:' line, no traceback."""
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     errors = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
@@ -371,6 +371,12 @@ class TestDomainErrorExitCodes:
         ("{not json", "Expecting property name"),
         ("[1, 2]", "--config must hold a JSON object of per-command objects"),
         ('{"spectrum": 5}', "--config must hold a JSON object of per-command objects"),
+        # a misspelled command or key is named, not ignored
+        ('{"spectrum": {"n_max": 0}, "spectrom": {"nmax": 1}}',
+         "--config: No such spectrum option 'n_max'. (Did you mean one of: 'mmax', 'nmax'?)"),
+        ('{"spectrom": {"nmax": 1}}', "--config: No such command 'spectrom'. Did you mean 'spectrum'?"),
+        ('{"spectrum": {"format": "csv"}}', "--config: No such spectrum option 'format'. Did you mean 'fmt'?"),
+        ('{"verify": {"omega": 0.3}}', "--config: No such verify option 'omega'."),
     ])
     def test_bad_config(self, runner, tmp_path, text, fragment):
         cfg = tmp_path / "cfg.json"
@@ -382,7 +388,7 @@ class TestDomainErrorExitCodes:
         out = tmp_path / "rows.out"
         for rows, meta in [(cli.table(scale=[]), {"decay_exponent": float("nan")}),
                            (cli.table(index=[0, 1], abs2=[0.5, float("inf")]), None)]:
-            with pytest.raises(click.UsageError, match="non-finite number in output"):
+            with pytest.raises(cli.UsageError, match="non-finite number in output"):
                 emit_rows(rows, fmt, str(out), meta=meta)
             assert not out.exists()
 
@@ -702,6 +708,137 @@ class TestConfigPrecedence:
         )
         rows = json.loads(result.output)["rows"]
         assert {r["n_l"] for r in rows} == {0}
+
+    @pytest.mark.parametrize("command, values, fragment", [
+        ("spectrum", {"nmax": "x"}, "Invalid value for '--nmax': 'x' is not a valid integer."),
+        ("spectrum", {"nmax": [1]}, "Invalid value for '--nmax': [1] is not a valid integer."),
+        ("spectrum", {"model": 5}, "Invalid value for '--model': 5 is not one of 'jc-ajc', 'jc-jc'."),
+        ("spectrum", {"out_path": "."}, "Invalid value for '--out': File '.' is a directory."),
+        ("verify", {"seed": -1}, "Invalid value for '--seed': -1 is not in the range x>=0."),
+        ("verify", {"timing": "maybe"}, "Invalid value for '--timing': 'maybe' is not a valid boolean."),
+        ("diagonalize", {"sectors": 3}, "Invalid value for '--sector': 3 is not a list."),
+    ])
+    def test_config_values_are_checked_as_flags_are(self, runner, tmp_path, command, values, fragment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({command: values}))
+        _one_line_usage_error(runner.invoke(main, ["--config", str(cfg), command]), fragment)
+
+    def test_config_values_read_as_flags(self, runner, monkeypatch, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"diagonalize": {"sectors": [2, "-1"], "cutoff": "40", "f_re": -1e-05,
+                                                   "count": None},
+                                   "verify": {"timing": "yes"}}))
+        params = _received(monkeypatch, runner, ["--config", str(cfg), "diagonalize", "--g-re", "3"])
+        assert (params["sectors"], params["cutoff"], params["f_re"], params["g_re"]) == ((2, -1), 40, -1e-05, 3.0)
+        assert params["count"] == 8  # null stands for no value
+        params = _received(monkeypatch, runner, ["--config", str(cfg), "diagonalize", "--sector", "5"])
+        assert params["sectors"] == (5,)  # flags replace a multiple option's config list
+        assert _received(monkeypatch, runner, ["--config", str(cfg), "verify"])["timing"] is True
+
+
+def _received(monkeypatch, runner, argv):
+    """The params that the command named in ``argv`` is called with."""
+    seen = []
+    name = next(arg for arg in argv if arg in cli.COMMANDS)
+    monkeypatch.setitem(cli.COMMANDS, name, cli.COMMANDS[name]._replace(run=lambda **params: seen.append(params)))
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    (params,) = seen
+    return params
+
+
+class TestParser:
+    """One pass over argv against the command's option table."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--nmax", "2", "--model", "jc-jc", "--f-re", "-1e-05", "--format", "csv"],
+        ["diagonalize", "--cutoff", "40", "--sector", "-1", "--sector", "2", "--count", "3"],
+        ["coherent-state", "--algebra", "su2", "--j", "2", "--mu", "0", "--zeta-im", "-0.4"],
+    ], ids=lambda argv: argv[0])
+    def test_equals_form_gives_the_same_result(self, runner, monkeypatch, argv):
+        command, *pairs = argv
+        joined = [command, *(f"{opt}={value}" for opt, value in zip(pairs[::2], pairs[1::2]))]
+        spaced, equals = runner.invoke(main, argv), runner.invoke(main, joined)
+        assert spaced.exit_code == equals.exit_code == 0, equals.output
+        assert spaced.stdout_bytes == equals.stdout_bytes
+        assert _received(monkeypatch, runner, argv) == _received(monkeypatch, runner, joined)
+
+    def test_a_repeated_option_keeps_its_last_value(self, runner, monkeypatch):
+        params = _received(monkeypatch, runner, [
+            "diagonalize", "--count", "x", "--count=4", "--omega", "0.3", "--omega1", "0.5",
+            "--sector", "3", "--sector", "-1", "--sector=3", "--count", "2"])
+        assert (params["count"], params["omega1"], params["sectors"]) == (2, 0.5, (3, -1, 3))
+
+    @pytest.mark.parametrize("flag, value", [("--f-re", "-1e-05"), ("--g-im", "-inf"), ("--mc2", "-0.0")])
+    def test_a_value_is_the_next_argument_whatever_it_looks_like(self, runner, monkeypatch, flag, value):
+        got = _received(monkeypatch, runner, ["spectrum", flag, value])[flag[2:].replace("-", "_")]
+        assert math.copysign(1.0, got) == -1.0 and str(got) == str(float(value))
+
+    @pytest.mark.parametrize("argv, line", [
+        (["spectrum", "--bogus"], "Error: No such option '--bogus'. Did you mean '--out'?"),
+        (["spectrum", "--nmx", "1"],
+         "Error: No such option '--nmx'. (Did you mean one of: '--mc2', '--mmax', '--nmax'?)"),
+        (["spectrum", "-h"], "Error: No such option '-h'."),
+        (["spectrum", "--nmax"], "Error: Option '--nmax' requires an argument."),
+        (["spectrum", "--nmax", "1.5"], "Error: Invalid value for '--nmax': '1.5' is not a valid integer."),
+        (["spectrum", "--f-re", "x"], "Error: Invalid value for '--f-re': 'x' is not a valid float."),
+        (["spectrum", "--phase", "--help"], "Error: Invalid value for '--phase': '--help' is not a valid float."),
+        (["spectrum", "--omega", "x"], "Error: Invalid value for '--omega1' / '--omega': 'x' is not a valid float."),
+        (["spectrum", "--model", "JC-JC"],
+         "Error: Invalid value for '--model': 'JC-JC' is not one of 'jc-ajc', 'jc-jc'."),
+        (["verify", "--seed", "-1"], "Error: Invalid value for '--seed': -1 is not in the range x>=0."),
+        (["verify", "--tol", "-1"], "Error: Invalid value for '--tol': -1.0 is not in the range x>=0.0."),
+        (["verify", "--timing=1"], "Error: Option '--timing' does not take a value."),
+        (["--config", "{tmp}/missing.json", "spectrum"],
+         "Error: Invalid value for '--config': File '{tmp}/missing.json' does not exist."),
+        (["--config", "{tmp}", "spectrum"], "Error: Invalid value for '--config': File '{tmp}' is a directory."),
+        (["spectrum", "--out", "{tmp}"], "Error: Invalid value for '--out': File '{tmp}' is a directory."),
+        (["spectrum", "--config", "x"], "Error: No such option '--config'."),
+        (["spectrum", "extra"], "Error: Got unexpected extra argument (extra)"),
+        (["spectrum", "--", "--nmax", "1"], "Error: Got unexpected extra arguments (--nmax 1)"),
+        (["spectrom"], "Error: No such command 'spectrom'. Did you mean 'spectrum'?"),
+        ([], "Error: Missing command, one of: spectrum, diagonalize, verify, wavefunction, "
+             "coherent-state, limits (see --help)."),
+    ])
+    def test_usage_errors_are_one_line(self, runner, tmp_path, argv, line):
+        line = line.replace("{tmp}", str(tmp_path))
+        result = runner.invoke(main, [arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        assert result.exit_code == 2, result.output
+        assert (result.stdout, result.stderr) == ("", line + "\n")
+
+    def test_usage_errors_raise_when_not_standalone(self):
+        with pytest.raises(cli.UsageError, match="'x' is not a valid integer"):
+            main(["spectrum", "--nmax", "x"], standalone_mode=False)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--help", "bogus"], ["--config", "missing.json", "--help"]])
+    def test_group_help(self, runner, argv):
+        result = runner.invoke(main, argv)
+        assert (result.exit_code, result.stderr) == (0, ""), result.output
+        assert "--config FILE" in result.stdout
+        assert all(f"\n  {name} " in result.stdout for name in cli.COMMANDS)
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_help_lists_every_option_with_its_default(self, runner, name):
+        # a bad value before --help is not read: help comes first
+        result = runner.invoke(main, [name, "--format", "xml", "--help"])
+        assert (result.exit_code, result.stderr) == (0, ""), result.output
+        entries = {}
+        for line in result.stdout.splitlines():
+            if line.startswith("  --"):
+                key = line.split()[0].rstrip(",")
+                entries[key] = line
+            elif line.startswith("    ") and entries:
+                entries[key] += line
+        options = cli.COMMANDS[name].options
+        assert list(entries) == [opt.names[0] for opt in options] + ["--help"]
+        for opt in options:
+            entry = " ".join(entries[opt.names[0]].split())
+            assert entry.startswith(", ".join(opt.names)), entry
+            assert opt.help in entry
+            if opt.default is not None and not opt.multiple:
+                assert f"[default: {opt.default}]" in entry
+            else:
+                assert "[default:" not in entry
 
 
 def _dicts(rows):

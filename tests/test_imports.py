@@ -1,7 +1,8 @@
-"""Start-up: every command loads numpy, click and scipy's compiled LAPACK
-module alone, never ``dataclasses`` (each of its classes compiles generated
-code at import), and ``tridiag``'s routines are the very objects
-``scipy.linalg.lapack`` exports, however scipy is reached.
+"""Start-up: every command loads numpy and scipy's compiled LAPACK module
+alone, never click (the CLI parses its own option tables) or
+``dataclasses`` (each of its classes compiles generated code at import),
+and ``tridiag``'s routines are the very objects ``scipy.linalg.lapack``
+exports, however scipy is reached.
 
 Each check runs in a fresh interpreter, since this test process has long
 imported scipy.linalg, scipy.sparse and scipy.special.
@@ -18,7 +19,8 @@ import twomode_jcx
 SRC = str(Path(twomode_jcx.__file__).resolve().parent.parent)
 
 # modules no command may load
-HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.special", "concurrent.futures", "dataclasses")
+HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.special", "concurrent.futures", "dataclasses",
+         "click")
 
 
 def _run(*blocks: str) -> str:
